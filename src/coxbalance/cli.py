@@ -8,6 +8,7 @@ as decimals.  Words are space-separated 1-based simple indices.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -84,7 +85,7 @@ def cmd_roots(args) -> int:
 
 def cmd_group(args) -> int:
     rs = _root_system(args)
-    cap = args.cap or weyl.DEFAULT_ELEMENT_CAP
+    cap = weyl.DEFAULT_ELEMENT_CAP if args.cap is None else args.cap
     lengths = {}
     count = 0
     for w, word in weyl.all_elements(rs, cap):
@@ -116,6 +117,10 @@ def _build_set(args, ctx):
     if not isinstance(ctx, WeylContext):
         raise SystemExit("--ideal-roots needs a Weyl type, not a diagram")
     keys = [int(t) for t in args.ideal_roots.replace(",", " ").split()]
+    n = ctx.root_system.num_positive_roots
+    for k in keys:
+        if not 0 <= k < n:
+            raise ValueError(f"root index {k} out of range 0..{n - 1}")
     return convex.ideal_from_upper(ctx, keys)
 
 
@@ -274,20 +279,21 @@ def cmd_alcove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = verify.run_campaign(args.campaign, include_big=args.e8)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    all_ok = True
-    for rep in reports:
-        print(rep.table())
-        all_ok = all_ok and rep.all_passed
-    if args.out:
-        bundle = {
-            "schema": 1,
-            "campaigns": [json.loads(rep.to_json()) for rep in reports],
-        }
-        with open(args.out, "w") as fh:
+    # Open --out first: an unwritable path fails before the campaign runs.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        try:
+            reports = verify.run_campaign(args.campaign, include_big=args.e8)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        all_ok = True
+        for rep in reports:
+            print(rep.table())
+            all_ok = all_ok and rep.all_passed
+        if fh:
+            bundle = {
+                "schema": 1,
+                "campaigns": [json.loads(rep.to_json()) for rep in reports],
+            }
             json.dump(bundle, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if all_ok else 1

@@ -6,6 +6,12 @@ D = intersection and A = union of the member inversion sets.  Inversion sets
 are kept as frozensets of "root keys": positive-root indices for finite Weyl
 groups, exact root coordinate vectors for generic Coxeter systems.  The two
 group backends are wrapped by :class:`WeylContext` and :class:`CoxContext`.
+
+Single sets are built by a breadth-first search inside W^A.  The exhaustive
+scan over the convex order ideals of a finite Weyl group needs no search: the
+distinct ideals W^A are exactly the distinct unions of inversion sets, so
+:func:`enumerate_convex_ideals` enumerates the group once and closes the
+inversion bitmasks under union.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import coxgen, weyl
 from .linalg import neg
@@ -75,9 +81,6 @@ class WeylContext:
         if t.length == 0 or len(fixed) != 1 or weyl.multiply(t, t).length != 0:
             raise ValueError("word does not describe a reflection")
         return fixed[0]
-
-    def key_sort_value(self, key: int):
-        return key
 
     def key_display(self, key: int) -> str:
         coeffs = self.root_system.coefficients[key]
@@ -144,9 +147,6 @@ class CoxContext:
             raise ValueError("word does not describe a reflection")
         return candidates[0]
 
-    def key_sort_value(self, key):
-        return key
-
     def key_display(self, key) -> str:
         parts = []
         for k, c in enumerate(key, start=1):
@@ -175,11 +175,11 @@ class ConvexSet:
 
     @property
     def canonical_upper(self) -> Tuple:
-        return tuple(sorted(self.upper, key=self.ctx.key_sort_value))
+        return tuple(sorted(self.upper))
 
     @property
     def canonical_lower(self) -> Tuple:
-        return tuple(sorted(self.lower, key=self.ctx.key_sort_value))
+        return tuple(sorted(self.lower))
 
     # -- statistics --------------------------------------------------------
 
@@ -201,7 +201,7 @@ class ConvexSet:
         best = Fraction(0)
         witnesses: List = []
         n = len(self.members)
-        for key in sorted(self.upper - self.lower, key=self.ctx.key_sort_value):
+        for key in sorted(self.upper - self.lower):
             c = self.inversion_count(key)
             score = min(Fraction(c, n), Fraction(n - c, n))
             if score > best:
@@ -354,38 +354,47 @@ def translate(c: ConvexSet, w) -> ConvexSet:
 def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
     """All distinct convex order ideals W^A of a finite Weyl group.
 
-    Scans every subset of the positive roots and deduplicates by the
-    canonical union-of-inversions key; requires at most
-    ``CONVEX_SCAN_MAX_ROOTS`` positive roots.
+    The union of the inversion sets over W^A is a set A' inside A with
+    W^{A'} = W^A, so the distinct ideals are exactly the distinct unions of
+    inversion sets.  One pass over the group collects every element with its
+    shortlex word and its inversion set as a bitmask; closing {0} under OR
+    with those masks gives every union A, and W^A is the elements whose mask
+    lies inside A, already in canonical (length, word) order.  Sets stream
+    ordered by (|A|, sorted A); requires at most ``CONVEX_SCAN_MAX_ROOTS``
+    positive roots.
     """
     n = ctx.root_system.num_positive_roots
     if n > CONVEX_SCAN_MAX_ROOTS:
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    seen: Dict[Tuple, ConvexSet] = {}
-    for mask in range(1 << n):
-        allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
-        c = ideal_from_upper(ctx, allowed)
-        key = c.canonical_upper
-        if key not in seen:
-            seen[key] = c
-    for key in sorted(seen, key=lambda k: (len(k), k)):
-        yield seen[key]
+    masks, elements = [], []
+    for w, word in weyl.all_elements(ctx.root_system):
+        inv = weyl.inversion_set(w)
+        masks.append(sum(1 << j for j in inv))
+        elements.append((w, word, inv))
+    unions = {0}
+    for m in masks:
+        unions |= {u | m for u in unions}
+    uppers = [tuple(j for j in range(n) if (a >> j) & 1) for a in unions]
+    for upper in sorted(uppers, key=lambda k: (len(k), k)):
+        outside = ~sum(1 << j for j in upper)
+        members, words, invs = zip(
+            *(e for m, e in zip(masks, elements) if not m & outside)
+        )
+        yield ConvexSet(ctx, members, words, invs,
+                        frozenset.intersection(*invs), frozenset(upper))
+
+
+def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, ConvexSet]]:
+    """Every non-singleton convex order ideal with its balance, in scan order."""
+    return [(c.balance_value(), c) for c in enumerate_convex_ideals(ctx) if len(c) > 1]
 
 
 def min_balance(ctx: WeylContext) -> Tuple[Fraction, List[ConvexSet]]:
     """Minimum balance over non-singleton convex order ideals, with argmins."""
-    best: Optional[Fraction] = None
-    argmin: List[ConvexSet] = []
-    for c in enumerate_convex_ideals(ctx):
-        if len(c) <= 1:
-            continue
-        b = c.balance_value()
-        if best is None or b < best:
-            best, argmin = b, [c]
-        elif b == best:
-            argmin.append(c)
-    if best is None:
+    scored = scored_ideals(ctx)
+    if not scored:
         raise ValueError("no non-singleton convex ideals exist")
-    return best, argmin
+    best = min(b for b, _ in scored)
+    return best, [c for b, c in scored if b == best]

@@ -82,8 +82,13 @@ def matrix_from_json(text: str) -> CoxeterMatrix:
     ``m`` is an integer >= 3 or the string "inf".
     """
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("rank"), int):
+        raise ValueError('diagram must be a JSON object with an integer "rank" field')
     edges = []
     for e in data.get("edges", []):
+        missing = [f for f in "ijm" if not isinstance(e, dict) or f not in e]
+        if missing:
+            raise ValueError(f'diagram edge {e!r} has no "{missing[0]}" field')
         m = e["m"]
         if m == "inf":
             m = INF
@@ -236,9 +241,6 @@ class CoxElement:
             sum((self.columns[j][k] * v[j] for j in range(len(v))), Fraction(0))
             for k in range(len(v))
         )
-
-    def is_identity(self) -> bool:
-        return self == self.system.identity_element()
 
     def right_descents(self) -> FrozenSet[int]:
         # s_i is a right descent iff w(alpha_i) is a negative root.

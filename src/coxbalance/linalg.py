@@ -1,7 +1,7 @@
 """Small exact linear algebra over Fraction vectors and matrices.
 
 Everything in this package works with tuples of Fractions; this module
-collects the handful of dense operations (dot products, solving, inversion)
+collects the handful of dense operations (dot products, inversion)
 needed by the root-system and reflection machinery.  No floating point.
 """
 
@@ -48,21 +48,6 @@ def is_zero(x: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in x)
 
 
-def matvec(m: Matrix, x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, x) for row in m)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def invert(m: Matrix) -> Matrix:
     """Invert a square matrix by Gauss-Jordan elimination, exactly."""
     n = len(m)
@@ -80,8 +65,3 @@ def invert(m: Matrix) -> Matrix:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve(m: Matrix, b: Sequence[Fraction]) -> Vector:
-    """Solve m x = b for square invertible m."""
-    return matvec(invert(m), b)

@@ -77,12 +77,6 @@ class LabeledPoset:
     def lower_covers(self, x: int) -> List[int]:
         return [i for i, j in self.covers() if j == x]
 
-    def maximal_elements(self) -> List[int]:
-        return [i for i in range(self.n) if all(not self.leq[i][j] for j in range(self.n) if j != i)]
-
-    def minimal_elements(self) -> List[int]:
-        return [i for i in range(self.n) if all(not self.leq[j][i] for j in range(self.n) if j != i)]
-
     def dual(self) -> "LabeledPoset":
         return LabeledPoset(
             self.n,

@@ -169,9 +169,6 @@ class RootSystem:
 
     # -- poset structure ---------------------------------------------------
 
-    def height_of_index(self, i: int) -> int:
-        return self.heights[i]
-
     def leq_indices(self, i: int, j: int) -> bool:
         return bool((self._leq[i] >> j) & 1)
 

@@ -170,20 +170,9 @@ CONJECTURE_TYPES: Tuple[Tuple[str, int], ...] = (
 
 def verify_conjecture(rs: RootSystem) -> VerificationReport:
     def body(report: VerificationReport):
-        ctx = WeylContext(rs)
-        best = None
-        argmin = []
-        violations = []
-        for c in convex.enumerate_convex_ideals(ctx):
-            if len(c) <= 1:
-                continue
-            b = c.balance_value()
-            if b < THIRD:
-                violations.append(c)
-            if best is None or b < best:
-                best, argmin = b, [c]
-            elif b == best:
-                argmin.append(c)
+        scored = convex.scored_ideals(WeylContext(rs))
+        best = min(b for b, _ in scored)
+        violations = [c for b, c in scored if b < THIRD]
         label = rs.root_label()
         if rs.family == "A" and rs.rank == 1:
             report.check(f"{label} min balance", best, Fraction(1, 2))
@@ -197,7 +186,9 @@ def verify_conjecture(rs: RootSystem) -> VerificationReport:
                 "A=" + ",".join(map(str, c.canonical_upper)) for c in violations
             ] or None,
         )
-        report.check(f"{label} equality witnesses", len(argmin) > 0, True)
+        report.check(
+            f"{label} equality witnesses", any(b == best for b, _ in scored), True
+        )
 
     return _timed(f"conjecture {rs.root_label()}", body)
 
@@ -429,22 +420,18 @@ def verify_geometry() -> VerificationReport:
     def body(report: VerificationReport):
         for family, rank in CONJECTURE_TYPES:
             rs = build_root_system(family, rank)
-            ctx = WeylContext(rs)
             threshold = alcove.exponential_bound_threshold(rs)
-            n_sets = 0
+            scored = convex.scored_ideals(WeylContext(rs))
             no_height = []
             no_split = []
             below = []
             below_short = []
-            for c in convex.enumerate_convex_ideals(ctx):
-                if len(c) <= 1:
-                    continue
-                n_sets += 1
+            for b, c in scored:
                 if alcove.small_mean_height_root(c) is None:
                     no_height.append(c)
                 if alcove.centroid_split_root(c) is None:
                     no_split.append(c)
-                if c.balance_value() < threshold:
+                if b < threshold:
                     below.append(c)
                 if rs.family == "B" and not alcove.check_short_root_bound(c):
                     below_short.append(c)
@@ -456,7 +443,7 @@ def verify_geometry() -> VerificationReport:
                 ] or None
 
             report.check(
-                f"{label} mean-height witness on {n_sets} sets",
+                f"{label} mean-height witness on {len(scored)} sets",
                 len(no_height), 0, reproducer=repro(no_height),
             )
             report.check(
@@ -473,14 +460,10 @@ def verify_geometry() -> VerificationReport:
                     len(below_short), 0, reproducer=repro(below_short),
                 )
             if rs.family == "G":
-                worst = min(
-                    (
-                        c.balance_value()
-                        for c in convex.enumerate_convex_ideals(ctx)
-                        if len(c) > 1
-                    ),
+                report.check(
+                    f"{label} balance at least 1/3",
+                    all(b >= THIRD for b, _ in scored), True,
                 )
-                report.check(f"{label} balance at least 1/3", worst >= THIRD, True)
 
     return _timed("geometry", body)
 

@@ -43,6 +43,12 @@ def test_group_cap_reported_cleanly(capsys):
     assert "cap of 5" in capsys.readouterr().err
 
 
+def test_group_cap_zero_is_a_cap(capsys):
+    code = main(["group", "--type", "A", "--rank", "1", "--cap", "0"])
+    assert code == 2
+    assert "cap of 0" in capsys.readouterr().err
+
+
 def test_roots_graph_dot(capsys):
     code, out = run(capsys, "roots", "--type", "G", "--rank", "2",
                     "--format", "dot", "--graph")
@@ -88,6 +94,34 @@ def test_balance_ideal_roots(capsys):
                     "--ideal-roots", "0,1")
     assert code == 0
     assert "b(C) = 1/3" in out
+
+
+@pytest.mark.parametrize("index", ["999", "-1", "3"])
+def test_balance_ideal_roots_out_of_range(capsys, index):
+    code = main(["balance", "--type", "A", "--rank", "2",
+                 "--ideal-roots", f"0,{index}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"root index {index} out of range 0..2" in captured.err
+
+
+@pytest.mark.parametrize("diagram,field", [
+    ({"edges": []}, "rank"),
+    ([{"i": 1, "j": 2, "m": 3}], "rank"),
+    ({"rank": 2, "edges": [{"j": 2, "m": 3}]}, '"i"'),
+    ({"rank": 2, "edges": [{"i": 1, "m": 3}]}, '"j"'),
+    ({"rank": 2, "edges": [{"i": 1, "j": 2}]}, '"m"'),
+])
+def test_malformed_diagram_is_reported(tmp_path, capsys, diagram, field):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(diagram))
+    code = main(["balance", "--diagram", str(path), "--interval", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
 
 
 def test_heap_command(tmp_path, capsys):
@@ -149,6 +183,16 @@ def test_verify_exit_code_and_report(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["schema"] == 1
     assert data["campaigns"][0]["summary"]["failed"] == 0
+
+
+def test_verify_unwritable_out_fails_before_the_campaign(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "report.json"
+    code = main(["verify", "table1", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not out_file.exists()
 
 
 def test_verify_unknown_campaign():

@@ -240,6 +240,43 @@ def test_scan_guard():
         list(enumerate_convex_ideals(ctx))
 
 
+def subset_scan_oracle(ctx):
+    """Every W^A built by breadth-first search, one per subset of the positive
+    roots, deduplicated by its union of inversions and sorted by (|A|, A)."""
+    n = ctx.root_system.num_positive_roots
+    seen = {}
+    for mask in range(1 << n):
+        c = ideal_from_upper(ctx, {i for i in range(n) if (mask >> i) & 1})
+        seen.setdefault(c.canonical_upper, c)
+    return [seen[k] for k in sorted(seen, key=lambda k: (len(k), k))]
+
+
+def scan_view(sets):
+    return [
+        (c.canonical_upper, c.canonical_lower, c.words,
+         tuple(m.action for m in c.members), c.inv_sets)
+        for c in sets
+    ]
+
+
+@pytest.mark.parametrize("family,rank,count", [
+    ("A", 1, 2), ("A", 2, 7), ("A", 3, 40),
+    ("B", 2, 11), ("G", 2, 22), ("B", 3, 139),
+])
+def test_scan_matches_subset_oracle(family, rank, count):
+    """The union scan yields the same sets, members and words, in the same
+    order, as a BFS build for every subset of the positive roots."""
+    ctx = weyl_ctx(family, rank)
+    got = scan_view(enumerate_convex_ideals(ctx))
+    assert len(got) == count
+    assert got == scan_view(subset_scan_oracle(ctx))
+
+
+def test_scan_count_a4():
+    uppers = [c.canonical_upper for c in enumerate_convex_ideals(weyl_ctx("A", 4))]
+    assert len(uppers) == len(set(uppers)) == 357
+
+
 def test_bfs_cap_guard():
     ctx = weyl_ctx("A", 3)
     with pytest.raises(weyl.EnumerationCapExceeded, match="10"):
