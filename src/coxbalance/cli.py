@@ -45,7 +45,7 @@ def _write_out(args, payload: dict) -> None:
 
 def _root_system(args) -> RootSystem:
     if not args.type or args.rank is None:
-        raise SystemExit("--type and --rank are required for this command")
+        raise ValueError("--type and --rank are required for this command")
     return build_root_system(args.type, args.rank)
 
 
@@ -105,7 +105,7 @@ def cmd_group(args) -> int:
 def _build_set(args, ctx):
     given = [s for s in (args.interval, args.hull, args.set, args.ideal_roots) if s]
     if len(given) != 1:
-        raise SystemExit("give exactly one of --interval, --hull, --set, --ideal-roots")
+        raise ValueError("give exactly one of --interval, --hull, --set, --ideal-roots")
     if args.interval is not None:
         return convex.interval_left(ctx, ctx.from_word(_parse_word(args.interval)))
     if args.hull is not None:
@@ -115,7 +115,7 @@ def _build_set(args, ctx):
         words = [_parse_word(part) for part in args.set.split(";")]
         return convex.from_members(ctx, [ctx.from_word(w) for w in words])
     if not isinstance(ctx, WeylContext):
-        raise SystemExit("--ideal-roots needs a Weyl type, not a diagram")
+        raise ValueError("--ideal-roots needs a Weyl type, not a diagram")
     keys = [int(t) for t in args.ideal_roots.replace(",", " ").split()]
     n = ctx.root_system.num_positive_roots
     for k in keys:
@@ -170,7 +170,7 @@ def cmd_semiorder(args) -> int:
     if args.count_ideals:
         big = rs.num_positive_roots > 24
         if big and not args.e8:
-            raise SystemExit(
+            raise ValueError(
                 f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
                 "pass --e8 to run the large scan"
             )
@@ -194,7 +194,7 @@ def cmd_semiorder(args) -> int:
         return 0
     big = rs.num_positive_roots > 24
     if big and not args.e8:
-        raise SystemExit(
+        raise ValueError(
             f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
             "pass --e8 to run the large scan"
         )
@@ -281,10 +281,7 @@ def cmd_alcove(args) -> int:
 def cmd_verify(args) -> int:
     # Open --out first: an unwritable path fails before the campaign runs.
     with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
-        try:
-            reports = verify.run_campaign(args.campaign, include_big=args.e8)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        reports = verify.run_campaign(args.campaign, include_big=args.e8)
         all_ok = True
         for rep in reports:
             print(rep.table())

@@ -69,6 +69,9 @@ def matrix_from_edges(rank: int, edges: Sequence[Tuple[int, int, Optional[int]]]
     for i in range(rank):
         table[i][i] = 1
     for i, j, m in edges:
+        for name, v in (("i", i), ("j", j)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f'edge ({i!r}, {j!r}): "{name}" must be an integer')
         if not (1 <= i <= rank and 1 <= j <= rank and i != j):
             raise ValueError(f"bad edge ({i}, {j})")
         table[i - 1][j - 1] = m
@@ -82,10 +85,14 @@ def matrix_from_json(text: str) -> CoxeterMatrix:
     ``m`` is an integer >= 3 or the string "inf".
     """
     data = json.loads(text)
-    if not isinstance(data, dict) or not isinstance(data.get("rank"), int):
+    rank = data.get("rank") if isinstance(data, dict) else None
+    if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValueError('diagram must be a JSON object with an integer "rank" field')
+    given = data.get("edges", [])
+    if not isinstance(given, list):
+        raise ValueError(f'diagram "edges" must be a list, not {given!r}')
     edges = []
-    for e in data.get("edges", []):
+    for e in given:
         missing = [f for f in "ijm" if not isinstance(e, dict) or f not in e]
         if missing:
             raise ValueError(f'diagram edge {e!r} has no "{missing[0]}" field')
@@ -95,7 +102,7 @@ def matrix_from_json(text: str) -> CoxeterMatrix:
         elif not (isinstance(m, int) and m >= 3):
             raise ValueError(f'edge label must be an integer >= 3 or "inf": {m!r}')
         edges.append((e["i"], e["j"], m))
-    return matrix_from_edges(data["rank"], edges)
+    return matrix_from_edges(rank, edges)
 
 
 def complete_graph_matrix(n: int, label: int = 3) -> CoxeterMatrix:

@@ -2,8 +2,16 @@
 
 Builds the irreducible types A-G, exposes the root poset (ordering, heights,
 Hasse covers), fundamental coweights, the simple-reflection graph on positive
-roots, and order-ideal enumeration over the root poset.  All coordinates are
-``Fraction``s; the bilinear form is the ambient Euclidean dot product.
+roots, and order-ideal enumeration over the root poset.  The bilinear form is
+the ambient Euclidean dot product.
+
+The roots are generated as integer vectors in simple-root coordinates, where
+s_i(c) = c - <c, alpha_i^vee> e_i with the integer Cartan matrix.  The public
+fields ``positive_roots`` (ambient coordinates), ``coefficients`` (simple-root
+coordinates) and ``coweights`` are ``Fraction`` tuples.  The private tables are
+integers: the root-poset bitmasks ``_leq``/``_down``, the signed simple action
+``_simple_action``, and ``_doubled``, twice the ambient coordinates of each
+positive root (integral in every supported type), with its inverse map.
 
 Coordinate conventions for the classical families:
 
@@ -139,6 +147,13 @@ class RootSystem:
     _simple_action: Tuple[Tuple[int, ...], ...] = field(
         repr=False, hash=False, compare=False, default=()
     )
+    # twice the ambient coordinates of each positive root, and its inverse map
+    _doubled: Tuple[Tuple[int, ...], ...] = field(
+        repr=False, hash=False, compare=False, default=()
+    )
+    _doubled_index: Dict[Tuple[int, ...], int] = field(
+        repr=False, hash=False, compare=False, default_factory=dict
+    )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -212,22 +227,51 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         raise InvalidTypeError(family, rank)
     simples = simple_roots(family, rank)
     ambient = len(simples[0])
+    gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
+    # cartan[j][i] = <alpha_j, alpha_i^vee>, an integer in every supported type.
+    cartan = [[int(2 * gram[j][i] / gram[i][i]) for i in range(rank)] for j in range(rank)]
 
-    # Orbit of the simple roots under the simple reflections is all of Phi.
-    roots = set(simples)
-    frontier = list(simples)
+    def simple_reflection(c: Tuple[int, ...], i: int) -> Tuple[int, ...]:
+        """s_i(c) = c - <c, alpha_i^vee> e_i in simple-root coordinates."""
+        p = sum(c[j] * cartan[j][i] for j in range(rank) if c[j])
+        return c[:i] + (c[i] - p,) + c[i + 1:]
+
+    # Every positive root is reached from a simple root by simple reflections
+    # that raise the height.
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    found = set(units)
+    frontier = units
     while frontier:
         new = []
-        for beta in frontier:
-            for alpha in simples:
-                gamma = reflect(alpha, beta)
-                if gamma not in roots:
-                    roots.add(gamma)
-                    new.append(gamma)
+        for c in frontier:
+            for i in range(rank):
+                img = simple_reflection(c, i)
+                if img[i] > c[i] and img not in found:
+                    found.add(img)
+                    new.append(img)
         frontier = new
 
+    # Twice the ambient coordinates are integers (E8 and F4 have half-integer
+    # simple roots) and sort exactly like the Fraction coordinates.
+    doubled_simples = [tuple(int(2 * x) for x in a) for a in simples]
+
+    def doubled(c: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(
+            sum(c[j] * doubled_simples[j][t] for j in range(rank) if c[j])
+            for t in range(ambient)
+        )
+
+    ordered = sorted((sum(c), doubled(c), c) for c in found)
+    heights = tuple(t[0] for t in ordered)
+    doubled_roots = tuple(t[1] for t in ordered)
+    coords = [t[2] for t in ordered]
+    pos_roots = tuple(tuple(Fraction(x, 2) for x in d) for d in doubled_roots)
+    pos_coeffs = tuple(tuple(Fraction(x) for x in c) for c in coords)
+    index = {beta: i for i, beta in enumerate(pos_roots)}
+    coord_index = {c: i for i, c in enumerate(coords)}
+    simple_idx = tuple(coord_index[u] for u in units)
+
     # Dual basis of the simple roots within their span.
-    gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
     ginv = invert(gram)
     coweights = tuple(
         tuple(
@@ -237,42 +281,27 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         for j in range(rank)
     )
 
-    def coeffs(beta: Vector) -> Vector:
-        return tuple(dot(beta, w) for w in coweights)
-
-    positives = []
-    for beta in roots:
-        c = coeffs(beta)
-        if all(x >= 0 for x in c):
-            positives.append((sum(c), beta, c))
-    positives.sort(key=lambda t: (t[0], t[1]))
-    pos_roots = tuple(p[1] for p in positives)
-    pos_coeffs = tuple(p[2] for p in positives)
-    heights = tuple(int(p[0]) for p in positives)
-    index = {beta: i for i, beta in enumerate(pos_roots)}
-    simple_idx = tuple(index[a] for a in simples)
-
-    n = len(pos_roots)
-    # leq[i] = bitmask of j with root_i <= root_j in the root poset.
-    leq = []
-    for i in range(n):
-        mask = 0
-        ci = pos_coeffs[i]
-        for j in range(n):
-            if all(a <= b for a, b in zip(ci, pos_coeffs[j])):
-                mask |= 1 << j
-        leq.append(mask)
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (leq[j] >> i) & 1:
-                down[i] |= 1 << j
+    n = len(coords)
+    # leq[i] = bitmask of j with root_i <= root_j in the root poset, and
+    # down[i] of j with root_j <= root_i: intersect, over each coordinate, the
+    # roots whose coefficient there is >= (resp. <=) that of root i.
+    leq = [(1 << n) - 1] * n
+    down = list(leq)
+    for k in range(rank):
+        col = [c[k] for c in coords]
+        for v in set(col):
+            ge = sum(1 << j for j, x in enumerate(col) if x >= v)
+            le = sum(1 << j for j, x in enumerate(col) if x <= v)
+            for i, x in enumerate(col):
+                if x == v:
+                    leq[i] &= ge
+                    down[i] &= le
 
     highest = n - 1  # maximal height sorts last; uniqueness checked below
     if sum(1 for h in heights if h == heights[highest]) != 1:
         raise AssertionError("root poset maximum is not unique")
 
-    norms = [dot(b, b) for b in pos_roots]
+    norms = [sum(x * x for x in d) for d in doubled_roots]
     short_idx: Optional[int] = None
     if len(set(norms)) > 1:
         min_norm = min(norms)
@@ -283,15 +312,15 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         short_idx = tops[0]
 
     # Simple-reflection action on positive roots, as signed 1-based indices.
+    # The only positive root that s_i makes negative is alpha_i itself.
     action = []
     for i in range(rank):
         row = []
-        for j in range(n):
-            img = reflect(simples[i], pos_roots[j])
-            if img in index:
-                row.append(index[img] + 1)
+        for j, c in enumerate(coords):
+            if j == simple_idx[i]:
+                row.append(-(j + 1))
             else:
-                row.append(-(index[neg(img)] + 1))
+                row.append(coord_index[simple_reflection(c, i)] + 1)
         action.append(tuple(row))
 
     return RootSystem(
@@ -309,6 +338,8 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         _leq=tuple(leq),
         _down=tuple(down),
         _simple_action=tuple(action),
+        _doubled=doubled_roots,
+        _doubled_index={d: i for i, d in enumerate(doubled_roots)},
     )
 
 

@@ -108,17 +108,22 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
 
 
 def _reflection_element(rs: RootSystem, k: int):
-    root = rs.positive_roots[k]
-    from .rootsys import reflect
-    from .linalg import neg
+    """The reflection in positive root k, as a signed permutation of roots.
 
+    Works on the integer doubled ambient coordinates stored on ``rs``:
+    s_b(g) = g - (2<g, b>/<b, b>) b, with an integral coefficient.
+    """
+    b = rs._doubled[k]
+    bb = sum(x * x for x in b)
     action = []
-    for j, beta in enumerate(rs.positive_roots):
-        img = reflect(root, beta)
-        if img in rs._index:
-            action.append(rs._index[img] + 1)
+    for g in rs._doubled:
+        p = 2 * sum(x * y for x, y in zip(g, b)) // bb
+        img = tuple(x - p * y for x, y in zip(g, b))
+        j = rs._doubled_index.get(img)
+        if j is None:
+            action.append(-(rs._doubled_index[tuple(-x for x in img)] + 1))
         else:
-            action.append(-(rs._index[neg(img)] + 1))
+            action.append(j + 1)
     return weyl.WeylElement(rs, tuple(action))
 
 
@@ -171,19 +176,60 @@ def exit_failure_report(rs: RootSystem, ideal) -> Dict[int, List[Tuple[int, int]
     return report
 
 
+ExitTable = List[Tuple[int, List[Tuple[int, int]]]]
+
+
+def _exit_table(rs: RootSystem) -> ExitTable:
+    """Per simple root i: its bit and the (1 << j, 1 << s_i(j)) pairs where
+    s_i raises positive root j, sorted by j.
+
+    Only those pairs can leave an order ideal: when s_i lowers or fixes a
+    root j of the ideal, s_i(j) <= j lies in the ideal too.
+    """
+    table = []
+    for i in range(1, rs.rank + 1):
+        pairs = []
+        for j in range(rs.num_positive_roots):
+            img = rs.simple_image(i, j) - 1
+            if img > j:
+                pairs.append((1 << j, 1 << img))
+        table.append((1 << rs.simple_indices[i - 1], pairs))
+    return table
+
+
+def _first_single_exit(table: ExitTable, mask: int) -> Optional[int]:
+    """For an ideal mask, the first simple root (1-based) in the ideal moving
+    at most one member out of it; the same i as :func:`single_exit_simple`."""
+    for i, (simple_bit, pairs) in enumerate(table, start=1):
+        if not mask & simple_bit:
+            continue
+        exits = 0
+        for bit, image_bit in pairs:
+            if bit > mask:
+                break
+            if mask & bit and not mask & image_bit:
+                exits += 1
+                if exits > 1:
+                    break
+        if exits <= 1:
+            return i
+    return None
+
+
 def scan_exit_witnesses(rs: RootSystem) -> Tuple[int, List[int]]:
     """Check every nonempty root-poset ideal for a single-exit simple root.
 
     Returns (number of nonempty ideals scanned, masks of failing ideals).
     Streams the ideals, so even the 25080 ideals of E8 fit in memory.
     """
+    table = _exit_table(rs)
     scanned = 0
     failures: List[int] = []
     for mask in iter_ideal_masks(rs):
         if mask == 0:
             continue
         scanned += 1
-        if single_exit_simple(rs, mask) is None:
+        if _first_single_exit(table, mask) is None:
             failures.append(mask)
     return scanned, failures
 

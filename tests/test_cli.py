@@ -63,9 +63,42 @@ def test_balance_interval(capsys):
     assert "b(C) = 1/3" in out
 
 
+def assert_error_line(capsys, code, message):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_balance_requires_one_selector(capsys):
-    with pytest.raises(SystemExit):
-        main(["balance", "--type", "A", "--rank", "2"])
+    code = main(["balance", "--type", "A", "--rank", "2"])
+    assert_error_line(capsys, code, "give exactly one of --interval")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["roots"], "--type and --rank are required"),
+    (["alcove", "--type", "B"], "--type and --rank are required"),
+    (["balance", "--type", "A", "--rank", "2", "--interval", "1", "--set", "1"],
+     "give exactly one of --interval"),
+    (["semiorder", "--type", "E", "--rank", "7"], "pass --e8 to run the large scan"),
+])
+def test_usage_errors_are_reported(capsys, argv, message):
+    assert_error_line(capsys, main(argv), message)
+
+
+def test_ideal_roots_with_diagram_is_reported(tmp_path, capsys):
+    diagram = tmp_path / "a2.json"
+    diagram.write_text(json.dumps({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 3}]}))
+    code = main(["balance", "--diagram", str(diagram), "--ideal-roots", "0"])
+    assert_error_line(capsys, code, "--ideal-roots needs a Weyl type")
+
+
+def test_verify_campaign_error_is_reported(monkeypatch, capsys):
+    def refuse(name, include_big=False):
+        raise ValueError(f"cannot run {name}")
+
+    monkeypatch.setattr("coxbalance.cli.verify.run_campaign", refuse)
+    assert_error_line(capsys, main(["verify", "table1"]), "cannot run table1")
 
 
 def test_balance_hull_with_diagram(tmp_path, capsys):
@@ -113,6 +146,11 @@ def test_balance_ideal_roots_out_of_range(capsys, index):
     ({"rank": 2, "edges": [{"j": 2, "m": 3}]}, '"i"'),
     ({"rank": 2, "edges": [{"i": 1, "m": 3}]}, '"j"'),
     ({"rank": 2, "edges": [{"i": 1, "j": 2}]}, '"m"'),
+    ({"rank": 2, "edges": [{"i": "a", "j": 2, "m": 3}]}, '"i" must be an integer'),
+    ({"rank": 2, "edges": [{"i": 1, "j": 2.0, "m": 3}]}, '"j" must be an integer'),
+    ({"rank": 2, "edges": [{"i": True, "j": 2, "m": 3}]}, '"i" must be an integer'),
+    ({"rank": True, "edges": []}, "rank"),
+    ({"rank": 2, "edges": 5}, '"edges" must be a list'),
 ])
 def test_malformed_diagram_is_reported(tmp_path, capsys, diagram, field):
     path = tmp_path / "diagram.json"
@@ -141,8 +179,8 @@ def test_heap_rejects_non_reduced(capsys):
 
 
 def test_semiorder_count_guard(capsys):
-    with pytest.raises(SystemExit, match="--e8"):
-        main(["semiorder", "--type", "E", "--rank", "7", "--count-ideals"])
+    code = main(["semiorder", "--type", "E", "--rank", "7", "--count-ideals"])
+    assert_error_line(capsys, code, "pass --e8 to run the large scan")
 
 
 def test_semiorder_scan(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Root system construction, root poset, reflection graph, ideal streams."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
-from coxbalance.linalg import dot, neg, vec
+from coxbalance.linalg import dot, invert, neg, vec
 from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
@@ -21,6 +22,7 @@ from coxbalance.rootsys import (
     root_graph_dot,
     root_poset_leq,
     roots_json,
+    simple_roots,
 )
 
 
@@ -42,6 +44,101 @@ def brute_force_ideal_count(rs):
         if ok:
             count += 1
     return count
+
+
+def fraction_route_fields(family, rank):
+    """Independent oracle: every ``RootSystem`` field by Fraction arithmetic.
+
+    Phi is the orbit of the simple roots under ``reflect``, coefficients are
+    read off the coweights, and the simple action reflects Fraction vectors.
+    """
+    simples = simple_roots(family, rank)
+    ambient = len(simples[0])
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for alpha in simples:
+                gamma = reflect(alpha, beta)
+                if gamma not in roots:
+                    roots.add(gamma)
+                    new.append(gamma)
+        frontier = new
+    ginv = invert(tuple(tuple(dot(a, b) for b in simples) for a in simples))
+    coweights = tuple(
+        tuple(
+            sum((ginv[j][k] * simples[k][t] for k in range(rank)), Fraction(0))
+            for t in range(ambient)
+        )
+        for j in range(rank)
+    )
+    positives = []
+    for beta in roots:
+        c = tuple(dot(beta, w) for w in coweights)
+        if all(x >= 0 for x in c):
+            positives.append((sum(c), beta, c))
+    positives.sort(key=lambda t: (t[0], t[1]))
+    pos_roots = tuple(p[1] for p in positives)
+    coeffs = tuple(p[2] for p in positives)
+    index = {beta: i for i, beta in enumerate(pos_roots)}
+    n = len(pos_roots)
+    leq = tuple(
+        sum(1 << j for j in range(n) if all(a <= b for a, b in zip(coeffs[i], coeffs[j])))
+        for i in range(n)
+    )
+    down = tuple(sum(1 << j for j in range(n) if leq[j] >> i & 1) for i in range(n))
+    norms = [dot(b, b) for b in pos_roots]
+    short_idx = None
+    if len(set(norms)) > 1:
+        shorts = [i for i in range(n) if norms[i] == min(norms)]
+        (short_idx,) = [i for i in shorts if all(leq[j] >> i & 1 for j in shorts)]
+    action = tuple(
+        tuple(
+            index[img] + 1 if img in index else -(index[neg(img)] + 1)
+            for img in (reflect(alpha, beta) for beta in pos_roots)
+        )
+        for alpha in simples
+    )
+    doubled = tuple(tuple(int(2 * x) for x in beta) for beta in pos_roots)
+    return {
+        "family": family,
+        "rank": rank,
+        "ambient_dim": ambient,
+        "positive_roots": pos_roots,
+        "simple_indices": tuple(index[a] for a in simples),
+        "coweights": coweights,
+        "coefficients": coeffs,
+        "heights": tuple(int(p[0]) for p in positives),
+        "highest_root_index": n - 1,
+        "highest_short_root_index": short_idx,
+        "_index": index,
+        "_leq": leq,
+        "_down": down,
+        "_simple_action": action,
+        "_doubled": doubled,
+        "_doubled_index": {d: i for i, d in enumerate(doubled)},
+    }
+
+
+ALL_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_build_matches_fraction_route(family, rank):
+    rs = build_root_system(family, rank)
+    expected = fraction_route_fields(family, rank)
+    assert [f.name for f in dataclasses.fields(rs)] == list(expected)
+    for name, value in expected.items():
+        assert getattr(rs, name) == value, name
+    for name in ("positive_roots", "coefficients", "coweights"):
+        assert all(type(x) is Fraction for row in getattr(rs, name) for x in row), name
 
 
 CLASSICAL_COUNTS = [

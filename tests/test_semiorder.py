@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from coxbalance import semiorder
-from coxbalance.rootsys import build_root_system, ideal_from_members, iter_ideal_masks
+from coxbalance.linalg import neg
+from coxbalance.rootsys import (
+    build_root_system,
+    ideal_from_members,
+    iter_ideal_masks,
+    reflect,
+)
 from coxbalance.semiorder import (
     build,
     check_half_bound,
@@ -17,6 +23,7 @@ from coxbalance.semiorder import (
     scan_exit_witnesses,
     single_exit_simple,
 )
+from coxbalance.verify import SEMIORDER_TYPES
 
 THIRD = Fraction(1, 3)
 
@@ -158,3 +165,63 @@ def test_semiorder_balance_floor():
             gs = build(rs, members)
             if gs.size > 1:
                 assert gs.convex.balance_value() >= THIRD
+
+
+def fraction_reflection_action(rs, k):
+    """Oracle: the signed permutation of s_beta by reflecting Fraction vectors."""
+    index = {beta: i for i, beta in enumerate(rs.positive_roots)}
+    out = []
+    for beta in rs.positive_roots:
+        img = reflect(rs.positive_roots[k], beta)
+        out.append(index[img] + 1 if img in index else -(index[neg(img)] + 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family,rank", SEMIORDER_TYPES + (("E", 6),))
+def test_reflection_element_matches_fraction_reflect(family, rank):
+    rs = build_root_system(family, rank)
+    for k in range(rs.num_positive_roots):
+        assert semiorder._reflection_element(rs, k).action == fraction_reflection_action(rs, k)
+
+
+@pytest.mark.parametrize("rank", [6, 7])
+def test_exit_table_agrees_with_exit_roots(rank):
+    rs = build_root_system("E", rank)
+    table = semiorder._exit_table(rs)
+    for mask in iter_ideal_masks(rs):
+        if mask:
+            found = single_exit_simple(rs, mask)
+            assert found is not None
+            assert semiorder._first_single_exit(table, mask) == found[0], hex(mask)
+
+
+def fraction_single_exit(rs, mask):
+    """Oracle for any mask: the first simple root in it whose Fraction
+    reflection moves at most one member to a positive root outside."""
+    index = {beta: i for i, beta in enumerate(rs.positive_roots)}
+    for i, alpha in enumerate(rs.simple_roots, start=1):
+        if not (mask >> index[alpha]) & 1:
+            continue
+        exits = []
+        for j, beta in enumerate(rs.positive_roots):
+            img = index.get(reflect(alpha, beta))
+            if (mask >> j) & 1 and img is not None and not (mask >> img) & 1:
+                exits.append(j)
+        if len(exits) <= 1:
+            return i, tuple(exits)
+    return None
+
+
+@pytest.mark.parametrize("family,rank,mask", [
+    ("A", 3, 0x25), ("A", 3, 0x3e),
+    ("B", 3, 0x135), ("B", 3, 0x12d),
+    ("G", 2, 0x3a), ("G", 2, 0x23),
+    ("D", 4, 0x78e), ("D", 4, 0x8af),
+    ("E", 6, 0x8d6225675),
+])
+def test_single_exit_on_non_ideals(family, rank, mask):
+    rs = build_root_system(family, rank)
+    assert any(
+        (mask >> i) & 1 and rs._down[i] & ~mask for i in range(rs.num_positive_roots)
+    ), "mask should not be an order ideal"
+    assert single_exit_simple(rs, mask) == fraction_single_exit(rs, mask)

@@ -1,9 +1,11 @@
 """Verification campaign plumbing: reports, determinism, campaign outcomes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from coxbalance.cli import main
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import (
     VerificationReport,
@@ -94,3 +96,17 @@ def test_classify_campaign_reports_dual_claws():
 def test_unknown_campaign():
     with pytest.raises(ValueError, match="unknown campaign"):
         run_campaign("nope")
+
+
+EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
+
+
+@pytest.mark.parametrize(
+    "argv", [["table1"], ["semiorder"], ["exits", "--e8"]], ids=["table1", "semiorder", "exits-e8"]
+)
+def test_campaign_output_matches_expected_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = (EXPECTED_DIR / f"{argv[0]}.json").read_bytes()
+    assert out.read_bytes() == expected
