@@ -6,13 +6,27 @@ polytope of a convex set.  Everything here is exact: centroids and
 half-spaces are rational, and the e-based lower bounds are certified by
 comparing against partial sums of the exponential series (strict rational
 lower bounds on e^x), so a confirmed inequality is rigorous.
+
+The witnesses and the centroid are read from integer tables built once per
+type.  The centroid o_0 of the fundamental alcove is (1/(r+1)) sum_i
+omega_i^vee / m_i over the marks m_i of the highest root, so a root
+beta = sum_i c_i alpha_i pairs with it as <o_0, beta> = (1/(r+1)) sum_i
+c_i / m_i: an integer numerator over one common denominator.  The group acts
+orthogonally, so a member w pairs its alcove centroid w^{-1} o_0 with root k
+as <o_0, w beta_k>, which is that numerator at the signed root index
+``w.action[k]``; mean image heights read ``heights`` the same way.  The
+pairing of the order-polytope centroid with a root is then a sum of integers
+over the members, and the centroid itself is sum_i <o, alpha_i> omega_i^vee,
+since it lies in the span of the roots and the coweights are the dual basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .convex import ConvexSet, WeylContext
 from .linalg import Vector, add, dot, scale, zero
@@ -131,17 +145,72 @@ def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Vector]:
     return [winv.apply(v) for v in data.vertices]
 
 
+@dataclass(frozen=True)
+class _RootTables:
+    """Integer tables of one type, indexed by a signed 1-based root index.
+
+    Entry ``a`` of each list belongs to positive root ``a - 1`` and entry
+    ``-a`` to its negative, which Python's negative indexing reads from the
+    end of the list, so ``w.action[k]`` indexes the image of root k directly.
+    ``pairing[a] / den`` is the pairing of the root with the centroid of the
+    fundamental alcove, and ``height[a]`` its height.
+    """
+
+    pairing: Tuple[int, ...]
+    den: int
+    height: Tuple[int, ...]
+
+
+def _signed(values: Sequence[int]) -> Tuple[int, ...]:
+    return (0, *values, *(-v for v in reversed(values)))
+
+
+# A root system is determined by its type, so the tables are built once per
+# (family, rank) and shared by every RootSystem instance of that type.
+_TABLES: Dict[Tuple[str, int], _RootTables] = {}
+
+
+def _root_tables(rs: RootSystem) -> _RootTables:
+    key = (rs.family, rs.rank)
+    tables = _TABLES.get(key)
+    if tables is None:
+        marks = [int(m) for m in rs.coefficients[rs.highest_root_index]]
+        lcm_marks = lcm(*marks)
+        weights = [lcm_marks // m for m in marks]
+        pairing = [
+            sum(int(c) * w for c, w in zip(coeffs, weights))
+            for coeffs in rs.coefficients
+        ]
+        tables = _TABLES[key] = _RootTables(
+            pairing=_signed(pairing),
+            den=(rs.rank + 1) * lcm_marks,
+            height=_signed(rs.heights),
+        )
+    return tables
+
+
+def _image_sum(table: Tuple[int, ...], c: ConvexSet, root_index: int) -> int:
+    """Sum of the table entries at the images w(beta) over the members w."""
+    return sum(table[m.action[root_index]] for m in c.members)
+
+
 def centroid(c: ConvexSet) -> Vector:
-    """Centroid of the order polytope: the average of the member alcove centroids."""
+    """Centroid of the order polytope: the average of the member alcove centroids.
+
+    Built as sum_i <o, alpha_i> omega_i^vee from the integer pairing table.
+    """
     ctx = c.ctx
     if not isinstance(ctx, WeylContext):
         raise TypeError("order polytopes need a finite Weyl context")
     rs = ctx.root_system
-    data = alcove_data(rs)
-    total = zero(rs.ambient_dim)
-    for m in c.members:
-        total = add(total, weyl.inverse(m).apply(data.centroid))
-    return scale(Fraction(1, len(c.members)), total)
+    tables = _root_tables(rs)
+    den = len(c.members) * tables.den
+    o = zero(rs.ambient_dim)
+    for i, k in enumerate(rs.simple_indices):
+        s = _image_sum(tables.pairing, c, k)
+        if s:
+            o = add(o, scale(Fraction(s, den), rs.coweights[i]))
+    return o
 
 
 # -- mean heights and witnesses ------------------------------------------------
@@ -149,12 +218,8 @@ def centroid(c: ConvexSet) -> Vector:
 
 def mean_height(c: ConvexSet, root_index: int) -> Fraction:
     """Average height of the images w(beta) over the members."""
-    rs = c.ctx.root_system
-    total = 0
-    for m in c.members:
-        img = m.apply_root_index(root_index)
-        total += rs.heights[img - 1] if img > 0 else -rs.heights[-img - 1]
-    return Fraction(total, len(c.members))
+    heights = _root_tables(c.ctx.root_system).height
+    return Fraction(_image_sum(heights, c, root_index), len(c.members))
 
 
 def small_mean_height_root(c: ConvexSet) -> Optional[int]:
@@ -162,8 +227,10 @@ def small_mean_height_root(c: ConvexSet) -> Optional[int]:
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
     rs = c.ctx.root_system
+    heights = _root_tables(rs).height
+    n = len(c)
     for k in range(rs.num_positive_roots):
-        if abs(mean_height(c, k)) < 1:
+        if abs(_image_sum(heights, c, k)) < n:
             return k
     return None
 
@@ -172,18 +239,22 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
     """A root splitting the set whose centroid pairing obeys the margin bound.
 
     Scans positive roots in (height, lex) order and returns the first k with
-    0 < |C_k| < |C| and |<centroid, root_k>| <= margin / (rank + 1).
+    0 < |C_k| < |C| and |<centroid, root_k>| <= margin / (rank + 1).  The
+    pairing is S_k / (|C| den) for the integer sum S_k of the members' table
+    entries, so the bound is tested as
+    |S_k| (rank + 1) margin.den <= |C| den margin.num.
     """
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
     rs = c.ctx.root_system
-    params = alcove_params(rs)
-    o = centroid(c)
-    limit = params.margin / (rs.rank + 1)
+    margin = alcove_params(rs).margin
+    tables = _root_tables(rs)
     n = len(c)
+    lhs = (rs.rank + 1) * margin.denominator
+    rhs = n * tables.den * margin.numerator
     for k in range(rs.num_positive_roots):
         cnt = c.inversion_count(k)
-        if 0 < cnt < n and abs(dot(o, rs.positive_roots[k])) <= limit:
+        if 0 < cnt < n and abs(_image_sum(tables.pairing, c, k)) * lhs <= rhs:
             return k
     return None
 
@@ -207,9 +278,15 @@ def exp_lower_bound(x: Fraction, terms: int = 80) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _half_inverse_exp_bound(x: Fraction) -> Fraction:
+    """1 / (2 exp_lower_bound(x)), computed once per exponent."""
+    return Fraction(1, 2) / exp_lower_bound(x)
+
+
 def exponential_bound_threshold(rs: RootSystem) -> Fraction:
     """A strict rational upper bound on 1/(2 e^exponent) for the type."""
-    return Fraction(1, 2) / exp_lower_bound(alcove_params(rs).exponent)
+    return _half_inverse_exp_bound(alcove_params(rs).exponent)
 
 
 def check_exponential_bound(c: ConvexSet) -> bool:
@@ -220,7 +297,7 @@ def check_exponential_bound(c: ConvexSet) -> bool:
 
 
 def short_root_bound_threshold() -> Fraction:
-    return Fraction(1, 2) / exp_lower_bound(Fraction(1))
+    return _half_inverse_exp_bound(Fraction(1))
 
 
 def check_short_root_bound(c: ConvexSet) -> bool:

@@ -25,6 +25,10 @@ from .rootsys import RootSystem
 
 INF = None  # infinite edge label
 
+# Largest rank a diagram file may give; the geometric representation works
+# with rank x rank Fraction matrices, so the cost grows steeply with rank.
+DIAGRAM_MAX_RANK = 64
+
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
@@ -88,6 +92,10 @@ def matrix_from_json(text: str) -> CoxeterMatrix:
     rank = data.get("rank") if isinstance(data, dict) else None
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValueError('diagram must be a JSON object with an integer "rank" field')
+    if not 1 <= rank <= DIAGRAM_MAX_RANK:
+        raise ValueError(
+            f'diagram "rank" must be between 1 and {DIAGRAM_MAX_RANK}, not {rank}'
+        )
     given = data.get("edges", [])
     if not isinstance(given, list):
         raise ValueError(f'diagram "edges" must be a list, not {given!r}')

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxbalance import weyl
 from coxbalance.alcove import (
@@ -23,6 +25,7 @@ from coxbalance.alcove import (
 from coxbalance.convex import WeylContext, enumerate_convex_ideals, ideal_from_upper, interval_left
 from coxbalance.linalg import add, dot, scale, zero
 from coxbalance.rootsys import build_root_system
+from coxbalance.verify import CONJECTURE_TYPES
 
 TABLE_ROWS = {
     ("A", 1): (1, 1, 1, Fraction(1), Fraction(1)),
@@ -206,6 +209,88 @@ def test_witnesses_on_all_ideals(family, rank):
         assert 0 < cnt < len(c)
         limit = alcove_params(rs).margin / (rs.rank + 1)
         assert abs(dot(centroid(c), rs.positive_roots[j])) <= limit
+
+
+class FractionOracle:
+    """The witnesses and the centroid by the Fraction route.
+
+    Each member w contributes its alcove centroid w^{-1} o_0 and the image
+    w^{-1} rho^vee of the sum of the coweights (heights are pairings with
+    rho^vee), both through ``WeylElement.apply``; pairings are ``dot``s.
+    """
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.o0 = alcove_data(rs).centroid
+        self.rho = zero(rs.ambient_dim)
+        for w in rs.coweights:
+            self.rho = add(self.rho, w)
+        self.images = {}
+        self.limit = alcove_params(rs).margin / (rs.rank + 1)
+
+    def _image(self, m):
+        if m.action not in self.images:
+            inv = weyl.inverse(m)
+            self.images[m.action] = (inv.apply(self.o0), inv.apply(self.rho))
+        return self.images[m.action]
+
+    def _average(self, c, which):
+        total = zero(self.rs.ambient_dim)
+        for m in c.members:
+            total = add(total, self._image(m)[which])
+        return scale(Fraction(1, len(c)), total)
+
+    def centroid(self, c):
+        return self._average(c, 0)
+
+    def split_root(self, c):
+        o = self.centroid(c)
+        n = len(c)
+        for k, beta in enumerate(self.rs.positive_roots):
+            if 0 < c.inversion_count(k) < n and abs(dot(o, beta)) <= self.limit:
+                return k
+        return None
+
+    def mean_heights(self, c):
+        rho = self._average(c, 1)
+        return [dot(rho, beta) for beta in self.rs.positive_roots]
+
+    def height_root(self, c):
+        return next((k for k, h in enumerate(self.mean_heights(c)) if abs(h) < 1), None)
+
+
+@pytest.mark.parametrize("family,rank", list(CONJECTURE_TYPES) + [("D", 4)])
+def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
+    """The integer tables give the oracle's first witness and its centroid."""
+    rs = build_root_system(family, rank)
+    oracle = FractionOracle(rs)
+    sets = [c for c in enumerate_convex_ideals(WeylContext(rs)) if len(c) > 1]
+    for c in sets:
+        upper = c.canonical_upper
+        assert centroid(c) == oracle.centroid(c), upper
+        assert centroid_split_root(c) == oracle.split_root(c), upper
+        assert small_mean_height_root(c) == oracle.height_root(c), upper
+        heights = [mean_height(c, k) for k in range(rs.num_positive_roots)]
+        assert heights == oracle.mean_heights(c), upper
+    assert len(sets) == {
+        "A1": 1, "A2": 6, "A3": 39, "B2": 10, "B3": 138, "G2": 21, "A4": 356, "D4": 884,
+    }[rs.root_label()]
+
+
+PROPERTY_ORACLES = {
+    key: FractionOracle(build_root_system(*key)) for key in [("A", 3), ("B", 3)]
+}
+
+
+@given(
+    key=st.sampled_from(sorted(PROPERTY_ORACLES)),
+    word=st.lists(st.integers(min_value=1, max_value=3), max_size=12),
+)
+def test_interval_centroid_matches_fraction_oracle(key, word):
+    oracle = PROPERTY_ORACLES[key]
+    ctx = WeylContext(oracle.rs)
+    c = interval_left(ctx, ctx.from_word(word))
+    assert centroid(c) == oracle.centroid(c)
 
 
 def test_witnesses_need_non_singleton():

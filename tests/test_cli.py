@@ -151,6 +151,9 @@ def test_balance_ideal_roots_out_of_range(capsys, index):
     ({"rank": 2, "edges": [{"i": True, "j": 2, "m": 3}]}, '"i" must be an integer'),
     ({"rank": True, "edges": []}, "rank"),
     ({"rank": 2, "edges": 5}, '"edges" must be a list'),
+    ({"rank": 20000}, '"rank" must be between 1 and 64, not 20000'),
+    ({"rank": 0}, '"rank" must be between 1 and 64, not 0'),
+    ({"rank": -3}, '"rank" must be between 1 and 64, not -3'),
 ])
 def test_malformed_diagram_is_reported(tmp_path, capsys, diagram, field):
     path = tmp_path / "diagram.json"
@@ -211,7 +214,14 @@ def test_alcove_interval(capsys):
     code, out = run(capsys, "alcove", "--type", "B", "--rank", "3",
                     "--interval", "3 2 3 1")
     assert code == 0
-    assert "|C| = 6" in out
+    assert out == (
+        "type B3: min_mark 1, max_mark 2, height 5, margin 1, exponent 2\n"
+        "|C| = 6, balance = 1/3, centroid = (1/4, 5/12, -1/12)\n"
+        "mean-height witness root index: 0 (h = -2/3)\n"
+        "centroid-split witness root index: 0\n"
+        "balance above 1/(2 e^exponent): True\n"
+        "balance above 1/(2e): True\n"
+    )
 
 
 def test_verify_exit_code_and_report(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from coxbalance.coxgen import (
+    DIAGRAM_MAX_RANK,
     INF,
     CoxeterMatrix,
     NotReducedError,
@@ -67,6 +68,12 @@ def test_diagram_json_round_trip():
     assert m.m(1, 2) is INF and m.m(1, 3) == 2
     with pytest.raises(ValueError):
         matrix_from_json(json.dumps({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 2.5}]}))
+
+
+def test_diagram_rank_bound():
+    assert matrix_from_json(json.dumps({"rank": DIAGRAM_MAX_RANK})).rank == DIAGRAM_MAX_RANK
+    with pytest.raises(ValueError, match='"rank" must be between 1 and'):
+        matrix_from_json(json.dumps({"rank": DIAGRAM_MAX_RANK + 1}))
 
 
 def test_acyclicity():
