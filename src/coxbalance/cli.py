@@ -231,16 +231,18 @@ def cmd_alcove(args) -> int:
         ctx = WeylContext(rs)
         c = convex.interval_left(ctx, ctx.from_word(_parse_word(args.interval)))
         o = alcove.centroid(c)
+        b = c.balance_value()
         non_singleton = len(c) > 1
         h_root = alcove.small_mean_height_root(c) if non_singleton else None
         s_root = alcove.centroid_split_root(c) if non_singleton else None
-        bound_ok = alcove.check_exponential_bound(c) if non_singleton else None
+        bound_ok = (
+            b >= alcove.exponential_bound_threshold(rs) if non_singleton else None
+        )
         short_ok = (
-            alcove.check_short_root_bound(c)
+            b >= alcove.short_root_bound_threshold()
             if non_singleton and rs.family == "B"
             else None
         )
-        b = c.balance_value()
         print(f"|C| = {len(c)}, balance = {b}, "
               f"centroid = ({', '.join(map(str, o))})")
         if h_root is not None:

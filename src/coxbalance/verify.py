@@ -421,6 +421,7 @@ def verify_geometry() -> VerificationReport:
         for family, rank in CONJECTURE_TYPES:
             rs = build_root_system(family, rank)
             threshold = alcove.exponential_bound_threshold(rs)
+            short_threshold = alcove.short_root_bound_threshold()
             scored = convex.scored_ideals(WeylContext(rs))
             no_height = []
             no_split = []
@@ -433,7 +434,7 @@ def verify_geometry() -> VerificationReport:
                     no_split.append(c)
                 if b < threshold:
                     below.append(c)
-                if rs.family == "B" and not alcove.check_short_root_bound(c):
+                if rs.family == "B" and b < short_threshold:
                     below_short.append(c)
             label = rs.root_label()
 

@@ -9,6 +9,7 @@ and independent of any choice of word; reduced words are derived data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from .linalg import Vector, add, scale, zero
@@ -76,7 +77,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The reflection s_i for a 1-based simple index."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-    return WeylElement(rs, tuple(rs.simple_image(i, j) for j in range(rs.num_positive_roots)))
+    return WeylElement(rs, rs._simple_action[i - 1])
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -111,12 +112,8 @@ def _mul_simple_right(w: WeylElement, i: int) -> WeylElement:
     """w s_i, computed without building the reflection element."""
     rs = w.root_system
     wa = w.action
-    out = []
-    for j in range(rs.num_positive_roots):
-        a = rs.simple_image(i, j)
-        b = wa[abs(a) - 1]
-        out.append(b if a > 0 else -b)
-    return WeylElement(rs, tuple(out))
+    row = rs._simple_action[i - 1]
+    return WeylElement(rs, tuple([wa[a - 1] if a > 0 else -wa[-a - 1] for a in row]))
 
 
 def inversion_set(w: WeylElement) -> FrozenSet[int]:
@@ -162,30 +159,59 @@ def all_elements(
 ) -> Iterator[Tuple[WeylElement, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
-    Breadth-first search from the identity by right multiplication with
-    simple reflections; elements stream in (length, word-lex) order.  Raises
-    :class:`EnumerationCapExceeded` if more than ``cap`` elements appear.
+    Elements stream in (length, word-lex) order, one length at a time.
+    Raises :class:`EnumerationCapExceeded` once more than ``cap`` elements
+    have been found, after the lengths below that element were yielded.
+
+    Lexicographically least reduced words are closed under taking suffixes,
+    and the least word of v != e starts with its least left descent i.  So
+    the least words form a tree rooted at e: the parent of v is s_i v, and
+    s_i u is a child of u iff no k < i is a left descent of s_i u and i is
+    not one of u.  Every element is reached exactly once, so no set of seen
+    elements is kept.  Walking the letters i in the outer loop and a level,
+    already in shortlex order, in the inner loop yields the next level in
+    shortlex order with no sort.
+
+    Each level entry is (word, v, x) with x = v^-1; the left descents of v
+    are the right descents of x, so the child test reads x alone: s_i v is
+    a child iff x sends alpha_i and s_i alpha_k (k < i) to positive roots.
+    x is stored with signed indexing, x[a] = x(beta_a) and x[-a] = -x[a]
+    for a = 1..N (x[0] = 0), and likewise each simple reflection's row; then
+    x s_i and s_i v are plain table look-ups with no sign tests.
     """
-    start = identity(rs)
-    seen = {start.action}
-    level: List[Tuple[Tuple[int, ...], WeylElement]] = [((), start)]
+    rows = rs._simple_action
+    simple = rs.simple_indices
+
+    def signed(t: Tuple[int, ...]) -> Tuple[int, ...]:
+        return (0,) + t + tuple([-a for a in reversed(t)])
+
+    # 1-based indices of alpha_i and of s_i alpha_k for k < i, in signed x
+    guards = [
+        (simple[i] + 1,) + tuple([abs(rows[i][simple[k]]) for k in range(i)])
+        for i in range(rs.rank)
+    ]
+    signed_rows = [signed(row) for row in rows]
+    start = tuple(range(1, rs.num_positive_roots + 1))
+    level = [((), start, signed(start))]
     count = 1
     while level:
-        for word, w in level:
-            yield w, word
+        for word, v, _ in level:
+            yield WeylElement(rs, v), word
         nxt = []
-        for word, w in level:
-            for i in range(1, rs.rank + 1):
-                if w.action[rs.simple_indices[i - 1]] < 0:
-                    continue  # descent: goes down in length
-                w2 = _mul_simple_right(w, i)
-                if w2.action not in seen:
-                    seen.add(w2.action)
+        for i, row in enumerate(signed_rows):
+            left = row.__getitem__  # s_i v, mapping v's values
+            right = itemgetter(*row)  # x s_i, permuting x's entries
+            guard = guards[i]
+            letter = (i + 1,)
+            for word, v, x in level:
+                for g in guard:
+                    if x[g] < 0:
+                        break
+                else:
                     count += 1
                     if count > cap:
                         raise EnumerationCapExceeded(cap)
-                    nxt.append((word + (i,), w2))
-        nxt.sort(key=lambda t: t[0])
+                    nxt.append((letter + word, tuple(map(left, v)), right(x)))
         level = nxt
 
 

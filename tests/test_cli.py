@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON round trips, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,13 @@ def test_group_counts(capsys):
     code, out = run(capsys, "group", "--type", "D", "--rank", "4")
     assert code == 0
     assert "192 elements" in out
+
+
+def test_group_e6_matches_expected_bytes(capsys):
+    code, out = run(capsys, "group", "--type", "E", "--rank", "6")
+    assert code == 0
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected" / "group-E6.txt"
+    assert out.encode() == expected.read_bytes()
 
 
 def test_group_cap_reported_cleanly(capsys):

@@ -168,6 +168,61 @@ def test_enumeration_is_shortlex_sorted():
     assert words == sorted(words, key=lambda w: (len(w), w))
 
 
+def bfs_elements(rs, cap):
+    """Oracle: breadth-first search with a set of seen elements.
+
+    Each level is sorted by the word that first reached each element.
+    Returns the yielded (action, word) pairs and the cap error message, if any.
+    """
+    start = identity(rs)
+    seen = {start.action}
+    level = [((), start)]
+    out = []
+    count = 1
+    while level:
+        out.extend((w.action, word) for word, w in level)
+        nxt = []
+        for word, w in level:
+            for i in range(1, rs.rank + 1):
+                if i in right_descents(w):
+                    continue
+                w2 = multiply(w, simple_reflection(rs, i))
+                if w2.action not in seen:
+                    seen.add(w2.action)
+                    count += 1
+                    if count > cap:
+                        return out, str(EnumerationCapExceeded(cap))
+                    nxt.append((word + (i,), w2))
+        nxt.sort(key=lambda t: t[0])
+        level = nxt
+    return out, None
+
+
+def capped_elements(rs, cap):
+    out = []
+    try:
+        for w, word in all_elements(rs, cap):
+            out.append((w.action, word))
+    except EnumerationCapExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 7)),
+    *(("B", r) for r in range(2, 6)),
+    *(("C", r) for r in range(2, 6)),
+    ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+])
+def test_enumeration_matches_bfs_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    full = bfs_elements(rs, 10**6)
+    assert capped_elements(rs, 10**6) == full
+    n = len(full[0])
+    for cap in (1, 2, 5, n // 3, n - 1, n):
+        assert capped_elements(rs, cap) == bfs_elements(rs, cap), cap
+
+
 def test_enumeration_cap():
     rs = build_root_system("A", 3)
     with pytest.raises(EnumerationCapExceeded) as exc:
