@@ -4,17 +4,22 @@ Submodules:
 
 * ``rootsys``   crystallographic root systems, root posets, order ideals
 * ``weyl``      finite Weyl group elements as signed root permutations
-* ``coxgen``    generic Coxeter systems (labels 2, 3, inf) and word combinatorics
+* ``coxgen``    Coxeter systems of diagrams (labels 2, 3, 4, 6, inf) on integer
+                roots, and word combinatorics
 * ``posets``    labelled posets, heaps, ideal statistics
 * ``convex``    convex subsets, inversion fractions, balance constants
 * ``semiorder`` generalized semiorders and the single-exit witness scans
 * ``alcove``    fundamental alcoves, order polytopes, exponential bounds
 * ``verify``    verification campaigns with exact reports
 * ``cli``       the ``coxbalance`` command-line entry point
+
+A finite Weyl type is the group object ``WeylContext`` and a diagram the group
+object ``CoxSystem``; the convex-set, heap and word routines take either one.
 """
 
 from .rootsys import RootSystem, build_root_system
-from .convex import ConvexSet, CoxContext, WeylContext
+from .convex import ConvexSet, WeylContext
+from .coxgen import CoxSystem
 
 __version__ = "0.1.0"
 
@@ -22,7 +27,7 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "ConvexSet",
-    "CoxContext",
+    "CoxSystem",
     "WeylContext",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
-from .convex import CoxContext, WeylContext
+from .convex import WeylContext
 from .rootsys import (
     RootSystem,
     build_root_system,
@@ -49,12 +49,13 @@ def _root_system(args) -> RootSystem:
     return build_root_system(args.type, args.rank)
 
 
-def _context(args):
-    """Either a Weyl context from --type/--rank or a generic one from --diagram."""
+def _group(args):
+    """The Weyl group of --type/--rank, or the Coxeter system of --diagram."""
     if args.diagram:
+        if args.type or args.rank is not None:
+            raise ValueError("give either --diagram or --type/--rank, not both")
         with open(args.diagram) as fh:
-            matrix = coxgen.matrix_from_json(fh.read())
-        return CoxContext(coxgen.build_system(matrix))
+            return coxgen.build_system(coxgen.matrix_from_json(fh.read()))
     return WeylContext(_root_system(args))
 
 
@@ -125,7 +126,7 @@ def _build_set(args, ctx):
 
 
 def cmd_balance(args) -> int:
-    ctx = _context(args)
+    ctx = _group(args)
     c = _build_set(args, ctx)
     b, wits = c.balance()
     print(f"|C| = {len(c)}")
@@ -140,24 +141,20 @@ def cmd_balance(args) -> int:
 
 
 def cmd_heap(args) -> int:
-    if args.diagram:
-        with open(args.diagram) as fh:
-            sys_ = coxgen.build_system(coxgen.matrix_from_json(fh.read()))
-    else:
-        sys_ = coxgen.WeylSystem(_root_system(args))
     word = _parse_word(args.word)
-    heap = posets.heap_from_word(sys_, word)
-    fracs = heap.ideal_fractions()
+    heap = posets.heap_from_word(_group(args), word)
+    count, fracs = heap.ideal_statistics()
+    balance = posets.fraction_balance(fracs)
     print(f"heap of word {word}: {heap.n} elements, "
-          f"{heap.ideal_count()} order ideals, balance {heap.balance()}")
+          f"{count} order ideals, balance {balance}")
     for x in range(heap.n):
         print(f"  position {x + 1} (s{heap.labels[x]}): ideal fraction {fracs[x]}")
     if args.format == "dot":
         print(posets.poset_dot(heap))
     _write_out(args, {
         "word": word,
-        "ideal_count": heap.ideal_count(),
-        "balance": _frac(heap.balance()),
+        "ideal_count": count,
+        "balance": _frac(balance),
         "fractions": [_frac(f) for f in fracs],
         "poset": json.loads(posets.poset_json(heap)),
     })
@@ -312,7 +309,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, help="rank of the type")
         if diagram:
             p.add_argument("--diagram", help="JSON diagram file "
-                           '({"rank": r, "edges": [{"i","j","m"}]}, m >= 3 or "inf")')
+                           '({"rank": r, "edges": [{"i","j","m"}]}, m = 3, 4, 6 or "inf")')
         p.add_argument("--format", choices=["table", "json", "dot"],
                        default="table")
         p.add_argument("--out", help="write machine-readable JSON here")

@@ -3,9 +3,9 @@
 A convex set is stored canonically as the element list of
 ``{w : D subseteq T_R(w) subseteq A}`` together with the canonical pair
 D = intersection and A = union of the member inversion sets.  Inversion sets
-are kept as frozensets of "root keys": positive-root indices for finite Weyl
-groups, exact root coordinate vectors for generic Coxeter systems.  The two
-group backends are wrapped by :class:`WeylContext` and :class:`CoxContext`.
+are kept as frozensets of "root keys": positive-root indices for a finite
+Weyl type, given by a :class:`WeylContext`, and integer simple-root
+coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.
 
 Single sets are built by a breadth-first search inside W^A.  The exhaustive
 scan over the convex order ideals of a finite Weyl group needs no search: the
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import coxgen, weyl
-from .linalg import neg
 from .rootsys import RootSystem
 
 CONVEX_SCAN_MAX_ROOTS = 12
@@ -33,7 +32,12 @@ class EmptyConvexSetError(ValueError):
 
 
 class WeylContext:
-    """Finite Weyl group backend; root keys are positive-root indices."""
+    """The group object of a finite Weyl type; root keys are positive-root indices.
+
+    Its element methods match those of ``coxgen.CoxSystem``, the group object
+    of a diagram, so every routine here and in ``coxgen`` and ``posets`` takes
+    either one.
+    """
 
     def __init__(self, rs: RootSystem):
         self.root_system = rs
@@ -74,85 +78,17 @@ class WeylContext:
     def from_word(self, word: Sequence[int]):
         return weyl.from_word(self.root_system, word)
 
-    def reflection_key_of_word(self, word: Sequence[int]) -> int:
-        """Positive-root index of the reflection given by a word."""
-        t = self.from_word(word)
-        fixed = [j for j, a in enumerate(t.action) if a == -(j + 1)]
-        if t.length == 0 or len(fixed) != 1 or weyl.multiply(t, t).length != 0:
-            raise ValueError("word does not describe a reflection")
-        return fixed[0]
+    def word_length(self, word: Sequence[int]) -> int:
+        return self.from_word(word).length
+
+    def coxeter_m(self, i: int, j: int) -> int:
+        return self.root_system.coxeter_m(i, j)
 
     def key_display(self, key: int) -> str:
-        coeffs = self.root_system.coefficients[key]
-        parts = []
-        for k, c in enumerate(coeffs, start=1):
-            if c:
-                parts.append(f"a{k}" if c == 1 else f"{c}a{k}")
-        return "+".join(parts)
+        return coxgen.root_display(self.root_system.coefficients[key])
 
     def all_keys(self) -> List[int]:
         return list(range(self.root_system.num_positive_roots))
-
-
-class CoxContext:
-    """Generic Coxeter system backend; root keys are exact coordinate tuples."""
-
-    def __init__(self, system: coxgen.CoxSystem):
-        self.system = system
-        self.rank = system.rank
-
-    def identity(self):
-        return self.system.identity_element()
-
-    def mul_simple_right(self, w, i: int):
-        return w.mul_simple(i)
-
-    def mul_simple_left(self, w, i: int):
-        return w.left_mul_simple(i)
-
-    def mul(self, u, v):
-        w = u
-        for i in v.reduced_word():
-            w = w.mul_simple(i)
-        return w
-
-    def element_key(self, w):
-        return w.columns
-
-    def simple_key(self, i: int):
-        return self.system.simple_root(i)
-
-    def inversion_keys(self, w) -> FrozenSet:
-        return w.inversion_roots()
-
-    def invert(self, w):
-        return w.inverse()
-
-    def simple_image_key(self, v, i: int):
-        col = v.columns[i - 1]
-        if all(c >= 0 for c in col):
-            return col
-        return None
-
-    def reduced_word(self, w) -> Tuple[int, ...]:
-        return w.reduced_word()
-
-    def from_word(self, word: Sequence[int]):
-        return self.system.element_from_word(word)
-
-    def reflection_key_of_word(self, word: Sequence[int]):
-        t = self.from_word(word)
-        candidates = [v for v in t.inversion_roots() if t.apply(v) == neg(v)]
-        if len(candidates) != 1:
-            raise ValueError("word does not describe a reflection")
-        return candidates[0]
-
-    def key_display(self, key) -> str:
-        parts = []
-        for k, c in enumerate(key, start=1):
-            if c:
-                parts.append(f"a{k}" if c == 1 else f"{c}a{k}")
-        return "+".join(parts)
 
 
 @dataclass(frozen=True)
@@ -189,7 +125,7 @@ class ConvexSet:
     def inversion_fraction(self, key=None, word: Optional[Sequence[int]] = None) -> Fraction:
         """Fraction of members having the reflection as a right inversion."""
         if word is not None:
-            key = self.ctx.reflection_key_of_word(word)
+            key = coxgen.reflection_key_of_word(self.ctx, word)
         return Fraction(self.inversion_count(key), len(self.members))
 
     def balance(self) -> Tuple[Fraction, List]:

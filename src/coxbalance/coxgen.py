@@ -1,38 +1,40 @@
-"""Generic Coxeter systems from labelled diagrams, via the geometric representation.
+"""Generic Coxeter systems from labelled diagrams, on integer root coordinates.
 
-Diagram labels are restricted to {2, 3, inf} (inf encoded as ``None``): these
-are exactly the labels whose form entries -cos(pi/m) are rational (0, -1/2,
--1), so the whole representation stays exact.  Crystallographic labels 4 and
-6 are served by the ``weyl`` module instead.
+Diagram labels are 2, 3, 4, 6 and inf (inf encoded as ``None``).  Each label
+m_ij fixes the generalized Cartan matrix entries (a_ij, a_ji), i < j: 0, -1,
+(-1, -2), (-1, -3) or (-2, -2), so that a_ij a_ji = 4 cos^2(pi/m_ij).  The
+reflections s_i alpha_j = alpha_j - a_ij alpha_i generate the Coxeter group,
+and every real root w(alpha_i) is an integer vector in simple-root
+coordinates, either positive or negative (Kac, *Infinite-dimensional Lie
+algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 
-Also hosts the word combinatorics shared with finite Weyl groups: commutation
-classes, braid-move detection, and full commutativity.  Those functions take
-any "system" argument exposing ``rank``, ``coxeter_m(i, j)`` and
-``word_length(word)``; both :class:`CoxSystem` and the adapter
-:class:`WeylSystem` qualify.
+:class:`CoxSystem` is the group object of a diagram, with the same element
+methods as ``convex.WeylContext`` has for a finite Weyl type.  This module
+also holds the word combinatorics shared by both group objects: inversion and
+reflection keys of words, commutation classes, braid-move detection and full
+commutativity.  They take any group object exposing ``rank``,
+``coxeter_m(i, j)``, ``word_length(word)`` and those element methods.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from .linalg import Matrix, Vector, invert
-from . import weyl as _weyl
-from .rootsys import RootSystem
 
 INF = None  # infinite edge label
 
-# Largest rank a diagram file may give; the geometric representation works
-# with rank x rank Fraction matrices, so the cost grows steeply with rank.
+# Largest rank a diagram file may give; each element is a rank x rank integer
+# matrix, so the cost grows steeply with rank.
 DIAGRAM_MAX_RANK = 64
+
+# label m_ij -> Cartan entries (a_ij, a_ji) for i < j, with a_ij a_ji = 4 cos^2(pi/m_ij)
+_CARTAN_PAIR = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INF: (-2, -2)}
 
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
-    """Symmetric Coxeter matrix with off-diagonal entries in {2, 3, inf}."""
+    """Symmetric Coxeter matrix with off-diagonal entries in {2, 3, 4, 6, inf}."""
 
     rank: int
     entries: Tuple[Tuple[Optional[int], ...], ...]
@@ -47,11 +49,11 @@ class CoxeterMatrix:
             for j in range(self.rank):
                 if m[i][j] != m[j][i]:
                     raise ValueError("matrix must be symmetric")
-                if i != j and m[i][j] not in (2, 3, INF):
+                if i != j and m[i][j] not in _CARTAN_PAIR:
                     raise ValueError(
-                        f"label m_{i+1}{j+1} = {m[i][j]} unsupported here; "
-                        "crystallographic labels 4 and 6 are handled by the "
-                        "weyl module"
+                        f"label m_{i+1}{j+1} = {m[i][j]} unsupported: labels "
+                        "must be 2, 3, 4, 6 or inf (others need irrational "
+                        "root coordinates)"
                     )
 
     def m(self, i: int, j: int) -> Optional[int]:
@@ -72,12 +74,16 @@ def matrix_from_edges(rank: int, edges: Sequence[Tuple[int, int, Optional[int]]]
     table = [[2] * rank for _ in range(rank)]
     for i in range(rank):
         table[i][i] = 1
+    given = set()
     for i, j, m in edges:
         for name, v in (("i", i), ("j", j)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f'edge ({i!r}, {j!r}): "{name}" must be an integer')
         if not (1 <= i <= rank and 1 <= j <= rank and i != j):
             raise ValueError(f"bad edge ({i}, {j})")
+        if frozenset((i, j)) in given:
+            raise ValueError(f"edge ({i}, {j}) is given twice")
+        given.add(frozenset((i, j)))
         table[i - 1][j - 1] = m
         table[j - 1][i - 1] = m
     return CoxeterMatrix(rank, tuple(tuple(row) for row in table))
@@ -86,7 +92,7 @@ def matrix_from_edges(rank: int, edges: Sequence[Tuple[int, int, Optional[int]]]
 def matrix_from_json(text: str) -> CoxeterMatrix:
     """Parse the diagram format {"rank": r, "edges": [{"i","j","m"}...]}.
 
-    ``m`` is an integer >= 3 or the string "inf".
+    ``m`` is 3, 4, 6 or the string "inf"; absent pairs commute.
     """
     data = json.loads(text)
     rank = data.get("rank") if isinstance(data, dict) else None
@@ -161,17 +167,33 @@ def is_irreducible(matrix: CoxeterMatrix) -> bool:
     return len(seen) == matrix.rank
 
 
-# -- the geometric representation -------------------------------------------
+# -- the integer root representation -----------------------------------------
 
-_FORM_ENTRY = {2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}
+@dataclass(frozen=True)
+class CoxElement:
+    """Group element stored as its matrix columns: column j = w(alpha_j)."""
+
+    columns: Tuple[Tuple[int, ...], ...]
+
+
+def _right_descent(w: CoxElement) -> int:
+    """Least i with w(alpha_i) a negative root, or 0 when w = e."""
+    for i, col in enumerate(w.columns, start=1):
+        if min(col) < 0:
+            return i
+    return 0
 
 
 @dataclass(frozen=True)
 class CoxSystem:
-    """A Coxeter system with its exact rational geometric representation."""
+    """The Coxeter group of a diagram, acting on its integer root lattice.
+
+    ``cartan[i][j]`` is a_ij (0-based), so s_i alpha_j = alpha_j - a_ij alpha_i.
+    Root keys are the simple-root coordinate tuples of positive real roots.
+    """
 
     matrix: CoxeterMatrix
-    form: Matrix = field(compare=False)
+    cartan: Tuple[Tuple[int, ...], ...] = field(compare=False)
 
     @property
     def rank(self) -> int:
@@ -180,147 +202,136 @@ class CoxSystem:
     def coxeter_m(self, i: int, j: int) -> Optional[int]:
         return self.matrix.m(i, j)
 
-    def simple_root(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i - 1 else 0) for k in range(self.rank))
+    def identity(self) -> CoxElement:
+        r = self.rank
+        return CoxElement(tuple(tuple(int(i == k) for k in range(r)) for i in range(r)))
 
-    def bilinear(self, x: Vector, y: Vector) -> Fraction:
-        return sum(
-            (self.form[a][b] * x[a] * y[b] for a in range(self.rank) for b in range(self.rank)),
-            Fraction(0),
-        )
+    def mul_simple_right(self, w: CoxElement, i: int) -> CoxElement:
+        """w s_i, from (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i)."""
+        base = w.columns[i - 1]
+        return CoxElement(tuple(
+            tuple(x - a * y for x, y in zip(col, base)) if a else col
+            for col, a in zip(w.columns, self.cartan[i - 1])
+        ))
 
-    def reflect_root(self, i: int, v: Vector) -> Vector:
-        """Apply the simple reflection s_i to a root vector."""
-        c = 2 * sum(self.form[i - 1][k] * v[k] for k in range(self.rank))
-        return tuple(v[k] - (c if k == i - 1 else 0) for k in range(self.rank))
+    def mul_simple_left(self, w: CoxElement, i: int) -> CoxElement:
+        """s_i w; s_i changes only coordinate i of each column."""
+        k = i - 1
+        row = self.cartan[k]
+        return CoxElement(tuple(
+            col[:k] + (col[k] - sum(a * x for a, x in zip(row, col)),) + col[k + 1:]
+            for col in w.columns
+        ))
 
-    def identity_element(self) -> "CoxElement":
-        cols = tuple(self.simple_root(i) for i in range(1, self.rank + 1))
-        return CoxElement(self, cols)
+    def mul(self, u: CoxElement, v: CoxElement) -> CoxElement:
+        for i in self.reduced_word(v):
+            u = self.mul_simple_right(u, i)
+        return u
 
-    def element_from_word(self, word: Sequence[int]) -> "CoxElement":
-        w = self.identity_element()
+    def element_key(self, w: CoxElement):
+        return w.columns
+
+    def simple_key(self, i: int) -> Tuple[int, ...]:
+        return tuple(int(k == i - 1) for k in range(self.rank))
+
+    def simple_image_key(self, v: CoxElement, i: int):
+        """Key of v(alpha_i) if that root is positive, else None."""
+        col = v.columns[i - 1]
+        return col if min(col) >= 0 else None
+
+    def _inverse_word(self, w: CoxElement) -> Tuple[int, ...]:
+        """Lexicographically least reduced word of w^-1.
+
+        Stripping the least right descent until e is reached leaves
+        w s_i1 ... s_il = e, so w^-1 = s_i1 ... s_il, and each i_k is the
+        least left descent of s_i(k-1) ... s_i1 w^-1: the greedy word.
+        """
+        word = []
+        while True:
+            i = _right_descent(w)
+            if not i:
+                return tuple(word)
+            word.append(i)
+            w = self.mul_simple_right(w, i)
+
+    def invert(self, w: CoxElement) -> CoxElement:
+        return self.from_word(self._inverse_word(w))
+
+    def reduced_word(self, w: CoxElement) -> Tuple[int, ...]:
+        """Lexicographically least reduced word."""
+        return self._inverse_word(self.invert(w))
+
+    def inversion_keys(self, w: CoxElement) -> FrozenSet[Tuple[int, ...]]:
+        """Positive roots sent negative by w."""
+        return frozenset(inversion_keys_of_word(self, self._inverse_word(w)[::-1]))
+
+    def from_word(self, word: Sequence[int]) -> CoxElement:
+        w = self.identity()
         for i in word:
-            w = w.mul_simple(i)
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"simple index {i} out of range 1..{self.rank}")
+            w = self.mul_simple_right(w, i)
         return w
 
     def word_length(self, word: Sequence[int]) -> int:
-        return self.element_from_word(word).length()
+        return len(self._inverse_word(self.from_word(word)))
+
+    def key_display(self, key: Tuple[int, ...]) -> str:
+        return root_display(key)
 
 
 def build_system(matrix: CoxeterMatrix) -> CoxSystem:
-    r = matrix.rank
-    form = tuple(
-        tuple(
-            Fraction(1) if i == j else _FORM_ENTRY[matrix.m(i + 1, j + 1)]
-            for j in range(r)
-        )
-        for i in range(r)
+    cartan = [[2 if i == j else 0 for j in range(matrix.rank)] for i in range(matrix.rank)]
+    for i, j, m in matrix.edges():
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = _CARTAN_PAIR[m]
+    return CoxSystem(matrix, tuple(map(tuple, cartan)))
+
+
+def root_display(coeffs: Sequence) -> str:
+    """A root in simple-root coordinates, as "a1+2a3"."""
+    return "+".join(
+        f"a{k}" if c == 1 else f"{c}a{k}" for k, c in enumerate(coeffs, start=1) if c
     )
-    return CoxSystem(matrix, form)
 
 
-@dataclass(frozen=True)
-class CoxElement:
-    """Group element stored as its matrix columns: column i = image of alpha_i."""
+def inversion_keys_of_word(g, word: Sequence[int]) -> List:
+    """Keys of s_{i_l} ... s_{i_{k+1}} alpha_{i_k} for k = 1..l (word assumed reduced).
 
-    system: CoxSystem = field(compare=False)
-    columns: Tuple[Vector, ...]
-
-    def mul_simple(self, i: int) -> "CoxElement":
-        """Right multiplication by s_i."""
-        sys = self.system
-        if not 1 <= i <= sys.rank:
-            raise ValueError(f"simple index {i} out of range 1..{sys.rank}")
-        cols = list(self.columns)
-        # (w s_i)(alpha_j) = w(alpha_j) - 2 B(alpha_i, alpha_j) w(alpha_i)
-        base = cols[i - 1]
-        new_cols = []
-        for j in range(sys.rank):
-            c = 2 * sys.form[i - 1][j]
-            if c == 0:
-                new_cols.append(cols[j])
-            else:
-                new_cols.append(tuple(cols[j][k] - c * base[k] for k in range(sys.rank)))
-        return CoxElement(sys, tuple(new_cols))
-
-    def left_mul_simple(self, i: int) -> "CoxElement":
-        """Left multiplication: s_i w."""
-        sys = self.system
-        return CoxElement(
-            sys, tuple(sys.reflect_root(i, col) for col in self.columns)
-        )
-
-    def apply(self, v: Vector) -> Vector:
-        return tuple(
-            sum((self.columns[j][k] * v[j] for j in range(len(v))), Fraction(0))
-            for k in range(len(v))
-        )
-
-    def right_descents(self) -> FrozenSet[int]:
-        # s_i is a right descent iff w(alpha_i) is a negative root.
-        out = set()
-        for i in range(self.system.rank):
-            col = self.columns[i]
-            if all(c <= 0 for c in col) and any(c < 0 for c in col):
-                out.add(i + 1)
-        return frozenset(out)
-
-    def inverse(self) -> "CoxElement":
-        rows = invert(tuple(zip(*self.columns)))
-        return CoxElement(self.system, tuple(zip(*rows)))
-
-    def left_descents(self) -> FrozenSet[int]:
-        """Descents read from the sign of w^{-1} alpha_i."""
-        return self.inverse().right_descents()
-
-    def reduced_word(self) -> Tuple[int, ...]:
-        """Shortlex-minimal reduced word by greedy left-descent stripping."""
-        w = self
-        word: List[int] = []
-        while True:
-            ld = w.left_descents()
-            if not ld:
-                return tuple(word)
-            i = min(ld)
-            word.append(i)
-            w = w.left_mul_simple(i)
-
-    def length(self) -> int:
-        w = self
-        n = 0
-        while True:
-            rd = w.right_descents()
-            if not rd:
-                return n
-            w = w.mul_simple(min(rd))
-            n += 1
-
-    def inversion_roots(self) -> FrozenSet[Vector]:
-        """Positive roots sent negative, unwound from a reduced word."""
-        word = self.reduced_word()
-        return frozenset(inversion_roots_of_word(self.system, word))
-
-
-def elem_from_word(sys: CoxSystem, word: Sequence[int]) -> CoxElement:
-    return sys.element_from_word(word)
-
-
-def inversion_roots_of_word(sys, word: Sequence[int]) -> List[Vector]:
-    """Roots s_{i_l} ... s_{i_{k+1}} alpha_{i_k} for k = 1..l (word assumed reduced).
-
-    Works for any system exposing ``reflect_root`` and ``simple_root``.
+    These are the positive roots that s_{i_1} ... s_{i_l} sends negative.
+    ``g`` is any group object: a ``convex.WeylContext`` or a :class:`CoxSystem`.
     """
-    out: List[Vector] = []
-    for k in range(len(word)):
-        v = sys.simple_root(word[k])
-        for t in range(k + 1, len(word)):
-            v = sys.reflect_root(word[t], v)
-        out.append(v)
-    return out
+    keys = []
+    y = g.identity()
+    for i in reversed(word):
+        keys.append(g.simple_image_key(y, i))
+        y = g.mul_simple_right(y, i)
+    return keys[::-1]
 
 
-# -- word combinatorics (shared with Weyl systems) ---------------------------
+def reflection_key_of_word(g, word: Sequence[int]):
+    """Root key of the reflection that a word describes, in any group object.
+
+    If s_i is a left descent of a reflection t != s_i, then s_i t s_i is a
+    reflection of length l(t) - 2.  Conjugating by least left descents thus
+    reaches some s_j, and t = u s_j u^-1 has the positive root u(alpha_j).
+    """
+    t = g.from_word(word)
+    u = g.identity()
+    rw = g.reduced_word(t)
+    while len(rw) > 1:
+        i = rw[0]
+        t = g.mul_simple_right(g.mul_simple_left(t, i), i)
+        shorter = g.reduced_word(t)
+        if len(shorter) != len(rw) - 2:
+            break
+        u = g.mul_simple_right(u, i)
+        rw = shorter
+    if len(rw) != 1:
+        raise ValueError("word does not describe a reflection")
+    return g.simple_image_key(u, rw[0])
+
+
+# -- word combinatorics (shared with finite Weyl groups) ----------------------
 
 
 class NotReducedError(ValueError):
@@ -390,26 +401,3 @@ def is_fully_commutative(sys, word: Sequence[int]) -> bool:
                     seen.add(w2)
                     stack.append(w2)
     return True
-
-
-class WeylSystem:
-    """Adapter giving a finite Weyl group the generic-system interface."""
-
-    def __init__(self, rs: RootSystem):
-        self.root_system = rs
-        self.rank = rs.rank
-
-    def coxeter_m(self, i: int, j: int) -> int:
-        return self.root_system.coxeter_m(i, j)
-
-    def word_length(self, word: Sequence[int]) -> int:
-        return _weyl.from_word(self.root_system, word).length
-
-    def simple_root(self, i: int) -> Vector:
-        rs = self.root_system
-        return rs.positive_roots[rs.simple_indices[i - 1]]
-
-    def reflect_root(self, i: int, v: Vector) -> Vector:
-        from .rootsys import reflect
-
-        return reflect(self.simple_root(i), v)

@@ -16,7 +16,17 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import NotReducedError
 
-IDEAL_ELEMENT_CAP = 40
+# Most order ideals one walk may visit.  The campaigns walk at most 96 (the
+# claw(6, 32) poset of ``verify equality``) and the tests at most 2^16 (a
+# 16-element antichain).  ``heap`` on a 40-letter antichain stops at this
+# cap after 1.4 s (2-vCPU Intel Xeon, Python 3.11.7).
+IDEAL_CAP = 2 ** 18
+
+
+class IdealCapExceeded(ValueError):
+    def __init__(self, cap: int):
+        super().__init__(f"poset has more than {cap} order ideals, the enumeration cap")
+        self.cap = cap
 
 
 class PosetSizeError(ValueError):
@@ -115,33 +125,42 @@ class LabeledPoset:
         order = sorted(range(self.n), key=lambda i: (sum(self.leq[j][i] for j in range(self.n)), i))
         return order
 
-    def iter_ideal_masks(self, cap: Optional[int] = IDEAL_ELEMENT_CAP) -> Iterator[int]:
-        """Every order ideal as a bitmask over element ids, each exactly once."""
-        if cap is not None and self.n > cap:
-            raise PosetSizeError(self.n, cap)
+    def iter_ideal_masks(self, cap: Optional[int] = IDEAL_CAP) -> Iterator[int]:
+        """Every order ideal as a bitmask over element ids, each exactly once.
+
+        Raises :class:`IdealCapExceeded` when a further ideal follows the
+        ``cap``-th one (``None`` for no cap).
+        """
         topo = self._linear_extension()
         cover_down = [0] * self.n
         for i, j in self.covers():
             cover_down[j] |= 1 << i
 
-        def walk(mask: int, start: int) -> Iterator[int]:
+        # Depth-first, each ideal extended only by elements after its last
+        # one in ``topo``; an explicit stack, so no recursion limit applies.
+        stack = [(0, 0)]
+        count = 0
+        while stack:
+            if count == cap:
+                raise IdealCapExceeded(cap)
+            count += 1
+            mask, start = stack.pop()
             yield mask
-            for p in range(start, self.n):
+            for p in range(self.n - 1, start - 1, -1):
                 x = topo[p]
                 if not (mask >> x) & 1 and (cover_down[x] & mask) == cover_down[x]:
-                    yield from walk(mask | (1 << x), p + 1)
+                    stack.append((mask | (1 << x), p + 1))
 
-        yield from walk(0, 0)
-
-    def order_ideals(self, cap: Optional[int] = IDEAL_ELEMENT_CAP) -> Iterator[frozenset]:
+    def order_ideals(self, cap: Optional[int] = IDEAL_CAP) -> Iterator[frozenset]:
         for mask in self.iter_ideal_masks(cap):
             yield frozenset(i for i in range(self.n) if (mask >> i) & 1)
 
-    def ideal_count(self, cap: Optional[int] = IDEAL_ELEMENT_CAP) -> int:
+    def ideal_count(self, cap: Optional[int] = IDEAL_CAP) -> int:
         return sum(1 for _ in self.iter_ideal_masks(cap))
 
-    def ideal_fractions(self) -> List[Fraction]:
-        """For each element, the exact fraction of order ideals containing it."""
+    def ideal_statistics(self) -> Tuple[int, List[Fraction]]:
+        """The number of order ideals and, for each element, the exact
+        fraction of them that contain it, from one walk."""
         counts = [0] * self.n
         total = 0
         for mask in self.iter_ideal_masks():
@@ -150,16 +169,18 @@ class LabeledPoset:
                 low = mask & -mask
                 counts[low.bit_length() - 1] += 1
                 mask ^= low
-        return [Fraction(c, total) for c in counts]
+        return total, [Fraction(c, total) for c in counts]
+
+    def ideal_fractions(self) -> List[Fraction]:
+        """For each element, the exact fraction of order ideals containing it."""
+        return self.ideal_statistics()[1]
 
     def ideal_fraction(self, x: int) -> Fraction:
         return self.ideal_fractions()[x]
 
     def balance(self) -> Fraction:
         """max over elements of min(fraction, 1 - fraction); 0 for the empty poset."""
-        if self.n == 0:
-            return Fraction(0)
-        return max(min(d, 1 - d) for d in self.ideal_fractions())
+        return fraction_balance(self.ideal_fractions())
 
     def linear_extension_count(self) -> int:
         """Brute-force count of order-preserving bijections onto 1..n (n <= 8)."""
@@ -179,6 +200,11 @@ class LabeledPoset:
             ):
                 count += 1
         return count
+
+
+def fraction_balance(fractions: Sequence[Fraction]) -> Fraction:
+    """max over the fractions d of min(d, 1 - d); 0 for no fractions."""
+    return max((min(d, 1 - d) for d in fractions), default=Fraction(0))
 
 
 def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]],
@@ -239,16 +265,16 @@ def claw_chain(k: int, length: int) -> LabeledPoset:
 def heap_inversion_map(sys, word: Sequence[int]) -> List[Tuple[object, int]]:
     """Pair each right inversion of a fully commutative element with its heap id.
 
-    Returns [(root, position)] where ``root`` is the inversion root
-    s_{i_l}...s_{i_{k+1}} alpha_{i_k} and ``position`` is the 0-based heap
-    element it corresponds to.  Rejects non-fully-commutative words.
+    Returns [(key, position)] where ``key`` is the root key of the inversion
+    s_{i_l}...s_{i_{k+1}} alpha_{i_k} in the group object ``sys`` and
+    ``position`` is the 0-based heap element it corresponds to.  Rejects
+    non-fully-commutative words.
     """
-    from .coxgen import inversion_roots_of_word, is_fully_commutative
+    from .coxgen import inversion_keys_of_word, is_fully_commutative
 
     if not is_fully_commutative(sys, word):
         raise ValueError("element is not fully commutative")
-    roots = inversion_roots_of_word(sys, word)
-    return [(roots[k], k) for k in range(len(word))]
+    return [(key, k) for k, key in enumerate(inversion_keys_of_word(sys, word))]
 
 
 # -- checks -------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Builds the irreducible types A-G, exposes the root poset (ordering, heights,
 Hasse covers), fundamental coweights, the simple-reflection graph on positive
-roots, and order-ideal enumeration over the root poset.  The bilinear form is
+roots, and order-ideal enumeration over the root poset.  Inner products are
 the ambient Euclidean dot product.
 
 The roots are generated as integer vectors in simple-root coordinates, where
@@ -205,20 +205,12 @@ class RootSystem:
         return self._simple_action[i - 1][j]
 
 
-def reflect(rs_or_alpha, alpha_or_x, x: Optional[Vector] = None) -> Vector:
-    """Reflect a vector across a root: x - (2<a,x>/<a,a>) a, exactly.
-
-    Accepts either (rs, alpha, x) or just (alpha, x); the root system is
-    irrelevant to the formula but kept for interface symmetry.
-    """
-    if x is None:
-        alpha, point = rs_or_alpha, alpha_or_x
-    else:
-        alpha, point = alpha_or_x, x
+def reflect(alpha: Vector, x: Vector) -> Vector:
+    """Reflect a vector across a root: x - (2<a,x>/<a,a>) a, exactly."""
     if is_zero(alpha):
         raise ValueError("cannot reflect across the zero vector")
-    coef = 2 * dot(alpha, point) / dot(alpha, alpha)
-    return sub(point, scale(coef, alpha))
+    coef = 2 * dot(alpha, x) / dot(alpha, alpha)
+    return sub(x, scale(coef, alpha))
 
 
 def build_root_system(family: Family, rank: int) -> RootSystem:

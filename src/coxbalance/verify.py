@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import alcove, convex, coxgen, posets, semiorder, weyl
-from .convex import CoxContext, WeylContext
+from .convex import WeylContext
 from .rootsys import RootSystem, build_root_system, iter_ideal_masks
 
 THIRD = Fraction(1, 3)
@@ -208,12 +208,11 @@ def verify_equality_cases() -> VerificationReport:
     def body(report: VerificationReport):
         for family, rank, word, group_route in EQUALITY_CASES:
             rs = build_root_system(family, rank)
-            sys = coxgen.WeylSystem(rs)
+            ctx = WeylContext(rs)
             label = f"{family}{rank} w={''.join(map(str, word))}"
-            heap = posets.heap_from_word(sys, word)
+            heap = posets.heap_from_word(ctx, word)
             report.check(f"{label} heap balance", heap.balance(), THIRD)
             if group_route:
-                ctx = WeylContext(rs)
                 c = convex.interval_left(ctx, ctx.from_word(word))
                 report.check(f"{label} interval balance", c.balance_value(), THIRD)
         for k in range(1, 7):
@@ -235,7 +234,7 @@ def verify_equality_cases() -> VerificationReport:
 def verify_counterexamples() -> VerificationReport:
     def body(report: VerificationReport):
         for n in range(3, 7):
-            ctx = CoxContext(coxgen.build_system(coxgen.complete_graph_matrix(n)))
+            ctx = coxgen.build_system(coxgen.complete_graph_matrix(n))
             gens = [ctx.from_word([i]) for i in range(1, n + 1)]
             hull = convex.convex_hull(ctx, [ctx.identity()] + gens)
             report.check(f"complete-graph n={n} hull size", len(hull), n + 1)
@@ -244,17 +243,15 @@ def verify_counterexamples() -> VerificationReport:
                 hull.balance_value(),
                 Fraction(1, n + 1),
             )
-        cyc = CoxContext(coxgen.build_system(coxgen.cycle_matrix(4)))
+        cyc = coxgen.build_system(coxgen.cycle_matrix(4))
         w = cyc.from_word([2, 4, 1, 3])
         c = convex.interval_left(cyc, w)
         report.check("4-cycle interval size", len(c), 7)
         report.check("4-cycle interval balance", c.balance_value(), Fraction(2, 7))
-        heap = posets.heap_from_word(cyc.system, [2, 4, 1, 3])
+        heap = posets.heap_from_word(cyc, [2, 4, 1, 3])
         report.check("4-cycle heap balance", heap.balance(), Fraction(2, 7))
 
-        path = CoxContext(
-            coxgen.build_system(coxgen.path_matrix(4, [coxgen.INF] * 3))
-        )
+        path = coxgen.build_system(coxgen.path_matrix(4, [coxgen.INF] * 3))
         u = path.from_word([2, 3, 2, 3])
         v = path.from_word([1, 4, 2, 3])
         hull = convex.convex_hull(path, [path.identity(), u, v])
@@ -279,9 +276,9 @@ def verify_counterexamples() -> VerificationReport:
 
 
 def _reference_heaps():
-    a2 = coxgen.WeylSystem(build_root_system("A", 2))
-    d4 = coxgen.WeylSystem(build_root_system("D", 4))
-    e6 = coxgen.WeylSystem(build_root_system("E", 6))
+    a2 = WeylContext(build_root_system("A", 2))
+    d4 = WeylContext(build_root_system("D", 4))
+    e6 = WeylContext(build_root_system("E", 6))
     return {
         "chain2": posets.heap_from_word(a2, (1, 2)),
         "claw22": posets.heap_from_word(d4, (4, 2, 3, 1)),
@@ -291,7 +288,7 @@ def _reference_heaps():
 
 def fully_commutative_elements(rs: RootSystem, cap: int = 10**5):
     """(element, shortlex word) pairs for every fully commutative element."""
-    sys = coxgen.WeylSystem(rs)
+    sys = WeylContext(rs)
     out = []
     for w, word in weyl.all_elements(rs, cap):
         if coxgen.is_fully_commutative(sys, word):
@@ -305,7 +302,7 @@ def classify_fc_equality(rs: RootSystem) -> VerificationReport:
 
     def body(report: VerificationReport):
         refs = _reference_heaps()
-        sys = coxgen.WeylSystem(rs)
+        sys = WeylContext(rs)
         unmatched = []
         hits = 0
         for w, word in fully_commutative_elements(rs):

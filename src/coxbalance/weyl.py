@@ -40,10 +40,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return multiply(self, other)
 
-    def apply_root_index(self, j: int) -> int:
-        """Signed 1-based positive-root index of the image of root j."""
-        return self.action[j]
-
     def apply(self, x: Vector) -> Vector:
         """Image of an ambient vector lying in the span of the simple roots."""
         rs = self.root_system

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
-from coxbalance.convex import CoxContext, WeylContext
+from coxbalance.convex import WeylContext
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
 
@@ -146,7 +146,7 @@ def test_c05_equality_cases():
     ]
     for family, rank, word, group_route in cases:
         rs = build_root_system(family, rank)
-        sys = coxgen.WeylSystem(rs)
+        sys = WeylContext(rs)
         heap = posets.heap_from_word(sys, word)
         assert heap.balance() == THIRD, (family, rank)
         if group_route:
@@ -168,17 +168,17 @@ def test_c05_equality_cases():
 def test_c06_counterexamples():
     t0 = time.perf_counter()
     for n in range(3, 7):
-        ctx = CoxContext(build_system(complete_graph_matrix(n)))
+        ctx = build_system(complete_graph_matrix(n))
         hull = convex.convex_hull(
             ctx, [ctx.identity()] + [ctx.from_word([i]) for i in range(1, n + 1)]
         )
         assert len(hull) == n + 1
         assert hull.balance_value() == Fraction(1, n + 1)
-    cyc = CoxContext(build_system(cycle_matrix(4)))
+    cyc = build_system(cycle_matrix(4))
     c = convex.interval_left(cyc, cyc.from_word([2, 4, 1, 3]))
     assert len(c) == 7
     assert c.balance_value() == Fraction(2, 7)
-    path = CoxContext(build_system(path_matrix(4, [INF, INF, INF])))
+    path = build_system(path_matrix(4, [INF, INF, INF]))
     hull = convex.convex_hull(path, [
         path.identity(), path.from_word([2, 3, 2, 3]), path.from_word([1, 4, 2, 3])
     ])
@@ -279,7 +279,7 @@ def test_c10_bridge_equality():
     for family, rank in (("A", 3), ("B", 3), ("D", 4)):
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
-        sys = coxgen.WeylSystem(rs)
+        sys = ctx
         for w, word in weyl.all_elements(rs):
             if not coxgen.is_fully_commutative(sys, list(word)):
                 continue
@@ -287,8 +287,8 @@ def test_c10_bridge_equality():
             c = convex.interval_left(ctx, w)
             assert c.balance_value() == heap.balance()
             fractions = heap.ideal_fractions()
-            for root, pos in posets.heap_inversion_map(sys, word):
-                assert c.inversion_fraction(rs.index_of(root)) == fractions[pos]
+            for key, pos in posets.heap_inversion_map(sys, word):
+                assert c.inversion_fraction(key) == fractions[pos]
             checked += 1
     elapsed = time.perf_counter() - t0
     report(10, f"interval/heap statistics agree on {checked} fc elements", elapsed)
@@ -298,7 +298,7 @@ def test_c10_fc_versus_321():
     t0 = time.perf_counter()
     for rank in (3, 4):
         rs = build_root_system("A", rank)
-        sys = coxgen.WeylSystem(rs)
+        sys = WeylContext(rs)
         for w, word in weyl.all_elements(rs):
             perm = weyl.one_line(w)
             has_321 = any(
@@ -345,9 +345,9 @@ def test_c10_product_decomposition_min_rule():
     """
     t0 = time.perf_counter()
     random.seed(5)
-    prod = CoxContext(build_system(matrix_from_edges(4, [(1, 2, 3), (2, 3, 3)])))
-    f1 = CoxContext(build_system(path_matrix(3, [3, 3])))
-    f2 = CoxContext(build_system(matrix_from_edges(1, [])))
+    prod = build_system(matrix_from_edges(4, [(1, 2, 3), (2, 3, 3)]))
+    f1 = build_system(path_matrix(3, [3, 3]))
+    f2 = build_system(matrix_from_edges(1, []))
     a3_rs = build_root_system("A", 3)
     roots = [
         tuple(Fraction(c) for c in coeffs) + (Fraction(0),)
@@ -395,10 +395,10 @@ def test_c10_product_decomposition_min_rule():
 def test_c10_heap_invariance_over_commutation_classes():
     t0 = time.perf_counter()
     cases = [
-        (coxgen.WeylSystem(build_root_system("B", 3)), (3, 2, 3, 1)),
-        (coxgen.WeylSystem(build_root_system("D", 4)), (4, 2, 3, 1)),
-        (coxgen.WeylSystem(build_root_system("A", 4)), (1, 2, 3, 4)),
-        (coxgen.WeylSystem(build_root_system("E", 6)), (6, 3, 2, 4, 1, 3, 5)),
+        (WeylContext(build_root_system("B", 3)), (3, 2, 3, 1)),
+        (WeylContext(build_root_system("D", 4)), (4, 2, 3, 1)),
+        (WeylContext(build_root_system("A", 4)), (1, 2, 3, 4)),
+        (WeylContext(build_root_system("E", 6)), (6, 3, 2, 4, 1, 3, 5)),
         (build_system(cycle_matrix(4)), (2, 4, 1, 3)),
     ]
     words = 0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from coxbalance import posets
 from coxbalance.cli import main
 
 
@@ -162,6 +163,10 @@ def test_balance_ideal_roots_out_of_range(capsys, index):
     ({"rank": 20000}, '"rank" must be between 1 and 64, not 20000'),
     ({"rank": 0}, '"rank" must be between 1 and 64, not 0'),
     ({"rank": -3}, '"rank" must be between 1 and 64, not -3'),
+    ({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 3}, {"i": 2, "j": 1, "m": "inf"}]},
+     "edge (2, 1) is given twice"),
+    ({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 5}]}, "labels must be 2, 3, 4, 6 or inf"),
+    ({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 8}]}, "labels must be 2, 3, 4, 6 or inf"),
 ])
 def test_malformed_diagram_is_reported(tmp_path, capsys, diagram, field):
     path = tmp_path / "diagram.json"
@@ -171,6 +176,60 @@ def test_malformed_diagram_is_reported(tmp_path, capsys, diagram, field):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert field in err
+
+
+def write_diagram(tmp_path, rank, edges):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(
+        {"rank": rank, "edges": [{"i": i, "j": j, "m": m} for i, j, m in edges]}
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["balance", "--interval", "1"], ["heap", "--word", "1"]],
+                         ids=["balance", "heap"])
+@pytest.mark.parametrize("flags", [["--type", "A", "--rank", "3"], ["--type", "A"], ["--rank", "3"]],
+                         ids=["type-rank", "type", "rank"])
+def test_diagram_with_type_or_rank_is_reported(tmp_path, capsys, command, flags):
+    diagram = write_diagram(tmp_path, 3, [(1, 2, 3), (2, 3, 3)])
+    code = main([*command, "--diagram", diagram, *flags])
+    assert_error_line(capsys, code, "give either --diagram or --type/--rank, not both")
+
+
+@pytest.mark.parametrize("label,family,word,balance", [
+    (4, "B", "1 2 1", "1/2"), (6, "G", "2 1 2 1", "2/5"),
+])
+def test_rank_two_diagram_matches_type(tmp_path, capsys, label, family, word, balance):
+    diagram = write_diagram(tmp_path, 2, [(1, 2, label)])
+    code, by_diagram = run(capsys, "balance", "--diagram", diagram, "--interval", word)
+    assert code == 0
+    code, by_type = run(capsys, "balance", "--type", family, "--rank", "2", "--interval", word)
+    assert code == 0
+    assert by_diagram.splitlines()[:2] == by_type.splitlines()[:2]
+    assert by_diagram.splitlines()[1] == f"b(C) = {balance}"
+
+
+def test_heap_walks_the_ideals_once(tmp_path, capsys, monkeypatch):
+    walks = []
+    walk = posets.LabeledPoset.iter_ideal_masks
+
+    def counted(self, *args, **kwargs):
+        walks.append(self.n)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(posets.LabeledPoset, "iter_ideal_masks", counted)
+    out_file = tmp_path / "heap.json"
+    code, out = run(capsys, "heap", "--type", "B", "--rank", "3",
+                    "--word", "3 2 3 1", "--out", str(out_file))
+    assert code == 0
+    assert walks == [4]
+    assert out == (
+        "heap of word [3, 2, 3, 1]: 4 elements, 6 order ideals, balance 1/3\n"
+        "  position 1 (s3): ideal fraction 1/6\n"
+        "  position 2 (s2): ideal fraction 1/3\n"
+        "  position 3 (s3): ideal fraction 2/3\n"
+        "  position 4 (s1): ideal fraction 2/3\n"
+    )
 
 
 def test_heap_command(tmp_path, capsys):

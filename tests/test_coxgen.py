@@ -4,28 +4,32 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxbalance import convex
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
     INF,
     CoxeterMatrix,
     NotReducedError,
-    WeylSystem,
     build_system,
     commutation_class,
     complete_graph_matrix,
     cycle_matrix,
-    elem_from_word,
-    inversion_roots_of_word,
+    inversion_keys_of_word,
     is_acyclic,
     is_fully_commutative,
     is_irreducible,
     matrix_from_edges,
     matrix_from_json,
     path_matrix,
+    reflection_key_of_word,
 )
+from coxbalance.convex import WeylContext
+from coxbalance.posets import heap_from_word
 from coxbalance.rootsys import build_root_system
-from coxbalance.weyl import all_elements, one_line
+from coxbalance.weyl import all_elements, multiply, one_line
 
 
 def avoids_321(perm):
@@ -41,7 +45,9 @@ def avoids_321(perm):
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        CoxeterMatrix(2, ((1, 4), (4, 1)))  # label 4 routes to the weyl module
+        CoxeterMatrix(2, ((1, 5), (5, 1)))  # label 5 needs irrational roots
+    for label in (4, 6):
+        assert CoxeterMatrix(2, ((1, label), (label, 1))).m(1, 2) == label
     with pytest.raises(ValueError):
         CoxeterMatrix(2, ((1, 3), (2, 1)))  # asymmetric
     with pytest.raises(ValueError):
@@ -50,9 +56,10 @@ def test_matrix_validation():
     assert m.m(1, 2) == 3 and m.m(2, 3) is INF and m.m(1, 3) == 2
 
 
-def test_label_four_error_mentions_weyl():
-    with pytest.raises(ValueError, match="weyl"):
-        matrix_from_edges(2, [(1, 2, 4)])
+def test_label_five_error_names_supported_labels():
+    with pytest.raises(ValueError, match="labels must be 2, 3, 4, 6 or inf"):
+        matrix_from_edges(2, [(1, 2, 5)])
+    assert matrix_from_edges(2, [(1, 2, 4)]).m(1, 2) == 4
 
 
 def test_diagram_json_round_trip():
@@ -87,52 +94,56 @@ def test_acyclicity():
 
 def test_affine_four_cycle_element():
     sys = build_system(cycle_matrix(4))
-    w = elem_from_word(sys, [2, 4, 1, 3])
-    assert w.length() == 4
+    assert sys.word_length([2, 4, 1, 3]) == 4
     assert len(commutation_class(sys, [2, 4, 1, 3])) == 4
     assert is_fully_commutative(sys, [2, 4, 1, 3])
 
 
 def test_identity_and_inversions():
     sys = build_system(path_matrix(3, [3, 3]))
-    e = sys.identity_element()
-    assert e.length() == 0
-    assert e.inversion_roots() == frozenset()
-    w = elem_from_word(sys, [1, 2])
-    roots = w.inversion_roots()
+    e = sys.identity()
+    assert sys.reduced_word(e) == ()
+    assert sys.inversion_keys(e) == frozenset()
+    w = sys.from_word([1, 2])
+    roots = sys.inversion_keys(w)
     assert len(roots) == 2
-    assert len(inversion_roots_of_word(sys, [1, 2])) == 2
+    assert set(inversion_keys_of_word(sys, [1, 2])) == roots
 
 
 def test_braid_relation_in_triangle_group():
     sys = build_system(complete_graph_matrix(3))
-    assert elem_from_word(sys, [1, 2, 1]) == elem_from_word(sys, [2, 1, 2])
+    assert sys.from_word([1, 2, 1]) == sys.from_word([2, 1, 2])
 
 
 def test_descents_match_definition():
     sys = build_system(path_matrix(3, [3, 3]))
-    w = elem_from_word(sys, [1, 2])
-    assert w.right_descents() == {2}
-    assert w.left_descents() == {1}
-    assert w.reduced_word() == (1, 2)
+    w = sys.from_word([1, 2])
+
+    def right_descents(v):  # s_i is a right descent iff v(alpha_i) < 0
+        return {i for i in (1, 2, 3) if sys.simple_image_key(v, i) is None}
+
+    assert right_descents(w) == {2}
+    assert right_descents(sys.invert(w)) == {1}  # the left descents of w
+    assert sys.reduced_word(w) == (1, 2)
 
 
 def test_lengths_agree_with_weyl_module():
-    """Geometric representation matches the root-action lengths on {2,3} types."""
+    """Integer root columns match the root-action lengths on {2,3} types."""
     rs = build_root_system("A", 3)
     generic = build_system(path_matrix(3, [3, 3]))
-    adapter = WeylSystem(rs)
+    weyl_group = WeylContext(rs)
     random.seed(11)
     for _ in range(150):
         word = [random.randint(1, 3) for _ in range(random.randint(0, 6))]
-        assert generic.word_length(word) == adapter.word_length(word)
+        assert generic.word_length(word) == weyl_group.word_length(word)
 
 
 def test_form_entries_exact():
+    """Integer Cartan entries (a_ij, a_ji) for labels 2, 3, 4, 6 and inf."""
     sys = build_system(path_matrix(3, [3, INF]))
-    from fractions import Fraction
-    values = {sys.form[i][j] for i in range(3) for j in range(3)}
-    assert values == {Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(-1)}
+    assert sys.cartan == ((2, -1, 0), (-1, 2, -2), (0, -2, 2))
+    sys = build_system(path_matrix(3, [4, 6]))
+    assert sys.cartan == ((2, -1, 0), (-2, 2, -1), (0, -3, 2))
 
 
 def test_commutation_classes():
@@ -161,13 +172,13 @@ def test_fc_basics():
 def test_fc_agrees_with_321_avoidance(rank):
     """Full commutativity equals 321-avoidance across the whole group."""
     rs = build_root_system("A", rank)
-    sys = WeylSystem(rs)
+    sys = WeylContext(rs)
     for w, word in all_elements(rs):
         assert is_fully_commutative(sys, list(word)) == avoids_321(one_line(w))
 
 
 def test_fc_in_weyl_b3():
-    b3 = WeylSystem(build_root_system("B", 3))
+    b3 = WeylContext(build_root_system("B", 3))
     assert is_fully_commutative(b3, [3, 2, 3, 1])
     assert not is_fully_commutative(b3, [3, 2, 3, 2])
 
@@ -176,3 +187,84 @@ def test_infinite_label_group_everything_fc():
     sys = build_system(path_matrix(4, [INF, INF, INF]))
     for word in ([2, 3, 2, 3], [1, 4, 2, 3], [3, 2, 3, 2, 3]):
         assert is_fully_commutative(sys, word)
+
+
+# -- the Cartan backend against the Weyl backend --------------------------------
+
+CROSS_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+def both_groups(family, rank):
+    """The Weyl group of a type, and its diagram with the same numbering."""
+    rs = build_root_system(family, rank)
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    diagram = matrix_from_edges(
+        rank, [(i, j, rs.coxeter_m(i, j)) for i, j in pairs if rs.coxeter_m(i, j) != 2]
+    )
+    return WeylContext(rs), build_system(diagram)
+
+
+BACKENDS = {key: both_groups(*key) for key in CROSS_TYPES}
+
+
+def signature(c):
+    """Size, balance and sorted inversion fractions: free of root keys."""
+    return len(c), c.balance_value(), sorted(c.inversion_fraction(k) for k in c.upper)
+
+
+def reflection_or_none(g, word):
+    try:
+        return reflection_key_of_word(g, word)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100)
+@given(key=st.sampled_from(CROSS_TYPES), data=st.data())
+def test_cartan_backend_matches_weyl_backend(key, data):
+    letters = st.lists(st.integers(min_value=1, max_value=key[1]), max_size=12)
+    w, w1, w2 = data.draw(letters), data.draw(letters), data.draw(letters)
+    i = data.draw(st.integers(min_value=1, max_value=key[1]))
+    reflection = w1 + [i] + w1[::-1]
+    intervals, hulls = [], []
+    for g in BACKENDS[key]:
+        intervals.append(convex.interval_left(g, g.from_word(w)))
+        hulls.append(convex.convex_hull(g, [g.identity(), g.from_word(w1), g.from_word(w2)]))
+        assert reflection_or_none(g, reflection) is not None
+    assert signature(intervals[0]) == signature(intervals[1])
+    assert signature(hulls[0]) == signature(hulls[1])
+    assert (hulls[0].inversion_fraction(word=reflection)
+            == hulls[1].inversion_fraction(word=reflection))
+    weyl_group, diagram = BACKENDS[key]
+    assert (reflection_or_none(weyl_group, w) is None) == (reflection_or_none(diagram, w) is None)
+
+
+@pytest.mark.parametrize("key", [("B", 3), ("G", 2)], ids=["B3", "G2"])
+def test_fc_and_heap_balance_agree_across_backends(key):
+    weyl_group, diagram = BACKENDS[key]
+    checked = 0
+    for _, word in all_elements(weyl_group.root_system):
+        fc = is_fully_commutative(weyl_group, word)
+        assert fc == is_fully_commutative(diagram, word)
+        if fc and word:
+            b = heap_from_word(weyl_group, word).balance()
+            assert heap_from_word(diagram, word).balance() == b
+            assert convex.interval_left(diagram, diagram.from_word(word)).balance_value() == b
+            checked += 1
+    assert checked > 5
+
+
+@pytest.mark.parametrize("key", [("B", 3), ("G", 2)], ids=["B3", "G2"])
+def test_reflection_key_is_the_negated_root(key):
+    """In a Weyl group, the key of a reflection t is the one root t negates."""
+    weyl_group, _ = BACKENDS[key]
+    reflections = 0
+    for t, word in all_elements(weyl_group.root_system):
+        negated = [j for j, a in enumerate(t.action) if a == -(j + 1)]
+        if word and len(negated) == 1 and multiply(t, t).length == 0:
+            assert reflection_key_of_word(weyl_group, word) == negated[0]
+            reflections += 1
+        else:
+            with pytest.raises(ValueError, match="does not describe a reflection"):
+                reflection_key_of_word(weyl_group, word)
+    assert reflections == weyl_group.root_system.num_positive_roots

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from coxbalance import coxgen
-from coxbalance.coxgen import INF, NotReducedError, WeylSystem, build_system, cycle_matrix, path_matrix
+from coxbalance.convex import WeylContext
+from coxbalance.coxgen import INF, NotReducedError, build_system, cycle_matrix, path_matrix
 from coxbalance.posets import (
+    IdealCapExceeded,
     LabeledPoset,
-    PosetSizeError,
     branching_balance_check,
     claw_chain,
     heap_from_word,
@@ -74,17 +75,21 @@ def test_ideal_enumeration_against_brute_force(covers, n):
 
 
 def test_ideal_cap():
+    """The cap counts the ideals walked, not the elements."""
     big = poset_from_covers(41, [])
-    with pytest.raises(PosetSizeError, match="40"):
-        big.ideal_count()
-    small = poset_from_covers(16, [])
-    with pytest.raises(PosetSizeError):
-        small.ideal_count(cap=12)
-    assert small.ideal_count(cap=None) == 2 ** 16
+    with pytest.raises(IdealCapExceeded, match="more than 1000 order ideals"):
+        big.ideal_count(cap=1000)
+    small = poset_from_covers(12, [])
+    with pytest.raises(IdealCapExceeded):
+        small.ideal_count(cap=2 ** 12 - 1)
+    assert small.ideal_count(cap=2 ** 12) == 2 ** 12
+    assert small.ideal_count(cap=None) == 2 ** 12
+    chain = poset_from_covers(50, [(i, i + 1) for i in range(49)])
+    assert chain.ideal_count() == 51
 
 
 def test_heap_a2():
-    sys = WeylSystem(build_root_system("A", 2))
+    sys = WeylContext(build_root_system("A", 2))
     heap = heap_from_word(sys, [1, 2])
     # the later letter s2 sits at the bottom, s1 on top
     assert heap.covers() == [(1, 0)]
@@ -93,7 +98,7 @@ def test_heap_a2():
 
 
 def test_heap_b3_shape():
-    sys = WeylSystem(build_root_system("B", 3))
+    sys = WeylContext(build_root_system("B", 3))
     heap = heap_from_word(sys, [3, 2, 3, 1])
     # s1 and the lower s3 sit below s2, which sits below the upper s3
     assert sorted(heap.covers()) == [(1, 0), (2, 1), (3, 1)]
@@ -111,13 +116,13 @@ def test_heap_affine_four_cycle():
 
 
 def test_heap_rejects_non_reduced():
-    sys = WeylSystem(build_root_system("A", 2))
+    sys = WeylContext(build_root_system("A", 2))
     with pytest.raises(NotReducedError):
         heap_from_word(sys, [1, 1])
 
 
 def test_heap_invariant_under_commutation_class():
-    b3 = WeylSystem(build_root_system("B", 3))
+    b3 = WeylContext(build_root_system("B", 3))
     base = heap_from_word(b3, [3, 2, 3, 1])
     for word in coxgen.commutation_class(b3, [3, 2, 3, 1]):
         other = heap_from_word(b3, list(word))
@@ -128,7 +133,7 @@ def test_claw_chain_counts():
     for k in range(1, 9):
         for length in (1, 2, 5, 64):
             poset = claw_chain(k, length)
-            assert poset.ideal_count(cap=72) == 2 ** k + length
+            assert poset.ideal_count(cap=2 ** k + length) == 2 ** k + length
     assert claw_chain(1, 1).covers() == [(0, 1)]
     with pytest.raises(ValueError):
         claw_chain(0, 1)
@@ -170,7 +175,7 @@ def test_isomorphism():
 
 
 def test_figure_heaps_match_claw():
-    d4 = WeylSystem(build_root_system("D", 4))
+    d4 = WeylContext(build_root_system("D", 4))
     heap = heap_from_word(d4, [4, 2, 3, 1])
     assert is_isomorphic(heap, claw_chain(2, 2))
     assert heap.balance() == THIRD
@@ -178,9 +183,9 @@ def test_figure_heaps_match_claw():
 
 def test_heap_respects_diagram_everywhere():
     cases = [
-        (WeylSystem(build_root_system("A", 3)), [1, 2, 3]),
-        (WeylSystem(build_root_system("B", 3)), [3, 2, 3, 1]),
-        (WeylSystem(build_root_system("D", 4)), [4, 2, 3, 1]),
+        (WeylContext(build_root_system("A", 3)), [1, 2, 3]),
+        (WeylContext(build_root_system("B", 3)), [3, 2, 3, 1]),
+        (WeylContext(build_root_system("D", 4)), [4, 2, 3, 1]),
         (build_system(cycle_matrix(4)), [2, 4, 1, 3]),
         (build_system(path_matrix(4, [INF, INF, INF])), [2, 3, 2, 3]),
     ]
@@ -188,7 +193,7 @@ def test_heap_respects_diagram_everywhere():
         assert heap_respects_diagram(heap_from_word(sys, word), sys)
     # a poset violating the adjacency property fails
     bad = poset_from_covers(2, [(0, 1)], labels=(1, 3))
-    a3 = WeylSystem(build_root_system("A", 3))
+    a3 = WeylContext(build_root_system("A", 3))
     assert not heap_respects_diagram(bad, a3)
 
 
@@ -207,7 +212,7 @@ def test_branching_balance_check():
 def test_heap_inversion_map_bijection():
     """The inversion-to-heap pairing sends intervals to order ideals."""
     rs = build_root_system("D", 4)
-    sys = WeylSystem(rs)
+    sys = WeylContext(rs)
     word = (4, 2, 3, 1)
     pairs = heap_inversion_map(sys, word)
     assert len(pairs) == 4
@@ -215,7 +220,7 @@ def test_heap_inversion_map_bijection():
     ctx = convex.WeylContext(rs)
     w = ctx.from_word(word)
     c = convex.interval_left(ctx, w)
-    root_to_pos = {rs.index_of(root): pos for root, pos in pairs}
+    root_to_pos = dict(pairs)
     assert set(root_to_pos) == set(weyl.inversion_set(w))
     for inv in c.inv_sets:
         ideal = {root_to_pos[k] for k in inv}
@@ -228,7 +233,7 @@ def test_heap_inversion_map_bijection():
 
 
 def test_heap_inversion_map_identity_empty():
-    sys = WeylSystem(build_root_system("A", 2))
+    sys = WeylContext(build_root_system("A", 2))
     assert heap_inversion_map(sys, ()) == []
 
 

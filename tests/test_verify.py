@@ -103,8 +103,10 @@ EXPECTED_DIR = Path(__file__).resolve().parent.parent / "bench" / "expected"
 
 @pytest.mark.parametrize(
     "argv",
-    [["table1"], ["semiorder"], ["exits", "--e8"], ["geometry"], ["conjecture"]],
-    ids=["table1", "semiorder", "exits-e8", "geometry", "conjecture"],
+    [["table1"], ["semiorder"], ["exits", "--e8"], ["geometry"], ["conjecture"],
+     ["classify"], ["equality"], ["counterexamples"]],
+    ids=["table1", "semiorder", "exits-e8", "geometry", "conjecture",
+         "classify", "equality", "counterexamples"],
 )
 def test_campaign_output_matches_expected_bytes(tmp_path, capsys, argv):
     out = tmp_path / "report.json"
