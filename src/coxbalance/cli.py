@@ -162,50 +162,44 @@ def cmd_heap(args) -> int:
 
 
 def cmd_semiorder(args) -> int:
-    rs = _root_system(args)
-    payload = {"type": rs.root_label()}
-    if args.count_ideals:
-        big = rs.num_positive_roots > 24
-        if big and not args.e8:
-            raise ValueError(
-                f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
-                "pass --e8 to run the large scan"
-            )
-        n = count_root_ideals(rs)
-        print(f"{rs.root_label()}: {n} root-poset order ideals")
-        payload["ideal_count"] = n
-        _write_out(args, payload)
-        return 0
     if args.unit_interval:
         values = [Fraction(t) for t in args.unit_interval.split()]
         gs = semiorder.from_unit_interval(values)
+        label = gs.root_system.root_label()
+        rank = gs.root_system.rank
+        if args.type not in (None, "A") or args.rank not in (None, rank):
+            raise ValueError(f"{len(values)} unit-interval values give type {label}; "
+                             f"give --type A --rank {rank} or neither")
         b = gs.convex.balance_value()
         print(f"unit-interval semiorder on {len(values)} points: "
               f"|W^A| = {gs.size}, balance {b}")
-        payload.update({
+        _write_out(args, {
+            "type": label,
             "size": gs.size,
             "balance": _frac(b),
             "ideal": sorted(gs.ideal.members),
         })
-        _write_out(args, payload)
         return 0
-    big = rs.num_positive_roots > 24
-    if big and not args.e8:
+    rs = _root_system(args)
+    if rs.num_positive_roots > 24 and not args.e8:
         raise ValueError(
             f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
             "pass --e8 to run the large scan"
         )
+    if args.count_ideals:
+        n = count_root_ideals(rs)
+        print(f"{rs.root_label()}: {n} root-poset order ideals")
+        _write_out(args, {"type": rs.root_label(), "ideal_count": n})
+        return 0
     scanned, failures = semiorder.scan_exit_witnesses(rs)
     ok = not failures
     line = {"type": rs.root_label(), "ideals_scanned": scanned, "lemma46_ok": ok}
+    text = f"{rs.root_label()}: {scanned} nonempty ideals, single-exit witness everywhere: {ok}"
     if rs.num_positive_roots <= 12:
         mb = semiorder.min_semiorder_balance(rs)
         line["min_balance"] = _frac(mb)
-        print(f"{rs.root_label()}: {scanned} nonempty ideals, "
-              f"single-exit witness everywhere: {ok}, min balance {mb}")
-    else:
-        print(f"{rs.root_label()}: {scanned} nonempty ideals, "
-              f"single-exit witness everywhere: {ok}")
+        text += f", min balance {mb}"
+    print(text)
     _write_out(args, line)
     return 0 if ok else 1
 

@@ -7,11 +7,12 @@ are kept as frozensets of "root keys": positive-root indices for a finite
 Weyl type, given by a :class:`WeylContext`, and integer simple-root
 coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.
 
-Single sets are built by a breadth-first search inside W^A.  The exhaustive
-scan over the convex order ideals of a finite Weyl group needs no search: the
-distinct ideals W^A are exactly the distinct unions of inversion sets, so
-:func:`enumerate_convex_ideals` enumerates the group once and closes the
-inversion bitmasks under union.
+Single sets, and every set of a diagram, are built by a breadth-first search
+inside W^A.  Scans over many sets W^A of one finite Weyl group need no search:
+W^A = {w : N(w) inside A}, so :func:`ideals_from_uppers` enumerates the group
+once and reads each W^A off a table of inversion bitmasks.  The distinct
+convex order ideals are exactly the distinct unions of inversion sets, so
+:func:`enumerate_convex_ideals` closes the same table's bitmasks under union.
 """
 
 from __future__ import annotations
@@ -287,39 +288,55 @@ def translate(c: ConvexSet, w) -> ConvexSet:
     return _build(ctx, pairs)
 
 
+def _element_table(ctx: WeylContext) -> List[Tuple]:
+    """(inversion bitmask, element, shortlex word, inversion set) per element."""
+    table = []
+    for w, word in weyl.all_elements(ctx.root_system):
+        inv = weyl.inversion_set(w)
+        table.append((sum(1 << j for j in inv), w, word, inv))
+    return table
+
+
+def _ideals_in(ctx: WeylContext, table, uppers: Iterable[int]) -> Iterator[ConvexSet]:
+    for upper in uppers:
+        outside = ~upper
+        _, members, words, invs = zip(*(e for e in table if not e[0] & outside))
+        yield ConvexSet(ctx, members, words, invs,
+                        frozenset.intersection(*invs), frozenset.union(*invs))
+
+
+def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[ConvexSet]:
+    """W^A for each root bitmask A of ``uppers``, in the given order.
+
+    W^A is the elements w with N(w) inside A, so one pass over the group,
+    kept as a table of inversion bitmasks, serves every A.  Each set is the
+    canonical :class:`ConvexSet` that :func:`ideal_from_upper` builds.
+    """
+    yield from _ideals_in(ctx, _element_table(ctx), uppers)
+
+
 def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
     """All distinct convex order ideals W^A of a finite Weyl group.
 
     The union of the inversion sets over W^A is a set A' inside A with
     W^{A'} = W^A, so the distinct ideals are exactly the distinct unions of
-    inversion sets.  One pass over the group collects every element with its
-    shortlex word and its inversion set as a bitmask; closing {0} under OR
-    with those masks gives every union A, and W^A is the elements whose mask
-    lies inside A, already in canonical (length, word) order.  Sets stream
-    ordered by (|A|, sorted A); requires at most ``CONVEX_SCAN_MAX_ROOTS``
-    positive roots.
+    inversion sets.  Closing {0} under OR with the inversion bitmasks of one
+    pass over the group gives every union A, and the same pass yields W^A.
+    Sets stream ordered by (|A|, sorted A); requires at most
+    ``CONVEX_SCAN_MAX_ROOTS`` positive roots.
     """
     n = ctx.root_system.num_positive_roots
     if n > CONVEX_SCAN_MAX_ROOTS:
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    masks, elements = [], []
-    for w, word in weyl.all_elements(ctx.root_system):
-        inv = weyl.inversion_set(w)
-        masks.append(sum(1 << j for j in inv))
-        elements.append((w, word, inv))
+    table = _element_table(ctx)
     unions = {0}
-    for m in masks:
-        unions |= {u | m for u in unions}
-    uppers = [tuple(j for j in range(n) if (a >> j) & 1) for a in unions]
-    for upper in sorted(uppers, key=lambda k: (len(k), k)):
-        outside = ~sum(1 << j for j in upper)
-        members, words, invs = zip(
-            *(e for m, e in zip(masks, elements) if not m & outside)
-        )
-        yield ConvexSet(ctx, members, words, invs,
-                        frozenset.intersection(*invs), frozenset(upper))
+    for e in table:
+        unions |= {u | e[0] for u in unions}
+    yield from _ideals_in(ctx, table, sorted(
+        unions, key=lambda a: (a.bit_count(), [j for j in range(n) if (a >> j) & 1])
+    ))
 
 
 def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, ConvexSet]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -66,26 +67,28 @@ class LabeledPoset:
 
     # -- structure ----------------------------------------------------------
 
+    @cached_property
+    def _covers(self) -> Tuple[Tuple[int, int], ...]:
+        # j covers i iff j lies above i but above no element strictly above i.
+        above = [sum(1 << j for j, le in enumerate(row) if le) & ~(1 << i)
+                 for i, row in enumerate(self.leq)]
+        out = []
+        for i, cover in enumerate(above):
+            for k in range(self.n):
+                if (above[i] >> k) & 1:
+                    cover &= ~above[k]
+            out.extend((i, j) for j in range(self.n) if (cover >> j) & 1)
+        return tuple(out)
+
     def covers(self) -> List[Tuple[int, int]]:
         """Pairs (i, j) with j covering i (transitive reduction)."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if not any(
-                    self.leq[i][k] and self.leq[k][j]
-                    for k in range(self.n)
-                    if k != i and k != j
-                ):
-                    out.append((i, j))
-        return out
+        return list(self._covers)
 
     def upper_covers(self, x: int) -> List[int]:
-        return [j for i, j in self.covers() if i == x]
+        return [j for i, j in self._covers if i == x]
 
     def lower_covers(self, x: int) -> List[int]:
-        return [i for i, j in self.covers() if j == x]
+        return [i for i, j in self._covers if j == x]
 
     def dual(self) -> "LabeledPoset":
         return LabeledPoset(
@@ -133,7 +136,7 @@ class LabeledPoset:
         """
         topo = self._linear_extension()
         cover_down = [0] * self.n
-        for i, j in self.covers():
+        for i, j in self._covers:
             cover_down[j] |= 1 << i
 
         # Depth-first, each ideal extended only by elements after its last

@@ -154,6 +154,8 @@ class RootSystem:
     _doubled_index: Dict[Tuple[int, ...], int] = field(
         repr=False, hash=False, compare=False, default_factory=dict
     )
+    # Coxeter matrix m_ij, 0-based
+    _coxeter: Tuple[Tuple[int, ...], ...] = field(repr=False, hash=False, compare=False, default=())
 
     # -- basic accessors ---------------------------------------------------
 
@@ -189,12 +191,7 @@ class RootSystem:
 
     def coxeter_m(self, i: int, j: int) -> int:
         """Coxeter matrix entry m_ij for simple reflections (1-based)."""
-        if i == j:
-            return 1
-        a = self.positive_roots[self.simple_indices[i - 1]]
-        b = self.positive_roots[self.simple_indices[j - 1]]
-        n = 4 * dot(a, b) ** 2 / (dot(a, a) * dot(b, b))
-        return {0: 2, 1: 3, 2: 4, 3: 6}[int(n)]
+        return self._coxeter[i - 1][j - 1]
 
     def simple_image(self, i: int, j: int) -> int:
         """Signed index of s_i applied to positive root j (1-based simple i).
@@ -332,6 +329,9 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         _simple_action=tuple(action),
         _doubled=doubled_roots,
         _doubled_index={d: i for i, d in enumerate(doubled_roots)},
+        # a_ij a_ji = 4 cos^2(pi / m_ij): 0, 1, 2 or 3 off the diagonal, 4 on it
+        _coxeter=tuple(tuple((2, 3, 4, 6, 1)[cartan[i][j] * cartan[j][i]] for j in range(rank))
+                       for i in range(rank)),
     )
 
 

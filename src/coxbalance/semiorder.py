@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import convex, weyl
 from .convex import ConvexSet, WeylContext
@@ -92,15 +92,13 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
     inversion into the set.
     """
     c = gs.convex
-    rs = gs.root_system
     ctx = c.ctx
-    half = Fraction(1, 2)
+    # Roots outside the union of the members' inversions count 0.
+    if any(2 * c.inversion_count(k) > len(c) for k in c.upper):
+        return False
     member_keys = {ctx.element_key(m) for m in c.members}
-    for k in range(rs.num_positive_roots):
-        if c.inversion_fraction(k) > half:
-            return False
     for k in gs.ideal.members:
-        refl = _reflection_element(rs, k)
+        refl = _reflection_element(gs.root_system, k)
         for m, inv in zip(c.members, c.inv_sets):
             if k in inv and ctx.element_key(weyl.multiply(m, refl)) not in member_keys:
                 return False
@@ -234,22 +232,19 @@ def scan_exit_witnesses(rs: RootSystem) -> Tuple[int, List[int]]:
     return scanned, failures
 
 
+def semiorders(rs: RootSystem, masks: Sequence[int]) -> Iterator[GeneralizedSemiorder]:
+    """W^A for each nonempty root-poset ideal mask, in order, from one pass
+    over the group (see :func:`convex.ideals_from_uppers`)."""
+    n = rs.num_positive_roots
+    for mask, c in zip(masks, convex.ideals_from_uppers(WeylContext(rs), masks)):
+        ideal = RootPosetIdeal(rs, frozenset(j for j in range(n) if (mask >> j) & 1))
+        yield GeneralizedSemiorder(rs, ideal, c)
+
+
 def min_semiorder_balance(rs: RootSystem) -> Fraction:
     """Minimum balance over all non-singleton generalized semiorders."""
-    ctx = WeylContext(rs)
-    best: Optional[Fraction] = None
-    for mask in iter_ideal_masks(rs):
-        if mask == 0:
-            continue
-        members = frozenset(
-            i for i in range(rs.num_positive_roots) if (mask >> i) & 1
-        )
-        c = convex.ideal_from_upper(ctx, members)
-        if len(c) <= 1:
-            continue
-        b = c.balance_value()
-        if best is None or b < best:
-            best = b
-    if best is None:
+    masks = [m for m in iter_ideal_masks(rs) if m]
+    balances = [gs.convex.balance_value() for gs in semiorders(rs, masks) if gs.size > 1]
+    if not balances:
         raise ValueError("no non-singleton generalized semiorder exists")
-    return best
+    return min(balances)

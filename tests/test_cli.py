@@ -271,6 +271,26 @@ def test_semiorder_unit_interval(capsys):
     assert "|W^A| = 3" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "B", "--rank", "3"], ["--type", "A", "--rank", "3"], ["--type", "B"],
+    ["--rank", "1"],
+])
+def test_semiorder_unit_interval_type_mismatch(capsys, argv):
+    code = main(["semiorder", *argv, "--unit-interval", "0 1/2 7/5"])
+    assert_error_line(capsys, code, "3 unit-interval values give type A2")
+
+
+@pytest.mark.parametrize("argv", [[], ["--type", "A", "--rank", "2"], ["--type", "A"]])
+def test_semiorder_unit_interval_label(tmp_path, capsys, argv):
+    out_file = tmp_path / "semi.json"
+    code, out = run(capsys, "semiorder", *argv, "--unit-interval", "0 1/2 7/5",
+                    "--out", str(out_file))
+    assert code == 0
+    data = json.loads(out_file.read_text())
+    assert data["type"] == "A2"
+    assert data["ideal"] == [0, 1] and data["size"] == 3
+
+
 def test_alcove_params(capsys):
     code, out = run(capsys, "alcove", "--type", "E", "--rank", "8")
     assert code == 0

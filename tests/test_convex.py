@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxbalance import coxgen, posets, weyl
+from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
     WeylContext,
@@ -14,12 +14,14 @@ from coxbalance.convex import (
     enumerate_convex_ideals,
     from_members,
     ideal_from_upper,
+    ideals_from_uppers,
     interval_left,
     min_balance,
     translate,
 )
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
-from coxbalance.rootsys import build_root_system
+from coxbalance.rootsys import build_root_system, iter_ideal_masks
+from coxbalance.verify import SEMIORDER_TYPES, run_campaign
 
 THIRD = Fraction(1, 3)
 
@@ -269,6 +271,64 @@ def test_scan_matches_subset_oracle(family, rank, count):
     got = scan_view(enumerate_convex_ideals(ctx))
     assert len(got) == count
     assert got == scan_view(subset_scan_oracle(ctx))
+
+
+@pytest.mark.parametrize("family,rank", SEMIORDER_TYPES)
+def test_ideals_from_uppers_matches_bfs(family, rank):
+    """The one-pass table gives, for every root-poset ideal A, the same W^A
+    (words, members, inversion sets, lower and upper sets) as a BFS build."""
+    ctx = weyl_ctx(family, rank)
+    n = ctx.root_system.num_positive_roots
+    masks = list(iter_ideal_masks(ctx.root_system))
+    oracle = [ideal_from_upper(ctx, {j for j in range(n) if (m >> j) & 1}) for m in masks]
+    assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2)])
+def test_ideals_from_uppers_on_every_subset(family, rank):
+    """Also for a root set A that is no union of inversion sets, where the
+    upper set of W^A is smaller than A."""
+    ctx = weyl_ctx(family, rank)
+    n = ctx.root_system.num_positive_roots
+    masks = range(1 << n)
+    oracle = [ideal_from_upper(ctx, {j for j in range(n) if (m >> j) & 1}) for m in masks]
+    assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
+
+
+@pytest.mark.parametrize("family,rank", [("D", 4), ("C", 3), ("G", 2)])
+def test_min_semiorder_balance_matches_bfs(family, rank):
+    rs = build_root_system(family, rank)
+    built = [semiorder.build(rs, [j for j in range(rs.num_positive_roots) if (m >> j) & 1])
+             for m in iter_ideal_masks(rs) if m]
+    expected = min(gs.convex.balance_value() for gs in built if gs.size > 1)
+    assert semiorder.min_semiorder_balance(rs) == expected
+
+
+def test_scans_walk_the_group_once(monkeypatch):
+    walks = []
+    real = weyl.all_elements
+
+    def counted(rs, *args):
+        walks.append(rs.root_label())
+        return real(rs, *args)
+
+    monkeypatch.setattr(convex.weyl, "all_elements", counted)
+    ctx = weyl_ctx("B", 3)
+    assert len(list(enumerate_convex_ideals(ctx))) == 139
+    assert walks == ["B3"]
+    masks = [m for m in iter_ideal_masks(ctx.root_system) if m]
+    assert len(list(ideals_from_uppers(ctx, masks))) == len(masks)
+    assert walks == ["B3", "B3"]
+
+
+def test_campaign_scans_build_no_set_by_bfs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan built W^A by breadth-first search")
+
+    monkeypatch.setattr(convex, "_bfs_within", refuse)
+    for name in ("semiorder", "conjecture", "geometry"):
+        for report in run_campaign(name):
+            assert report.all_passed, report.campaign
 
 
 def test_scan_count_a4():

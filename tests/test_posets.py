@@ -242,3 +242,28 @@ def test_json_round_trip():
     again = poset_from_json(poset_json(poset))
     assert again.leq == poset.leq
     assert "digraph" in poset_dot(poset)
+
+
+def brute_force_covers(poset):
+    """Oracle: i < j with no k strictly between, by the O(n^3) definition."""
+    n = poset.n
+    return [
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and poset.leq[i][j]
+        and not any(k not in (i, j) and poset.leq[i][k] and poset.leq[k][j] for k in range(n))
+    ]
+
+
+def test_covers_match_definition():
+    b3 = WeylContext(build_root_system("B", 3))
+    posets_ = [claw_chain(3, 4), heap_from_word(b3, [3, 2, 3, 1, 2, 3]),
+               poset_from_covers(6, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5)])]
+    for p in posets_:
+        expected = brute_force_covers(p)
+        assert p.covers() == expected
+        for x in range(p.n):
+            assert p.upper_covers(x) == [j for i, j in expected if i == x]
+            assert p.lower_covers(x) == [i for i, j in expected if j == x]
+        p.covers().clear()  # a caller's copy; the cached reduction is untouched
+        assert p.covers() == expected
+        assert p == LabeledPoset(p.n, p.leq, p.labels)

@@ -101,6 +101,15 @@ def fraction_route_fields(family, rank):
         for alpha in simples
     )
     doubled = tuple(tuple(int(2 * x) for x in beta) for beta in pos_roots)
+    # m_ij from 4 cos^2(pi / m_ij) = 4 <a, b>^2 / (<a, a> <b, b>)
+    coxeter = tuple(
+        tuple(
+            1 if a == b
+            else {0: 2, 1: 3, 2: 4, 3: 6}[4 * dot(a, b) ** 2 / (dot(a, a) * dot(b, b))]
+            for b in simples
+        )
+        for a in simples
+    )
     return {
         "family": family,
         "rank": rank,
@@ -118,6 +127,7 @@ def fraction_route_fields(family, rank):
         "_simple_action": action,
         "_doubled": doubled,
         "_doubled_index": {d: i for i, d in enumerate(doubled)},
+        "_coxeter": coxeter,
     }
 
 
@@ -323,3 +333,17 @@ def test_exports_parse():
     assert set(first) == {"num", "den"}
     assert "digraph" in poset_dot(rs)
     assert "--" in root_graph_dot(rs)
+
+
+@pytest.mark.parametrize("family,rank,entries", [
+    ("A", 3, {(1, 2): 3, (1, 3): 2, (2, 3): 3}),
+    ("B", 3, {(1, 2): 3, (2, 3): 4, (1, 3): 2}),
+    ("D", 4, {(1, 2): 3, (2, 3): 3, (2, 4): 3, (1, 3): 2, (3, 4): 2}),
+    ("F", 4, {(1, 2): 3, (2, 3): 4, (3, 4): 3}),
+    ("G", 2, {(1, 2): 6}),
+])
+def test_coxeter_m_entries(family, rank, entries):
+    rs = build_root_system(family, rank)
+    for (i, j), m in entries.items():
+        assert rs.coxeter_m(i, j) == rs.coxeter_m(j, i) == m
+    assert all(rs.coxeter_m(i, i) == 1 for i in range(1, rank + 1))
