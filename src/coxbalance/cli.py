@@ -87,6 +87,8 @@ def cmd_roots(args) -> int:
 def cmd_group(args) -> int:
     rs = _root_system(args)
     cap = weyl.DEFAULT_ELEMENT_CAP if args.cap is None else args.cap
+    if cap < 0:
+        raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
     lengths = {}
     count = 0
     for w, word in weyl.all_elements(rs, cap):
@@ -161,9 +163,16 @@ def cmd_heap(args) -> int:
     return 0
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def cmd_semiorder(args) -> int:
     if args.unit_interval:
-        values = [Fraction(t) for t in args.unit_interval.split()]
+        values = [_parse_fraction(t) for t in args.unit_interval.split()]
         gs = semiorder.from_unit_interval(values)
         label = gs.root_system.root_label()
         rank = gs.root_system.rank

@@ -3,15 +3,24 @@
 Everything in this package works with tuples of Fractions; this module
 collects the handful of dense operations (dot products, inversion)
 needed by the root-system and reflection machinery.  No floating point.
+It also holds :func:`bits`, the set iteration of the int bitmask tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Tuple[Vector, ...]  # row-major
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of a nonnegative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def vec(entries: Sequence) -> Vector:

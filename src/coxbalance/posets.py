@@ -16,6 +16,7 @@ from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import NotReducedError
+from .linalg import bits
 
 # Most order ideals one walk may visit.  The campaigns walk at most 96 (the
 # claw(6, 32) poset of ``verify equality``) and the tests at most 2^16 (a
@@ -52,32 +53,34 @@ class LabeledPoset:
     def __post_init__(self):
         if len(self.leq) != self.n or any(len(r) != self.n for r in self.leq):
             raise ValueError("leq must be an n x n table")
-        for i in range(self.n):
-            if not self.leq[i][i]:
+        rows = self._rows
+        for i, row in enumerate(rows):
+            if not (row >> i) & 1:
                 raise ValueError("relation must be reflexive")
-            for j in range(self.n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+            for j in bits(row & ~(1 << i)):
+                if (rows[j] >> i) & 1:
                     raise ValueError("relation must be antisymmetric")
-                if self.leq[i][j]:
-                    for k in range(self.n):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise ValueError("relation must be transitive")
+                if rows[j] & ~row:
+                    raise ValueError("relation must be transitive")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
 
     # -- structure ----------------------------------------------------------
 
     @cached_property
+    def _rows(self) -> Tuple[int, ...]:
+        # bit j of row i is set iff i <= j
+        return tuple(sum(1 << j for j, le in enumerate(row) if le) for row in self.leq)
+
+    @cached_property
     def _covers(self) -> Tuple[Tuple[int, int], ...]:
         # j covers i iff j lies above i but above no element strictly above i.
-        above = [sum(1 << j for j, le in enumerate(row) if le) & ~(1 << i)
-                 for i, row in enumerate(self.leq)]
+        above = [row & ~(1 << i) for i, row in enumerate(self._rows)]
         out = []
         for i, cover in enumerate(above):
-            for k in range(self.n):
-                if (above[i] >> k) & 1:
-                    cover &= ~above[k]
-            out.extend((i, j) for j in range(self.n) if (cover >> j) & 1)
+            for k in bits(above[i]):
+                cover &= ~above[k]
+            out.extend((i, j) for j in bits(cover))
         return tuple(out)
 
     def covers(self) -> List[Tuple[int, int]]:
@@ -212,21 +215,20 @@ def fraction_balance(fractions: Sequence[Fraction]) -> Fraction:
 
 def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]],
                       labels: Optional[Sequence[int]] = None) -> LabeledPoset:
-    """Build a poset as the reflexive-transitive closure of cover pairs (i < j)."""
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    """Build a poset as the reflexive-transitive closure of pairs (i, j),
+    each meaning i <= j.  The pairs need not be covers, nor have i < j."""
+    rows = [1 << i for i in range(n)]
     for i, j in covers:
-        leq[i][j] = True
+        rows[i] |= 1 << j
+    # Warshall's closure, one bitmask row per element
     for k in range(n):
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+            if rows[i] & bit:
+                rows[i] |= row_k
     return LabeledPoset(
         n,
-        tuple(tuple(row) for row in leq),
+        tuple(tuple(bool((row >> j) & 1) for j in range(n)) for row in rows),
         tuple(labels) if labels is not None else None,
     )
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .linalg import Vector, dot, invert, is_zero, neg, scale, sub, vec
+from .linalg import Vector, bits, dot, invert, is_zero, neg, scale, sub, vec
 
 Family = str  # one of "A".."G"
 
@@ -350,22 +350,23 @@ def height(rs: RootSystem, beta: Vector) -> int:
     return -rs.heights[rs.index_of(neg(beta))]
 
 
+def _covers(rs: RootSystem) -> Tuple[List[int], List[int]]:
+    """Lower and upper cover bitmasks of each positive root.
+
+    gamma covers beta iff gamma - beta is a simple root, that is iff
+    beta < gamma and the heights differ by one: O(N) mask operations.
+    """
+    level: Dict[int, int] = {}
+    for j, h in enumerate(rs.heights):
+        level[h] = level.get(h, 0) | 1 << j
+    down = [d & level.get(h - 1, 0) for d, h in zip(rs._down, rs.heights)]
+    up = [u & level.get(h + 1, 0) for u, h in zip(rs._leq, rs.heights)]
+    return down, up
+
+
 def hasse_edges(rs: RootSystem) -> List[Tuple[int, int]]:
     """Cover pairs (i, j) of the root poset, root_i covered by root_j."""
-    n = rs.num_positive_roots
-    edges = []
-    for i in range(n):
-        up = rs._leq[i] & ~(1 << i)
-        for j in range(n):
-            if not (up >> j) & 1:
-                continue
-            # j covers i unless some k lies strictly between
-            between = rs._leq[i] & ~(1 << i) & ~(1 << j)
-            if not any(
-                (between >> k) & 1 and rs.leq_indices(k, j) for k in range(n)
-            ):
-                edges.append((i, j))
-    return edges
+    return [(i, j) for i, u in enumerate(_covers(rs)[1]) for j in bits(u)]
 
 
 def root_graph(rs: RootSystem) -> List[Tuple[int, int, int]]:
@@ -430,19 +431,31 @@ def iter_ideal_masks(rs: RootSystem) -> Iterator[int]:
     Ideals are produced by depth-first search adding elements in increasing
     index order (the index order is a linear extension), so the stream is
     deterministic.  Intended for systems up to E8 (25080 ideals).
+
+    Each stack entry carries ``cand``, the roots addable to its mask with
+    index above the last one added.  A child adding x keeps the bits of
+    ``cand`` above x and gains the upper covers of x whose lower covers
+    now all lie in the mask; no other root changes status.
     """
-    n = rs.num_positive_roots
-    cover_down = [0] * n
-    for i, j in hasse_edges(rs):
-        cover_down[j] |= 1 << i
-
-    def walk(mask: int, start: int) -> Iterator[int]:
+    down, up = _covers(rs)
+    grow = [[(1 << y, down[y]) for y in bits(u)] for u in up]
+    stack = [(0, sum(1 << x for x, d in enumerate(down) if not d))]
+    while stack:
+        mask, cand = stack.pop()
         yield mask
-        for x in range(start, n):
-            if not (mask >> x) & 1 and (cover_down[x] & mask) == cover_down[x]:
-                yield from walk(mask | (1 << x), x + 1)
-
-    yield from walk(0, 0)
+        later = 0
+        # highest index first, so that the children pop in increasing order
+        while cand:
+            x = cand.bit_length() - 1
+            bit = 1 << x
+            cand ^= bit
+            child = mask | bit
+            new = later
+            for ybit, ydown in grow[x]:
+                if ydown & child == ydown:
+                    new |= ybit
+            stack.append((child, new))
+            later |= bit
 
 
 def enumerate_root_ideals(rs: RootSystem) -> Iterator[RootPosetIdeal]:

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import convex, weyl
 from .convex import ConvexSet, WeylContext
+from .linalg import bits
 from .rootsys import (
     RootPosetIdeal,
     RootSystem,
@@ -131,11 +132,7 @@ def _reflection_element(rs: RootSystem, k: int):
 def exit_roots(rs: RootSystem, mask: int, i: int) -> List[int]:
     """Members beta of the ideal with s_i(beta) a positive root outside it."""
     out = []
-    m = mask
-    while m:
-        low = m & -m
-        j = low.bit_length() - 1
-        m ^= low
+    for j in bits(mask):
         img = rs.simple_image(i, j)
         if img > 0 and not (mask >> (img - 1)) & 1:
             out.append(j)
@@ -174,42 +171,37 @@ def exit_failure_report(rs: RootSystem, ideal) -> Dict[int, List[Tuple[int, int]
     return report
 
 
-ExitTable = List[Tuple[int, List[Tuple[int, int]]]]
+ExitTable = List[Tuple[int, int, int]]
 
 
 def _exit_table(rs: RootSystem) -> ExitTable:
-    """Per simple root i: its bit and the (1 << j, 1 << s_i(j)) pairs where
-    s_i raises positive root j, sorted by j.
+    """Per simple root i: its bit, the mask P_i of roots that s_i raises and
+    the mask Q_i = s_i(P_i).
 
-    Only those pairs can leave an order ideal: when s_i lowers or fixes a
-    root j of the ideal, s_i(j) <= j lies in the ideal too.
+    Only roots of P_i can leave an order ideal I: when s_i lowers or fixes a
+    root j of I, s_i(j) <= j lies in I too.  And for j in P_i, s_i(j) > j in
+    the root poset, so s_i(j) in I forces j in I.  Hence s_i moves exactly
+    |I & P_i| - |I & Q_i| members out of I.
     """
     table = []
     for i in range(1, rs.rank + 1):
-        pairs = []
+        raised = image = 0
         for j in range(rs.num_positive_roots):
             img = rs.simple_image(i, j) - 1
             if img > j:
-                pairs.append((1 << j, 1 << img))
-        table.append((1 << rs.simple_indices[i - 1], pairs))
+                raised |= 1 << j
+                image |= 1 << img
+        table.append((1 << rs.simple_indices[i - 1], raised, image))
     return table
 
 
 def _first_single_exit(table: ExitTable, mask: int) -> Optional[int]:
     """For an ideal mask, the first simple root (1-based) in the ideal moving
     at most one member out of it; the same i as :func:`single_exit_simple`."""
-    for i, (simple_bit, pairs) in enumerate(table, start=1):
-        if not mask & simple_bit:
-            continue
-        exits = 0
-        for bit, image_bit in pairs:
-            if bit > mask:
-                break
-            if mask & bit and not mask & image_bit:
-                exits += 1
-                if exits > 1:
-                    break
-        if exits <= 1:
+    for i, (simple_bit, raised, image) in enumerate(table, start=1):
+        if mask & simple_bit and (
+            (mask & raised).bit_count() - (mask & image).bit_count() <= 1
+        ):
             return i
     return None
 

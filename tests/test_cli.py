@@ -58,6 +58,11 @@ def test_group_cap_zero_is_a_cap(capsys):
     assert "cap of 0" in capsys.readouterr().err
 
 
+def test_group_negative_cap_is_reported(capsys):
+    code = main(["group", "--type", "A", "--rank", "1", "--cap", "-1"])
+    assert_error_line(capsys, code, "--cap must be a nonnegative element count")
+
+
 def test_roots_graph_dot(capsys):
     code, out = run(capsys, "roots", "--type", "G", "--rank", "2",
                     "--format", "dot", "--graph")
@@ -269,6 +274,11 @@ def test_semiorder_unit_interval(capsys):
                     "--unit-interval", "0 1/2 7/5")
     assert code == 0
     assert "|W^A| = 3" in out
+
+
+def test_semiorder_unit_interval_zero_denominator(capsys):
+    code = main(["semiorder", "--unit-interval", "1/0 2"])
+    assert_error_line(capsys, code, "'1/0' has a zero denominator")
 
 
 @pytest.mark.parametrize("argv", [

@@ -43,13 +43,34 @@ def brute_force_ideals(poset):
 
 
 def test_poset_validation():
-    with pytest.raises(ValueError):
-        LabeledPoset(2, ((True, True), (True, True)))  # not antisymmetric
-    with pytest.raises(ValueError):
-        LabeledPoset(2, ((False, False), (False, True)))  # not reflexive
+    with pytest.raises(ValueError, match="relation must be antisymmetric"):
+        LabeledPoset(2, ((True, True), (True, True)))
+    with pytest.raises(ValueError, match="relation must be reflexive"):
+        LabeledPoset(2, ((False, False), (False, True)))
+    # 0 <= 1 <= 2 without 0 <= 2
+    with pytest.raises(ValueError, match="relation must be transitive"):
+        LabeledPoset(3, ((True, True, False), (False, True, True), (False, False, True)))
     chain = poset_from_covers(3, [(0, 1), (1, 2)])
     assert chain.covers() == [(0, 1), (1, 2)]
     assert chain.leq[0][2]
+
+
+def test_closure_of_pairs_in_any_orientation():
+    # heap_from_word passes (later, earlier) positions; the closure must not
+    # assume i < j.  Oracle: repeated boolean composition until stable.
+    pairs = [(4, 2), (2, 0), (3, 1), (1, 0), (5, 3), (4, 3)]
+    n = 6
+    leq = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
+                    leq[i][j] = changed = True
+    p = poset_from_covers(n, pairs)
+    assert p.leq == tuple(map(tuple, leq))
+    assert p.covers() == sorted(pairs)
 
 
 def test_small_ideal_counts():

@@ -304,6 +304,84 @@ def test_ideal_count_against_brute_force(family, rank):
     assert count_root_ideals(rs) == brute_force_ideal_count(rs)
 
 
+def cubic_hasse_edges(rs):
+    """Oracle: j covers i iff i < j with no k strictly between, O(N^3)."""
+    n = rs.num_positive_roots
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and rs.leq_indices(i, j) and not any(
+                k not in (i, j) and rs.leq_indices(i, k) and rs.leq_indices(k, j)
+                for k in range(n)
+            ):
+                edges.append((i, j))
+    return edges
+
+
+def recursive_ideal_masks(rs):
+    """Oracle: depth-first search by recursion, each node trying every
+    later index whose lower covers all lie in the mask."""
+    n = rs.num_positive_roots
+    cover_down = [0] * n
+    for i, j in cubic_hasse_edges(rs):
+        cover_down[j] |= 1 << i
+
+    def walk(mask, start):
+        yield mask
+        for x in range(start, n):
+            if not (mask >> x) & 1 and (cover_down[x] & mask) == cover_down[x]:
+                yield from walk(mask | (1 << x), x + 1)
+
+    return list(walk(0, 0))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_hasse_edges_match_cubic_definition(family, rank):
+    # B, C, F4 and G2 have s_i beta = beta + 2 alpha_i (or + 3 alpha_i), which
+    # is no cover; the definition does not use the reflections at all.
+    rs = build_root_system(family, rank)
+    assert hasse_edges(rs) == cubic_hasse_edges(rs)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_ideal_walk_matches_recursive_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    assert list(iter_ideal_masks(rs)) == recursive_ideal_masks(rs)
+
+
+def degrees(family, rank):
+    """Degrees of the basic invariants of the Weyl group."""
+    if family == "A":
+        return list(range(2, rank + 2))
+    if family in "BC":
+        return list(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return list(range(2, 2 * rank - 1, 2)) + [rank]
+    return {
+        ("E", 6): [2, 5, 6, 8, 9, 12],
+        ("E", 7): [2, 6, 8, 10, 12, 14, 18],
+        ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
+        ("F", 4): [2, 6, 8, 12],
+        ("G", 2): [2, 6],
+    }[family, rank]
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_ideal_counts_are_catalan(family, rank):
+    # Cellini-Papi: the root-poset ideals number prod (h + d_i) / d_i,
+    # h the Coxeter number (the largest degree).
+    ds = degrees(family, rank)
+    h = max(ds)
+    catalan = Fraction(1)
+    for d in ds:
+        catalan *= Fraction(h + d, d)
+    rs = build_root_system(family, rank)
+    assert 2 * rs.num_positive_roots == rank * h
+    assert count_root_ideals(rs) == catalan
+    if (family, rank) == ("E", 8):
+        assert catalan == 25080
+
+
 def test_ideal_stream_unique_and_closed():
     rs = build_root_system("B", 3)
     seen = set()

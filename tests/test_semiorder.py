@@ -23,7 +23,7 @@ from coxbalance.semiorder import (
     scan_exit_witnesses,
     single_exit_simple,
 )
-from coxbalance.verify import SEMIORDER_TYPES
+from coxbalance.verify import EXIT_SCAN_TYPES, SEMIORDER_TYPES
 
 THIRD = Fraction(1, 3)
 
@@ -184,9 +184,10 @@ def test_reflection_element_matches_fraction_reflect(family, rank):
         assert semiorder._reflection_element(rs, k).action == fraction_reflection_action(rs, k)
 
 
-@pytest.mark.parametrize("rank", [6, 7])
-def test_exit_table_agrees_with_exit_roots(rank):
-    rs = build_root_system("E", rank)
+@pytest.mark.parametrize("family,rank", EXIT_SCAN_TYPES + (("E", 6), ("E", 7)))
+def test_exit_table_agrees_with_exit_roots(family, rank):
+    # the bit-count rule |I & P_i| - |I & Q_i| against the per-root count
+    rs = build_root_system(family, rank)
     table = semiorder._exit_table(rs)
     for mask in iter_ideal_masks(rs):
         if mask:
