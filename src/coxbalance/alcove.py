@@ -62,9 +62,9 @@ def alcove_params(rs: RootSystem) -> AlcoveParams:
     return AlcoveParams(
         family=rs.family,
         rank=rs.rank,
-        min_mark=int(m0),
-        max_mark=int(m1),
-        height=int(ht),
+        min_mark=m0,
+        max_mark=m1,
+        height=ht,
         margin=margin,
         exponent=margin * m1,
     )
@@ -84,7 +84,7 @@ def alcove_data(rs: RootSystem) -> AlcoveData:
     marks = rs.coefficients[rs.highest_root_index]
     verts = [zero(rs.ambient_dim)]
     for i in range(rs.rank):
-        verts.append(scale(Fraction(1, 1) / marks[i], rs.coweights[i]))
+        verts.append(scale(Fraction(1, marks[i]), rs.coweights[i]))
     centroid = zero(rs.ambient_dim)
     for v in verts:
         centroid = add(centroid, v)
@@ -174,11 +174,11 @@ def _root_tables(rs: RootSystem) -> _RootTables:
     key = (rs.family, rs.rank)
     tables = _TABLES.get(key)
     if tables is None:
-        marks = [int(m) for m in rs.coefficients[rs.highest_root_index]]
+        marks = rs.coefficients[rs.highest_root_index]
         lcm_marks = lcm(*marks)
         weights = [lcm_marks // m for m in marks]
         pairing = [
-            sum(int(c) * w for c, w in zip(coeffs, weights))
+            sum(c * w for c, w in zip(coeffs, weights))
             for coeffs in rs.coefficients
         ]
         tables = _TABLES[key] = _RootTables(

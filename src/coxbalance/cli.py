@@ -106,7 +106,7 @@ def cmd_group(args) -> int:
 
 
 def _build_set(args, ctx):
-    given = [s for s in (args.interval, args.hull, args.set, args.ideal_roots) if s]
+    given = [s for s in (args.interval, args.hull, args.set, args.ideal_roots) if s is not None]
     if len(given) != 1:
         raise ValueError("give exactly one of --interval, --hull, --set, --ideal-roots")
     if args.interval is not None:

@@ -245,13 +245,16 @@ def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
     """
     if sys.word_length(word) != len(word):
         raise NotReducedError(word)
-    n = len(word)
     covers = []
-    for j in range(n):
-        for k in range(j):
-            if sys.coxeter_m(word[j], word[k]) != 2:
+    last: Dict[int, int] = {}  # letter -> its last position so far
+    for j, a in enumerate(word):
+        # Earlier occurrences of a letter lie above its last one, so these
+        # pairs have the same closure as all non-commuting pairs.
+        for b, k in last.items():
+            if sys.coxeter_m(a, b) != 2:
                 covers.append((j, k))  # position j (later) lies below position k
-    return poset_from_covers(n, covers, labels=tuple(word))
+        last[a] = j
+    return poset_from_covers(len(word), covers, labels=tuple(word))
 
 
 def claw_chain(k: int, length: int) -> LabeledPoset:

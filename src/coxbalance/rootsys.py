@@ -6,12 +6,14 @@ roots, and order-ideal enumeration over the root poset.  Inner products are
 the ambient Euclidean dot product.
 
 The roots are generated as integer vectors in simple-root coordinates, where
-s_i(c) = c - <c, alpha_i^vee> e_i with the integer Cartan matrix.  The public
-fields ``positive_roots`` (ambient coordinates), ``coefficients`` (simple-root
-coordinates) and ``coweights`` are ``Fraction`` tuples.  The private tables are
-integers: the root-poset bitmasks ``_leq``/``_down``, the signed simple action
+s_i(c) = c - <c, alpha_i^vee> e_i with the integer Cartan matrix read off the
+doubled simple roots.  Every stored field is an integer table:
+``coefficients`` (simple-root coordinates of each positive root), the
+root-poset bitmasks ``_leq``/``_down``, the signed simple action
 ``_simple_action``, and ``_doubled``, twice the ambient coordinates of each
-positive root (integral in every supported type), with its inverse map.
+positive root (integral in every supported type), with its inverse map.  The
+``Fraction`` views ``positive_roots`` (ambient coordinates) and ``coweights``
+are computed from those tables on first access.
 
 Coordinate conventions for the classical families:
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import Vector, bits, dot, invert, is_zero, neg, scale, sub, vec
@@ -126,22 +129,18 @@ _RANK_OK = {
 class RootSystem:
     """An irreducible crystallographic root system.
 
-    ``positive_roots`` is sorted by (height, coordinates) so every stream
-    derived from it is deterministic.  ``coweights`` are the dual basis of
-    the simple roots inside their span.
+    The positive roots are sorted by (height, coordinates) so every stream
+    derived from them is deterministic.
     """
 
     family: Family
     rank: int
     ambient_dim: int
-    positive_roots: Tuple[Vector, ...]
     simple_indices: Tuple[int, ...]
-    coweights: Tuple[Vector, ...]
-    coefficients: Tuple[Vector, ...]  # simple-root coordinates per positive root
+    coefficients: Tuple[Tuple[int, ...], ...]  # simple-root coordinates per positive root
     heights: Tuple[int, ...]
     highest_root_index: int
     highest_short_root_index: Optional[int]
-    _index: Dict[Vector, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
     _leq: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
     _down: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
     _simple_action: Tuple[Tuple[int, ...], ...] = field(
@@ -159,9 +158,27 @@ class RootSystem:
 
     # -- basic accessors ---------------------------------------------------
 
+    @cached_property
+    def positive_roots(self) -> Tuple[Vector, ...]:
+        """Ambient coordinates of the positive roots."""
+        return tuple(tuple(Fraction(x, 2) for x in d) for d in self._doubled)
+
+    @cached_property
+    def coweights(self) -> Tuple[Vector, ...]:
+        """The dual basis of the simple roots inside their span."""
+        simples = self.simple_roots
+        ginv = invert(tuple(tuple(dot(a, b) for b in simples) for a in simples))
+        return tuple(
+            tuple(
+                sum((ginv[j][k] * simples[k][t] for k in range(self.rank)), Fraction(0))
+                for t in range(self.ambient_dim)
+            )
+            for j in range(self.rank)
+        )
+
     @property
     def num_positive_roots(self) -> int:
-        return len(self.positive_roots)
+        return len(self.heights)
 
     @property
     def simple_roots(self) -> Tuple[Vector, ...]:
@@ -179,7 +196,7 @@ class RootSystem:
 
     def index_of(self, root: Vector) -> int:
         """Index of a positive root in the canonical ordering."""
-        return self._index[root]
+        return self._doubled_index[tuple(2 * x for x in root)]
 
     def root_label(self) -> str:
         return f"{self.family}{self.rank}"
@@ -214,11 +231,13 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     """Construct the root system of the given irreducible type."""
     if family not in _RANK_OK or not isinstance(rank, int) or not _RANK_OK[family](rank):
         raise InvalidTypeError(family, rank)
-    simples = simple_roots(family, rank)
-    ambient = len(simples[0])
-    gram = tuple(tuple(dot(a, b) for b in simples) for a in simples)
+    # Twice the ambient coordinates are integers (E8 and F4 have half-integer
+    # simple roots) and sort exactly like the Fraction coordinates.
+    doubled_simples = [tuple(int(2 * x) for x in a) for a in simple_roots(family, rank)]
+    ambient = len(doubled_simples[0])
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in doubled_simples] for a in doubled_simples]
     # cartan[j][i] = <alpha_j, alpha_i^vee>, an integer in every supported type.
-    cartan = [[int(2 * gram[j][i] / gram[i][i]) for i in range(rank)] for j in range(rank)]
+    cartan = [[2 * gram[j][i] // gram[i][i] for i in range(rank)] for j in range(rank)]
 
     def simple_reflection(c: Tuple[int, ...], i: int) -> Tuple[int, ...]:
         """s_i(c) = c - <c, alpha_i^vee> e_i in simple-root coordinates."""
@@ -240,10 +259,6 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
                     new.append(img)
         frontier = new
 
-    # Twice the ambient coordinates are integers (E8 and F4 have half-integer
-    # simple roots) and sort exactly like the Fraction coordinates.
-    doubled_simples = [tuple(int(2 * x) for x in a) for a in simples]
-
     def doubled(c: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(
             sum(c[j] * doubled_simples[j][t] for j in range(rank) if c[j])
@@ -253,22 +268,9 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     ordered = sorted((sum(c), doubled(c), c) for c in found)
     heights = tuple(t[0] for t in ordered)
     doubled_roots = tuple(t[1] for t in ordered)
-    coords = [t[2] for t in ordered]
-    pos_roots = tuple(tuple(Fraction(x, 2) for x in d) for d in doubled_roots)
-    pos_coeffs = tuple(tuple(Fraction(x) for x in c) for c in coords)
-    index = {beta: i for i, beta in enumerate(pos_roots)}
+    coords = tuple(t[2] for t in ordered)
     coord_index = {c: i for i, c in enumerate(coords)}
     simple_idx = tuple(coord_index[u] for u in units)
-
-    # Dual basis of the simple roots within their span.
-    ginv = invert(gram)
-    coweights = tuple(
-        tuple(
-            sum((ginv[j][k] * simples[k][t] for k in range(rank)), Fraction(0))
-            for t in range(ambient)
-        )
-        for j in range(rank)
-    )
 
     n = len(coords)
     # leq[i] = bitmask of j with root_i <= root_j in the root poset, and
@@ -316,14 +318,11 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         family=family,
         rank=rank,
         ambient_dim=ambient,
-        positive_roots=pos_roots,
         simple_indices=simple_idx,
-        coweights=coweights,
-        coefficients=pos_coeffs,
+        coefficients=coords,
         heights=heights,
         highest_root_index=highest,
         highest_short_root_index=short_idx,
-        _index=index,
         _leq=tuple(leq),
         _down=tuple(down),
         _simple_action=tuple(action),
@@ -345,9 +344,10 @@ def root_poset_leq(rs: RootSystem, beta1: Vector, beta2: Vector) -> bool:
 
 def height(rs: RootSystem, beta: Vector) -> int:
     """Height of any root (negative for negative roots)."""
-    if beta in rs._index:
+    try:
         return rs.heights[rs.index_of(beta)]
-    return -rs.heights[rs.index_of(neg(beta))]
+    except KeyError:
+        return -rs.heights[rs.index_of(neg(beta))]
 
 
 def _covers(rs: RootSystem) -> Tuple[List[int], List[int]]:

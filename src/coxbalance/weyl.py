@@ -225,23 +225,18 @@ def longest_element(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> WeylEleme
 
 
 def one_line(w: WeylElement) -> Tuple[int, ...]:
-    """One-line notation for a type A element, as a permutation of 1..n."""
+    """One-line notation for a type A element, as a permutation of 1..n.
+
+    w(e_1 - e_{j+1}) = e_{pi(1)} - e_{pi(j+1)} is read off the signed action:
+    its doubled coordinates are 2 at position pi(1) and -2 at pi(j+1).
+    """
     rs = w.root_system
     if rs.family != "A":
         raise ValueError("one-line notation is defined for type A only")
     n = rs.rank + 1
     perm = [0] * n
-    if rs.rank == 0:
-        return (1,)
-    # w(e_1 - e_j) has +1 at position pi(1) and -1 at position pi(j).
-    base = None
-    for j in range(2, n + 1):
-        img = w.apply(
-            tuple((1 if t == 0 else 0) - (1 if t == j - 1 else 0) for t in range(n))
-        )
-        plus = img.index(1)
-        minus = img.index(-1)
-        base = plus
-        perm[j - 1] = minus + 1
-    perm[0] = base + 1
+    for j in range(1, n):
+        img = w.action[rs._doubled_index[(2,) + (0,) * (j - 1) + (-2,) + (0,) * (n - j - 1)]]
+        d = [x if img > 0 else -x for x in rs._doubled[abs(img) - 1]]
+        perm[0], perm[j] = d.index(2) + 1, d.index(-2) + 1
     return tuple(perm)

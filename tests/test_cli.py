@@ -77,6 +77,13 @@ def test_balance_interval(capsys):
     assert "b(C) = 1/3" in out
 
 
+@pytest.mark.parametrize("selector", ["--interval", "--hull", "--set", "--ideal-roots"])
+def test_balance_empty_selector_is_the_identity(capsys, selector):
+    code, out = run(capsys, "balance", "--type", "A", "--rank", "2", selector, "")
+    assert code == 0
+    assert "|C| = 1\n" in out
+
+
 def assert_error_line(capsys, code, message):
     captured = capsys.readouterr()
     assert code == 2
@@ -95,6 +102,8 @@ def test_balance_requires_one_selector(capsys):
     (["balance", "--type", "A", "--rank", "2", "--interval", "1", "--set", "1"],
      "give exactly one of --interval"),
     (["semiorder", "--type", "E", "--rank", "7"], "pass --e8 to run the large scan"),
+    (["balance", "--type", "A", "--rank", "2", "--interval", "", "--hull", "1"],
+     "give exactly one of --interval"),
 ])
 def test_usage_errors_are_reported(capsys, argv, message):
     assert_error_line(capsys, main(argv), message)

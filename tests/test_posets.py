@@ -1,5 +1,6 @@
 """Posets, heaps, ideal statistics, and the heap-side checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,43 @@ def test_heap_affine_four_cycle():
     assert heap.balance() == Fraction(2, 7)
     # complete bipartite: both of s1, s3 below both of s2, s4
     assert sorted(heap.covers()) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+def all_pairs_heap(sys, word):
+    """Oracle: relate every pair of positions whose letters do not commute."""
+    covers = [
+        (j, k) for j in range(len(word)) for k in range(j)
+        if sys.coxeter_m(word[j], word[k]) != 2
+    ]
+    return poset_from_covers(len(word), covers, labels=tuple(word))
+
+
+def random_reduced_word(sys, rank, length, rng):
+    """Append random letters that raise the length, up to ``length`` tries."""
+    word = []
+    for _ in range(length):
+        letter = rng.randint(1, rank)
+        if sys.word_length(word + [letter]) == len(word) + 1:
+            word.append(letter)
+    return word
+
+
+HEAP_GROUPS = {
+    **{f"{f}{r}": (WeylContext(build_root_system(f, r)), r)
+       for f, r in [("A", 4), ("B", 3), ("D", 4), ("G", 2), ("F", 4)]},
+    "path-4-6": (build_system(path_matrix(3, [4, 6])), 3),
+    "path-inf-3-4": (build_system(path_matrix(4, [INF, 3, 4])), 4),
+    "cycle-4": (build_system(cycle_matrix(4)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(HEAP_GROUPS))
+def test_heap_matches_all_pairs_rule(name):
+    sys, rank = HEAP_GROUPS[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        word = random_reduced_word(sys, rank, 24, rng)
+        assert heap_from_word(sys, word).leq == all_pairs_heap(sys, word).leq, word
 
 
 def test_heap_rejects_non_reduced():

@@ -51,6 +51,7 @@ def fraction_route_fields(family, rank):
 
     Phi is the orbit of the simple roots under ``reflect``, coefficients are
     read off the coweights, and the simple action reflects Fraction vectors.
+    The stored fields come in declaration order, followed by the ``VIEWS``.
     """
     simples = simple_roots(family, rank)
     ambient = len(simples[0])
@@ -114,21 +115,23 @@ def fraction_route_fields(family, rank):
         "family": family,
         "rank": rank,
         "ambient_dim": ambient,
-        "positive_roots": pos_roots,
         "simple_indices": tuple(index[a] for a in simples),
-        "coweights": coweights,
         "coefficients": coeffs,
         "heights": tuple(int(p[0]) for p in positives),
         "highest_root_index": n - 1,
         "highest_short_root_index": short_idx,
-        "_index": index,
         "_leq": leq,
         "_down": down,
         "_simple_action": action,
         "_doubled": doubled,
         "_doubled_index": {d: i for i, d in enumerate(doubled)},
         "_coxeter": coxeter,
+        "positive_roots": pos_roots,
+        "coweights": coweights,
     }
+
+
+VIEWS = ("positive_roots", "coweights")
 
 
 ALL_TYPES = (
@@ -144,11 +147,15 @@ ALL_TYPES = (
 def test_build_matches_fraction_route(family, rank):
     rs = build_root_system(family, rank)
     expected = fraction_route_fields(family, rank)
-    assert [f.name for f in dataclasses.fields(rs)] == list(expected)
+    stored = [name for name in expected if name not in VIEWS]
+    assert [f.name for f in dataclasses.fields(rs)] == stored
     for name, value in expected.items():
         assert getattr(rs, name) == value, name
-    for name in ("positive_roots", "coefficients", "coweights"):
+    for i, beta in enumerate(expected["positive_roots"]):
+        assert rs.index_of(beta) == i
+    for name in VIEWS:
         assert all(type(x) is Fraction for row in getattr(rs, name) for x in row), name
+    assert all(type(x) is int for row in rs.coefficients for x in row)
 
 
 CLASSICAL_COUNTS = [
@@ -237,6 +244,19 @@ def test_root_poset_and_heights():
             assert height(rs, s) == 1
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("F", 4), ("G", 2), ("E", 8)])
+def test_index_of_rejects_non_roots(family, rank):
+    rs = build_root_system(family, rank)
+    for i, beta in enumerate(rs.positive_roots):
+        assert rs.index_of(beta) == i
+        assert height(rs, neg(beta)) == -rs.heights[i]
+        for other in (tuple(x / 2 for x in beta), neg(beta), beta + (Fraction(0),)):
+            with pytest.raises(KeyError):
+                rs.index_of(other)
+    with pytest.raises(KeyError):
+        height(rs, tuple(x / 2 for x in rs.highest_root))
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)])
 def test_hasse_covers_raise_height_by_one(family, rank):
     rs = build_root_system(family, rank)
@@ -276,7 +296,7 @@ def test_b3_root_graph_has_short_root_jump():
     ]
     assert jumps
     # each jump is a reflection in the short simple root e3
-    short_simple = rs.simple_indices.index(rs._index[vec((0, 0, 1))]) + 1
+    short_simple = rs.simple_indices.index(rs.index_of(vec((0, 0, 1)))) + 1
     assert all(s == short_simple for _, _, s in jumps)
 
 

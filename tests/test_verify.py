@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from coxbalance.cli import main
-from coxbalance.rootsys import build_root_system
+from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.verify import (
     VerificationReport,
     classify_fc_equality,
@@ -114,3 +114,17 @@ def test_campaign_output_matches_expected_bytes(tmp_path, capsys, argv):
     capsys.readouterr()
     expected = (EXPECTED_DIR / f"{argv[0]}.json").read_bytes()
     assert out.read_bytes() == expected
+
+
+def test_campaigns_read_no_fraction_views(monkeypatch, capsys):
+    """Every campaign and the E6 group run on the integer tables alone."""
+    def unused(rs):
+        raise AssertionError("Fraction view read")
+
+    monkeypatch.setattr(RootSystem, "positive_roots", property(unused))
+    monkeypatch.setattr(RootSystem, "coweights", property(unused))
+    for rep in run_campaign("all", include_big=True):
+        assert rep.all_passed, rep.table()
+    assert main(["group", "--type", "E", "--rank", "6"]) == 0
+    expected = (EXPECTED_DIR / "group-E6.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected

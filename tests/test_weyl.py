@@ -241,3 +241,16 @@ def test_one_line_notation():
     assert sorted(one_line(w)) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         one_line(identity(build_root_system("B", 2)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_one_line_matches_ambient_action(rank):
+    """Oracle: w(e_1 - e_j) = e_{pi(1)} - e_{pi(j)} through ``apply``."""
+    rs = build_root_system("A", rank)
+    n = rank + 1
+    for w, _ in all_elements(rs):
+        perm = [0] * n
+        for j in range(1, n):
+            img = w.apply(tuple((t == 0) - (t == j) for t in range(n)))
+            perm[0], perm[j] = img.index(1) + 1, img.index(-1) + 1
+        assert one_line(w) == tuple(perm)
