@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 
 from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
 from .convex import WeylContext
+from .linalg import bits
 from .rootsys import (
     RootSystem,
     build_root_system,
@@ -25,10 +26,6 @@ from .rootsys import (
     root_graph_dot,
     roots_json,
 )
-
-
-def _frac(x: Fraction) -> dict:
-    return fraction_json(x)
 
 
 def _parse_word(text: str) -> List[int]:
@@ -156,8 +153,8 @@ def cmd_heap(args) -> int:
     _write_out(args, {
         "word": word,
         "ideal_count": count,
-        "balance": _frac(balance),
-        "fractions": [_frac(f) for f in fracs],
+        "balance": fraction_json(balance),
+        "fractions": [fraction_json(f) for f in fracs],
         "poset": json.loads(posets.poset_json(heap)),
     })
     return 0
@@ -185,8 +182,8 @@ def cmd_semiorder(args) -> int:
         _write_out(args, {
             "type": label,
             "size": gs.size,
-            "balance": _frac(b),
-            "ideal": sorted(gs.ideal.members),
+            "balance": fraction_json(b),
+            "ideal": list(bits(gs.mask)),
         })
         return 0
     rs = _root_system(args)
@@ -206,7 +203,7 @@ def cmd_semiorder(args) -> int:
     text = f"{rs.root_label()}: {scanned} nonempty ideals, single-exit witness everywhere: {ok}"
     if rs.num_positive_roots <= 12:
         mb = semiorder.min_semiorder_balance(rs)
-        line["min_balance"] = _frac(mb)
+        line["min_balance"] = fraction_json(mb)
         text += f", min balance {mb}"
     print(text)
     _write_out(args, line)
@@ -224,8 +221,8 @@ def cmd_alcove(args) -> int:
         "min_mark": p.min_mark,
         "max_mark": p.max_mark,
         "height": p.height,
-        "margin": _frac(p.margin),
-        "exponent": _frac(p.exponent),
+        "margin": fraction_json(p.margin),
+        "exponent": fraction_json(p.exponent),
     }
     if args.interval is not None:
         ctx = WeylContext(rs)
@@ -256,8 +253,8 @@ def cmd_alcove(args) -> int:
             print(f"balance above 1/(2e): {short_ok}")
         payload.update({
             "set_size": len(c),
-            "balance": _frac(b),
-            "centroid": [_frac(x) for x in o],
+            "balance": fraction_json(b),
+            "centroid": [fraction_json(x) for x in o],
             "mean_height_witness": h_root,
             "centroid_split_witness": s_root,
             "exp_bound_ok": bound_ok,
@@ -271,10 +268,10 @@ def cmd_alcove(args) -> int:
             print("short-root alcove vertices:")
             for v in data.short_vertices:
                 print(f"  ({', '.join(map(str, v))})")
-        payload["vertices"] = [[_frac(x) for x in v] for v in data.vertices]
+        payload["vertices"] = [[fraction_json(x) for x in v] for v in data.vertices]
         if data.short_vertices is not None:
             payload["short_vertices"] = [
-                [_frac(x) for x in v] for v in data.short_vertices
+                [fraction_json(x) for x in v] for v in data.short_vertices
             ]
     _write_out(args, payload)
     return 0

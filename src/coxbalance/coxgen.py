@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 INF = None  # infinite edge label
 
@@ -345,24 +345,30 @@ def _check_reduced(sys, word: Sequence[int]) -> None:
         raise NotReducedError(word)
 
 
-def commutation_class(sys, word: Sequence[int]) -> List[Tuple[int, ...]]:
-    """All words reachable from a reduced word by swapping commuting letters.
-
-    Returned sorted, so the class is deterministic.
-    """
+def _commutation_walk(sys, word: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Each word reachable from a reduced word by swapping commuting letters,
+    once, depth first; a word's neighbours are found only after it is yielded."""
     _check_reduced(sys, word)
     start = tuple(word)
     seen: Set[Tuple[int, ...]] = {start}
     stack = [start]
     while stack:
         w = stack.pop()
+        yield w
         for p in range(len(w) - 1):
             if sys.coxeter_m(w[p], w[p + 1]) == 2:
                 w2 = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
                 if w2 not in seen:
                     seen.add(w2)
                     stack.append(w2)
-    return sorted(seen)
+
+
+def commutation_class(sys, word: Sequence[int]) -> List[Tuple[int, ...]]:
+    """All words reachable from a reduced word by swapping commuting letters.
+
+    Returned sorted, so the class is deterministic.
+    """
+    return sorted(_commutation_walk(sys, word))
 
 
 def _has_braid_factor(sys, word: Tuple[int, ...]) -> bool:
@@ -385,19 +391,8 @@ def _has_braid_factor(sys, word: Tuple[int, ...]) -> bool:
 
 
 def is_fully_commutative(sys, word: Sequence[int]) -> bool:
-    """True iff no word in the commutation class admits a braid move."""
-    _check_reduced(sys, word)
-    start = tuple(word)
-    seen: Set[Tuple[int, ...]] = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        if _has_braid_factor(sys, w):
-            return False
-        for p in range(len(w) - 1):
-            if sys.coxeter_m(w[p], w[p + 1]) == 2:
-                w2 = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
-    return True
+    """True iff no word in the commutation class admits a braid move.
+
+    Stops at the first word that admits one.
+    """
+    return not any(_has_braid_factor(sys, w) for w in _commutation_walk(sys, word))

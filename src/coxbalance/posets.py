@@ -1,5 +1,11 @@
 """Finite posets with optional generator labels: heaps, order ideals, balance.
 
+A poset on ids 0..n-1 keeps its order relation as one bitmask row per
+element, bit j of row i set iff i <= j, as the root posets of
+:mod:`rootsys` do.  :func:`walk_order_ideals` is the package's one
+order-ideal walker: it runs along a given linear extension and serves both
+these posets and the root posets (:func:`rootsys.iter_ideal_masks`).
+
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
 built from reduced words of a Coxeter system and carry the word positions
@@ -12,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import NotReducedError
@@ -42,18 +48,19 @@ class PosetSizeError(ValueError):
 class LabeledPoset:
     """Finite poset on ids 0..n-1 with an optional generator label per element.
 
-    ``leq`` is the full reflexive order relation as row tuples of booleans:
-    leq[i][j] True iff i <= j.
+    ``rows`` is the reflexive order relation, one bitmask per element: bit j
+    of rows[i] is set iff i <= j.
     """
 
     n: int
-    leq: Tuple[Tuple[bool, ...], ...]
+    rows: Tuple[int, ...]
     labels: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        if len(self.leq) != self.n or any(len(r) != self.n for r in self.leq):
-            raise ValueError("leq must be an n x n table")
-        rows = self._rows
+        full = (1 << self.n) - 1
+        if len(self.rows) != self.n or any(row & ~full for row in self.rows):
+            raise ValueError("rows must be n bitmasks over the n elements")
+        rows = self.rows
         for i, row in enumerate(rows):
             if not (row >> i) & 1:
                 raise ValueError("relation must be reflexive")
@@ -68,98 +75,72 @@ class LabeledPoset:
     # -- structure ----------------------------------------------------------
 
     @cached_property
-    def _rows(self) -> Tuple[int, ...]:
-        # bit j of row i is set iff i <= j
-        return tuple(sum(1 << j for j, le in enumerate(row) if le) for row in self.leq)
-
-    @cached_property
-    def _covers(self) -> Tuple[Tuple[int, int], ...]:
+    def _cover_masks(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Lower and upper cover bitmasks of each element."""
         # j covers i iff j lies above i but above no element strictly above i.
-        above = [row & ~(1 << i) for i, row in enumerate(self._rows)]
-        out = []
-        for i, cover in enumerate(above):
-            for k in bits(above[i]):
+        above = [row & ~(1 << i) for i, row in enumerate(self.rows)]
+        upper = []
+        for a in above:
+            cover = a
+            for k in bits(a):
                 cover &= ~above[k]
-            out.extend((i, j) for j in bits(cover))
-        return tuple(out)
+            upper.append(cover)
+        return _transpose(upper), tuple(upper)
 
     def covers(self) -> List[Tuple[int, int]]:
         """Pairs (i, j) with j covering i (transitive reduction)."""
-        return list(self._covers)
+        return [(i, j) for i, u in enumerate(self._cover_masks[1]) for j in bits(u)]
 
     def upper_covers(self, x: int) -> List[int]:
-        return [j for i, j in self._covers if i == x]
+        return list(bits(self._cover_masks[1][x]))
 
     def lower_covers(self, x: int) -> List[int]:
-        return [i for i, j in self._covers if j == x]
+        return list(bits(self._cover_masks[0][x]))
 
     def dual(self) -> "LabeledPoset":
-        return LabeledPoset(
-            self.n,
-            tuple(tuple(self.leq[j][i] for j in range(self.n)) for i in range(self.n)),
-            self.labels,
-        )
+        return LabeledPoset(self.n, _transpose(self.rows), self.labels)
 
     def components(self) -> List[List[int]]:
         """Connected components of the comparability graph, sorted."""
-        seen = set()
+        below = _transpose(self.rows)
+        seen = 0
         comps = []
         for start in range(self.n):
-            if start in seen:
+            if (seen >> start) & 1:
                 continue
-            comp = {start}
+            comp = 1 << start
             stack = [start]
             while stack:
                 i = stack.pop()
-                for j in range(self.n):
-                    if j not in comp and (self.leq[i][j] or self.leq[j][i]):
-                        comp.add(j)
-                        stack.append(j)
+                new = (self.rows[i] | below[i]) & ~comp
+                comp |= new
+                stack.extend(bits(new))
             seen |= comp
-            comps.append(sorted(comp))
+            comps.append(list(bits(comp)))
         return comps
 
     def restrict(self, ids: Sequence[int]) -> "LabeledPoset":
         ids = list(ids)
-        sub = tuple(tuple(self.leq[i][j] for j in ids) for i in ids)
+        rows = tuple(
+            sum(1 << k for k, j in enumerate(ids) if (self.rows[i] >> j) & 1) for i in ids
+        )
         labels = tuple(self.labels[i] for i in ids) if self.labels is not None else None
-        return LabeledPoset(len(ids), sub, labels)
+        return LabeledPoset(len(ids), rows, labels)
 
     # -- order ideals ---------------------------------------------------------
-
-    def _linear_extension(self) -> List[int]:
-        order = sorted(range(self.n), key=lambda i: (sum(self.leq[j][i] for j in range(self.n)), i))
-        return order
 
     def iter_ideal_masks(self, cap: Optional[int] = IDEAL_CAP) -> Iterator[int]:
         """Every order ideal as a bitmask over element ids, each exactly once.
 
-        Raises :class:`IdealCapExceeded` when a further ideal follows the
-        ``cap``-th one (``None`` for no cap).
+        Walks along the linear extension that sorts the elements by the
+        number of elements below them, then by id.  Raises
+        :class:`IdealCapExceeded` when a further ideal follows the ``cap``-th
+        one (``None`` for no cap).
         """
-        topo = self._linear_extension()
-        cover_down = [0] * self.n
-        for i, j in self._covers:
-            cover_down[j] |= 1 << i
-
-        # Depth-first, each ideal extended only by elements after its last
-        # one in ``topo``; an explicit stack, so no recursion limit applies.
-        stack = [(0, 0)]
-        count = 0
-        while stack:
-            if count == cap:
-                raise IdealCapExceeded(cap)
-            count += 1
-            mask, start = stack.pop()
-            yield mask
-            for p in range(self.n - 1, start - 1, -1):
-                x = topo[p]
-                if not (mask >> x) & 1 and (cover_down[x] & mask) == cover_down[x]:
-                    stack.append((mask | (1 << x), p + 1))
-
-    def order_ideals(self, cap: Optional[int] = IDEAL_CAP) -> Iterator[frozenset]:
-        for mask in self.iter_ideal_masks(cap):
-            yield frozenset(i for i in range(self.n) if (mask >> i) & 1)
+        lower, upper = self._cover_masks
+        below = _transpose(self.rows)
+        order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
+        return walk_order_ideals(order, lower, upper, cap)
 
     def ideal_count(self, cap: Optional[int] = IDEAL_CAP) -> int:
         return sum(1 for _ in self.iter_ideal_masks(cap))
@@ -181,9 +162,6 @@ class LabeledPoset:
         """For each element, the exact fraction of order ideals containing it."""
         return self.ideal_statistics()[1]
 
-    def ideal_fraction(self, x: int) -> Fraction:
-        return self.ideal_fractions()[x]
-
     def balance(self) -> Fraction:
         """max over elements of min(fraction, 1 - fraction); 0 for the empty poset."""
         return fraction_balance(self.ideal_fractions())
@@ -192,20 +170,75 @@ class LabeledPoset:
         """Brute-force count of order-preserving bijections onto 1..n (n <= 8)."""
         if self.n > 8:
             raise PosetSizeError(self.n, 8)
-        count = 0
+        pairs = [(i, j) for i, row in enumerate(self.rows) for j in bits(row)]
+        total = 0
         for perm in permutations(range(self.n)):
             # perm[k] = element placed at position k
             pos = [0] * self.n
             for k, x in enumerate(perm):
                 pos[x] = k
-            if all(
-                pos[i] <= pos[j]
-                for i in range(self.n)
-                for j in range(self.n)
-                if self.leq[i][j]
-            ):
-                count += 1
-        return count
+            if all(pos[i] <= pos[j] for i, j in pairs):
+                total += 1
+        return total
+
+
+def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
+    """The rows of the dual relation: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def walk_order_ideals(order: Sequence[int], lower: Sequence[int], upper: Sequence[int],
+                      cap: Optional[int] = None) -> Iterator[int]:
+    """Every order ideal of a finite poset as a bitmask over element ids, each
+    exactly once.
+
+    ``order`` is a linear extension, the element ids with each one after
+    every element below it; ``lower[x]`` and ``upper[x]`` are the bitmasks
+    of the lower and upper covers of element x.  Raises
+    :class:`IdealCapExceeded` when a further ideal follows the ``cap``-th one
+    (``None`` for no cap).
+
+    Depth first, each ideal extended only by elements after its last one in
+    ``order``, on an explicit stack, so no recursion limit applies.  Each
+    stack entry carries ``cand``, the positions in ``order`` of the elements
+    addable to its mask after the last one added.  A child adding the
+    element at position p keeps the bits of ``cand`` above p and gains the
+    upper covers of that element whose lower covers now all lie in the
+    mask; no other element changes status.
+    """
+    pos = [0] * len(order)
+    for p, x in enumerate(order):
+        pos[x] = p
+    # per position: the id bit of its element, and the position bit and
+    # lower covers of each of that element's upper covers
+    step = [(1 << x, [(1 << pos[y], lower[y]) for y in bits(upper[x])]) for x in order]
+    stack = [(0, sum(1 << p for p, x in enumerate(order) if not lower[x]))]
+    # one pass per ideal, at most ``cap`` of them
+    for _ in count() if cap is None else range(cap):
+        if not stack:
+            return
+        mask, cand = stack.pop()
+        yield mask
+        later = 0
+        # last position first, so that the children pop in increasing order
+        while cand:
+            p = cand.bit_length() - 1
+            pbit = 1 << p
+            cand ^= pbit
+            xbit, grow = step[p]
+            child = mask | xbit
+            new = later
+            for ybit, ylower in grow:
+                if ylower & child == ylower:
+                    new |= ybit
+            stack.append((child, new))
+            later |= pbit
+    if stack:
+        raise IdealCapExceeded(cap)
 
 
 def fraction_balance(fractions: Sequence[Fraction]) -> Fraction:
@@ -226,11 +259,7 @@ def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]],
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return LabeledPoset(
-        n,
-        tuple(tuple(bool((row >> j) & 1) for j in range(n)) for row in rows),
-        tuple(labels) if labels is not None else None,
-    )
+    return LabeledPoset(n, tuple(rows), tuple(labels) if labels is not None else None)
 
 
 # -- heaps --------------------------------------------------------------------
@@ -302,7 +331,7 @@ def heap_respects_diagram(poset: LabeledPoset, sys) -> bool:
     for i in range(poset.n):
         for j in range(i + 1, poset.n):
             m = sys.coxeter_m(poset.labels[i], poset.labels[j])
-            if m != 2 and not (poset.leq[i][j] or poset.leq[j][i]):
+            if m != 2 and not ((poset.rows[i] >> j) & 1 or (poset.rows[j] >> i) & 1):
                 return False
     return True
 
@@ -321,12 +350,12 @@ def branching_balance_check(poset: LabeledPoset) -> bool:
     common = [x for x in range(poset.n) if fr[x] > 1 - third]
     uncommon = [x for x in range(poset.n) if fr[x] < third]
     for x in common:
-        if any(y != x and poset.leq[x][y] for y in common):
+        if any(y != x and (poset.rows[x] >> y) & 1 for y in common):
             continue  # not maximal among common
         if len(poset.upper_covers(x)) < 2:
             return False
     for y in uncommon:
-        if any(x != y and poset.leq[x][y] for x in uncommon):
+        if any(x != y and (poset.rows[x] >> y) & 1 for x in uncommon):
             continue  # not minimal among uncommon
         if len(poset.lower_covers(y)) < 2:
             return False
@@ -340,14 +369,18 @@ def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset, labeled: bool = False) -> 
     if p1.n > 12:
         raise PosetSizeError(p1.n, 12)
 
-    def profile(p: LabeledPoset, x: int):
-        down = sum(p.leq[y][x] for y in range(p.n))
-        up = sum(p.leq[x][y] for y in range(p.n))
-        lab = p.labels[x] if labeled and p.labels is not None else 0
-        return (down, up, len(p.lower_covers(x)), len(p.upper_covers(x)), lab)
+    def profiles(p: LabeledPoset):
+        below = _transpose(p.rows)
+        lower, upper = p._cover_masks
+        return [
+            (below[x].bit_count(), p.rows[x].bit_count(), lower[x].bit_count(),
+             upper[x].bit_count(), p.labels[x] if labeled and p.labels is not None else 0)
+            for x in range(p.n)
+        ]
 
-    prof1 = [profile(p1, x) for x in range(p1.n)]
-    prof2 = [profile(p2, x) for x in range(p2.n)]
+    prof1 = profiles(p1)
+    prof2 = profiles(p2)
+    rows1, rows2 = p1.rows, p2.rows
     if sorted(prof1) != sorted(prof2):
         return False
 
@@ -362,7 +395,8 @@ def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset, labeled: bool = False) -> 
                 continue
             ok = True
             for x0, y0 in assign.items():
-                if p1.leq[x][x0] != p2.leq[y][y0] or p1.leq[x0][x] != p2.leq[y0][y]:
+                if ((rows1[x] >> x0) & 1 != (rows2[y] >> y0) & 1
+                        or (rows1[x0] >> x) & 1 != (rows2[y0] >> y) & 1):
                     ok = False
                     break
             if ok:

@@ -2,8 +2,10 @@
 
 Builds the irreducible types A-G, exposes the root poset (ordering, heights,
 Hasse covers), fundamental coweights, the simple-reflection graph on positive
-roots, and order-ideal enumeration over the root poset.  Inner products are
-the ambient Euclidean dot product.
+roots, and order-ideal enumeration over the root poset.  A root-poset ideal
+is a bitmask over the positive-root indices throughout; its walk is the
+shared one of :func:`posets.walk_order_ideals`, along the index order.
+Inner products are the ambient Euclidean dot product.
 
 The roots are generated as integer vectors in simple-root coordinates, where
 s_i(c) = c - <c, alpha_i^vee> e_i with the integer Cartan matrix read off the
@@ -37,6 +39,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .linalg import Vector, bits, dot, invert, is_zero, neg, scale, sub, vec
+from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
 
@@ -388,33 +391,15 @@ def root_graph(rs: RootSystem) -> List[Tuple[int, int, int]]:
 # -- order ideals of the root poset ------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootPosetIdeal:
-    """A downward-closed set of positive roots, stored as an index set.
+def ideal_from_members(rs: RootSystem, members) -> int:
+    """The bitmask of a root-poset ideal given by positive-root indices.
 
-    Construct through :func:`ideal_from_members` to get closure validation;
-    the internal enumerators build instances directly (their output is
-    downward closed by construction).
+    Rejects a set that is not downward closed, naming a violating pair.
     """
-
-    root_system: RootSystem
-    members: frozenset
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.members:
-            m |= 1 << i
-        return m
-
-
-def ideal_from_members(rs: RootSystem, members) -> RootPosetIdeal:
-    """Validated ideal constructor; rejects non-ideals naming a violating pair."""
-    members = frozenset(members)
     mask = 0
     for i in members:
         mask |= 1 << i
-    for i in members:
+    for i in bits(mask):
         missing = rs._down[i] & ~mask
         if missing:
             j = missing.bit_length() - 1
@@ -422,48 +407,19 @@ def ideal_from_members(rs: RootSystem, members) -> RootPosetIdeal:
                 f"not an order ideal: contains root {i} "
                 f"({_root_name(rs, i)}) but not {j} ({_root_name(rs, j)}) below it"
             )
-    return RootPosetIdeal(rs, members)
+    return mask
 
 
 def iter_ideal_masks(rs: RootSystem) -> Iterator[int]:
     """Every order ideal of the root poset as a bitmask, each exactly once.
 
-    Ideals are produced by depth-first search adding elements in increasing
-    index order (the index order is a linear extension), so the stream is
-    deterministic.  Intended for systems up to E8 (25080 ideals).
-
-    Each stack entry carries ``cand``, the roots addable to its mask with
-    index above the last one added.  A child adding x keeps the bits of
-    ``cand`` above x and gains the upper covers of x whose lower covers
-    now all lie in the mask; no other root changes status.
+    The index order is a linear extension, and the walk of
+    :func:`posets.walk_order_ideals` along it adds roots in increasing index
+    order, so the stream is deterministic.  Intended for systems up to E8
+    (25080 ideals).
     """
     down, up = _covers(rs)
-    grow = [[(1 << y, down[y]) for y in bits(u)] for u in up]
-    stack = [(0, sum(1 << x for x, d in enumerate(down) if not d))]
-    while stack:
-        mask, cand = stack.pop()
-        yield mask
-        later = 0
-        # highest index first, so that the children pop in increasing order
-        while cand:
-            x = cand.bit_length() - 1
-            bit = 1 << x
-            cand ^= bit
-            child = mask | bit
-            new = later
-            for ybit, ydown in grow[x]:
-                if ydown & child == ydown:
-                    new |= ybit
-            stack.append((child, new))
-            later |= bit
-
-
-def enumerate_root_ideals(rs: RootSystem) -> Iterator[RootPosetIdeal]:
-    """Stream every order ideal of the root poset, deterministically."""
-    n = rs.num_positive_roots
-    for mask in iter_ideal_masks(rs):
-        members = frozenset(i for i in range(n) if (mask >> i) & 1)
-        yield RootPosetIdeal(rs, members)
+    yield from walk_order_ideals(range(rs.num_positive_roots), down, up)
 
 
 def count_root_ideals(rs: RootSystem) -> int:

@@ -15,19 +15,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import convex, weyl
 from .convex import ConvexSet, WeylContext
 from .linalg import bits
-from .rootsys import (
-    RootPosetIdeal,
-    RootSystem,
-    build_root_system,
-    ideal_from_members,
-    iter_ideal_masks,
-)
+from .rootsys import RootSystem, build_root_system, ideal_from_members, iter_ideal_masks
 
 
 @dataclass(frozen=True)
 class GeneralizedSemiorder:
     root_system: RootSystem
-    ideal: RootPosetIdeal
+    mask: int  # the root-poset ideal A, as a bitmask over positive roots
     convex: ConvexSet
 
     @property
@@ -37,10 +31,9 @@ class GeneralizedSemiorder:
 
 def build(rs: RootSystem, members) -> GeneralizedSemiorder:
     """Construct W^A for a root-poset ideal given by positive-root indices."""
-    ideal = ideal_from_members(rs, members)
-    ctx = WeylContext(rs)
-    c = convex.ideal_from_upper(ctx, ideal.members)
-    return GeneralizedSemiorder(rs, ideal, c)
+    mask = ideal_from_members(rs, members)
+    c = convex.ideal_from_upper(WeylContext(rs), bits(mask))
+    return GeneralizedSemiorder(rs, mask, c)
 
 
 def from_unit_interval(values: Sequence[Fraction]) -> GeneralizedSemiorder:
@@ -58,10 +51,9 @@ def from_unit_interval(values: Sequence[Fraction]) -> GeneralizedSemiorder:
         raise ValueError("need at least two values")
     rs = build_root_system("A", n - 1)
     members = []
-    for idx, root in enumerate(rs.positive_roots):
-        i = root.index(1)
-        j = root.index(-1)
-        if values[j] - values[i] < 1:
+    for idx, doubled in enumerate(rs._doubled):
+        # twice e_i - e_j: +2 at position i, -2 at position j
+        if values[doubled.index(-2)] - values[doubled.index(2)] < 1:
             members.append(idx)
     return build(rs, members)
 
@@ -72,10 +64,11 @@ def induced_semiorder_poset(values: Sequence[Fraction]):
 
     values = [Fraction(v) for v in values]
     n = len(values)
-    leq = tuple(
-        tuple(i == j or values[j] - values[i] >= 1 for j in range(n)) for i in range(n)
+    rows = tuple(
+        sum(1 << j for j in range(n) if i == j or values[j] - values[i] >= 1)
+        for i in range(n)
     )
-    return LabeledPoset(n, leq)
+    return LabeledPoset(n, rows)
 
 
 def max_inversion_fraction(gs: GeneralizedSemiorder) -> Fraction:
@@ -98,7 +91,7 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
     if any(2 * c.inversion_count(k) > len(c) for k in c.upper):
         return False
     member_keys = {ctx.element_key(m) for m in c.members}
-    for k in gs.ideal.members:
+    for k in bits(gs.mask):
         refl = _reflection_element(gs.root_system, k)
         for m, inv in zip(c.members, c.inv_sets):
             if k in inv and ctx.element_key(weyl.multiply(m, refl)) not in member_keys:
@@ -139,14 +132,13 @@ def exit_roots(rs: RootSystem, mask: int, i: int) -> List[int]:
     return out
 
 
-def single_exit_simple(rs: RootSystem, ideal) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """A simple root in the ideal moving at most one of its members out.
+def single_exit_simple(rs: RootSystem, mask: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """A simple root in the ideal ``mask`` moving at most one of its members out.
 
     Returns (simple index 1-based, exit root indices); None when no simple
     root qualifies (which would contradict the scan expectation, so callers
     treat None as a reportable failure).
     """
-    mask = ideal.mask if isinstance(ideal, RootPosetIdeal) else int(ideal)
     if mask == 0:
         raise ValueError("the empty ideal has no simple root to offer")
     for i in range(1, rs.rank + 1):
@@ -158,9 +150,8 @@ def single_exit_simple(rs: RootSystem, ideal) -> Optional[Tuple[int, Tuple[int, 
     return None
 
 
-def exit_failure_report(rs: RootSystem, ideal) -> Dict[int, List[Tuple[int, int]]]:
-    """Per simple root in the ideal, the (beta, s_i beta) pairs that leave it."""
-    mask = ideal.mask if isinstance(ideal, RootPosetIdeal) else int(ideal)
+def exit_failure_report(rs: RootSystem, mask: int) -> Dict[int, List[Tuple[int, int]]]:
+    """Per simple root in the ideal ``mask``, the (beta, s_i beta) pairs that leave it."""
     report: Dict[int, List[Tuple[int, int]]] = {}
     for i in range(1, rs.rank + 1):
         if not (mask >> rs.simple_indices[i - 1]) & 1:
@@ -227,10 +218,8 @@ def scan_exit_witnesses(rs: RootSystem) -> Tuple[int, List[int]]:
 def semiorders(rs: RootSystem, masks: Sequence[int]) -> Iterator[GeneralizedSemiorder]:
     """W^A for each nonempty root-poset ideal mask, in order, from one pass
     over the group (see :func:`convex.ideals_from_uppers`)."""
-    n = rs.num_positive_roots
     for mask, c in zip(masks, convex.ideals_from_uppers(WeylContext(rs), masks)):
-        ideal = RootPosetIdeal(rs, frozenset(j for j in range(n) if (mask >> j) & 1))
-        yield GeneralizedSemiorder(rs, ideal, c)
+        yield GeneralizedSemiorder(rs, mask, c)
 
 
 def min_semiorder_balance(rs: RootSystem) -> Fraction:

@@ -377,7 +377,7 @@ def verify_semiorder_bounds() -> VerificationReport:
         for family, rank in SEMIORDER_TYPES:
             rs = build_root_system(family, rank)
             sets = list(semiorder.semiorders(rs, [m for m in iter_ideal_masks(rs) if m]))
-            bad = [gs.ideal.mask for gs in sets if not semiorder.check_half_bound(gs)]
+            bad = [gs.mask for gs in sets if not semiorder.check_half_bound(gs)]
             min_b = min(gs.convex.balance_value() for gs in sets if gs.size > 1)
             label = rs.root_label()
             report.check(

@@ -7,6 +7,7 @@ import pytest
 
 from coxbalance import posets
 from coxbalance.cli import main
+from coxbalance.rootsys import RootSystem
 
 
 def run(capsys, *argv):
@@ -308,6 +309,28 @@ def test_semiorder_unit_interval_label(tmp_path, capsys, argv):
     data = json.loads(out_file.read_text())
     assert data["type"] == "A2"
     assert data["ideal"] == [0, 1] and data["size"] == 3
+
+
+@pytest.mark.parametrize("values", ["0 1/2 7/5", "0 1/3 2/3 1 4/3 5/3 2", "0 0 0 0"])
+def test_semiorder_unit_interval_reads_no_fraction_views(tmp_path, capsys, monkeypatch,
+                                                         values):
+    """The unit-interval semiorder gives the same bytes on the integer tables
+    alone."""
+    def outputs(name):
+        out_file = tmp_path / name
+        code, out = run(capsys, "semiorder", "--unit-interval", values,
+                        "--out", str(out_file))
+        assert code == 0
+        return out, out_file.read_bytes()
+
+    before = outputs("before.json")
+
+    def unused(rs):
+        raise AssertionError("Fraction view read")
+
+    monkeypatch.setattr(RootSystem, "positive_roots", property(unused))
+    monkeypatch.setattr(RootSystem, "coweights", property(unused))
+    assert outputs("after.json") == before
 
 
 def test_alcove_params(capsys):

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coxbalance import coxgen
+from coxbalance import coxgen, verify
 from coxbalance.convex import WeylContext
 from coxbalance.coxgen import INF, NotReducedError, build_system, cycle_matrix, path_matrix
 from coxbalance.posets import (
@@ -36,7 +38,7 @@ def brute_force_ideals(poset):
         for i in range(poset.n):
             if (mask >> i) & 1:
                 for j in range(poset.n):
-                    if poset.leq[j][i] and not (mask >> j) & 1:
+                    if (poset.rows[j] >> i) & 1 and not (mask >> j) & 1:
                         ok = False
         if ok:
             out.append(mask)
@@ -44,16 +46,20 @@ def brute_force_ideals(poset):
 
 
 def test_poset_validation():
+    with pytest.raises(ValueError, match="rows must be n bitmasks"):
+        LabeledPoset(2, (0b01,))
+    with pytest.raises(ValueError, match="rows must be n bitmasks"):
+        LabeledPoset(2, (0b101, 0b10))
     with pytest.raises(ValueError, match="relation must be antisymmetric"):
-        LabeledPoset(2, ((True, True), (True, True)))
+        LabeledPoset(2, (0b11, 0b11))
     with pytest.raises(ValueError, match="relation must be reflexive"):
-        LabeledPoset(2, ((False, False), (False, True)))
+        LabeledPoset(2, (0b00, 0b10))
     # 0 <= 1 <= 2 without 0 <= 2
     with pytest.raises(ValueError, match="relation must be transitive"):
-        LabeledPoset(3, ((True, True, False), (False, True, True), (False, False, True)))
+        LabeledPoset(3, (0b011, 0b110, 0b100))
     chain = poset_from_covers(3, [(0, 1), (1, 2)])
     assert chain.covers() == [(0, 1), (1, 2)]
-    assert chain.leq[0][2]
+    assert chain.rows == (0b111, 0b110, 0b100)
 
 
 def test_closure_of_pairs_in_any_orientation():
@@ -70,7 +76,7 @@ def test_closure_of_pairs_in_any_orientation():
                 if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
                     leq[i][j] = changed = True
     p = poset_from_covers(n, pairs)
-    assert p.leq == tuple(map(tuple, leq))
+    assert p.rows == tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
     assert p.covers() == sorted(pairs)
 
 
@@ -79,7 +85,7 @@ def test_small_ideal_counts():
     assert antichain.ideal_count() == 4
     chain = poset_from_covers(2, [(0, 1)])
     assert chain.ideal_count() == 3
-    assert chain.ideal_fraction(0) == Fraction(2, 3)
+    assert chain.ideal_fractions() == [Fraction(2, 3), Fraction(1, 3)]
 
 
 @pytest.mark.parametrize("covers,n", [
@@ -90,10 +96,7 @@ def test_small_ideal_counts():
 ])
 def test_ideal_enumeration_against_brute_force(covers, n):
     poset = poset_from_covers(n, covers)
-    got = sorted(
-        sum(1 << i for i in ideal) for ideal in poset.order_ideals()
-    )
-    assert got == sorted(brute_force_ideals(poset))
+    assert sorted(poset.iter_ideal_masks()) == brute_force_ideals(poset)
 
 
 def test_ideal_cap():
@@ -108,6 +111,61 @@ def test_ideal_cap():
     assert small.ideal_count(cap=None) == 2 ** 12
     chain = poset_from_covers(50, [(i, i + 1) for i in range(49)])
     assert chain.ideal_count() == 51
+
+
+def positional_ideal_masks(poset):
+    """Oracle: the earlier positional walker.  It extends each ideal by every
+    later position of the linear extension (number of elements below, then
+    id) whose element has all its lower covers in the ideal."""
+    n = poset.n
+    below = [sum((poset.rows[j] >> i) & 1 for j in range(n)) for i in range(n)]
+    topo = sorted(range(n), key=lambda i: (below[i], i))
+    cover_down = [0] * n
+    for i, j in brute_force_covers(poset):
+        cover_down[j] |= 1 << i
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        mask, start = stack.pop()
+        out.append(mask)
+        for p in range(n - 1, start - 1, -1):
+            x = topo[p]
+            if not (mask >> x) & 1 and (cover_down[x] & mask) == cover_down[x]:
+                stack.append((mask | (1 << x), p + 1))
+    return out
+
+
+def test_ideal_walk_keeps_the_positional_order():
+    """The addable-set walk yields the masks of the positional walker, in
+    its order, on posets whose linear extension is not the id order."""
+    cases = [claw_chain(12, 40), poset_from_covers(16, []), claw_chain(3, 4).dual(),
+             *verify._reference_heaps().values()]
+    for poset in cases:
+        assert list(poset.iter_ideal_masks()) == positional_ideal_masks(poset)
+
+
+@st.composite
+def random_posets(draw):
+    """Up to 9 elements, closed from random pairs i < j and then relabelled
+    by a random permutation, so the ids need not be a linear extension."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    if n == 0:
+        return poset_from_covers(0, [])
+    perm = draw(st.permutations(range(n)))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=14))
+    return poset_from_covers(n, [(perm[i], perm[j]) for i, j in pairs if i < j])
+
+
+@given(random_posets())
+def test_ideal_walk_yields_each_ideal_once(poset):
+    walked = list(poset.iter_ideal_masks())
+    assert len(set(walked)) == len(walked)
+    assert sorted(walked) == brute_force_ideals(poset)
+    count = poset.ideal_count()
+    assert count == len(walked)
+    with pytest.raises(IdealCapExceeded):
+        poset.ideal_count(cap=count - 1)
 
 
 def test_heap_a2():
@@ -171,7 +229,7 @@ def test_heap_matches_all_pairs_rule(name):
     rng = random.Random(name)
     for _ in range(20):
         word = random_reduced_word(sys, rank, 24, rng)
-        assert heap_from_word(sys, word).leq == all_pairs_heap(sys, word).leq, word
+        assert heap_from_word(sys, word).rows == all_pairs_heap(sys, word).rows, word
 
 
 def test_heap_rejects_non_reduced():
@@ -285,7 +343,7 @@ def test_heap_inversion_map_bijection():
         ideal = {root_to_pos[k] for k in inv}
         for x in ideal:  # downward closed in the heap
             for y in range(heap.n):
-                if heap.leq[y][x]:
+                if (heap.rows[y] >> x) & 1:
                     assert y in ideal
     with pytest.raises(ValueError):
         heap_inversion_map(sys, (2, 4, 2))  # not reduced -> not fc
@@ -299,7 +357,7 @@ def test_heap_inversion_map_identity_empty():
 def test_json_round_trip():
     poset = claw_chain(2, 2)
     again = poset_from_json(poset_json(poset))
-    assert again.leq == poset.leq
+    assert again == poset
     assert "digraph" in poset_dot(poset)
 
 
@@ -308,8 +366,9 @@ def brute_force_covers(poset):
     n = poset.n
     return [
         (i, j) for i in range(n) for j in range(n)
-        if i != j and poset.leq[i][j]
-        and not any(k not in (i, j) and poset.leq[i][k] and poset.leq[k][j] for k in range(n))
+        if i != j and (poset.rows[i] >> j) & 1
+        and not any(k not in (i, j) and (poset.rows[i] >> k) & 1 and (poset.rows[k] >> j) & 1
+                    for k in range(n))
     ]
 
 
@@ -325,4 +384,4 @@ def test_covers_match_definition():
             assert p.lower_covers(x) == [i for i, j in expected if j == x]
         p.covers().clear()  # a caller's copy; the cached reduction is untouched
         assert p.covers() == expected
-        assert p == LabeledPoset(p.n, p.leq, p.labels)
+        assert p == LabeledPoset(p.n, p.rows, p.labels)

@@ -11,7 +11,6 @@ from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
     count_root_ideals,
-    enumerate_root_ideals,
     hasse_edges,
     height,
     ideal_from_members,
@@ -308,10 +307,10 @@ def test_g2_edge_labels_are_simple():
 
 def test_a2_ideals_exactly():
     rs = build_root_system("A", 2)
-    ideals = [ideal.members for ideal in enumerate_root_ideals(rs)]
+    ideals = list(iter_ideal_masks(rs))
     assert len(ideals) == 5
-    assert frozenset() in ideals
-    assert frozenset(range(3)) in ideals
+    assert 0 in ideals
+    assert 0b111 in ideals
 
 
 def test_a1_has_two_ideals():
@@ -419,7 +418,7 @@ def test_ideal_validation_names_violating_pair():
     with pytest.raises(ValueError, match="not an order ideal"):
         ideal_from_members(rs, {high})
     ok = ideal_from_members(rs, set(range(3)))
-    assert ok.mask == 0b111
+    assert ok == 0b111
 
 
 def test_exports_parse():
