@@ -3,7 +3,7 @@
 Submodules:
 
 * ``rootsys``   crystallographic root systems, root posets, order ideals
-* ``weyl``      finite Weyl group elements as signed root permutations
+* ``weyl``      finite Weyl groups: elements as signed root permutations
 * ``coxgen``    Coxeter systems of diagrams (labels 2, 3, 4, 6, inf) on integer
                 roots, and word combinatorics
 * ``posets``    labelled posets, heaps, ideal statistics
@@ -15,11 +15,14 @@ Submodules:
 
 A finite Weyl type is the group object ``WeylContext`` and a diagram the group
 object ``CoxSystem``; the convex-set, heap and word routines take either one.
+An element of either is a bare tuple that is its own key: the signed action
+on the positive roots for a Weyl type, the integer root columns for a diagram.
 """
 
 from .rootsys import RootSystem, build_root_system
-from .convex import ConvexSet, WeylContext
+from .convex import ConvexSet
 from .coxgen import CoxSystem
+from .weyl import WeylContext
 
 __version__ = "0.1.0"
 

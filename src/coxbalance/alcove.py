@@ -14,10 +14,11 @@ beta = sum_i c_i alpha_i pairs with it as <o_0, beta> = (1/(r+1)) sum_i
 c_i / m_i: an integer numerator over one common denominator.  The group acts
 orthogonally, so a member w pairs its alcove centroid w^{-1} o_0 with root k
 as <o_0, w beta_k>, which is that numerator at the signed root index
-``w.action[k]``; mean image heights read ``heights`` the same way.  The
-pairing of the order-polytope centroid with a root is then a sum of integers
-over the members, and the centroid itself is sum_i <o, alpha_i> omega_i^vee,
-since it lies in the span of the roots and the coweights are the dual basis.
+``w[k]`` of the member's action tuple; mean image heights read ``heights``
+the same way.  The pairing of the order-polytope centroid with a root is
+then a sum of integers over the members, and the centroid itself is
+sum_i <o, alpha_i> omega_i^vee, since it lies in the span of the roots and
+the coweights are the dual basis.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .convex import ConvexSet, WeylContext
+from .convex import ConvexSet
 from .linalg import Vector, add, dot, scale, zero
 from .rootsys import RootSystem
-from . import weyl
+from .weyl import WeylContext
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def order_polytope_halfspaces(c: ConvexSet) -> List[HalfSpace]:
             hs.append((rs.positive_roots[k], ">=", Fraction(0)))
     xi = rs.highest_root
     for m in c.members:
-        hs.append((weyl.inverse(m).apply(xi), "<=", Fraction(1)))
+        hs.append((ctx.apply(ctx.invert(m), xi), "<=", Fraction(1)))
     return hs
 
 
@@ -141,8 +142,8 @@ def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Vector]:
     """Vertices of the alcove w^{-1} Q_id for the given member."""
     ctx = c.ctx
     data = alcove_data(ctx.root_system)
-    winv = weyl.inverse(c.members[member_index])
-    return [winv.apply(v) for v in data.vertices]
+    winv = ctx.invert(c.members[member_index])
+    return [ctx.apply(winv, v) for v in data.vertices]
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class _RootTables:
 
     Entry ``a`` of each list belongs to positive root ``a - 1`` and entry
     ``-a`` to its negative, which Python's negative indexing reads from the
-    end of the list, so ``w.action[k]`` indexes the image of root k directly.
+    end of the list, so ``w[k]`` indexes the image of root k directly.
     ``pairing[a] / den`` is the pairing of the root with the centroid of the
     fundamental alcove, and ``height[a]`` its height.
     """
@@ -191,7 +192,7 @@ def _root_tables(rs: RootSystem) -> _RootTables:
 
 def _image_sum(table: Tuple[int, ...], c: ConvexSet, root_index: int) -> int:
     """Sum of the table entries at the images w(beta) over the members w."""
-    return sum(table[m.action[root_index]] for m in c.members)
+    return sum(table[m[root_index]] for m in c.members)
 
 
 def centroid(c: ConvexSet) -> Vector:
@@ -287,13 +288,6 @@ def _half_inverse_exp_bound(x: Fraction) -> Fraction:
 def exponential_bound_threshold(rs: RootSystem) -> Fraction:
     """A strict rational upper bound on 1/(2 e^exponent) for the type."""
     return _half_inverse_exp_bound(alcove_params(rs).exponent)
-
-
-def check_exponential_bound(c: ConvexSet) -> bool:
-    """Certify balance >= 1/(2 e^exponent) through the rational threshold."""
-    if len(c) < 2:
-        raise ValueError("needs a non-singleton set")
-    return c.balance_value() >= exponential_bound_threshold(c.ctx.root_system)
 
 
 def short_root_bound_threshold() -> Fraction:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
-from .convex import WeylContext
 from .linalg import bits
 from .rootsys import (
     RootSystem,
@@ -26,10 +26,24 @@ from .rootsys import (
     root_graph_dot,
     roots_json,
 )
+from .weyl import WeylContext
+
+# An ASCII decimal integer; int() alone also reads "1_0" as 10 and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_ints(text: str, what: str) -> List[int]:
+    """Whitespace-separated decimal integers."""
+    out = []
+    for token in text.split():
+        if not _DECIMAL.fullmatch(token):
+            raise ValueError(f"{what} must be decimal integers, not {token!r}")
+        out.append(int(token))
+    return out
 
 
 def _parse_word(text: str) -> List[int]:
-    return [int(t) for t in text.split()] if text.strip() else []
+    return _parse_ints(text, "word letters")
 
 
 def _write_out(args, payload: dict) -> None:
@@ -116,7 +130,7 @@ def _build_set(args, ctx):
         return convex.from_members(ctx, [ctx.from_word(w) for w in words])
     if not isinstance(ctx, WeylContext):
         raise ValueError("--ideal-roots needs a Weyl type, not a diagram")
-    keys = [int(t) for t in args.ideal_roots.replace(",", " ").split()]
+    keys = _parse_ints(args.ideal_roots.replace(",", " "), "root indices")
     n = ctx.root_system.num_positive_roots
     for k in keys:
         if not 0 <= k < n:

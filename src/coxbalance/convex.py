@@ -4,8 +4,10 @@ A convex set is stored canonically as the element list of
 ``{w : D subseteq T_R(w) subseteq A}`` together with the canonical pair
 D = intersection and A = union of the member inversion sets.  Inversion sets
 are kept as frozensets of "root keys": positive-root indices for a finite
-Weyl type, given by a :class:`WeylContext`, and integer simple-root
-coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.
+Weyl type, given by a ``weyl.WeylContext``, and integer simple-root
+coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.  An
+element of either is a tuple that is its own key, so members are hashed and
+compared directly.
 
 Single sets, and every set of a diagram, are built by a breadth-first search
 inside W^A.  Scans over many sets W^A of one finite Weyl group need no search:
@@ -23,73 +25,13 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import coxgen, weyl
-from .rootsys import RootSystem
+from .weyl import WeylContext
 
 CONVEX_SCAN_MAX_ROOTS = 12
 
 
 class EmptyConvexSetError(ValueError):
     pass
-
-
-class WeylContext:
-    """The group object of a finite Weyl type; root keys are positive-root indices.
-
-    Its element methods match those of ``coxgen.CoxSystem``, the group object
-    of a diagram, so every routine here and in ``coxgen`` and ``posets`` takes
-    either one.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.root_system = rs
-        self.rank = rs.rank
-
-    def identity(self):
-        return weyl.identity(self.root_system)
-
-    def mul_simple_right(self, w, i: int):
-        return weyl._mul_simple_right(w, i)
-
-    def mul_simple_left(self, w, i: int):
-        return weyl.multiply(weyl.simple_reflection(self.root_system, i), w)
-
-    def mul(self, u, v):
-        return weyl.multiply(u, v)
-
-    def element_key(self, w):
-        return w.action
-
-    def simple_key(self, i: int) -> int:
-        return self.root_system.simple_indices[i - 1]
-
-    def inversion_keys(self, w) -> FrozenSet[int]:
-        return weyl.inversion_set(w)
-
-    def invert(self, w):
-        return weyl.inverse(w)
-
-    def simple_image_key(self, v, i: int):
-        """Key of v(alpha_i) if that root is positive, else None."""
-        a = v.action[self.root_system.simple_indices[i - 1]]
-        return a - 1 if a > 0 else None
-
-    def reduced_word(self, w) -> Tuple[int, ...]:
-        return weyl.reduced_word(w)
-
-    def from_word(self, word: Sequence[int]):
-        return weyl.from_word(self.root_system, word)
-
-    def word_length(self, word: Sequence[int]) -> int:
-        return self.from_word(word).length
-
-    def coxeter_m(self, i: int, j: int) -> int:
-        return self.root_system.coxeter_m(i, j)
-
-    def key_display(self, key: int) -> str:
-        return coxgen.root_display(self.root_system.coefficients[key])
-
-    def all_keys(self) -> List[int]:
-        return list(range(self.root_system.num_positive_roots))
 
 
 @dataclass(frozen=True)
@@ -107,8 +49,7 @@ class ConvexSet:
         return len(self.members)
 
     def __contains__(self, w) -> bool:
-        key = self.ctx.element_key(w)
-        return any(self.ctx.element_key(m) == key for m in self.members)
+        return w in self.members
 
     @property
     def canonical_upper(self) -> Tuple:
@@ -154,12 +95,12 @@ class ConvexSet:
 
     def cayley_edges(self) -> List[Tuple[int, int, int]]:
         """Left Cayley edges inside the set, as (member_idx, member_idx, simple)."""
-        index = {self.ctx.element_key(m): k for k, m in enumerate(self.members)}
+        index = {m: k for k, m in enumerate(self.members)}
         edges = []
         for k, m in enumerate(self.members):
             for i in range(1, self.ctx.rank + 1):
                 m2 = self.ctx.mul_simple_left(m, i)
-                k2 = index.get(self.ctx.element_key(m2))
+                k2 = index.get(m2)
                 if k2 is not None and k < k2:
                     edges.append((k, k2, i))
         return edges
@@ -201,7 +142,7 @@ def _bfs_within(ctx, allowed: FrozenSet,
     cap keeps runaway searches (huge groups, huge A) explicit.
     """
     start = ctx.identity()
-    seen = {ctx.element_key(start)}
+    seen = {start}
     out = [(start, frozenset())]
     level = [(start, frozenset())]
     while level:
@@ -212,9 +153,8 @@ def _bfs_within(ctx, allowed: FrozenSet,
                 if key is None or key not in allowed:
                     continue
                 v2 = ctx.mul_simple_right(v, i)
-                ek = ctx.element_key(v2)
-                if ek not in seen:
-                    seen.add(ek)
+                if v2 not in seen:
+                    seen.add(v2)
                     if len(seen) > cap:
                         raise weyl.EnumerationCapExceeded(cap)
                     nxt.append((v2, inv | {key}))
@@ -292,7 +232,7 @@ def _element_table(ctx: WeylContext) -> List[Tuple]:
     """(inversion bitmask, element, shortlex word, inversion set) per element."""
     table = []
     for w, word in weyl.all_elements(ctx.root_system):
-        inv = weyl.inversion_set(w)
+        inv = ctx.inversion_keys(w)
         table.append((sum(1 << j for j in inv), w, word, inv))
     return table
 

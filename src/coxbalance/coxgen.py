@@ -9,11 +9,13 @@ coordinates, either positive or negative (Kac, *Infinite-dimensional Lie
 algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 
 :class:`CoxSystem` is the group object of a diagram, with the same element
-methods as ``convex.WeylContext`` has for a finite Weyl type.  This module
-also holds the word combinatorics shared by both group objects: inversion and
-reflection keys of words, commutation classes, braid-move detection and full
-commutativity.  They take any group object exposing ``rank``,
-``coxeter_m(i, j)``, ``word_length(word)`` and those element methods.
+methods as ``weyl.WeylContext`` has for a finite Weyl type.  A diagram
+element is its tuple of columns, column j = w(alpha_j), and is its own key.
+This module also holds the word combinatorics shared by both group objects:
+inversion and reflection keys of words, commutation classes, braid-move
+detection and full commutativity.  They take any group object exposing
+``rank``, ``coxeter_m(i, j)``, ``word_length(word)`` and those element
+methods.
 """
 
 from __future__ import annotations
@@ -169,16 +171,12 @@ def is_irreducible(matrix: CoxeterMatrix) -> bool:
 
 # -- the integer root representation -----------------------------------------
 
-@dataclass(frozen=True)
-class CoxElement:
-    """Group element stored as its matrix columns: column j = w(alpha_j)."""
-
-    columns: Tuple[Tuple[int, ...], ...]
+Columns = Tuple[Tuple[int, ...], ...]  # an element: column j = w(alpha_j)
 
 
-def _right_descent(w: CoxElement) -> int:
+def _right_descent(w: Columns) -> int:
     """Least i with w(alpha_i) a negative root, or 0 when w = e."""
-    for i, col in enumerate(w.columns, start=1):
+    for i, col in enumerate(w, start=1):
         if min(col) < 0:
             return i
     return 0
@@ -202,44 +200,41 @@ class CoxSystem:
     def coxeter_m(self, i: int, j: int) -> Optional[int]:
         return self.matrix.m(i, j)
 
-    def identity(self) -> CoxElement:
+    def identity(self) -> Columns:
         r = self.rank
-        return CoxElement(tuple(tuple(int(i == k) for k in range(r)) for i in range(r)))
+        return tuple(tuple(int(i == k) for k in range(r)) for i in range(r))
 
-    def mul_simple_right(self, w: CoxElement, i: int) -> CoxElement:
+    def mul_simple_right(self, w: Columns, i: int) -> Columns:
         """w s_i, from (w s_i)(alpha_j) = w(alpha_j) - a_ij w(alpha_i)."""
-        base = w.columns[i - 1]
-        return CoxElement(tuple(
+        base = w[i - 1]
+        return tuple(
             tuple(x - a * y for x, y in zip(col, base)) if a else col
-            for col, a in zip(w.columns, self.cartan[i - 1])
-        ))
+            for col, a in zip(w, self.cartan[i - 1])
+        )
 
-    def mul_simple_left(self, w: CoxElement, i: int) -> CoxElement:
+    def mul_simple_left(self, w: Columns, i: int) -> Columns:
         """s_i w; s_i changes only coordinate i of each column."""
         k = i - 1
         row = self.cartan[k]
-        return CoxElement(tuple(
+        return tuple(
             col[:k] + (col[k] - sum(a * x for a, x in zip(row, col)),) + col[k + 1:]
-            for col in w.columns
-        ))
+            for col in w
+        )
 
-    def mul(self, u: CoxElement, v: CoxElement) -> CoxElement:
+    def mul(self, u: Columns, v: Columns) -> Columns:
         for i in self.reduced_word(v):
             u = self.mul_simple_right(u, i)
         return u
 
-    def element_key(self, w: CoxElement):
-        return w.columns
-
     def simple_key(self, i: int) -> Tuple[int, ...]:
         return tuple(int(k == i - 1) for k in range(self.rank))
 
-    def simple_image_key(self, v: CoxElement, i: int):
+    def simple_image_key(self, v: Columns, i: int):
         """Key of v(alpha_i) if that root is positive, else None."""
-        col = v.columns[i - 1]
+        col = v[i - 1]
         return col if min(col) >= 0 else None
 
-    def _inverse_word(self, w: CoxElement) -> Tuple[int, ...]:
+    def _inverse_word(self, w: Columns) -> Tuple[int, ...]:
         """Lexicographically least reduced word of w^-1.
 
         Stripping the least right descent until e is reached leaves
@@ -254,18 +249,18 @@ class CoxSystem:
             word.append(i)
             w = self.mul_simple_right(w, i)
 
-    def invert(self, w: CoxElement) -> CoxElement:
+    def invert(self, w: Columns) -> Columns:
         return self.from_word(self._inverse_word(w))
 
-    def reduced_word(self, w: CoxElement) -> Tuple[int, ...]:
+    def reduced_word(self, w: Columns) -> Tuple[int, ...]:
         """Lexicographically least reduced word."""
         return self._inverse_word(self.invert(w))
 
-    def inversion_keys(self, w: CoxElement) -> FrozenSet[Tuple[int, ...]]:
+    def inversion_keys(self, w: Columns) -> FrozenSet[Tuple[int, ...]]:
         """Positive roots sent negative by w."""
         return frozenset(inversion_keys_of_word(self, self._inverse_word(w)[::-1]))
 
-    def from_word(self, word: Sequence[int]) -> CoxElement:
+    def from_word(self, word: Sequence[int]) -> Columns:
         w = self.identity()
         for i in word:
             if not 1 <= i <= self.rank:
@@ -298,7 +293,7 @@ def inversion_keys_of_word(g, word: Sequence[int]) -> List:
     """Keys of s_{i_l} ... s_{i_{k+1}} alpha_{i_k} for k = 1..l (word assumed reduced).
 
     These are the positive roots that s_{i_1} ... s_{i_l} sends negative.
-    ``g`` is any group object: a ``convex.WeylContext`` or a :class:`CoxSystem`.
+    ``g`` is any group object: a ``weyl.WeylContext`` or a :class:`CoxSystem`.
     """
     keys = []
     y = g.identity()

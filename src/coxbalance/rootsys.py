@@ -340,11 +340,6 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
 # -- root poset ------------------------------------------------------------
 
 
-def root_poset_leq(rs: RootSystem, beta1: Vector, beta2: Vector) -> bool:
-    """True iff beta2 - beta1 is a nonnegative simple-root combination."""
-    return rs.leq_indices(rs.index_of(beta1), rs.index_of(beta2))
-
-
 def height(rs: RootSystem, beta: Vector) -> int:
     """Height of any root (negative for negative roots)."""
     try:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from . import convex, weyl
-from .convex import ConvexSet, WeylContext
+from . import convex
+from .convex import ConvexSet
 from .linalg import bits
 from .rootsys import RootSystem, build_root_system, ideal_from_members, iter_ideal_masks
+from .weyl import WeylContext
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,6 @@ def induced_semiorder_poset(values: Sequence[Fraction]):
     return LabeledPoset(n, rows)
 
 
-def max_inversion_fraction(gs: GeneralizedSemiorder) -> Fraction:
-    return max(
-        gs.convex.inversion_fraction(k)
-        for k in range(gs.root_system.num_positive_roots)
-    )
-
-
 def check_half_bound(gs: GeneralizedSemiorder) -> bool:
     """Every positive root has inversion fraction at most 1/2 on W^A.
 
@@ -90,16 +84,16 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
     # Roots outside the union of the members' inversions count 0.
     if any(2 * c.inversion_count(k) > len(c) for k in c.upper):
         return False
-    member_keys = {ctx.element_key(m) for m in c.members}
+    members = set(c.members)
     for k in bits(gs.mask):
         refl = _reflection_element(gs.root_system, k)
         for m, inv in zip(c.members, c.inv_sets):
-            if k in inv and ctx.element_key(weyl.multiply(m, refl)) not in member_keys:
+            if k in inv and ctx.mul(m, refl) not in members:
                 return False
     return True
 
 
-def _reflection_element(rs: RootSystem, k: int):
+def _reflection_element(rs: RootSystem, k: int) -> Tuple[int, ...]:
     """The reflection in positive root k, as a signed permutation of roots.
 
     Works on the integer doubled ambient coordinates stored on ``rs``:
@@ -116,7 +110,7 @@ def _reflection_element(rs: RootSystem, k: int):
             action.append(-(rs._doubled_index[tuple(-x for x in img)] + 1))
         else:
             action.append(j + 1)
-    return weyl.WeylElement(rs, tuple(action))
+    return tuple(action)
 
 
 # -- single-exit witnesses over root-poset ideals -----------------------------
@@ -148,18 +142,6 @@ def single_exit_simple(rs: RootSystem, mask: int) -> Optional[Tuple[int, Tuple[i
         if len(exits) <= 1:
             return i, tuple(exits)
     return None
-
-
-def exit_failure_report(rs: RootSystem, mask: int) -> Dict[int, List[Tuple[int, int]]]:
-    """Per simple root in the ideal ``mask``, the (beta, s_i beta) pairs that leave it."""
-    report: Dict[int, List[Tuple[int, int]]] = {}
-    for i in range(1, rs.rank + 1):
-        if not (mask >> rs.simple_indices[i - 1]) & 1:
-            continue
-        report[i] = [
-            (j, rs.simple_image(i, j) - 1) for j in exit_roots(rs, mask, i)
-        ]
-    return report
 
 
 ExitTable = List[Tuple[int, int, int]]

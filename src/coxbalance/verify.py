@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import alcove, convex, coxgen, posets, semiorder, weyl
-from .convex import WeylContext
 from .rootsys import RootSystem, build_root_system, iter_ideal_masks
+from .weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 

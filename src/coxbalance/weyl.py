@@ -1,21 +1,24 @@
-"""Finite Weyl group elements as exact signed actions on the positive roots.
+"""Finite Weyl groups acting on their positive roots by exact signed permutations.
 
-An element is canonically stored as the tuple ``action`` where
-``action[j] = +-(k+1)`` means the element sends positive root ``j`` to
-``+-`` positive root ``k``.  Equality and hashing are therefore O(#roots)
-and independent of any choice of word; reduced words are derived data.
+An element is the tuple ``w`` with ``w[j] = +-(k+1)`` when it sends positive
+root ``j`` to ``+-`` positive root ``k``.  The tuple is its own key: equality
+and hashing are O(#roots) and independent of any choice of word, and reduced
+words are derived data.  :class:`WeylContext` is the group object of one
+type and computes directly on these tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import FrozenSet, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from .linalg import Vector, add, scale, zero
+from .coxgen import root_display
+from .linalg import Vector, add, dot, scale, zero
 from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**6
+
+Element = Tuple[int, ...]
 
 
 class EnumerationCapExceeded(ValueError):
@@ -24,135 +27,107 @@ class EnumerationCapExceeded(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    root_system: RootSystem = field(compare=False)
-    action: Tuple[int, ...]
+class WeylContext:
+    """The group object of a finite Weyl type; root keys are positive-root indices.
 
-    def __post_init__(self):
-        if len(self.action) != self.root_system.num_positive_roots:
-            raise ValueError("action length does not match the root count")
+    Its element methods match those of ``coxgen.CoxSystem``, the group object
+    of a diagram, so every routine in ``convex``, ``coxgen`` and ``posets``
+    takes either one.
+    """
 
-    @property
-    def length(self) -> int:
-        return sum(1 for a in self.action if a < 0)
+    def __init__(self, rs: RootSystem):
+        self.root_system = rs
+        self.rank = rs.rank
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return multiply(self, other)
+    def identity(self) -> Element:
+        return tuple(range(1, self.root_system.num_positive_roots + 1))
 
-    def apply(self, x: Vector) -> Vector:
-        """Image of an ambient vector lying in the span of the simple roots."""
+    def mul(self, u: Element, v: Element) -> Element:
+        """Product u v, acting as u after v."""
+        return tuple([u[a - 1] if a > 0 else -u[-a - 1] for a in v])
+
+    def mul_simple_right(self, w: Element, i: int) -> Element:
+        return self.mul(w, self.root_system._simple_action[i - 1])
+
+    def mul_simple_left(self, w: Element, i: int) -> Element:
+        return self.mul(self.root_system._simple_action[i - 1], w)
+
+    def invert(self, w: Element) -> Element:
+        out = [0] * len(w)
+        for j, a in enumerate(w, start=1):
+            out[abs(a) - 1] = j if a > 0 else -j
+        return tuple(out)
+
+    def simple_key(self, i: int) -> int:
+        return self.root_system.simple_indices[i - 1]
+
+    def inversion_keys(self, w: Element) -> FrozenSet[int]:
+        """Indices of the positive roots that w sends negative."""
+        return frozenset(j for j, a in enumerate(w) if a < 0)
+
+    def simple_image_key(self, v: Element, i: int) -> Optional[int]:
+        """Key of v(alpha_i) if that root is positive, else None."""
+        a = v[self.root_system.simple_indices[i - 1]]
+        return a - 1 if a > 0 else None
+
+    def reduced_word(self, w: Element) -> Tuple[int, ...]:
+        return reduced_word(self.root_system, w)
+
+    def from_word(self, word: Sequence[int]) -> Element:
+        """Compose simple reflections left to right: word [i1, .., ik] -> s_i1 ... s_ik."""
+        w = self.identity()
+        for i in word:
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"simple index {i} out of range 1..{self.rank}")
+            w = self.mul_simple_right(w, i)
+        return w
+
+    def word_length(self, word: Sequence[int]) -> int:
+        return sum(1 for a in self.from_word(word) if a < 0)
+
+    def coxeter_m(self, i: int, j: int) -> int:
+        return self.root_system.coxeter_m(i, j)
+
+    def key_display(self, key: int) -> str:
+        return root_display(self.root_system.coefficients[key])
+
+    def apply(self, w: Element, x: Vector) -> Vector:
+        """Image under w of an ambient vector lying in the span of the simple roots.
+
+        x = sum_i <x, omega_i^vee> alpha_i, and w alpha_i is the signed root
+        at ``w[simple index]``; this reads the ``Fraction`` views of the type.
+        """
         rs = self.root_system
         out = zero(rs.ambient_dim)
-        coeffs = tuple(
-            sum(rs.coweights[i][t] * x[t] for t in range(rs.ambient_dim))
-            for i in range(rs.rank)
-        )
-        for i, c in enumerate(coeffs):
+        for i, k in enumerate(rs.simple_indices):
+            c = dot(rs.coweights[i], x)
             if c == 0:
                 continue
-            img = self.action[rs.simple_indices[i]]
-            root = rs.positive_roots[abs(img) - 1]
-            out = add(out, scale(c if img > 0 else -c, root))
+            img = w[k]
+            out = add(out, scale(c if img > 0 else -c, rs.positive_roots[abs(img) - 1]))
         return out
 
 
-def _check_same(u: WeylElement, v: WeylElement) -> None:
-    if u.root_system is not v.root_system and (
-        u.root_system.family != v.root_system.family
-        or u.root_system.rank != v.root_system.rank
-    ):
-        raise ValueError("elements belong to different root systems")
+def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
+    """Lexicographically least reduced word of w, by greedy left-descent stripping.
 
-
-def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(1, rs.num_positive_roots + 1)))
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    """The reflection s_i for a 1-based simple index."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-    return WeylElement(rs, rs._simple_action[i - 1])
-
-
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    """Product u v, acting as u after v on the ambient space."""
-    _check_same(u, v)
-    ua = u.action
-    out = []
-    for a in v.action:
-        b = ua[abs(a) - 1]
-        out.append(b if a > 0 else -b)
-    return WeylElement(u.root_system, tuple(out))
-
-
-def inverse(u: WeylElement) -> WeylElement:
-    out = [0] * len(u.action)
-    for j, a in enumerate(u.action):
-        out[abs(a) - 1] = (j + 1) if a > 0 else -(j + 1)
-    return WeylElement(u.root_system, tuple(out))
-
-
-def from_word(rs: RootSystem, word: Sequence[int]) -> WeylElement:
-    """Compose simple reflections left to right: word [i1, .., ik] -> s_i1 ... s_ik."""
-    w = identity(rs)
-    for i in word:
-        if not 1 <= i <= rs.rank:
-            raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-        w = _mul_simple_right(w, i)
-    return w
-
-
-def _mul_simple_right(w: WeylElement, i: int) -> WeylElement:
-    """w s_i, computed without building the reflection element."""
-    rs = w.root_system
-    wa = w.action
-    row = rs._simple_action[i - 1]
-    return WeylElement(rs, tuple([wa[a - 1] if a > 0 else -wa[-a - 1] for a in row]))
-
-
-def inversion_set(w: WeylElement) -> FrozenSet[int]:
-    """Indices of positive roots sent negative by w."""
-    return frozenset(j for j, a in enumerate(w.action) if a < 0)
-
-
-def right_descents(w: WeylElement) -> FrozenSet[int]:
-    rs = w.root_system
-    return frozenset(
-        i for i in range(1, rs.rank + 1) if w.action[rs.simple_indices[i - 1]] < 0
-    )
-
-
-def left_descents(w: WeylElement) -> FrozenSet[int]:
-    return right_descents(inverse(w))
-
-
-def reduced_word(w: WeylElement) -> Tuple[int, ...]:
-    """Lexicographically smallest reduced word, by greedy left-descent stripping."""
-    word: List[int] = []
+    i is a left descent of w iff w^-1 alpha_i is a negative root, and
+    (s_i w)^-1 = w^-1 s_i, so the walk keeps x = w^-1 alone.
+    """
+    g = WeylContext(rs)
+    x = g.invert(w)
+    word = []
     while True:
-        ld = left_descents(w)
-        if not ld:
+        i = next((i for i, k in enumerate(rs.simple_indices, 1) if x[k] < 0), 0)
+        if not i:
             return tuple(word)
-        i = min(ld)
         word.append(i)
-        w = multiply(simple_reflection(w.root_system, i), w)
-
-
-def weak_leq(u: WeylElement, w: WeylElement, side: str = "left") -> bool:
-    """Weak order comparison by inversion-set containment."""
-    _check_same(u, w)
-    if side == "left":
-        return inversion_set(u) <= inversion_set(w)
-    if side == "right":
-        return inversion_set(inverse(u)) <= inversion_set(inverse(w))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        x = g.mul_simple_right(x, i)
 
 
 def all_elements(
     rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP
-) -> Iterator[Tuple[WeylElement, Tuple[int, ...]]]:
+) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
     Elements stream in (length, word-lex) order, one length at a time.
@@ -192,7 +167,7 @@ def all_elements(
     count = 1
     while level:
         for word, v, _ in level:
-            yield WeylElement(rs, v), word
+            yield v, word
         nxt = []
         for i, row in enumerate(signed_rows):
             left = row.__getitem__  # s_i v, mapping v's values
@@ -209,34 +184,3 @@ def all_elements(
                         raise EnumerationCapExceeded(cap)
                     nxt.append((letter + word, tuple(map(left, v)), right(x)))
         level = nxt
-
-
-def group_order(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-    return sum(1 for _ in all_elements(rs, cap))
-
-
-def longest_element(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> WeylElement:
-    """The unique element whose inversion set is all of the positive roots."""
-    last = None
-    for w, _ in all_elements(rs, cap):
-        last = w
-    assert last is not None
-    return last
-
-
-def one_line(w: WeylElement) -> Tuple[int, ...]:
-    """One-line notation for a type A element, as a permutation of 1..n.
-
-    w(e_1 - e_{j+1}) = e_{pi(1)} - e_{pi(j+1)} is read off the signed action:
-    its doubled coordinates are 2 at position pi(1) and -2 at pi(j+1).
-    """
-    rs = w.root_system
-    if rs.family != "A":
-        raise ValueError("one-line notation is defined for type A only")
-    n = rs.rank + 1
-    perm = [0] * n
-    for j in range(1, n):
-        img = w.action[rs._doubled_index[(2,) + (0,) * (j - 1) + (-2,) + (0,) * (n - j - 1)]]
-        d = [x if img > 0 else -x for x in rs._doubled[abs(img) - 1]]
-        perm[0], perm[j] = d.index(2) + 1, d.index(-2) + 1
-    return tuple(perm)

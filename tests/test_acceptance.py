@@ -17,10 +17,11 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import one_line
 from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
-from coxbalance.convex import WeylContext
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
+from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -300,7 +301,7 @@ def test_c10_fc_versus_321():
         rs = build_root_system("A", rank)
         sys = WeylContext(rs)
         for w, word in weyl.all_elements(rs):
-            perm = weyl.one_line(w)
+            perm = one_line(rs, w)
             has_321 = any(
                 perm[i] > perm[j] > perm[k]
                 for i in range(len(perm))

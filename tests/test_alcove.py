@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxbalance import weyl
 from coxbalance.alcove import (
     alcove_data,
     alcove_params,
     alcove_vertices_of,
     centroid,
     centroid_split_root,
-    check_exponential_bound,
     check_short_root_bound,
     contains,
     exp_lower_bound,
@@ -22,10 +20,11 @@ from coxbalance.alcove import (
     order_polytope_halfspaces,
     small_mean_height_root,
 )
-from coxbalance.convex import WeylContext, enumerate_convex_ideals, ideal_from_upper, interval_left
+from coxbalance.convex import enumerate_convex_ideals, ideal_from_upper, interval_left
 from coxbalance.linalg import add, dot, scale, zero
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
+from coxbalance.weyl import WeylContext
 
 TABLE_ROWS = {
     ("A", 1): (1, 1, 1, Fraction(1), Fraction(1)),
@@ -116,13 +115,13 @@ def test_halfspaces_exclude_neighbour_alcoves():
     data = alcove_data(rs)
     for c in enumerate_convex_ideals(ctx):
         hs = order_polytope_halfspaces(c)
-        inside = {ctx.element_key(m) for m in c.members}
+        inside = set(c.members)
         for m in c.members:
             for i in range(1, rs.rank + 1):
                 nb = ctx.mul_simple_left(m, i)
-                if ctx.element_key(nb) in inside:
+                if nb in inside:
                     continue
-                point = weyl.inverse(nb).apply(data.centroid)
+                point = ctx.apply(ctx.invert(nb), data.centroid)
                 assert not contains(hs, point)
 
 
@@ -144,7 +143,7 @@ def test_centroid_of_whole_group_vanishes():
     for family, rank in [("A", 2), ("B", 2)]:
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
-        whole = ideal_from_upper(ctx, ctx.all_keys())
+        whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
         assert centroid(whole) == zero(rs.ambient_dim)
 
 
@@ -167,7 +166,7 @@ def test_centroid_matches_vertex_average_oracle():
 def test_mean_height_whole_group_vanishes():
     rs = build_root_system("A", 2)
     ctx = WeylContext(rs)
-    whole = ideal_from_upper(ctx, ctx.all_keys())
+    whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
     for k in range(rs.num_positive_roots):
         assert mean_height(whole, k) == 0
 
@@ -217,11 +216,12 @@ class FractionOracle:
 
     Each member w contributes its alcove centroid w^{-1} o_0 and the image
     w^{-1} rho^vee of the sum of the coweights (heights are pairings with
-    rho^vee), both through ``WeylElement.apply``; pairings are ``dot``s.
+    rho^vee), both through ``WeylContext.apply``; pairings are ``dot``s.
     """
 
     def __init__(self, rs):
         self.rs = rs
+        self.ctx = WeylContext(rs)
         self.o0 = alcove_data(rs).centroid
         self.rho = zero(rs.ambient_dim)
         for w in rs.coweights:
@@ -230,10 +230,10 @@ class FractionOracle:
         self.limit = alcove_params(rs).margin / (rs.rank + 1)
 
     def _image(self, m):
-        if m.action not in self.images:
-            inv = weyl.inverse(m)
-            self.images[m.action] = (inv.apply(self.o0), inv.apply(self.rho))
-        return self.images[m.action]
+        if m not in self.images:
+            inv = self.ctx.invert(m)
+            self.images[m] = (self.ctx.apply(inv, self.o0), self.ctx.apply(inv, self.rho))
+        return self.images[m]
 
     def _average(self, c, which):
         total = zero(self.rs.ambient_dim)
@@ -307,7 +307,7 @@ def test_witnesses_need_non_singleton():
 def test_whole_group_split_root_at_zero():
     rs = build_root_system("A", 2)
     ctx = WeylContext(rs)
-    whole = ideal_from_upper(ctx, ctx.all_keys())
+    whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
     k = centroid_split_root(whole)
     assert dot(centroid(whole), rs.positive_roots[k]) == 0
 
@@ -334,7 +334,6 @@ def test_exponential_bounds_hold_on_scans():
         for c in enumerate_convex_ideals(ctx):
             if len(c) <= 1:
                 continue
-            assert check_exponential_bound(c)
             assert c.balance_value() >= threshold
 
 
@@ -344,6 +343,6 @@ def test_short_root_bound_type_b_only():
         if len(c) > 1:
             assert check_short_root_bound(c)
     a2 = WeylContext(build_root_system("A", 2))
-    whole = ideal_from_upper(a2, a2.all_keys())
+    whole = ideal_from_upper(a2, range(a2.root_system.num_positive_roots))
     with pytest.raises(ValueError, match="type B"):
         check_short_root_bound(whole)

@@ -105,6 +105,19 @@ def test_balance_requires_one_selector(capsys):
     (["semiorder", "--type", "E", "--rank", "7"], "pass --e8 to run the large scan"),
     (["balance", "--type", "A", "--rank", "2", "--interval", "", "--hull", "1"],
      "give exactly one of --interval"),
+    # int() alone reads "1_0" as 10 and non-ASCII digits as their values
+    (["balance", "--type", "A", "--rank", "5", "--ideal-roots", "1_0"],
+     "root indices must be decimal integers, not '1_0'"),
+    (["balance", "--type", "A", "--rank", "3", "--ideal-roots", "0,\uff11"],
+     "root indices must be decimal integers"),
+    (["balance", "--type", "A", "--rank", "3", "--interval", "0_1"],
+     "word letters must be decimal integers, not '0_1'"),
+    (["balance", "--type", "A", "--rank", "3", "--hull", "1; 2 \u0662"],
+     "word letters must be decimal integers"),
+    (["heap", "--type", "A", "--rank", "3", "--word", "\uff13 2"],
+     "word letters must be decimal integers"),
+    (["alcove", "--type", "A", "--rank", "3", "--interval", "1 2_"],
+     "word letters must be decimal integers, not '2_'"),
 ])
 def test_usage_errors_are_reported(capsys, argv, message):
     assert_error_line(capsys, main(argv), message)

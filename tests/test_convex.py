@@ -8,7 +8,6 @@ import pytest
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
-    WeylContext,
     convex_hull,
     convex_set,
     enumerate_convex_ideals,
@@ -22,6 +21,7 @@ from coxbalance.convex import (
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
 from coxbalance.verify import SEMIORDER_TYPES, run_campaign
+from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -30,23 +30,26 @@ def weyl_ctx(family, rank):
     return WeylContext(build_root_system(family, rank))
 
 
+def all_roots(ctx):
+    return range(ctx.root_system.num_positive_roots)
+
+
 def brute_force_ideal(ctx, allowed):
     """Oracle: filter the whole group by inversion containment."""
     return {
-        ctx.element_key(w)
-        for w, _ in weyl.all_elements(ctx.root_system)
-        if weyl.inversion_set(w) <= allowed
+        w for w, _ in weyl.all_elements(ctx.root_system)
+        if ctx.inversion_keys(w) <= allowed
     }
 
 
 def test_ideal_from_upper_examples():
     a2 = weyl_ctx("A", 2)
     assert len(ideal_from_upper(a2, frozenset())) == 1
-    assert len(ideal_from_upper(a2, a2.all_keys())) == 6
+    assert len(ideal_from_upper(a2, all_roots(a2))) == 6
     # A = {a1, a1+a2} gives the interval below s1 s2 read on the other side:
     # inversions of s2 s1 are a1 and a1+a2
     w = a2.from_word([2, 1])
-    c = ideal_from_upper(a2, weyl.inversion_set(w))
+    c = ideal_from_upper(a2, a2.inversion_keys(w))
     assert len(c) == 3
     assert c.words == ((), (1,), (2, 1))
 
@@ -58,7 +61,7 @@ def test_ideal_matches_brute_force_filter(family, rank):
     for mask in range(1 << n):
         allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
         c = ideal_from_upper(ctx, allowed)
-        assert {ctx.element_key(m) for m in c.members} == brute_force_ideal(ctx, allowed)
+        assert set(c.members) == brute_force_ideal(ctx, allowed)
 
 
 def test_ideals_downward_closed_in_left_order():
@@ -68,11 +71,11 @@ def test_ideals_downward_closed_in_left_order():
     for mask in range(1 << n):
         allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
         c = ideal_from_upper(ctx, allowed)
-        keys = {ctx.element_key(m) for m in c.members}
+        members = set(c.members)
         for m in c.members:
             for u in els:
-                if weyl.weak_leq(u, m, "left"):
-                    assert ctx.element_key(u) in keys
+                if ctx.inversion_keys(u) <= ctx.inversion_keys(m):  # u <= m, left
+                    assert u in members
 
 
 def test_interval_left():
@@ -86,14 +89,13 @@ def test_interval_left():
 def test_convex_set_with_lower_constraint():
     a2 = weyl_ctx("A", 2)
     a1_key = a2.simple_key(1)
-    c = convex_set(a2, {a1_key}, frozenset(a2.all_keys()))
+    c = convex_set(a2, {a1_key}, all_roots(a2))
     # brute force: elements of S3 with a1 as inversion
     expect = {
-        a2.element_key(w)
-        for w, _ in weyl.all_elements(a2.root_system)
-        if a1_key in weyl.inversion_set(w)
+        w for w, _ in weyl.all_elements(a2.root_system)
+        if a1_key in a2.inversion_keys(w)
     }
-    assert {a2.element_key(m) for m in c.members} == expect
+    assert set(c.members) == expect
     assert len(c) == 3
 
 
@@ -122,11 +124,9 @@ def test_hull_contains_inputs_and_is_minimal():
     for w in els:
         assert w in hull
     # minimality: the hull is contained in every W_D^A containing the inputs
-    invs = [weyl.inversion_set(w) for w in els]
-    c2 = convex_set(a3, frozenset.intersection(*invs), frozenset(a3.all_keys()))
-    assert {a3.element_key(m) for m in hull.members} <= {
-        a3.element_key(m) for m in c2.members
-    }
+    invs = [a3.inversion_keys(w) for w in els]
+    c2 = convex_set(a3, frozenset.intersection(*invs), all_roots(a3))
+    assert set(hull.members) <= set(c2.members)
 
 
 def test_hull_of_single_element():
@@ -148,7 +148,7 @@ def test_from_members_validates_convexity():
 def test_whole_group_balance_is_half():
     for family, rank in [("A", 2), ("B", 2)]:
         ctx = weyl_ctx(family, rank)
-        c = ideal_from_upper(ctx, ctx.all_keys())
+        c = ideal_from_upper(ctx, all_roots(ctx))
         b, wits = c.balance()
         assert b == Fraction(1, 2)
         assert wits  # every reflection pairs off
@@ -157,7 +157,7 @@ def test_whole_group_balance_is_half():
 def test_fraction_constant_outside_bounds():
     a2 = weyl_ctx("A", 2)
     c = interval_left(a2, a2.from_word([1, 2]))
-    outside = next(k for k in a2.all_keys() if k not in c.upper)
+    outside = next(k for k in all_roots(a2) if k not in c.upper)
     assert c.inversion_fraction(outside) == 0
     w = a2.from_word([1, 2, 1])
     single = convex_hull(a2, [w])
@@ -170,7 +170,7 @@ def test_translate_identity_and_membership():
     c = interval_left(a3, a3.from_word([1, 2]))
     assert translate(c, a3.identity()).words == c.words
     w = c.members[-1]
-    moved = translate(c, weyl.inverse(w))
+    moved = translate(c, a3.invert(w))
     assert a3.identity() in moved
 
 
@@ -230,7 +230,7 @@ def test_min_balance(family, rank, expected):
 def test_min_balance_b3_includes_figure_interval():
     ctx = weyl_ctx("B", 3)
     w = ctx.from_word([3, 2, 3, 1])
-    target = tuple(sorted(weyl.inversion_set(w)))
+    target = tuple(sorted(ctx.inversion_keys(w)))
     _, argmin = min_balance(ctx)
     assert any(c.canonical_upper == target for c in argmin)
 
@@ -255,7 +255,7 @@ def subset_scan_oracle(ctx):
 def scan_view(sets):
     return [
         (c.canonical_upper, c.canonical_lower, c.words,
-         tuple(m.action for m in c.members), c.inv_sets)
+         c.members, c.inv_sets)
         for c in sets
     ]
 
@@ -339,7 +339,7 @@ def test_scan_count_a4():
 def test_bfs_cap_guard():
     ctx = weyl_ctx("A", 3)
     with pytest.raises(weyl.EnumerationCapExceeded, match="10"):
-        ideal_from_upper(ctx, ctx.all_keys(), cap=10)
+        ideal_from_upper(ctx, all_roots(ctx), cap=10)
 
 
 def test_fc_interval_bound_in_acyclic_systems():
@@ -364,10 +364,9 @@ def test_fc_interval_bound_in_acyclic_systems():
                 break
             word.append(i)
         w = ctx_inf.from_word(word)
-        key = ctx_inf.element_key(w)
-        if key in seen or w == ctx_inf.identity():
+        if w in seen or w == ctx_inf.identity():
             continue
-        seen.add(key)
+        seen.add(w)
         assert interval_left(ctx_inf, w).balance_value() >= THIRD
 
 

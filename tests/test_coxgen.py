@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_line
 from coxbalance import convex
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
@@ -26,10 +27,9 @@ from coxbalance.coxgen import (
     path_matrix,
     reflection_key_of_word,
 )
-from coxbalance.convex import WeylContext
 from coxbalance.posets import heap_from_word
 from coxbalance.rootsys import build_root_system
-from coxbalance.weyl import all_elements, multiply, one_line
+from coxbalance.weyl import WeylContext, all_elements
 
 
 def avoids_321(perm):
@@ -174,7 +174,7 @@ def test_fc_agrees_with_321_avoidance(rank):
     rs = build_root_system("A", rank)
     sys = WeylContext(rs)
     for w, word in all_elements(rs):
-        assert is_fully_commutative(sys, list(word)) == avoids_321(one_line(w))
+        assert is_fully_commutative(sys, list(word)) == avoids_321(one_line(rs, w))
 
 
 def test_fc_in_weyl_b3():
@@ -260,8 +260,8 @@ def test_reflection_key_is_the_negated_root(key):
     weyl_group, _ = BACKENDS[key]
     reflections = 0
     for t, word in all_elements(weyl_group.root_system):
-        negated = [j for j, a in enumerate(t.action) if a == -(j + 1)]
-        if word and len(negated) == 1 and multiply(t, t).length == 0:
+        negated = [j for j, a in enumerate(t) if a == -(j + 1)]
+        if word and len(negated) == 1 and weyl_group.mul(t, t) == weyl_group.identity():
             assert reflection_key_of_word(weyl_group, word) == negated[0]
             reflections += 1
         else:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxbalance import coxgen, verify
-from coxbalance.convex import WeylContext
 from coxbalance.coxgen import INF, NotReducedError, build_system, cycle_matrix, path_matrix
 from coxbalance.posets import (
     IdealCapExceeded,
@@ -25,7 +24,8 @@ from coxbalance.posets import (
     poset_json,
 )
 from coxbalance.rootsys import build_root_system
-from coxbalance import convex, weyl
+from coxbalance.weyl import WeylContext
+from coxbalance import convex
 
 THIRD = Fraction(1, 3)
 
@@ -334,11 +334,11 @@ def test_heap_inversion_map_bijection():
     pairs = heap_inversion_map(sys, word)
     assert len(pairs) == 4
     heap = heap_from_word(sys, word)
-    ctx = convex.WeylContext(rs)
+    ctx = WeylContext(rs)
     w = ctx.from_word(word)
     c = convex.interval_left(ctx, w)
     root_to_pos = dict(pairs)
-    assert set(root_to_pos) == set(weyl.inversion_set(w))
+    assert set(root_to_pos) == ctx.inversion_keys(w)
     for inv in c.inv_sets:
         ideal = {root_to_pos[k] for k in inv}
         for x in ideal:  # downward closed in the heap

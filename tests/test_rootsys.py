@@ -19,7 +19,6 @@ from coxbalance.rootsys import (
     reflect,
     root_graph,
     root_graph_dot,
-    root_poset_leq,
     roots_json,
     simple_roots,
 )
@@ -233,8 +232,9 @@ def test_root_poset_and_heights():
     a2 = build_root_system("A", 2)
     alpha1, alpha2 = a2.simple_roots
     high = a2.highest_root
-    assert root_poset_leq(a2, alpha2, high)
-    assert not root_poset_leq(a2, high, alpha1)
+    # beta1 <= beta2 iff beta2 - beta1 is a nonnegative simple-root combination
+    assert a2.leq_indices(a2.index_of(alpha2), a2.index_of(high))
+    assert not a2.leq_indices(a2.index_of(high), a2.index_of(alpha1))
     b3 = build_root_system("B", 3)
     assert height(b3, vec((1, 1, 0))) == 5
     assert height(b3, neg(vec((1, 1, 0)))) == -5

@@ -16,7 +16,7 @@ from coxbalance.rootsys import (
 from coxbalance.semiorder import (
     build,
     check_half_bound,
-    exit_failure_report,
+    exit_roots,
     from_unit_interval,
     induced_semiorder_poset,
     min_semiorder_balance,
@@ -111,7 +111,7 @@ def test_half_bound_exhaustive(family, rank):
 def test_half_bound_whole_group_hits_half():
     rs = build_root_system("A", 2)
     gs = build(rs, range(3))
-    assert semiorder.max_inversion_fraction(gs) == Fraction(1, 2)
+    assert max(gs.convex.inversion_fraction(k) for k in range(3)) == Fraction(1, 2)
     assert check_half_bound(gs)
 
 
@@ -129,7 +129,12 @@ def test_single_exit_simple_a2():
 def test_exit_failure_report_structure():
     rs = build_root_system("B", 2)
     mask = ideal_from_members(rs, set(rs.simple_indices))
-    report = exit_failure_report(rs, mask)
+    # per simple root in the ideal, the (beta, s_i beta) pairs that leave it
+    report = {
+        i: [(j, rs.simple_image(i, j) - 1) for j in exit_roots(rs, mask, i)]
+        for i in range(1, rs.rank + 1)
+        if (mask >> rs.simple_indices[i - 1]) & 1
+    }
     assert set(report) <= {1, 2}
     for i, pairs in report.items():
         for beta, image in pairs:
@@ -181,7 +186,7 @@ def fraction_reflection_action(rs, k):
 def test_reflection_element_matches_fraction_reflect(family, rank):
     rs = build_root_system(family, rank)
     for k in range(rs.num_positive_roots):
-        assert semiorder._reflection_element(rs, k).action == fraction_reflection_action(rs, k)
+        assert semiorder._reflection_element(rs, k) == fraction_reflection_action(rs, k)
 
 
 @pytest.mark.parametrize("family,rank", EXIT_SCAN_TYPES + (("E", 6), ("E", 7)))
