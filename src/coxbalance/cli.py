@@ -12,7 +12,9 @@ import contextlib
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
@@ -32,14 +34,22 @@ from .weyl import WeylContext
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def _decimal(token: str, rule: str) -> int:
+    """An ASCII decimal integer token; ``rule`` opens the error message."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"{rule}, not {token!r}")
+    return int(token)
+
+
 def _parse_ints(text: str, what: str) -> List[int]:
     """Whitespace-separated decimal integers."""
-    out = []
-    for token in text.split():
-        if not _DECIMAL.fullmatch(token):
-            raise ValueError(f"{what} must be decimal integers, not {token!r}")
-        out.append(int(token))
-    return out
+    return [_decimal(token, f"{what} must be decimal integers") for token in text.split()]
+
+
+def _int_option(args, name: str) -> Optional[int]:
+    """The value of ``--name`` as a decimal integer, or None if it was not given."""
+    text = getattr(args, name)
+    return None if text is None else _decimal(text, f"--{name} must be a decimal integer")
 
 
 def _parse_word(text: str) -> List[int]:
@@ -57,7 +67,7 @@ def _write_out(args, payload: dict) -> None:
 def _root_system(args) -> RootSystem:
     if not args.type or args.rank is None:
         raise ValueError("--type and --rank are required for this command")
-    return build_root_system(args.type, args.rank)
+    return build_root_system(args.type, _int_option(args, "rank"))
 
 
 def _group(args):
@@ -97,14 +107,13 @@ def cmd_roots(args) -> int:
 
 def cmd_group(args) -> int:
     rs = _root_system(args)
-    cap = weyl.DEFAULT_ELEMENT_CAP if args.cap is None else args.cap
-    if cap < 0:
+    cap = _int_option(args, "cap")
+    if cap is None:
+        cap = weyl.DEFAULT_ELEMENT_CAP
+    elif cap < 0:
         raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
-    lengths = {}
-    count = 0
-    for w, word in weyl.all_elements(rs, cap):
-        lengths[len(word)] = lengths.get(len(word), 0) + 1
-        count += 1
+    lengths = Counter(map(len, map(itemgetter(1), weyl.all_elements(rs, cap))))
+    count = sum(lengths.values())
     print(f"group of type {rs.root_label()}: {count} elements")
     for ln in sorted(lengths):
         print(f"  length {ln:2d}: {lengths[ln]}")
@@ -175,6 +184,9 @@ def cmd_heap(args) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """An ASCII rational as ``Fraction`` reads it, without its "_" separators."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"unit-interval values must be ASCII rationals, not {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -187,7 +199,7 @@ def cmd_semiorder(args) -> int:
         gs = semiorder.from_unit_interval(values)
         label = gs.root_system.root_label()
         rank = gs.root_system.rank
-        if args.type not in (None, "A") or args.rank not in (None, rank):
+        if args.type not in (None, "A") or _int_option(args, "rank") not in (None, rank):
             raise ValueError(f"{len(values)} unit-interval values give type {label}; "
                              f"give --type A --rank {rank} or neither")
         b = gs.convex.balance_value()
@@ -320,7 +332,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_type_args(p, diagram=False):
         p.add_argument("--type", choices=list("ABCDEFG"), help="family letter")
-        p.add_argument("--rank", type=int, help="rank of the type")
+        p.add_argument("--rank", help="rank of the type")
         if diagram:
             p.add_argument("--diagram", help="JSON diagram file "
                            '({"rank": r, "edges": [{"i","j","m"}]}, m = 3, 4, 6 or "inf")')
@@ -336,7 +348,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="enumerate the Weyl group")
     add_type_args(p)
-    p.add_argument("--cap", type=int, help="element cap (default 10^6)")
+    p.add_argument("--cap", help="element cap (default 10^6)")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("balance", help="inversion fractions and balance of a convex set")

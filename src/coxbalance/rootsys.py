@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .linalg import Vector, bits, dot, invert, is_zero, neg, scale, sub, vec
+from .linalg import Vector, bits, dot, invert, is_zero, scale, sub, vec
 from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
@@ -204,10 +204,7 @@ class RootSystem:
     def root_label(self) -> str:
         return f"{self.family}{self.rank}"
 
-    # -- poset structure ---------------------------------------------------
-
-    def leq_indices(self, i: int, j: int) -> bool:
-        return bool((self._leq[i] >> j) & 1)
+    # -- simple reflections ------------------------------------------------
 
     def coxeter_m(self, i: int, j: int) -> int:
         """Coxeter matrix entry m_ij for simple reflections (1-based)."""
@@ -338,14 +335,6 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
 
 
 # -- root poset ------------------------------------------------------------
-
-
-def height(rs: RootSystem, beta: Vector) -> int:
-    """Height of any root (negative for negative roots)."""
-    try:
-        return rs.heights[rs.index_of(beta)]
-    except KeyError:
-        return -rs.heights[rs.index_of(neg(beta))]
 
 
 def _covers(rs: RootSystem) -> Tuple[List[int], List[int]]:

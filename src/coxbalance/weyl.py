@@ -147,8 +147,11 @@ def all_elements(
     are the right descents of x, so the child test reads x alone: s_i v is
     a child iff x sends alpha_i and s_i alpha_k (k < i) to positive roots.
     x is stored with signed indexing, x[a] = x(beta_a) and x[-a] = -x[a]
-    for a = 1..N (x[0] = 0), and likewise each simple reflection's row; then
-    x s_i and s_i v are plain table look-ups with no sign tests.
+    for a = 1..N (x[0] = 0), and likewise each simple reflection's row r.
+    Each step is then one C-level ``itemgetter`` call with no sign tests:
+    s_i v = itemgetter(*v)(r) reads r at v's values, and x s_i =
+    itemgetter(*r)(x) reads x at r's values, with that getter built once
+    per letter.
     """
     rows = rs._simple_action
     simple = rs.simple_indices
@@ -163,6 +166,9 @@ def all_elements(
     ]
     signed_rows = [signed(row) for row in rows]
     start = tuple(range(1, rs.num_positive_roots + 1))
+    # itemgetter of a single index returns the bare item; with N = 1 (A1)
+    # the getter of v's values builds the 1-tuple itself
+    getter = itemgetter if len(start) > 1 else lambda a: lambda row: (row[a],)
     level = [((), start, signed(start))]
     count = 1
     while level:
@@ -170,7 +176,6 @@ def all_elements(
             yield v, word
         nxt = []
         for i, row in enumerate(signed_rows):
-            left = row.__getitem__  # s_i v, mapping v's values
             right = itemgetter(*row)  # x s_i, permuting x's entries
             guard = guards[i]
             letter = (i + 1,)
@@ -182,5 +187,5 @@ def all_elements(
                     count += 1
                     if count > cap:
                         raise EnumerationCapExceeded(cap)
-                    nxt.append((letter + word, tuple(map(left, v)), right(x)))
+                    nxt.append((letter + word, getter(*v)(row), right(x)))
         level = nxt

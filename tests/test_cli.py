@@ -47,6 +47,14 @@ def test_group_e6_matches_expected_bytes(capsys):
     assert out.encode() == expected.read_bytes()
 
 
+def test_group_a1_exact_output(capsys):
+    """A1 has one positive root, the one case where a getter of v's values
+    would return a bare entry rather than a tuple."""
+    code, out = run(capsys, "group", "--type", "A", "--rank", "1")
+    assert code == 0
+    assert out == "group of type A1: 2 elements\n  length  0: 1\n  length  1: 1\n"
+
+
 def test_group_cap_reported_cleanly(capsys):
     code = main(["group", "--type", "A", "--rank", "3", "--cap", "5"])
     assert code == 2
@@ -118,6 +126,18 @@ def test_balance_requires_one_selector(capsys):
      "word letters must be decimal integers"),
     (["alcove", "--type", "A", "--rank", "3", "--interval", "1 2_"],
      "word letters must be decimal integers, not '2_'"),
+    # argparse's int() read these, and a bad one gave its two-line usage error
+    (["roots", "--type", "A", "--rank", "\uff11"], "--rank must be a decimal integer"),
+    (["roots", "--type", "A", "--rank", "x"], "--rank must be a decimal integer, not 'x'"),
+    (["group", "--type", "A", "--rank", "3", "--cap", "1_0"],
+     "--cap must be a decimal integer, not '1_0'"),
+    (["semiorder", "--rank", "x", "--unit-interval", "0 1"],
+     "--rank must be a decimal integer, not 'x'"),
+    # Fraction() also reads "1_0" as 10 and non-ASCII digits as their values
+    (["semiorder", "--unit-interval", "0 1_0"],
+     "unit-interval values must be ASCII rationals, not '1_0'"),
+    (["semiorder", "--unit-interval", "0 \u0661"],
+     "unit-interval values must be ASCII rationals"),
 ])
 def test_usage_errors_are_reported(capsys, argv, message):
     assert_error_line(capsys, main(argv), message)
@@ -297,6 +317,13 @@ def test_semiorder_unit_interval(capsys):
                     "--unit-interval", "0 1/2 7/5")
     assert code == 0
     assert "|W^A| = 3" in out
+
+
+def test_semiorder_unit_interval_ascii_forms(capsys):
+    """Signs, decimals and exponents stay readable, as Fraction reads them."""
+    code, out = run(capsys, "semiorder", "--unit-interval", "-1/2 0.5 1e0 +2")
+    assert code == 0
+    assert "unit-interval semiorder on 4 points" in out
 
 
 def test_semiorder_unit_interval_zero_denominator(capsys):

@@ -12,7 +12,6 @@ from coxbalance.rootsys import (
     build_root_system,
     count_root_ideals,
     hasse_edges,
-    height,
     ideal_from_members,
     iter_ideal_masks,
     poset_dot,
@@ -22,6 +21,11 @@ from coxbalance.rootsys import (
     roots_json,
     simple_roots,
 )
+
+
+def leq(rs, i, j):
+    """Root-poset order read from the bitmask rows: beta_i <= beta_j."""
+    return (rs._leq[i] >> j) & 1
 
 
 def brute_force_ideal_count(rs):
@@ -34,7 +38,7 @@ def brute_force_ideal_count(rs):
             if not (mask >> i) & 1:
                 continue
             for j in range(n):
-                if rs.leq_indices(j, i) and not (mask >> j) & 1:
+                if leq(rs, j, i) and not (mask >> j) & 1:
                     ok = False
                     break
             if not ok:
@@ -233,14 +237,16 @@ def test_root_poset_and_heights():
     alpha1, alpha2 = a2.simple_roots
     high = a2.highest_root
     # beta1 <= beta2 iff beta2 - beta1 is a nonnegative simple-root combination
-    assert a2.leq_indices(a2.index_of(alpha2), a2.index_of(high))
-    assert not a2.leq_indices(a2.index_of(high), a2.index_of(alpha1))
+    assert leq(a2, a2.index_of(alpha2), a2.index_of(high))
+    assert not leq(a2, a2.index_of(high), a2.index_of(alpha1))
     b3 = build_root_system("B", 3)
-    assert height(b3, vec((1, 1, 0))) == 5
-    assert height(b3, neg(vec((1, 1, 0)))) == -5
+    assert b3.heights[b3.index_of(vec((1, 1, 0)))] == 5
+    # heights are kept for the positive roots only
+    with pytest.raises(KeyError):
+        b3.index_of(neg(vec((1, 1, 0))))
     for rs in (a2, b3):
         for s in rs.simple_roots:
-            assert height(rs, s) == 1
+            assert rs.heights[rs.index_of(s)] == 1
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("F", 4), ("G", 2), ("E", 8)])
@@ -248,12 +254,11 @@ def test_index_of_rejects_non_roots(family, rank):
     rs = build_root_system(family, rank)
     for i, beta in enumerate(rs.positive_roots):
         assert rs.index_of(beta) == i
-        assert height(rs, neg(beta)) == -rs.heights[i]
         for other in (tuple(x / 2 for x in beta), neg(beta), beta + (Fraction(0),)):
             with pytest.raises(KeyError):
                 rs.index_of(other)
     with pytest.raises(KeyError):
-        height(rs, tuple(x / 2 for x in rs.highest_root))
+        rs.heights[rs.index_of(tuple(x / 2 for x in rs.highest_root))]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)])
@@ -329,8 +334,8 @@ def cubic_hasse_edges(rs):
     edges = []
     for i in range(n):
         for j in range(n):
-            if i != j and rs.leq_indices(i, j) and not any(
-                k not in (i, j) and rs.leq_indices(i, k) and rs.leq_indices(k, j)
+            if i != j and leq(rs, i, j) and not any(
+                k not in (i, j) and leq(rs, i, k) and leq(rs, k, j)
                 for k in range(n)
             ):
                 edges.append((i, j))

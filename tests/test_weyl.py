@@ -1,6 +1,7 @@
 """Weyl group elements: group axioms, words, inversion sets, weak order."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -235,6 +236,50 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded) as exc:
         list(all_elements(rs, cap=5))
     assert "5" in str(exc.value)
+
+
+def degrees(family, rank):
+    """Degrees of the basic invariants (Humphreys, Reflection Groups and
+    Coxeter Groups, section 3.7)."""
+    if family == "A":
+        return list(range(2, rank + 2))
+    if family in "BC":
+        return list(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return list(range(2, 2 * rank - 1, 2)) + [rank]
+    return {("E", 6): [2, 5, 6, 8, 9, 12], ("F", 4): [2, 6, 8, 12], ("G", 2): [2, 6]}[
+        family, rank]
+
+
+def poincare_coefficients(degrees):
+    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1)), lowest first."""
+    coeffs = [1]
+    for d in degrees:
+        out = [0] * (len(coeffs) + d - 1)
+        for k, c in enumerate(coeffs):
+            for j in range(d):
+                out[k + j] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 6)),
+    *(("B", r) for r in range(2, 6)),
+    *(("C", r) for r in range(2, 6)),
+    ("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
+])
+def test_length_counts_match_poincare_polynomial(family, rank):
+    """The walk's length distribution is the Poincare polynomial of W, whose
+    coefficients come from the degrees alone, not from any group element."""
+    rs = build_root_system(family, rank)
+    counts = Counter()
+    for w, word in all_elements(rs):
+        assert len(word) == length(w)
+        counts[len(word)] += 1
+    expected = poincare_coefficients(degrees(family, rank))
+    assert [counts[k] for k in range(len(expected))] == expected
+    assert sum(counts.values()) == sum(expected)
 
 
 def test_one_line_notation():
