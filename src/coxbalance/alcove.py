@@ -7,18 +7,21 @@ half-spaces are rational, and the e-based lower bounds are certified by
 comparing against partial sums of the exponential series (strict rational
 lower bounds on e^x), so a confirmed inequality is rigorous.
 
-The witnesses and the centroid are read from integer tables built once per
-type.  The centroid o_0 of the fundamental alcove is (1/(r+1)) sum_i
-omega_i^vee / m_i over the marks m_i of the highest root, so a root
-beta = sum_i c_i alpha_i pairs with it as <o_0, beta> = (1/(r+1)) sum_i
-c_i / m_i: an integer numerator over one common denominator.  The group acts
-orthogonally, so a member w pairs its alcove centroid w^{-1} o_0 with root k
-as <o_0, w beta_k>, which is that numerator at the signed root index
-``w[k]`` of the member's action tuple; mean image heights read ``heights``
-the same way.  The pairing of the order-polytope centroid with a root is
-then a sum of integers over the members, and the centroid itself is
-sum_i <o, alpha_i> omega_i^vee, since it lies in the span of the roots and
-the coweights are the dual basis.
+A point x in the span of the roots is computed in its coweight coordinates
+y_i = <x, alpha_i>, so x = sum_i y_i omega_i^vee and a root beta = sum_i
+c_i alpha_i pairs with it as sum_i c_i y_i; only a printed point is turned
+into ambient coordinates, by :func:`ambient`.  A half-space is a pair
+(a, b) meaning <x, beta_a> <= b for a signed 1-based root index a, with
+beta_{-a} = -beta_a.  The group acts orthogonally, so <w^{-1} x, beta_k> =
+<x, w beta_k>, the signed root at entry ``w[k]`` of w's action tuple.
+
+The centroid o_0 of the fundamental alcove has y_i = 1/((r+1) m_i) over the
+marks m_i of the highest root, so <o_0, beta> = (1/(r+1)) sum_i c_i / m_i
+is an integer numerator over one common denominator, tabulated once per
+type.  A member w pairs its alcove centroid w^{-1} o_0 with root k as that
+numerator at ``w[k]``, and mean image heights read ``heights`` the same
+way.  The pairings of the order-polytope centroid are then sums of integers
+over the members, and its coordinates are its simple-root pairings.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .convex import ConvexSet
-from .linalg import Vector, add, dot, scale, zero
+from .linalg import Vector
 from .rootsys import RootSystem
 from .weyl import WeylContext
 
@@ -71,6 +75,11 @@ def alcove_params(rs: RootSystem) -> AlcoveParams:
     )
 
 
+def ambient(rs: RootSystem, y: Sequence) -> Vector:
+    """The ambient vector sum_i y_i omega_i^vee with coweight coordinates y."""
+    return tuple(sum(map(mul, y, column), Fraction(0)) for column in zip(*rs.coweights))
+
+
 @dataclass(frozen=True)
 class AlcoveData:
     """Vertices and centroid of the fundamental alcove (plus short-root data)."""
@@ -81,69 +90,70 @@ class AlcoveData:
     short_vertices: Optional[Tuple[Vector, ...]]  # non-simply-laced only
 
 
+def _corners(rs: RootSystem, scales: Sequence[int]) -> Tuple[Vector, ...]:
+    """The origin and each omega_i^vee / scales[i], in ambient coordinates."""
+    r = rs.rank
+    units = [[Fraction(int(i == j), s) for j in range(r)] for i, s in enumerate(scales)]
+    return tuple(ambient(rs, y) for y in [[0] * r, *units])
+
+
 def alcove_data(rs: RootSystem) -> AlcoveData:
+    """The alcove points, in ambient coordinates; <omega_i^vee, eta> is eta_i."""
     marks = rs.coefficients[rs.highest_root_index]
-    verts = [zero(rs.ambient_dim)]
-    for i in range(rs.rank):
-        verts.append(scale(Fraction(1, marks[i]), rs.coweights[i]))
-    centroid = zero(rs.ambient_dim)
-    for v in verts:
-        centroid = add(centroid, v)
-    centroid = scale(Fraction(1, rs.rank + 1), centroid)
-
-    short_verts = None
-    if rs.highest_short_root_index is not None:
-        eta = rs.positive_roots[rs.highest_short_root_index]
-        short_verts = [zero(rs.ambient_dim)]
-        for i in range(rs.rank):
-            short_verts.append(
-                scale(Fraction(1, 1) / dot(rs.coweights[i], eta), rs.coweights[i])
-            )
-        short_verts = tuple(short_verts)
-    return AlcoveData(rs, tuple(verts), centroid, short_verts)
+    short = rs.highest_short_root_index
+    return AlcoveData(
+        rs,
+        _corners(rs, marks),
+        ambient(rs, [Fraction(1, (rs.rank + 1) * m) for m in marks]),
+        None if short is None else _corners(rs, rs.coefficients[short]),
+    )
 
 
-HalfSpace = Tuple[Vector, str, Fraction]  # (normal, "<=" or ">=", bound)
+HalfSpace = Tuple[int, int]  # (a, b): <x, beta_a> <= b for a signed root index a
 
 
 def order_polytope_halfspaces(c: ConvexSet) -> List[HalfSpace]:
     """Defining half-spaces of the union of member alcoves.
 
-    <x, alpha> <= 0 for alpha in the lower set D, <x, beta> >= 0 for beta
-    outside the upper set A, and the caps <x, w^{-1} xi> <= 1 over members.
+    <x, alpha> <= 0 for alpha in the lower set D, <x, -beta> <= 0 for beta
+    outside the upper set A, and the caps <x, w^{-1} xi> <= 1 over members,
+    where w^{-1} xi is the signed root at the highest root's entry of w^{-1}.
     """
     ctx = c.ctx
     if not isinstance(ctx, WeylContext):
         raise TypeError("order polytopes need a finite Weyl context")
     rs = ctx.root_system
-    hs: List[HalfSpace] = []
-    for k in c.canonical_lower:
-        hs.append((rs.positive_roots[k], "<=", Fraction(0)))
-    for k in range(rs.num_positive_roots):
-        if k not in c.upper:
-            hs.append((rs.positive_roots[k], ">=", Fraction(0)))
-    xi = rs.highest_root
-    for m in c.members:
-        hs.append((ctx.apply(ctx.invert(m), xi), "<=", Fraction(1)))
+    hs = [(k + 1, 0) for k in c.canonical_lower]
+    hs += [(-k - 1, 0) for k in range(rs.num_positive_roots) if k not in c.upper]
+    hs += [(ctx.invert(m)[rs.highest_root_index], 1) for m in c.members]
     return hs
 
 
-def contains(halfspaces: Sequence[HalfSpace], point: Vector) -> bool:
-    for normal, sense, bound in halfspaces:
-        val = dot(normal, point)
-        if sense == "<=" and val > bound:
-            return False
-        if sense == ">=" and val < bound:
+def contains(rs: RootSystem, halfspaces: Sequence[HalfSpace], y: Sequence) -> bool:
+    """Whether the point with coweight coordinates y lies in every half-space."""
+    for a, b in halfspaces:
+        value = sum(map(mul, rs.coefficients[abs(a) - 1], y))
+        if (value if a > 0 else -value) > b:
             return False
     return True
 
 
-def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Vector]:
-    """Vertices of the alcove w^{-1} Q_id for the given member."""
-    ctx = c.ctx
-    data = alcove_data(ctx.root_system)
-    winv = ctx.invert(c.members[member_index])
-    return [ctx.apply(winv, v) for v in data.vertices]
+def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Tuple[Fraction, ...]]:
+    """Vertices of the alcove w^{-1} Q_id of a member, in coweight coordinates.
+
+    Coordinate i of w^{-1} omega_j^vee / m_j is <omega_j^vee, w alpha_i> / m_j:
+    coefficient j of the signed root at w's entry for alpha_i, over m_j.
+    """
+    rs = c.ctx.root_system
+    w = c.members[member_index]
+    rows = [
+        (rs.coefficients[abs(w[k]) - 1], 1 if w[k] > 0 else -1) for k in rs.simple_indices
+    ]
+    marks = rs.coefficients[rs.highest_root_index]
+    return [(Fraction(0),) * rs.rank] + [
+        tuple(Fraction(sign * coeffs[j], m) for coeffs, sign in rows)
+        for j, m in enumerate(marks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -198,7 +208,8 @@ def _image_sum(table: Tuple[int, ...], c: ConvexSet, root_index: int) -> int:
 def centroid(c: ConvexSet) -> Vector:
     """Centroid of the order polytope: the average of the member alcove centroids.
 
-    Built as sum_i <o, alpha_i> omega_i^vee from the integer pairing table.
+    Its coweight coordinates are its pairings with the simple roots, read
+    from the integer pairing table.
     """
     ctx = c.ctx
     if not isinstance(ctx, WeylContext):
@@ -206,12 +217,9 @@ def centroid(c: ConvexSet) -> Vector:
     rs = ctx.root_system
     tables = _root_tables(rs)
     den = len(c.members) * tables.den
-    o = zero(rs.ambient_dim)
-    for i, k in enumerate(rs.simple_indices):
-        s = _image_sum(tables.pairing, c, k)
-        if s:
-            o = add(o, scale(Fraction(s, den), rs.coweights[i]))
-    return o
+    return ambient(
+        rs, [Fraction(_image_sum(tables.pairing, c, k), den) for k in rs.simple_indices]
+    )
 
 
 # -- mean heights and witnesses ------------------------------------------------

@@ -238,8 +238,10 @@ def cmd_semiorder(args) -> int:
 
 def cmd_alcove(args) -> int:
     rs = _root_system(args)
+    if args.interval is not None:
+        ctx = WeylContext(rs)
+        c = convex.interval_left(ctx, ctx.from_word(_parse_word(args.interval)))
     p = alcove.alcove_params(rs)
-    data = alcove.alcove_data(rs)
     print(f"type {rs.root_label()}: min_mark {p.min_mark}, max_mark {p.max_mark}, "
           f"height {p.height}, margin {p.margin}, exponent {p.exponent}")
     payload = {
@@ -251,8 +253,6 @@ def cmd_alcove(args) -> int:
         "exponent": fraction_json(p.exponent),
     }
     if args.interval is not None:
-        ctx = WeylContext(rs)
-        c = convex.interval_left(ctx, ctx.from_word(_parse_word(args.interval)))
         o = alcove.centroid(c)
         b = c.balance_value()
         non_singleton = len(c) > 1
@@ -287,6 +287,7 @@ def cmd_alcove(args) -> int:
             "short_root_bound_ok": short_ok,
         })
     else:
+        data = alcove.alcove_data(rs)
         print("alcove vertices:")
         for v in data.vertices:
             print(f"  ({', '.join(map(str, v))})")

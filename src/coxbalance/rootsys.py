@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .coxgen import root_display
 from .linalg import Vector, bits, dot, invert, is_zero, scale, sub, vec
 from .posets import walk_order_ideals
 
@@ -389,7 +390,8 @@ def ideal_from_members(rs: RootSystem, members) -> int:
             j = missing.bit_length() - 1
             raise ValueError(
                 f"not an order ideal: contains root {i} "
-                f"({_root_name(rs, i)}) but not {j} ({_root_name(rs, j)}) below it"
+                f"({root_display(rs.coefficients[i])}) but not {j} "
+                f"({root_display(rs.coefficients[j])}) below it"
             )
     return mask
 
@@ -413,21 +415,11 @@ def count_root_ideals(rs: RootSystem) -> int:
 # -- exports -----------------------------------------------------------------
 
 
-def _root_name(rs: RootSystem, i: int) -> str:
-    coeffs = rs.coefficients[i]
-    parts = []
-    for k, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        parts.append(f"a{k}" if c == 1 else f"{c}a{k}")
-    return "+".join(parts) if parts else "0"
-
-
 def poset_dot(rs: RootSystem) -> str:
     """Graphviz DOT for the Hasse diagram of the root poset."""
     lines = ["digraph rootposet {", "  rankdir=BT;"]
     for i in range(rs.num_positive_roots):
-        lines.append(f'  r{i} [label="{_root_name(rs, i)}"];')
+        lines.append(f'  r{i} [label="{root_display(rs.coefficients[i])}"];')
     for i, j in hasse_edges(rs):
         lines.append(f"  r{i} -> r{j};")
     lines.append("}")
@@ -438,7 +430,7 @@ def root_graph_dot(rs: RootSystem) -> str:
     """Graphviz DOT for the simple-reflection graph with edge labels."""
     lines = ["graph rootgraph {"]
     for i in range(rs.num_positive_roots):
-        lines.append(f'  r{i} [label="{_root_name(rs, i)}"];')
+        lines.append(f'  r{i} [label="{root_display(rs.coefficients[i])}"];')
     for i, j, s in root_graph(rs):
         lines.append(f'  r{i} -- r{j} [label="a{s}"];')
     lines.append("}")

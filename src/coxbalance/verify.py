@@ -146,15 +146,10 @@ def _expected_params(family: str, rank: int):
 
 def verify_params_table() -> VerificationReport:
     def body(report: VerificationReport):
-        for family, ranks in PARAM_ROWS.items():
-            for rank in ranks:
-                rs = build_root_system(family, rank)
-                p = alcove.alcove_params(rs)
-                got = (p.min_mark, p.max_mark, p.height, p.margin, p.exponent)
-                report.check(f"{family}{rank}", got, _expected_params(family, rank))
-        for family, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-            rs = build_root_system(family, rank)
-            p = alcove.alcove_params(rs)
+        rows = [(family, rank) for family, ranks in PARAM_ROWS.items() for rank in ranks]
+        rows += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        for family, rank in rows:
+            p = alcove.alcove_params(build_root_system(family, rank))
             got = (p.min_mark, p.max_mark, p.height, p.margin, p.exponent)
             report.check(f"{family}{rank}", got, _expected_params(family, rank))
 

@@ -4,7 +4,8 @@ An element is the tuple ``w`` with ``w[j] = +-(k+1)`` when it sends positive
 root ``j`` to ``+-`` positive root ``k``.  The tuple is its own key: equality
 and hashing are O(#roots) and independent of any choice of word, and reduced
 words are derived data.  :class:`WeylContext` is the group object of one
-type and computes directly on these tuples.
+type and computes directly on these tuples, with integer arithmetic only;
+a vector's image under w is read from the same tuple in ``alcove``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from operator import itemgetter
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .coxgen import root_display
-from .linalg import Vector, add, dot, scale, zero
 from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -32,7 +32,8 @@ class WeylContext:
 
     Its element methods match those of ``coxgen.CoxSystem``, the group object
     of a diagram, so every routine in ``convex``, ``coxgen`` and ``posets``
-    takes either one.
+    takes either one.  Every method works on the signed action tuples; the
+    ``Fraction`` views of the root system are never read.
     """
 
     def __init__(self, rs: RootSystem):
@@ -90,22 +91,6 @@ class WeylContext:
 
     def key_display(self, key: int) -> str:
         return root_display(self.root_system.coefficients[key])
-
-    def apply(self, w: Element, x: Vector) -> Vector:
-        """Image under w of an ambient vector lying in the span of the simple roots.
-
-        x = sum_i <x, omega_i^vee> alpha_i, and w alpha_i is the signed root
-        at ``w[simple index]``; this reads the ``Fraction`` views of the type.
-        """
-        rs = self.root_system
-        out = zero(rs.ambient_dim)
-        for i, k in enumerate(rs.simple_indices):
-            c = dot(rs.coweights[i], x)
-            if c == 0:
-                continue
-            img = w[k]
-            out = add(out, scale(c if img > 0 else -c, rs.positive_roots[abs(img) - 1]))
-        return out
 
 
 def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:

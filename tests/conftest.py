@@ -1,11 +1,14 @@
-"""Shared test settings and the type A one-line oracle.
+"""Shared test settings and two oracles of the group action.
 
-Property tests run under a derandomized hypothesis profile: the examples are
-derived from each test's source, so every run of the suite draws the same
-ones, and no example database is written.
+The oracles are type A one-line notation and the action on ``Fraction``
+vectors.  Property tests run under a derandomized hypothesis profile: the
+examples are derived from each test's source, so every run of the suite
+draws the same ones, and no example database is written.
 """
 
 from hypothesis import settings
+
+from coxbalance.linalg import add, dot, scale, zero
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
@@ -27,3 +30,19 @@ def one_line(rs, w):
         d = [x if img > 0 else -x for x in rs._doubled[abs(img) - 1]]
         perm[0], perm[j] = d.index(2) + 1, d.index(-2) + 1
     return tuple(perm)
+
+
+def apply(rs, w, x):
+    """Image under w of an ambient vector lying in the span of the simple roots.
+
+    The ``Fraction`` route: x = sum_i <x, omega_i^vee> alpha_i, and w alpha_i
+    is the signed root at ``w[simple index]``, read from the ``Fraction``
+    views of the type.
+    """
+    out = zero(rs.ambient_dim)
+    for i, k in enumerate(rs.simple_indices):
+        c = dot(rs.coweights[i], x)
+        if c:
+            img = w[k]
+            out = add(out, scale(c if img > 0 else -c, rs.positive_roots[abs(img) - 1]))
+    return out

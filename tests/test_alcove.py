@@ -1,15 +1,19 @@
 """Alcove geometry: parameter table, half-spaces, centroids, witnesses, bounds."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import apply
 from coxbalance.alcove import (
+    _root_tables,
     alcove_data,
     alcove_params,
     alcove_vertices_of,
+    ambient,
     centroid,
     centroid_split_root,
     check_short_root_bound,
@@ -21,7 +25,7 @@ from coxbalance.alcove import (
     small_mean_height_root,
 )
 from coxbalance.convex import enumerate_convex_ideals, ideal_from_upper, interval_left
-from coxbalance.linalg import add, dot, scale, zero
+from coxbalance.linalg import add, dot, neg, scale, zero
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
 from coxbalance.weyl import WeylContext
@@ -57,11 +61,21 @@ def test_mark_sum_is_height(family, rank):
     assert sum(marks) == alcove_params(rs).height
 
 
+def fraction_vertices(rs):
+    """The origin and omega_i^vee / m_i, in ambient ``Fraction`` coordinates."""
+    marks = rs.coefficients[rs.highest_root_index]
+    return [zero(rs.ambient_dim)] + [
+        scale(Fraction(1, m), w) for m, w in zip(marks, rs.coweights)
+    ]
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)])
 def test_alcove_vertices(family, rank):
     rs = build_root_system(family, rank)
     data = alcove_data(rs)
-    assert len(data.vertices) == rs.rank + 1
+    corners = fraction_vertices(rs)
+    assert data.vertices == tuple(corners)
+    assert data.centroid == scale(Fraction(1, rs.rank + 1), reduce(add, corners))
     xi = rs.highest_root
     for v in data.vertices[1:]:
         assert dot(v, xi) == 1
@@ -69,6 +83,7 @@ def test_alcove_vertices(family, rank):
             assert dot(v, beta) >= 0
     if data.short_vertices is not None:
         eta = rs.highest_short_root
+        assert data.short_vertices[1:] == tuple(scale(1 / dot(w, eta), w) for w in rs.coweights)
         for v in data.short_vertices[1:]:
             assert dot(v, eta) == 1
 
@@ -87,12 +102,13 @@ def test_halfspaces_identity_alcove():
     ctx = WeylContext(rs)
     single = interval_left(ctx, ctx.identity())
     hs = order_polytope_halfspaces(single)
-    data = alcove_data(rs)
-    for v in data.vertices:
-        assert contains(hs, v)
+    assert hs == [(-1, 0), (-2, 0), (-3, 0), (3, 1)]
+    verts = alcove_vertices_of(single, 0)
+    for v in verts:
+        assert contains(rs, hs, v)
     # a point beyond the highest-root cap is rejected
-    outside = scale(Fraction(2), data.vertices[1])
-    assert not contains(hs, outside)
+    outside = tuple(2 * t for t in verts[1])
+    assert not contains(rs, hs, outside)
 
 
 def test_halfspaces_interval_alcove_vertices():
@@ -103,26 +119,69 @@ def test_halfspaces_interval_alcove_vertices():
     count = 0
     for m in range(len(c)):
         for v in alcove_vertices_of(c, m):
-            assert contains(hs, v)
+            assert contains(rs, hs, v)
             count += 1
     assert count == 9
 
 
-def test_halfspaces_exclude_neighbour_alcoves():
-    """Alcove centroids of elements just outside the set violate a half-space."""
-    rs = build_root_system("B", 2)
+@pytest.mark.parametrize("family,rank", list(CONJECTURE_TYPES) + [("D", 4)])
+def test_halfspaces_exclude_neighbour_alcoves(family, rank):
+    """Member alcove centroids satisfy the half-spaces; just outside, one fails.
+
+    The alcove centroid of v has coweight coordinates <o_0, v alpha_i>, read
+    as integer numerators from the pairing table, so the bounds are scaled
+    by the table's denominator.
+    """
+    rs = build_root_system(family, rank)
     ctx = WeylContext(rs)
-    data = alcove_data(rs)
+    tables = _root_tables(rs)
+
+    def centroid_of(v):
+        return [tables.pairing[v[k]] for k in rs.simple_indices]
+
     for c in enumerate_convex_ideals(ctx):
-        hs = order_polytope_halfspaces(c)
+        hs = [(a, b * tables.den) for a, b in order_polytope_halfspaces(c)]
         inside = set(c.members)
         for m in c.members:
+            assert contains(rs, hs, centroid_of(m))
             for i in range(1, rs.rank + 1):
                 nb = ctx.mul_simple_left(m, i)
-                if nb in inside:
-                    continue
-                point = ctx.apply(ctx.invert(nb), data.centroid)
-                assert not contains(hs, point)
+                if nb not in inside:
+                    assert not contains(rs, hs, centroid_of(nb))
+
+
+def fraction_halfspaces(c):
+    """The half-spaces by the ``Fraction`` route, as (normal, bound) pairs.
+
+    <x, beta> >= 0 is written <x, -beta> <= 0, and each cap normal is
+    w^{-1} xi through the oracle action.
+    """
+    rs = c.ctx.root_system
+    roots = rs.positive_roots
+    hs = [(roots[k], 0) for k in c.canonical_lower]
+    hs += [(neg(roots[k]), 0) for k in range(rs.num_positive_roots) if k not in c.upper]
+    hs += [(apply(rs, c.ctx.invert(m), rs.highest_root), 1) for m in c.members]
+    return hs
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_halfspaces_and_vertices_match_fraction_oracle(family, rank):
+    """Signed-index half-spaces and coweight-coordinate vertices against the
+    ``Fraction`` route, on every convex ideal: the same half-spaces in the
+    same order, and the same member alcove vertices."""
+    rs = build_root_system(family, rank)
+    ctx = WeylContext(rs)
+    roots = rs.positive_roots
+    corners = fraction_vertices(rs)
+    for c in enumerate_convex_ideals(ctx):
+        got = [
+            (roots[a - 1] if a > 0 else neg(roots[-a - 1]), b)
+            for a, b in order_polytope_halfspaces(c)
+        ]
+        assert got == fraction_halfspaces(c), c.canonical_upper
+        for i, m in enumerate(c.members):
+            verts = [ambient(rs, v) for v in alcove_vertices_of(c, i)]
+            assert verts == [apply(rs, ctx.invert(m), v) for v in corners]
 
 
 def test_centroid_of_identity_alcove():
@@ -154,7 +213,7 @@ def test_centroid_matches_vertex_average_oracle():
     c = interval_left(ctx, ctx.from_word([1]))
     total = zero(rs.ambient_dim)
     for m in range(len(c)):
-        verts = alcove_vertices_of(c, m)
+        verts = [ambient(rs, v) for v in alcove_vertices_of(c, m)]
         simplex = zero(rs.ambient_dim)
         for v in verts:
             simplex = add(simplex, v)
@@ -216,13 +275,13 @@ class FractionOracle:
 
     Each member w contributes its alcove centroid w^{-1} o_0 and the image
     w^{-1} rho^vee of the sum of the coweights (heights are pairings with
-    rho^vee), both through ``WeylContext.apply``; pairings are ``dot``s.
+    rho^vee), both through the oracle ``apply``; pairings are ``dot``s.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.ctx = WeylContext(rs)
-        self.o0 = alcove_data(rs).centroid
+        self.o0 = scale(Fraction(1, rs.rank + 1), reduce(add, fraction_vertices(rs)))
         self.rho = zero(rs.ambient_dim)
         for w in rs.coweights:
             self.rho = add(self.rho, w)
@@ -232,7 +291,7 @@ class FractionOracle:
     def _image(self, m):
         if m not in self.images:
             inv = self.ctx.invert(m)
-            self.images[m] = (self.ctx.apply(inv, self.o0), self.ctx.apply(inv, self.rho))
+            self.images[m] = (apply(self.rs, inv, self.o0), apply(self.rs, inv, self.rho))
         return self.images[m]
 
     def _average(self, c, which):

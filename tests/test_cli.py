@@ -1,13 +1,14 @@
 """Command-line surface: subcommands, JSON round trips, exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from coxbalance import posets
 from coxbalance.cli import main
-from coxbalance.rootsys import RootSystem
+from coxbalance.rootsys import RootSystem, fraction_json
 
 
 def run(capsys, *argv):
@@ -96,6 +97,7 @@ def test_balance_empty_selector_is_the_identity(capsys, selector):
 def assert_error_line(capsys, code, message):
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert message in captured.err
 
@@ -377,6 +379,79 @@ def test_alcove_params(capsys):
     code, out = run(capsys, "alcove", "--type", "E", "--rank", "8")
     assert code == 0
     assert "exponent 21/2" in out
+
+
+ALCOVE_VERTEX_OUTPUT = {
+    ("B", "3"): (
+        "type B3: min_mark 1, max_mark 2, height 5, margin 1, exponent 2\n"
+        "alcove vertices:\n"
+        "  (0, 0, 0)\n"
+        "  (1, 0, 0)\n"
+        "  (1/2, 1/2, 0)\n"
+        "  (1/2, 1/2, 1/2)\n"
+        "short-root alcove vertices:\n"
+        "  (0, 0, 0)\n"
+        "  (1, 0, 0)\n"
+        "  (1, 1, 0)\n"
+        "  (1, 1, 1)\n"
+    ),
+    ("G", "2"): (
+        "type G2: min_mark 2, max_mark 3, height 5, margin 1/2, exponent 3/2\n"
+        "alcove vertices:\n"
+        "  (0, 0, 0)\n"
+        "  (0, -1/3, 1/3)\n"
+        "  (-1/6, -1/6, 1/3)\n"
+        "short-root alcove vertices:\n"
+        "  (0, 0, 0)\n"
+        "  (0, -1/2, 1/2)\n"
+        "  (-1/3, -1/3, 2/3)\n"
+    ),
+    ("E", "8"): (
+        "type E8: min_mark 2, max_mark 6, height 29, margin 7/4, exponent 21/2\n"
+        "alcove vertices:\n"
+        "  (0, 0, 0, 0, 0, 0, 0, 0)\n"
+        "  (0, 0, 0, 0, 0, 0, 0, 1)\n"
+        "  (-1/8, 1/8, 1/8, 1/8, 1/8, 1/8, 1/8, 7/8)\n"
+        "  (0, 0, 1/6, 1/6, 1/6, 1/6, 1/6, 5/6)\n"
+        "  (0, 0, 0, 1/5, 1/5, 1/5, 1/5, 4/5)\n"
+        "  (0, 0, 0, 0, 1/4, 1/4, 1/4, 3/4)\n"
+        "  (0, 0, 0, 0, 0, 1/3, 1/3, 2/3)\n"
+        "  (0, 0, 0, 0, 0, 0, 1/2, 1/2)\n"
+        "  (1/6, 1/6, 1/6, 1/6, 1/6, 1/6, 1/6, 5/6)\n"
+    ),
+}
+
+
+def alcove_payload(text):
+    """The ``--out`` payload that an ``alcove`` vertex printout stands for."""
+    lines = text.splitlines()
+    label, params = lines[0].removeprefix("type ").split(": ")
+    fields = dict(item.split(" ") for item in params.split(", "))
+    payload = {"schema": 1, "type": label}
+    for name, value in fields.items():
+        exact = name in ("margin", "exponent")
+        payload[name] = fraction_json(Fraction(value)) if exact else int(value)
+    for line in lines[1:]:
+        if line.endswith(":"):
+            key = "vertices" if line == "alcove vertices:" else "short_vertices"
+            payload[key] = []
+        else:
+            point = line.strip()[1:-1].split(", ")
+            payload[key].append([fraction_json(Fraction(x)) for x in point])
+    return payload
+
+
+@pytest.mark.parametrize("family,rank", sorted(ALCOVE_VERTEX_OUTPUT))
+def test_alcove_vertices_exact_output(tmp_path, capsys, family, rank):
+    """The vertex printout and its ``--out`` file, byte for byte."""
+    out_file = tmp_path / "alcove.json"
+    code, out = run(capsys, "alcove", "--type", family, "--rank", rank,
+                    "--out", str(out_file))
+    assert code == 0
+    text = ALCOVE_VERTEX_OUTPUT[family, rank]
+    assert out == text
+    expected = json.dumps(alcove_payload(text), indent=2, sort_keys=True) + "\n"
+    assert out_file.read_text() == expected
 
 
 def test_alcove_interval(capsys):

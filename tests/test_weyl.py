@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import one_line
+from conftest import apply, one_line
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import (
     EnumerationCapExceeded,
@@ -300,11 +300,10 @@ def test_one_line_notation():
 def test_one_line_matches_ambient_action(rank):
     """Oracle: w(e_1 - e_j) = e_{pi(1)} - e_{pi(j)} through ``apply``."""
     rs = build_root_system("A", rank)
-    ctx = WeylContext(rs)
     n = rank + 1
     for w, _ in all_elements(rs):
         perm = [0] * n
         for j in range(1, n):
-            img = ctx.apply(w, tuple((t == 0) - (t == j) for t in range(n)))
+            img = apply(rs, w, tuple((t == 0) - (t == j) for t in range(n)))
             perm[0], perm[j] = img.index(1) + 1, img.index(-1) + 1
         assert one_line(rs, w) == tuple(perm)
