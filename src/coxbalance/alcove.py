@@ -82,11 +82,10 @@ def ambient(rs: RootSystem, y: Sequence) -> Vector:
 
 @dataclass(frozen=True)
 class AlcoveData:
-    """Vertices and centroid of the fundamental alcove (plus short-root data)."""
+    """Vertices of the fundamental alcove (plus short-root data)."""
 
     root_system: RootSystem
     vertices: Tuple[Vector, ...]  # origin plus coweight/mark vertices
-    centroid: Vector
     short_vertices: Optional[Tuple[Vector, ...]]  # non-simply-laced only
 
 
@@ -99,12 +98,10 @@ def _corners(rs: RootSystem, scales: Sequence[int]) -> Tuple[Vector, ...]:
 
 def alcove_data(rs: RootSystem) -> AlcoveData:
     """The alcove points, in ambient coordinates; <omega_i^vee, eta> is eta_i."""
-    marks = rs.coefficients[rs.highest_root_index]
     short = rs.highest_short_root_index
     return AlcoveData(
         rs,
-        _corners(rs, marks),
-        ambient(rs, [Fraction(1, (rs.rank + 1) * m) for m in marks]),
+        _corners(rs, rs.coefficients[rs.highest_root_index]),
         None if short is None else _corners(rs, rs.coefficients[short]),
     )
 

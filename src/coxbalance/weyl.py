@@ -11,6 +11,7 @@ a vector's image under w is read from the same tuple in ``alcove``.
 from __future__ import annotations
 
 from operator import itemgetter
+from struct import Struct
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .coxgen import root_display
@@ -110,6 +111,11 @@ def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
         x = g.mul_simple_right(x, i)
 
 
+# A signed root index a = +-1..+-N fits a byte as a % 256 while N <= 127,
+# which holds up to E8 (N = 120); bytes 0 and 128 are never used.
+MAX_BYTE_ROOTS = 127
+
+
 def all_elements(
     rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP
 ) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
@@ -121,12 +127,60 @@ def all_elements(
 
     Lexicographically least reduced words are closed under taking suffixes,
     and the least word of v != e starts with its least left descent i.  So
-    the least words form a tree rooted at e: the parent of v is s_i v, and
-    s_i u is a child of u iff no k < i is a left descent of s_i u and i is
-    not one of u.  Every element is reached exactly once, so no set of seen
-    elements is kept.  Walking the letters i in the outer loop and a level,
-    already in shortlex order, in the inner loop yields the next level in
-    shortlex order with no sort.
+    the least words form a tree rooted at e (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, ch. 3): the parent of v is s_i v, and s_i u is a
+    child of u iff no k < i is a left descent of s_i u and i is not one of
+    u.  Every element is reached exactly once, so no set of seen elements
+    is kept.  Walking the letters i in the outer loop and a level, already
+    in shortlex order, in the inner loop yields the next level in shortlex
+    order with no sort.
+
+    k is a left descent of u iff u^-1 alpha_k < 0, that is iff -alpha_k is
+    an entry of u, and k is one of s_i u iff -s_i alpha_k is an entry of u.
+    Each level entry is (word, u) with u stored as ``bytes``, entry a as
+    a % 256.  Per letter i, a 256-byte table maps each code to that of its
+    image under s_i, and a delete string holds the codes of -alpha_i and of
+    -s_i alpha_k for k < i.  ``u.translate(table, delete)`` is then s_i u
+    if s_i u is a child, and shorter than N if it is not: one C-level call
+    per (letter, element) makes the child test and the product.
+    Types with more than ``MAX_BYTE_ROOTS`` roots, whose groups are far too
+    large to walk past a capped prefix, take :func:`_tuple_walk`.
+    """
+    n = rs.num_positive_roots
+    if n > MAX_BYTE_ROOTS:
+        yield from _tuple_walk(rs, cap)
+        return
+    simple = rs.simple_indices
+    steps = []
+    for i, row in enumerate(rs._simple_action):
+        table = bytearray(range(256))
+        for a, b in enumerate(row, 1):
+            table[a] = b % 256
+            table[-a % 256] = -b % 256
+        delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
+        steps.append((bytes(table), delete, (i + 1,)))
+    unpack = Struct(f"{n}b").unpack
+    level = [((), bytes(range(1, n + 1)))]
+    count = 1
+    while level:
+        for word, u in level:
+            yield unpack(u), word
+        nxt = []
+        for table, delete, letter in steps:
+            for word, u in level:
+                c = u.translate(table, delete)
+                if len(c) == n:
+                    count += 1
+                    if count > cap:
+                        raise EnumerationCapExceeded(cap)
+                    nxt.append((letter + word, c))
+        level = nxt
+
+
+def _tuple_walk(
+    rs: RootSystem, cap: int
+) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
+    """The walk of :func:`all_elements` on tuples, for more than ``MAX_BYTE_ROOTS`` roots.
 
     Each level entry is (word, v, x) with x = v^-1; the left descents of v
     are the right descents of x, so the child test reads x alone: s_i v is
@@ -151,9 +205,6 @@ def all_elements(
     ]
     signed_rows = [signed(row) for row in rows]
     start = tuple(range(1, rs.num_positive_roots + 1))
-    # itemgetter of a single index returns the bare item; with N = 1 (A1)
-    # the getter of v's values builds the 1-tuple itself
-    getter = itemgetter if len(start) > 1 else lambda a: lambda row: (row[a],)
     level = [((), start, signed(start))]
     count = 1
     while level:
@@ -172,5 +223,5 @@ def all_elements(
                     count += 1
                     if count > cap:
                         raise EnumerationCapExceeded(cap)
-                    nxt.append((letter + word, getter(*v)(row), right(x)))
+                    nxt.append((letter + word, itemgetter(*v)(row), right(x)))
         level = nxt
