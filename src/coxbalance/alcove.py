@@ -268,8 +268,8 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
 # -- rigorous exponential bounds ----------------------------------------------
 
 
-def exp_lower_bound(x: Fraction, terms: int = 80) -> Fraction:
-    """A rational lower bound on e^x via a partial exponential series sum.
+def exp_lower_bound(x: Fraction) -> Fraction:
+    """A rational lower bound on e^x: the sum of the first 80 series terms.
 
     For x > 0 every term is positive, so the partial sum is strictly below
     e^x; with 80 terms the gap is negligible for the exponents used here.
@@ -278,7 +278,7 @@ def exp_lower_bound(x: Fraction, terms: int = 80) -> Fraction:
         raise ValueError("needs x >= 0")
     acc = Fraction(0)
     term = Fraction(1)
-    for k in range(terms):
+    for k in range(80):
         acc += term
         term = term * x / (k + 1)
     return acc

@@ -82,6 +82,8 @@ def _group(args):
 
 def cmd_roots(args) -> int:
     rs = _root_system(args)
+    if args.graph and args.format != "dot":
+        raise ValueError("--graph needs --format dot")
     if args.format == "dot":
         text = root_graph_dot(rs) if args.graph else poset_dot(rs)
         print(text)
@@ -195,6 +197,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_semiorder(args) -> int:
     if args.unit_interval:
+        if args.count_ideals or args.e8:
+            raise ValueError("--unit-interval takes neither --count-ideals nor --e8")
         values = [_parse_fraction(t) for t in args.unit_interval.split()]
         gs = semiorder.from_unit_interval(values)
         label = gs.root_system.root_label()
@@ -331,18 +335,18 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_type_args(p, diagram=False):
+    def add_type_args(p, diagram=False, formats=()):
         p.add_argument("--type", choices=list("ABCDEFG"), help="family letter")
         p.add_argument("--rank", help="rank of the type")
         if diagram:
             p.add_argument("--diagram", help="JSON diagram file "
                            '({"rank": r, "edges": [{"i","j","m"}]}, m = 3, 4, 6 or "inf")')
-        p.add_argument("--format", choices=["table", "json", "dot"],
-                       default="table")
+        if formats:
+            p.add_argument("--format", choices=["table", *formats], default="table")
         p.add_argument("--out", help="write machine-readable JSON here")
 
     p = sub.add_parser("roots", help="dump a root system and its root poset")
-    add_type_args(p)
+    add_type_args(p, formats=("json", "dot"))
     p.add_argument("--graph", action="store_true",
                    help="with --format dot, emit the labelled reflection graph")
     p.set_defaults(func=cmd_roots)
@@ -353,7 +357,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("balance", help="inversion fractions and balance of a convex set")
-    add_type_args(p, diagram=True)
+    add_type_args(p, diagram=True, formats=("dot",))
     p.add_argument("--interval", help='weak-order interval below a word, e.g. "1 2"')
     p.add_argument("--hull", help='convex hull of words separated by ";" '
                    "(empty segment = identity)")
@@ -362,7 +366,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("heap", help="heap of a reduced word with ideal statistics")
-    add_type_args(p, diagram=True)
+    add_type_args(p, diagram=True, formats=("dot",))
     p.add_argument("--word", required=True, help='reduced word, e.g. "3 2 3 1"')
     p.set_defaults(func=cmd_heap)
 

@@ -213,19 +213,9 @@ def from_members(ctx, elements: Sequence) -> ConvexSet:
     """Wrap an explicit element list, verifying it is convex."""
     invs = [ctx.inversion_keys(w) for w in elements]
     hull = convex_set(ctx, frozenset.intersection(*invs), frozenset.union(*invs))
-    if len(hull) != len(elements):
+    if len(hull) != len(set(elements)):
         raise ValueError("element list is not convex: its hull is strictly larger")
     return hull
-
-
-def translate(c: ConvexSet, w) -> ConvexSet:
-    """Right translate C w, recanonicalised."""
-    ctx = c.ctx
-    pairs = []
-    for m in c.members:
-        m2 = ctx.mul(m, w)
-        pairs.append((m2, ctx.inversion_keys(m2)))
-    return _build(ctx, pairs)
 
 
 def _element_table(ctx: WeylContext) -> List[Tuple]:
@@ -282,12 +272,3 @@ def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
 def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, ConvexSet]]:
     """Every non-singleton convex order ideal with its balance, in scan order."""
     return [(c.balance_value(), c) for c in enumerate_convex_ideals(ctx) if len(c) > 1]
-
-
-def min_balance(ctx: WeylContext) -> Tuple[Fraction, List[ConvexSet]]:
-    """Minimum balance over non-singleton convex order ideals, with argmins."""
-    scored = scored_ideals(ctx)
-    if not scored:
-        raise ValueError("no non-singleton convex ideals exist")
-    best = min(b for b, _ in scored)
-    return best, [c for b, c in scored if b == best]

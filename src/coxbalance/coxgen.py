@@ -12,8 +12,8 @@ algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 methods as ``weyl.WeylContext`` has for a finite Weyl type.  A diagram
 element is its tuple of columns, column j = w(alpha_j), and is its own key.
 This module also holds the word combinatorics shared by both group objects:
-inversion and reflection keys of words, commutation classes, braid-move
-detection and full commutativity.  They take any group object exposing
+inversion and reflection keys of words, braid-move detection and full
+commutativity.  They take any group object exposing
 ``rank``, ``coxeter_m(i, j)``, ``word_length(word)`` and those element
 methods.
 """
@@ -121,14 +121,16 @@ def matrix_from_json(text: str) -> CoxeterMatrix:
     return matrix_from_edges(rank, edges)
 
 
-def complete_graph_matrix(n: int, label: int = 3) -> CoxeterMatrix:
+def complete_graph_matrix(n: int) -> CoxeterMatrix:
+    """Every pair of the n generators joined by an edge labelled 3."""
     return matrix_from_edges(
-        n, [(i, j, label) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        n, [(i, j, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     )
 
 
-def cycle_matrix(n: int, label: int = 3) -> CoxeterMatrix:
-    edges = [(i, i + 1, label) for i in range(1, n)] + [(1, n, label)]
+def cycle_matrix(n: int) -> CoxeterMatrix:
+    """The n-cycle 1 - 2 - ... - n - 1 with every label 3."""
+    edges = [(i, i + 1, 3) for i in range(1, n)] + [(1, n, 3)]
     return matrix_from_edges(n, edges)
 
 
@@ -225,9 +227,6 @@ class CoxSystem:
         for i in self.reduced_word(v):
             u = self.mul_simple_right(u, i)
         return u
-
-    def simple_key(self, i: int) -> Tuple[int, ...]:
-        return tuple(int(k == i - 1) for k in range(self.rank))
 
     def simple_image_key(self, v: Columns, i: int):
         """Key of v(alpha_i) if that root is positive, else None."""
@@ -356,14 +355,6 @@ def _commutation_walk(sys, word: Sequence[int]) -> Iterator[Tuple[int, ...]]:
                 if w2 not in seen:
                     seen.add(w2)
                     stack.append(w2)
-
-
-def commutation_class(sys, word: Sequence[int]) -> List[Tuple[int, ...]]:
-    """All words reachable from a reduced word by swapping commuting letters.
-
-    Returned sorted, so the class is deterministic.
-    """
-    return sorted(_commutation_walk(sys, word))
 
 
 def _has_braid_factor(sys, word: Tuple[int, ...]) -> bool:

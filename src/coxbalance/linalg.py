@@ -1,9 +1,9 @@
 """Small exact linear algebra over Fraction vectors and matrices.
 
-Everything in this package works with tuples of Fractions; this module
-collects the handful of dense operations (dot products, inversion)
-needed by the root-system and reflection machinery.  No floating point.
-It also holds :func:`bits`, the set iteration of the int bitmask tables.
+The ``Fraction`` views of a root system (ambient coordinates, coweights)
+need a handful of dense operations: building vectors, differences, dot
+products and Gauss-Jordan inversion.  No floating point.  This module also
+holds :func:`bits`, the set iteration of the int bitmask tables.
 """
 
 from __future__ import annotations
@@ -33,28 +33,8 @@ def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def scale(c: Fraction, x: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def neg(x: Sequence[Fraction]) -> Vector:
-    return tuple(-a for a in x)
-
-
-def zero(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def is_zero(x: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in x)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import count, permutations
+from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import NotReducedError
@@ -91,15 +91,6 @@ class LabeledPoset:
         """Pairs (i, j) with j covering i (transitive reduction)."""
         return [(i, j) for i, u in enumerate(self._cover_masks[1]) for j in bits(u)]
 
-    def upper_covers(self, x: int) -> List[int]:
-        return list(bits(self._cover_masks[1][x]))
-
-    def lower_covers(self, x: int) -> List[int]:
-        return list(bits(self._cover_masks[0][x]))
-
-    def dual(self) -> "LabeledPoset":
-        return LabeledPoset(self.n, _transpose(self.rows), self.labels)
-
     def components(self) -> List[List[int]]:
         """Connected components of the comparability graph, sorted."""
         below = _transpose(self.rows)
@@ -165,21 +156,6 @@ class LabeledPoset:
     def balance(self) -> Fraction:
         """max over elements of min(fraction, 1 - fraction); 0 for the empty poset."""
         return fraction_balance(self.ideal_fractions())
-
-    def linear_extension_count(self) -> int:
-        """Brute-force count of order-preserving bijections onto 1..n (n <= 8)."""
-        if self.n > 8:
-            raise PosetSizeError(self.n, 8)
-        pairs = [(i, j) for i, row in enumerate(self.rows) for j in bits(row)]
-        total = 0
-        for perm in permutations(range(self.n)):
-            # perm[k] = element placed at position k
-            pos = [0] * self.n
-            for k, x in enumerate(perm):
-                pos[x] = k
-            if all(pos[i] <= pos[j] for i, j in pairs):
-                total += 1
-        return total
 
 
 def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
@@ -299,71 +275,9 @@ def claw_chain(k: int, length: int) -> LabeledPoset:
     return poset_from_covers(k + length, covers)
 
 
-def heap_inversion_map(sys, word: Sequence[int]) -> List[Tuple[object, int]]:
-    """Pair each right inversion of a fully commutative element with its heap id.
-
-    Returns [(key, position)] where ``key`` is the root key of the inversion
-    s_{i_l}...s_{i_{k+1}} alpha_{i_k} in the group object ``sys`` and
-    ``position`` is the 0-based heap element it corresponds to.  Rejects
-    non-fully-commutative words.
-    """
-    from .coxgen import inversion_keys_of_word, is_fully_commutative
-
-    if not is_fully_commutative(sys, word):
-        raise ValueError("element is not fully commutative")
-    return [(key, k) for k, key in enumerate(inversion_keys_of_word(sys, word))]
-
-
-# -- checks -------------------------------------------------------------------
-
-
-def heap_respects_diagram(poset: LabeledPoset, sys) -> bool:
-    """Cover labels are adjacent in the diagram; equal-or-adjacent labels compare.
-
-    The two defining compatibilities of heaps with their Coxeter diagram.
-    """
-    if poset.labels is None:
-        raise ValueError("needs a labelled poset")
-    for i, j in poset.covers():
-        m = sys.coxeter_m(poset.labels[i], poset.labels[j])
-        if m == 2 or m == 1:
-            return False
-    for i in range(poset.n):
-        for j in range(i + 1, poset.n):
-            m = sys.coxeter_m(poset.labels[i], poset.labels[j])
-            if m != 2 and not ((poset.rows[i] >> j) & 1 or (poset.rows[j] >> i) & 1):
-                return False
-    return True
-
-
-def branching_balance_check(poset: LabeledPoset) -> bool:
-    """Low-balance posets must branch at the frontier elements.
-
-    If the balance is below 1/3, every maximal element among those with ideal
-    fraction > 2/3 must have at least two upper covers, and dually.  Posets
-    with balance >= 1/3 pass vacuously.
-    """
-    third = Fraction(1, 3)
-    if poset.n == 0 or poset.balance() >= third:
-        return True
-    fr = poset.ideal_fractions()
-    common = [x for x in range(poset.n) if fr[x] > 1 - third]
-    uncommon = [x for x in range(poset.n) if fr[x] < third]
-    for x in common:
-        if any(y != x and (poset.rows[x] >> y) & 1 for y in common):
-            continue  # not maximal among common
-        if len(poset.upper_covers(x)) < 2:
-            return False
-    for y in uncommon:
-        if any(x != y and (poset.rows[x] >> y) & 1 for x in uncommon):
-            continue  # not minimal among uncommon
-        if len(poset.lower_covers(y)) < 2:
-            return False
-    return True
-
-
-def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset, labeled: bool = False) -> bool:
-    """Poset isomorphism by invariant refinement plus backtracking (n <= 12)."""
+def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset) -> bool:
+    """Isomorphism of the underlying posets, labels ignored, by invariant
+    refinement plus backtracking (n <= 12)."""
     if p1.n != p2.n:
         return False
     if p1.n > 12:
@@ -374,7 +288,7 @@ def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset, labeled: bool = False) -> 
         lower, upper = p._cover_masks
         return [
             (below[x].bit_count(), p.rows[x].bit_count(), lower[x].bit_count(),
-             upper[x].bit_count(), p.labels[x] if labeled and p.labels is not None else 0)
+             upper[x].bit_count())
             for x in range(p.n)
         ]
 
@@ -435,8 +349,3 @@ def poset_json(poset: LabeledPoset) -> str:
         "labels": list(poset.labels) if poset.labels is not None else None,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def poset_from_json(text: str) -> LabeledPoset:
-    data = json.loads(text)
-    return poset_from_covers(data["n"], [tuple(c) for c in data["covers"]], data["labels"])

@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .coxgen import root_display
-from .linalg import Vector, bits, dot, invert, is_zero, scale, sub, vec
+from .linalg import Vector, bits, dot, invert, sub, vec
 from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
@@ -188,20 +188,6 @@ class RootSystem:
     def simple_roots(self) -> Tuple[Vector, ...]:
         return tuple(self.positive_roots[i] for i in self.simple_indices)
 
-    @property
-    def highest_root(self) -> Vector:
-        return self.positive_roots[self.highest_root_index]
-
-    @property
-    def highest_short_root(self) -> Optional[Vector]:
-        if self.highest_short_root_index is None:
-            return None
-        return self.positive_roots[self.highest_short_root_index]
-
-    def index_of(self, root: Vector) -> int:
-        """Index of a positive root in the canonical ordering."""
-        return self._doubled_index[tuple(2 * x for x in root)]
-
     def root_label(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -218,14 +204,6 @@ class RootSystem:
         negative of positive root k.
         """
         return self._simple_action[i - 1][j]
-
-
-def reflect(alpha: Vector, x: Vector) -> Vector:
-    """Reflect a vector across a root: x - (2<a,x>/<a,a>) a, exactly."""
-    if is_zero(alpha):
-        raise ValueError("cannot reflect across the zero vector")
-    coef = 2 * dot(alpha, x) / dot(alpha, alpha)
-    return sub(x, scale(coef, alpha))
 
 
 def build_root_system(family: Family, rank: int) -> RootSystem:

@@ -59,19 +59,6 @@ def from_unit_interval(values: Sequence[Fraction]) -> GeneralizedSemiorder:
     return build(rs, members)
 
 
-def induced_semiorder_poset(values: Sequence[Fraction]):
-    """The classical semiorder on the given points: x < y iff f(y) - f(x) >= 1."""
-    from .posets import LabeledPoset
-
-    values = [Fraction(v) for v in values]
-    n = len(values)
-    rows = tuple(
-        sum(1 << j for j in range(n) if i == j or values[j] - values[i] >= 1)
-        for i in range(n)
-    )
-    return LabeledPoset(n, rows)
-
-
 def check_half_bound(gs: GeneralizedSemiorder) -> bool:
     """Every positive root has inversion fraction at most 1/2 on W^A.
 
@@ -116,34 +103,6 @@ def _reflection_element(rs: RootSystem, k: int) -> Tuple[int, ...]:
 # -- single-exit witnesses over root-poset ideals -----------------------------
 
 
-def exit_roots(rs: RootSystem, mask: int, i: int) -> List[int]:
-    """Members beta of the ideal with s_i(beta) a positive root outside it."""
-    out = []
-    for j in bits(mask):
-        img = rs.simple_image(i, j)
-        if img > 0 and not (mask >> (img - 1)) & 1:
-            out.append(j)
-    return out
-
-
-def single_exit_simple(rs: RootSystem, mask: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """A simple root in the ideal ``mask`` moving at most one of its members out.
-
-    Returns (simple index 1-based, exit root indices); None when no simple
-    root qualifies (which would contradict the scan expectation, so callers
-    treat None as a reportable failure).
-    """
-    if mask == 0:
-        raise ValueError("the empty ideal has no simple root to offer")
-    for i in range(1, rs.rank + 1):
-        if not (mask >> rs.simple_indices[i - 1]) & 1:
-            continue
-        exits = exit_roots(rs, mask, i)
-        if len(exits) <= 1:
-            return i, tuple(exits)
-    return None
-
-
 ExitTable = List[Tuple[int, int, int]]
 
 
@@ -170,7 +129,10 @@ def _exit_table(rs: RootSystem) -> ExitTable:
 
 def _first_single_exit(table: ExitTable, mask: int) -> Optional[int]:
     """For an ideal mask, the first simple root (1-based) in the ideal moving
-    at most one member out of it; the same i as :func:`single_exit_simple`."""
+    at most one member out of it, or None when there is none.
+
+    A root leaves the ideal under s_i when s_i sends it to a positive root
+    outside the ideal; the table counts those roots without listing them."""
     for i, (simple_bit, raised, image) in enumerate(table, start=1):
         if mask & simple_bit and (
             (mask & raised).bit_count() - (mask & image).bit_count() <= 1

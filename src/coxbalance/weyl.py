@@ -60,9 +60,6 @@ class WeylContext:
             out[abs(a) - 1] = j if a > 0 else -j
         return tuple(out)
 
-    def simple_key(self, i: int) -> int:
-        return self.root_system.simple_indices[i - 1]
-
     def inversion_keys(self, w: Element) -> FrozenSet[int]:
         """Indices of the positive roots that w sends negative."""
         return frozenset(j for j, a in enumerate(w) if a < 0)

@@ -1,17 +1,55 @@
-"""Shared test settings and two oracles of the group action.
+"""Shared test settings, oracles and helpers that no command needs.
 
-The oracles are type A one-line notation and the action on ``Fraction``
-vectors.  Property tests run under a derandomized hypothesis profile: the
-examples are derived from each test's source, so every run of the suite
-draws the same ones, and no example database is written.
+The oracles recompute, by a second route, what ``src/`` computes on integer
+tables: type A one-line notation, the action and reflections on
+``Fraction`` vectors, the single-exit simple roots of a root-poset ideal,
+the classical semiorder of a point set and brute-force linear extension
+counts.  The helpers build objects the tests compare: commutation classes,
+right translates of convex sets and dual posets.  Property tests run under
+a derandomized hypothesis profile: the examples are derived from each
+test's source, so every run of the suite draws the same ones, and no
+example database is written.
 """
+
+from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import settings
 
-from coxbalance.linalg import add, dot, scale, zero
+from coxbalance import convex
+from coxbalance.coxgen import NotReducedError
+from coxbalance.linalg import bits, dot, sub
+from coxbalance.posets import LabeledPoset
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
+
+
+# -- Fraction vectors -----------------------------------------------------------
+
+
+def add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def neg(x):
+    return tuple(-a for a in x)
+
+
+def zero(n):
+    return (Fraction(0),) * n
+
+
+def reflect(alpha, x):
+    """Reflect a vector across a nonzero root: x - (2<a,x>/<a,a>) a, exactly."""
+    return sub(x, scale(2 * dot(alpha, x) / dot(alpha, alpha), alpha))
+
+
+# -- group elements -------------------------------------------------------------
 
 
 def one_line(rs, w):
@@ -46,3 +84,123 @@ def apply(rs, w, x):
             img = w[k]
             out = add(out, scale(c if img > 0 else -c, rs.positive_roots[abs(img) - 1]))
     return out
+
+
+def commutation_class(sys, word):
+    """All words reachable from a reduced word by swapping adjacent commuting
+    letters, sorted; raises :class:`NotReducedError` on a non-reduced word."""
+    if sys.word_length(word) != len(word):
+        raise NotReducedError(word)
+    seen = {tuple(word)}
+    frontier = list(seen)
+    while frontier:
+        w = frontier.pop()
+        for p in range(len(w) - 1):
+            if sys.coxeter_m(w[p], w[p + 1]) == 2:
+                w2 = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+                if w2 not in seen:
+                    seen.add(w2)
+                    frontier.append(w2)
+    return sorted(seen)
+
+
+def translate(c, w):
+    """The right translate C w; ``from_members`` also checks it is convex."""
+    return convex.from_members(c.ctx, [c.ctx.mul(m, w) for m in c.members])
+
+
+# -- root-poset ideals and semiorders -----------------------------------------
+
+
+def exit_roots(rs, mask, i):
+    """Members beta of the ideal with s_i(beta) a positive root outside it."""
+    out = []
+    for j in bits(mask):
+        img = rs.simple_image(i, j)
+        if img > 0 and not (mask >> (img - 1)) & 1:
+            out.append(j)
+    return out
+
+
+def single_exit_simple(rs, mask):
+    """The first simple root in the nonempty ideal ``mask`` moving at most one
+    of its members out, as (1-based index, exit root indices); None if none."""
+    if mask == 0:
+        raise ValueError("the empty ideal has no simple root to offer")
+    for i in range(1, rs.rank + 1):
+        if not (mask >> rs.simple_indices[i - 1]) & 1:
+            continue
+        exits = exit_roots(rs, mask, i)
+        if len(exits) <= 1:
+            return i, tuple(exits)
+    return None
+
+
+def induced_semiorder_poset(values):
+    """The classical semiorder on the given points: x < y iff f(y) - f(x) >= 1."""
+    values = [Fraction(v) for v in values]
+    n = len(values)
+    rows = tuple(
+        sum(1 << j for j in range(n) if i == j or values[j] - values[i] >= 1)
+        for i in range(n)
+    )
+    return LabeledPoset(n, rows)
+
+
+# -- posets ---------------------------------------------------------------------
+
+
+def dual(poset):
+    """The poset with its order reversed, same labels."""
+    rows = [0] * poset.n
+    for i, row in enumerate(poset.rows):
+        for j in bits(row):
+            rows[j] |= 1 << i
+    return LabeledPoset(poset.n, tuple(rows), poset.labels)
+
+
+def linear_extension_count(poset):
+    """Brute-force count of order-preserving bijections onto 1..n (n <= 8)."""
+    assert poset.n <= 8
+    pairs = [(i, j) for i, row in enumerate(poset.rows) for j in bits(row)]
+    total = 0
+    for perm in permutations(range(poset.n)):
+        # perm[k] = element placed at position k
+        pos = [0] * poset.n
+        for k, x in enumerate(perm):
+            pos[x] = k
+        if all(pos[i] <= pos[j] for i, j in pairs):
+            total += 1
+    return total
+
+
+def labelled_relation(heap):
+    """The order of a heap on canonical ids (label, k-th occurrence of it).
+
+    Equal letters never commute, so in a heap they form a chain, and two
+    words of one commutation class give the same relation exactly when
+    their heaps are isomorphic as labelled posets.
+    """
+    ids = []
+    seen = {}
+    for label in heap.labels:
+        ids.append((label, seen.get(label, 0)))
+        seen[label] = seen.get(label, 0) + 1
+    return {(ids[i], ids[j]) for i, row in enumerate(heap.rows) for j in bits(row)}
+
+
+def heap_respects_diagram(poset, sys):
+    """Cover labels are adjacent in the diagram; equal-or-adjacent labels compare.
+
+    The two defining compatibilities of heaps with their Coxeter diagram.
+    """
+    for i, j in poset.covers():
+        m = sys.coxeter_m(poset.labels[i], poset.labels[j])
+        if m == 2 or m == 1:
+            return False
+    for i in range(poset.n):
+        for j in range(i + 1, poset.n):
+            m = sys.coxeter_m(poset.labels[i], poset.labels[j])
+            if m != 2 and not ((poset.rows[i] >> j) & 1 or (poset.rows[j] >> i) & 1):
+                return False
+    return True

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import apply
+from conftest import add, apply, neg, scale, zero
 from coxbalance.alcove import (
     _root_tables,
     alcove_data,
@@ -25,7 +25,7 @@ from coxbalance.alcove import (
     small_mean_height_root,
 )
 from coxbalance.convex import enumerate_convex_ideals, ideal_from_upper, interval_left
-from coxbalance.linalg import add, dot, neg, scale, zero
+from coxbalance.linalg import dot
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
 from coxbalance.weyl import WeylContext
@@ -78,13 +78,13 @@ def test_alcove_vertices(family, rank):
     assert data.vertices == tuple(corners)
     identity_alcove = interval_left(ctx, ctx.identity())
     assert centroid(identity_alcove) == scale(Fraction(1, rs.rank + 1), reduce(add, corners))
-    xi = rs.highest_root
+    xi = rs.positive_roots[rs.highest_root_index]
     for v in data.vertices[1:]:
         assert dot(v, xi) == 1
         for beta in rs.positive_roots:
             assert dot(v, beta) >= 0
     if data.short_vertices is not None:
-        eta = rs.highest_short_root
+        eta = rs.positive_roots[rs.highest_short_root_index]
         assert data.short_vertices[1:] == tuple(scale(1 / dot(w, eta), w) for w in rs.coweights)
         for v in data.short_vertices[1:]:
             assert dot(v, eta) == 1
@@ -94,7 +94,7 @@ def test_type_b_short_vertices_are_coweights():
     rs = build_root_system("B", 3)
     data = alcove_data(rs)
     assert data.short_vertices[1:] == rs.coweights
-    eta = rs.highest_short_root
+    eta = rs.positive_roots[rs.highest_short_root_index]
     for w in rs.coweights:
         assert dot(w, eta) == 1
 
@@ -162,7 +162,8 @@ def fraction_halfspaces(c):
     roots = rs.positive_roots
     hs = [(roots[k], 0) for k in c.canonical_lower]
     hs += [(neg(roots[k]), 0) for k in range(rs.num_positive_roots) if k not in c.upper]
-    hs += [(apply(rs, c.ctx.invert(m), rs.highest_root), 1) for m in c.members]
+    xi = roots[rs.highest_root_index]
+    hs += [(apply(rs, c.ctx.invert(m), xi), 1) for m in c.members]
     return hs
 
 
@@ -243,13 +244,13 @@ def test_mean_height_additive_on_roots():
     rs = build_root_system("B", 3)
     ctx = WeylContext(rs)
     c = interval_left(ctx, ctx.from_word([3, 2, 3, 1]))
-    for i, beta in enumerate(rs.positive_roots):
-        for j, gamma in enumerate(rs.positive_roots):
-            try:
-                k = rs.index_of(tuple(a + b for a, b in zip(beta, gamma)))
-            except KeyError:
-                continue
-            assert mean_height(c, k) == mean_height(c, i) + mean_height(c, j)
+    roots = rs.positive_roots
+    for i, beta in enumerate(roots):
+        for j, gamma in enumerate(roots):
+            total = add(beta, gamma)
+            if total in roots:
+                k = roots.index(total)
+                assert mean_height(c, k) == mean_height(c, i) + mean_height(c, j)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
@@ -374,10 +375,14 @@ def test_whole_group_split_root_at_zero():
 def test_exp_lower_bound_is_strict_lower_bound():
     import math
 
+    def partial_sum(x, terms):
+        return sum(Fraction(x ** k, math.factorial(k)) for k in range(terms))
+
     for x in (Fraction(1), Fraction(2), Fraction(21, 2), Fraction(7, 2)):
         lo = exp_lower_bound(x)
-        # strictly increasing in the term count: the remainder is positive
-        assert exp_lower_bound(x, terms=10) < exp_lower_bound(x, terms=40) < lo
+        # the 80-term sum; shorter sums stay strictly below it
+        assert lo == partial_sum(x, 80)
+        assert partial_sum(x, 10) < partial_sum(x, 40) < lo
         assert abs(float(lo) - math.exp(float(x))) <= 1e-9 * math.exp(float(x))
     # e itself: the 80-term sum beats the classical 2.7182818284 lower bound
     assert exp_lower_bound(Fraction(1)) > Fraction(27182818284, 10**10)

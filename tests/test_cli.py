@@ -145,6 +145,44 @@ def test_usage_errors_are_reported(capsys, argv, message):
     assert_error_line(capsys, main(argv), message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["semiorder", "--unit-interval", "0 1/2", "--count-ideals"],
+     "--unit-interval takes neither --count-ideals nor --e8"),
+    (["semiorder", "--unit-interval", "0 1/2", "--e8"],
+     "--unit-interval takes neither --count-ideals nor --e8"),
+    (["roots", "--type", "A", "--rank", "2", "--graph"], "--graph needs --format dot"),
+    (["roots", "--type", "A", "--rank", "2", "--graph", "--format", "json"],
+     "--graph needs --format dot"),
+])
+def test_ignored_flag_combinations_are_refused(capsys, argv, message):
+    """A flag that the rest of the command line would silently ignore."""
+    assert_error_line(capsys, main(argv), message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "A", "--rank", "2", "--format", "table"],
+    ["semiorder", "--type", "A", "--rank", "2", "--format", "table"],
+    ["alcove", "--type", "A", "--rank", "2", "--format", "table"],
+    ["balance", "--type", "A", "--rank", "2", "--interval", "1", "--format", "json"],
+    ["heap", "--type", "A", "--rank", "2", "--word", "1", "--format", "json"],
+])
+def test_format_values_a_command_ignores_are_refused(capsys, argv):
+    """group, semiorder and alcove print tables only; balance and heap have
+    no JSON on standard output (their JSON goes to --out)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("members,size", [("1;1", 1), ("1 1;", 1), (";1;1", 2)])
+def test_balance_set_with_repeated_elements(capsys, members, size):
+    """A repeated element (here s1, or s1 s1 = e next to e) counts once."""
+    code, out = run(capsys, "balance", "--type", "A", "--rank", "2", "--set", members)
+    assert code == 0
+    assert out.startswith(f"|C| = {size}\n")
+
+
 def test_ideal_roots_with_diagram_is_reported(tmp_path, capsys):
     diagram = tmp_path / "a2.json"
     diagram.write_text(json.dumps({"rank": 2, "edges": [{"i": 1, "j": 2, "m": 3}]}))

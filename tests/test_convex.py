@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import translate
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
@@ -15,8 +16,7 @@ from coxbalance.convex import (
     ideal_from_upper,
     ideals_from_uppers,
     interval_left,
-    min_balance,
-    translate,
+    scored_ideals,
 )
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
@@ -88,7 +88,7 @@ def test_interval_left():
 
 def test_convex_set_with_lower_constraint():
     a2 = weyl_ctx("A", 2)
-    a1_key = a2.simple_key(1)
+    a1_key = a2.root_system.simple_indices[0]
     c = convex_set(a2, {a1_key}, all_roots(a2))
     # brute force: elements of S3 with a1 as inversion
     expect = {
@@ -143,6 +143,19 @@ def test_from_members_validates_convexity():
     assert len(good) == 2
     with pytest.raises(ValueError, match="not convex"):
         from_members(a2, [a2.identity(), a2.from_word([1, 2])])
+
+
+def test_from_members_ignores_repeated_elements():
+    """A repeated element counts once: the set is convex iff its distinct
+    elements are, in a Weyl group and in a diagram group alike."""
+    a2 = weyl_ctx("A", 2)
+    e, s1 = a2.identity(), a2.from_word([1])
+    assert from_members(a2, [s1, s1]).words == ((1,),)
+    assert from_members(a2, [e, s1, s1]).words == ((), (1,))
+    with pytest.raises(ValueError, match="not convex"):
+        from_members(a2, [e, e, a2.from_word([1, 2])])
+    path = build_system(path_matrix(2, [INF]))
+    assert len(from_members(path, [path.from_word([1, 2])] * 3)) == 1
 
 
 def test_whole_group_balance_is_half():
@@ -221,18 +234,17 @@ def test_product_balance_law():
     ("A", 3, THIRD), ("B", 3, THIRD), ("G", 2, THIRD),
 ])
 def test_min_balance(family, rank, expected):
-    ctx = weyl_ctx(family, rank)
-    mb, argmin = min_balance(ctx)
-    assert mb == expected
-    assert argmin
+    scored = scored_ideals(weyl_ctx(family, rank))
+    assert min(b for b, _ in scored) == expected
 
 
 def test_min_balance_b3_includes_figure_interval():
     ctx = weyl_ctx("B", 3)
     w = ctx.from_word([3, 2, 3, 1])
     target = tuple(sorted(ctx.inversion_keys(w)))
-    _, argmin = min_balance(ctx)
-    assert any(c.canonical_upper == target for c in argmin)
+    scored = scored_ideals(ctx)
+    best = min(b for b, _ in scored)
+    assert any(b == best and c.canonical_upper == target for b, c in scored)
 
 
 def test_scan_guard():
@@ -384,7 +396,7 @@ def test_bridge_between_interval_and_heap():
             c = interval_left(ctx, w)
             assert c.balance_value() == heap.balance()
             fr = heap.ideal_fractions()
-            for k, pos in posets.heap_inversion_map(sys, word):
+            for pos, k in enumerate(coxgen.inversion_keys_of_word(sys, word)):
                 assert c.inversion_fraction(k) == fr[pos]
             checked += 1
         assert checked > 10

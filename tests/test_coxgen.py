@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_line
+from conftest import commutation_class, one_line
 from coxbalance import convex
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
@@ -15,7 +15,6 @@ from coxbalance.coxgen import (
     CoxeterMatrix,
     NotReducedError,
     build_system,
-    commutation_class,
     complete_graph_matrix,
     cycle_matrix,
     inversion_keys_of_word,
@@ -153,6 +152,8 @@ def test_commutation_classes():
     assert commutation_class(a3, [1, 3]) == [(1, 3), (3, 1)]
     with pytest.raises(NotReducedError):
         commutation_class(a2, [1, 1])
+    with pytest.raises(NotReducedError):
+        is_fully_commutative(a2, [1, 1])
 
 
 def test_commutation_class_closure_involutive():

@@ -1,5 +1,6 @@
 """Posets, heaps, ideal statistics, and the heap-side checks."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,20 +8,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxbalance import coxgen, verify
-from coxbalance.coxgen import INF, NotReducedError, build_system, cycle_matrix, path_matrix
+from conftest import commutation_class, dual, heap_respects_diagram, labelled_relation
+from coxbalance import verify
+from coxbalance.coxgen import (
+    INF,
+    NotReducedError,
+    build_system,
+    cycle_matrix,
+    inversion_keys_of_word,
+    is_fully_commutative,
+    path_matrix,
+)
 from coxbalance.posets import (
     IdealCapExceeded,
     LabeledPoset,
-    branching_balance_check,
     claw_chain,
     heap_from_word,
-    heap_inversion_map,
-    heap_respects_diagram,
     is_isomorphic,
     poset_dot,
     poset_from_covers,
-    poset_from_json,
     poset_json,
 )
 from coxbalance.rootsys import build_root_system
@@ -138,7 +144,7 @@ def positional_ideal_masks(poset):
 def test_ideal_walk_keeps_the_positional_order():
     """The addable-set walk yields the masks of the positional walker, in
     its order, on posets whose linear extension is not the id order."""
-    cases = [claw_chain(12, 40), poset_from_covers(16, []), claw_chain(3, 4).dual(),
+    cases = [claw_chain(12, 40), poset_from_covers(16, []), dual(claw_chain(3, 4)),
              *verify._reference_heaps().values()]
     for poset in cases:
         assert list(poset.iter_ideal_masks()) == positional_ideal_masks(poset)
@@ -240,10 +246,9 @@ def test_heap_rejects_non_reduced():
 
 def test_heap_invariant_under_commutation_class():
     b3 = WeylContext(build_root_system("B", 3))
-    base = heap_from_word(b3, [3, 2, 3, 1])
-    for word in coxgen.commutation_class(b3, [3, 2, 3, 1]):
-        other = heap_from_word(b3, list(word))
-        assert is_isomorphic(base, other, labeled=True)
+    base = labelled_relation(heap_from_word(b3, [3, 2, 3, 1]))
+    for word in commutation_class(b3, [3, 2, 3, 1]):
+        assert labelled_relation(heap_from_word(b3, list(word))) == base
 
 
 def test_claw_chain_counts():
@@ -263,12 +268,12 @@ def test_claw_chain_balance_family():
 
 def test_dual_and_fraction_complement():
     poset = claw_chain(2, 2)
-    dual = poset.dual()
+    flipped = dual(poset)
     fr = poset.ideal_fractions()
-    fr_dual = dual.ideal_fractions()
+    fr_dual = flipped.ideal_fractions()
     for x in range(poset.n):
         assert fr[x] + fr_dual[x] == 1
-    assert poset.balance() == dual.balance()
+    assert poset.balance() == flipped.balance()
 
 
 def test_components_and_restrict():
@@ -283,12 +288,12 @@ def test_isomorphism():
     assert is_isomorphic(claw_chain(2, 2), claw_chain(2, 2))
     assert not is_isomorphic(claw_chain(2, 2), poset_from_covers(4, [(0, 1), (1, 2), (2, 3)]))
     # a claw and its dual are not isomorphic
-    assert not is_isomorphic(claw_chain(2, 2), claw_chain(2, 2).dual())
-    # labelled isomorphism distinguishes labels
+    assert not is_isomorphic(claw_chain(2, 2), dual(claw_chain(2, 2)))
+    # isomorphism ignores labels; the labelled relation tells them apart
     p1 = poset_from_covers(2, [(0, 1)], labels=(1, 2))
     p2 = poset_from_covers(2, [(0, 1)], labels=(2, 1))
     assert is_isomorphic(p1, p2)
-    assert not is_isomorphic(p1, p2, labeled=True)
+    assert labelled_relation(p1) != labelled_relation(p2)
 
 
 def test_figure_heaps_match_claw():
@@ -314,30 +319,18 @@ def test_heap_respects_diagram_everywhere():
     assert not heap_respects_diagram(bad, a3)
 
 
-def test_branching_balance_check():
-    sys = build_system(cycle_matrix(4))
-    low = heap_from_word(sys, [2, 4, 1, 3])  # balance 2/7 < 1/3
-    assert branching_balance_check(low)
-    assert branching_balance_check(claw_chain(2, 2))  # vacuous at 1/3
-    # non-example: a 3-chain forced below 1/3 would fail, but chains sit at 1/3;
-    # build a poset with balance < 1/3 and a single cover at the frontier
-    v = poset_from_covers(3, [(0, 1), (0, 2)])
-    assert v.balance() == Fraction(2, 5)
-    assert branching_balance_check(v)
-
-
 def test_heap_inversion_map_bijection():
-    """The inversion-to-heap pairing sends intervals to order ideals."""
+    """On an FC word, the k-th inversion key of the word belongs to heap
+    position k, and this pairing sends intervals to order ideals."""
     rs = build_root_system("D", 4)
-    sys = WeylContext(rs)
-    word = (4, 2, 3, 1)
-    pairs = heap_inversion_map(sys, word)
-    assert len(pairs) == 4
-    heap = heap_from_word(sys, word)
     ctx = WeylContext(rs)
+    word = (4, 2, 3, 1)
+    assert is_fully_commutative(ctx, word)
+    heap = heap_from_word(ctx, word)
     w = ctx.from_word(word)
     c = convex.interval_left(ctx, w)
-    root_to_pos = dict(pairs)
+    root_to_pos = {key: k for k, key in enumerate(inversion_keys_of_word(ctx, word))}
+    assert len(root_to_pos) == 4
     assert set(root_to_pos) == ctx.inversion_keys(w)
     for inv in c.inv_sets:
         ideal = {root_to_pos[k] for k in inv}
@@ -345,20 +338,22 @@ def test_heap_inversion_map_bijection():
             for y in range(heap.n):
                 if (heap.rows[y] >> x) & 1:
                     assert y in ideal
-    with pytest.raises(ValueError):
-        heap_inversion_map(sys, (2, 4, 2))  # not reduced -> not fc
+    assert not is_fully_commutative(ctx, (2, 4, 2))  # a braid: the pairing needs FC
 
 
 def test_heap_inversion_map_identity_empty():
     sys = WeylContext(build_root_system("A", 2))
-    assert heap_inversion_map(sys, ()) == []
+    assert inversion_keys_of_word(sys, ()) == []
+    assert heap_from_word(sys, ()).n == 0
 
 
 def test_json_round_trip():
-    poset = claw_chain(2, 2)
-    again = poset_from_json(poset_json(poset))
-    assert again == poset
-    assert "digraph" in poset_dot(poset)
+    """The covers and labels that ``poset_json`` writes rebuild the poset."""
+    for poset in (claw_chain(2, 2), poset_from_covers(3, [(0, 2)], labels=(1, 3, 2))):
+        data = json.loads(poset_json(poset))
+        again = poset_from_covers(data["n"], [tuple(c) for c in data["covers"]], data["labels"])
+        assert again == poset
+    assert "digraph" in poset_dot(claw_chain(2, 2))
 
 
 def brute_force_covers(poset):
@@ -379,9 +374,6 @@ def test_covers_match_definition():
     for p in posets_:
         expected = brute_force_covers(p)
         assert p.covers() == expected
-        for x in range(p.n):
-            assert p.upper_covers(x) == [j for i, j in expected if i == x]
-            assert p.lower_covers(x) == [i for i, j in expected if j == x]
         p.covers().clear()  # a caller's copy; the cached reduction is untouched
         assert p.covers() == expected
         assert p == LabeledPoset(p.n, p.rows, p.labels)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxbalance.linalg import dot, invert, neg, vec
+from conftest import neg, reflect
+from coxbalance.linalg import dot, invert, vec
 from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
@@ -15,7 +16,6 @@ from coxbalance.rootsys import (
     ideal_from_members,
     iter_ideal_masks,
     poset_dot,
-    reflect,
     root_graph,
     root_graph_dot,
     roots_json,
@@ -153,8 +153,6 @@ def test_build_matches_fraction_route(family, rank):
     assert [f.name for f in dataclasses.fields(rs)] == stored
     for name, value in expected.items():
         assert getattr(rs, name) == value, name
-    for i, beta in enumerate(expected["positive_roots"]):
-        assert rs.index_of(beta) == i
     for name in VIEWS:
         assert all(type(x) is Fraction for row in getattr(rs, name) for x in row), name
     assert all(type(x) is int for row in rs.coefficients for x in row)
@@ -192,8 +190,7 @@ def test_a2_explicit_coordinates():
 
 def test_b3_highest_short_root_is_e1():
     rs = build_root_system("B", 3)
-    eta = rs.highest_short_root
-    assert eta == vec((1, 0, 0))
+    assert rs.positive_roots[rs.highest_short_root_index] == vec((1, 0, 0))
     assert rs.coefficients[rs.highest_short_root_index] == (1, 1, 1)
 
 
@@ -228,37 +225,40 @@ def test_reflect_basics():
     e3 = vec((0, 0, 1))  # a short root of B3
     x = vec((2, -5, 0))  # orthogonal to e3
     assert reflect(e3, x) == x
-    with pytest.raises(ValueError):
-        reflect(vec((0, 0, 0)), a1)
 
 
 def test_root_poset_and_heights():
     a2 = build_root_system("A", 2)
-    alpha1, alpha2 = a2.simple_roots
-    high = a2.highest_root
+    alpha1, alpha2 = a2.simple_indices
+    high = a2.highest_root_index
+    assert a2.positive_roots[high] == vec((1, 0, -1))
     # beta1 <= beta2 iff beta2 - beta1 is a nonnegative simple-root combination
-    assert leq(a2, a2.index_of(alpha2), a2.index_of(high))
-    assert not leq(a2, a2.index_of(high), a2.index_of(alpha1))
+    assert leq(a2, alpha2, high)
+    assert not leq(a2, high, alpha1)
     b3 = build_root_system("B", 3)
-    assert b3.heights[b3.index_of(vec((1, 1, 0)))] == 5
+    assert b3.heights[b3.positive_roots.index(vec((1, 1, 0)))] == 5
     # heights are kept for the positive roots only
-    with pytest.raises(KeyError):
-        b3.index_of(neg(vec((1, 1, 0))))
+    assert neg(vec((1, 1, 0))) not in b3.positive_roots
     for rs in (a2, b3):
-        for s in rs.simple_roots:
-            assert rs.heights[rs.index_of(s)] == 1
+        for s in rs.simple_indices:
+            assert rs.heights[s] == 1
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("F", 4), ("G", 2), ("E", 8)])
 def test_index_of_rejects_non_roots(family, rank):
+    """The index of a root, looked up in ``_doubled_index`` by its doubled
+    coordinates, exists for the positive roots alone."""
     rs = build_root_system(family, rank)
+
+    def doubled(v):
+        return tuple(2 * x for x in v)
+
     for i, beta in enumerate(rs.positive_roots):
-        assert rs.index_of(beta) == i
+        assert rs._doubled_index[doubled(beta)] == i
         for other in (tuple(x / 2 for x in beta), neg(beta), beta + (Fraction(0),)):
-            with pytest.raises(KeyError):
-                rs.index_of(other)
-    with pytest.raises(KeyError):
-        rs.heights[rs.index_of(tuple(x / 2 for x in rs.highest_root))]
+            assert doubled(other) not in rs._doubled_index
+    half_high = tuple(x / 2 for x in rs.positive_roots[rs.highest_root_index])
+    assert doubled(half_high) not in rs._doubled_index
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)])
@@ -300,7 +300,7 @@ def test_b3_root_graph_has_short_root_jump():
     ]
     assert jumps
     # each jump is a reflection in the short simple root e3
-    short_simple = rs.simple_indices.index(rs.index_of(vec((0, 0, 1)))) + 1
+    short_simple = rs.simple_indices.index(rs.positive_roots.index(vec((0, 0, 1)))) + 1
     assert all(s == short_simple for _, _, s in jumps)
 
 

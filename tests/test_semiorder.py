@@ -5,23 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from coxbalance import semiorder
-from coxbalance.linalg import neg
-from coxbalance.rootsys import (
-    build_root_system,
-    ideal_from_members,
-    iter_ideal_masks,
+from conftest import (
+    exit_roots,
+    induced_semiorder_poset,
+    linear_extension_count,
+    neg,
     reflect,
+    single_exit_simple,
 )
+from coxbalance import semiorder
+from coxbalance.rootsys import build_root_system, ideal_from_members, iter_ideal_masks
 from coxbalance.semiorder import (
     build,
     check_half_bound,
-    exit_roots,
     from_unit_interval,
-    induced_semiorder_poset,
     min_semiorder_balance,
     scan_exit_witnesses,
-    single_exit_simple,
 )
 from coxbalance.verify import EXIT_SCAN_TYPES, SEMIORDER_TYPES
 
@@ -83,7 +82,7 @@ def test_unit_interval_closure_and_extension_count():
         vals = random_sorted_fractions(rng, n)
         gs = from_unit_interval(vals)  # ideal property checked inside build
         poset = induced_semiorder_poset(vals)
-        assert gs.size == poset.linear_extension_count()
+        assert gs.size == linear_extension_count(poset)
 
 
 def test_unit_interval_closure_larger_sample():
