@@ -12,9 +12,7 @@ import contextlib
 import json
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
@@ -56,12 +54,11 @@ def _parse_word(text: str) -> List[int]:
     return _parse_ints(text, "word letters")
 
 
-def _write_out(args, payload: dict) -> None:
-    if getattr(args, "out", None):
-        payload = {"schema": 1, **payload}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_out(out, payload: dict) -> None:
+    """Write ``payload`` as the --out JSON to ``out``, the file opened by ``main``."""
+    if out:
+        json.dump({"schema": 1, **payload}, out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 def _root_system(args) -> RootSystem:
@@ -80,7 +77,7 @@ def _group(args):
     return WeylContext(_root_system(args))
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args, out) -> int:
     rs = _root_system(args)
     if args.graph and args.format != "dot":
         raise ValueError("--graph needs --format dot")
@@ -103,26 +100,26 @@ def cmd_roots(args) -> int:
             coords = " ".join(str(c) for c in root)
             note = f"  ({', '.join(mark)})" if mark else ""
             print(f"  [{i:3d}] ht {rs.heights[i]:2d}  {coords}{note}")
-    _write_out(args, {"roots": json.loads(roots_json(rs))})
+    _write_out(out, {"roots": json.loads(roots_json(rs))})
     return 0
 
 
-def cmd_group(args) -> int:
+def cmd_group(args, out) -> int:
     rs = _root_system(args)
     cap = _int_option(args, "cap")
     if cap is None:
         cap = weyl.DEFAULT_ELEMENT_CAP
     elif cap < 0:
         raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
-    lengths = Counter(map(len, map(itemgetter(1), weyl.all_elements(rs, cap))))
-    count = sum(lengths.values())
+    sizes = [len(level) for level in weyl.levels(rs, cap)]
+    count = sum(sizes)
     print(f"group of type {rs.root_label()}: {count} elements")
-    for ln in sorted(lengths):
-        print(f"  length {ln:2d}: {lengths[ln]}")
-    _write_out(args, {
+    for ln, size in enumerate(sizes):
+        print(f"  length {ln:2d}: {size}")
+    _write_out(out, {
         "type": rs.root_label(),
         "order": count,
-        "length_distribution": {str(k): v for k, v in sorted(lengths.items())},
+        "length_distribution": {str(k): v for k, v in enumerate(sizes)},
     })
     return 0
 
@@ -149,7 +146,7 @@ def _build_set(args, ctx):
     return convex.ideal_from_upper(ctx, keys)
 
 
-def cmd_balance(args) -> int:
+def cmd_balance(args, out) -> int:
     ctx = _group(args)
     c = _build_set(args, ctx)
     b, wits = c.balance()
@@ -160,11 +157,11 @@ def cmd_balance(args) -> int:
               f"(fraction {c.inversion_fraction(k)})")
     if args.format == "dot":
         print(c.to_dot())
-    _write_out(args, json.loads(c.to_json()))
+    _write_out(out, json.loads(c.to_json()))
     return 0
 
 
-def cmd_heap(args) -> int:
+def cmd_heap(args, out) -> int:
     word = _parse_word(args.word)
     heap = posets.heap_from_word(_group(args), word)
     count, fracs = heap.ideal_statistics()
@@ -175,7 +172,7 @@ def cmd_heap(args) -> int:
         print(f"  position {x + 1} (s{heap.labels[x]}): ideal fraction {fracs[x]}")
     if args.format == "dot":
         print(posets.poset_dot(heap))
-    _write_out(args, {
+    _write_out(out, {
         "word": word,
         "ideal_count": count,
         "balance": fraction_json(balance),
@@ -195,7 +192,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"{text!r} has a zero denominator") from None
 
 
-def cmd_semiorder(args) -> int:
+def cmd_semiorder(args, out) -> int:
     if args.unit_interval:
         if args.count_ideals or args.e8:
             raise ValueError("--unit-interval takes neither --count-ideals nor --e8")
@@ -209,7 +206,7 @@ def cmd_semiorder(args) -> int:
         b = gs.convex.balance_value()
         print(f"unit-interval semiorder on {len(values)} points: "
               f"|W^A| = {gs.size}, balance {b}")
-        _write_out(args, {
+        _write_out(out, {
             "type": label,
             "size": gs.size,
             "balance": fraction_json(b),
@@ -225,7 +222,7 @@ def cmd_semiorder(args) -> int:
     if args.count_ideals:
         n = count_root_ideals(rs)
         print(f"{rs.root_label()}: {n} root-poset order ideals")
-        _write_out(args, {"type": rs.root_label(), "ideal_count": n})
+        _write_out(out, {"type": rs.root_label(), "ideal_count": n})
         return 0
     scanned, failures = semiorder.scan_exit_witnesses(rs)
     ok = not failures
@@ -236,11 +233,11 @@ def cmd_semiorder(args) -> int:
         line["min_balance"] = fraction_json(mb)
         text += f", min balance {mb}"
     print(text)
-    _write_out(args, line)
+    _write_out(out, line)
     return 0 if ok else 1
 
 
-def cmd_alcove(args) -> int:
+def cmd_alcove(args, out) -> int:
     rs = _root_system(args)
     if args.interval is not None:
         ctx = WeylContext(rs)
@@ -304,25 +301,17 @@ def cmd_alcove(args) -> int:
             payload["short_vertices"] = [
                 [fraction_json(x) for x in v] for v in data.short_vertices
             ]
-    _write_out(args, payload)
+    _write_out(out, payload)
     return 0
 
 
-def cmd_verify(args) -> int:
-    # Open --out first: an unwritable path fails before the campaign runs.
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
-        reports = verify.run_campaign(args.campaign, include_big=args.e8)
-        all_ok = True
-        for rep in reports:
-            print(rep.table())
-            all_ok = all_ok and rep.all_passed
-        if fh:
-            bundle = {
-                "schema": 1,
-                "campaigns": [json.loads(rep.to_json()) for rep in reports],
-            }
-            json.dump(bundle, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def cmd_verify(args, out) -> int:
+    reports = verify.run_campaign(args.campaign, include_big=args.e8)
+    all_ok = True
+    for rep in reports:
+        print(rep.table())
+        all_ok = all_ok and rep.all_passed
+    _write_out(out, {"campaigns": [json.loads(rep.to_json()) for rep in reports]})
     return 0 if all_ok else 1
 
 
@@ -399,7 +388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Open --out first: an unwritable path fails before any work is done.
+        with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+            return args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

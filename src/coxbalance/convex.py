@@ -185,14 +185,13 @@ def ideal_from_upper(ctx, allowed: Iterable,
     return _build(ctx, _bfs_within(ctx, frozenset(allowed), cap))
 
 
-def convex_set(ctx, lower: Iterable, upper: Iterable,
-               cap: int = weyl.DEFAULT_ELEMENT_CAP) -> ConvexSet:
+def convex_set(ctx, lower: Iterable, upper: Iterable) -> ConvexSet:
     """The set W_D^A; raises :class:`EmptyConvexSetError` when nothing matches."""
     lower = frozenset(lower)
     upper = frozenset(upper)
     if not lower <= upper:
         raise EmptyConvexSetError("lower constraint set is not inside the upper one")
-    pairs = [p for p in _bfs_within(ctx, upper, cap) if lower <= p[1]]
+    pairs = [p for p in _bfs_within(ctx, upper) if lower <= p[1]]
     return _build(ctx, pairs)
 
 

@@ -281,11 +281,11 @@ def _reference_heaps():
     }
 
 
-def fully_commutative_elements(rs: RootSystem, cap: int = 10**5):
+def fully_commutative_elements(rs: RootSystem):
     """(element, shortlex word) pairs for every fully commutative element."""
     sys = WeylContext(rs)
     out = []
-    for w, word in weyl.all_elements(rs, cap):
+    for w, word in weyl.all_elements(rs):
         if coxgen.is_fully_commutative(sys, word):
             out.append((w, word))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 from struct import Struct
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import root_display
 from .rootsys import RootSystem
@@ -118,9 +118,29 @@ def all_elements(
 ) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
-    Elements stream in (length, word-lex) order, one length at a time.
-    Raises :class:`EnumerationCapExceeded` once more than ``cap`` elements
-    have been found, after the lengths below that element were yielded.
+    The entries of :func:`levels`, one length at a time, each decoded to
+    its signed tuple.  Raises :class:`EnumerationCapExceeded` once more than
+    ``cap`` elements have been found, after the lengths below that element
+    were yielded.
+    """
+    n = rs.num_positive_roots
+    decode = Struct(f"{n}b").unpack if n <= MAX_BYTE_ROOTS else itemgetter(0)
+    for level in levels(rs, cap):
+        for word, code in level:
+            yield decode(code), word
+
+
+def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tuple]]:
+    """The group one length at a time, each level as one list in shortlex order.
+
+    An entry is (word, code): the element's shortlex-minimal reduced word
+    and the element as ``bytes``, entry a as a % 256.  Types with more than
+    ``MAX_BYTE_ROOTS`` roots, whose groups are far too large to walk past a
+    capped prefix, take :func:`_tuple_levels`, whose code is the pair
+    (v, v^-1) of signed tuples.  The walk steps from each yielded list to
+    the next level, so callers must not change it.  Raises
+    :class:`EnumerationCapExceeded` once more than ``cap`` elements have
+    been found, before the level of that element is yielded.
 
     Lexicographically least reduced words are closed under taking suffixes,
     and the least word of v != e starts with its least left descent i.  So
@@ -129,23 +149,20 @@ def all_elements(
     child of u iff no k < i is a left descent of s_i u and i is not one of
     u.  Every element is reached exactly once, so no set of seen elements
     is kept.  Walking the letters i in the outer loop and a level, already
-    in shortlex order, in the inner loop yields the next level in shortlex
+    in shortlex order, in the inner loop gives the next level in shortlex
     order with no sort.
 
     k is a left descent of u iff u^-1 alpha_k < 0, that is iff -alpha_k is
     an entry of u, and k is one of s_i u iff -s_i alpha_k is an entry of u.
-    Each level entry is (word, u) with u stored as ``bytes``, entry a as
-    a % 256.  Per letter i, a 256-byte table maps each code to that of its
-    image under s_i, and a delete string holds the codes of -alpha_i and of
+    Per letter i, a 256-byte table maps each code to that of its image
+    under s_i, and a delete string holds the codes of -alpha_i and of
     -s_i alpha_k for k < i.  ``u.translate(table, delete)`` is then s_i u
     if s_i u is a child, and shorter than N if it is not: one C-level call
     per (letter, element) makes the child test and the product.
-    Types with more than ``MAX_BYTE_ROOTS`` roots, whose groups are far too
-    large to walk past a capped prefix, take :func:`_tuple_walk`.
     """
     n = rs.num_positive_roots
     if n > MAX_BYTE_ROOTS:
-        yield from _tuple_walk(rs, cap)
+        yield from _tuple_levels(rs, cap)
         return
     simple = rs.simple_indices
     steps = []
@@ -156,30 +173,27 @@ def all_elements(
             table[-a % 256] = -b % 256
         delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
         steps.append((bytes(table), delete, (i + 1,)))
-    unpack = Struct(f"{n}b").unpack
     level = [((), bytes(range(1, n + 1)))]
     count = 1
     while level:
-        for word, u in level:
-            yield unpack(u), word
+        yield level
         nxt = []
         for table, delete, letter in steps:
-            for word, u in level:
-                c = u.translate(table, delete)
-                if len(c) == n:
-                    count += 1
-                    if count > cap:
-                        raise EnumerationCapExceeded(cap)
-                    nxt.append((letter + word, c))
+            nxt += (
+                (letter + word, c)
+                for word, u in level
+                if len(c := u.translate(table, delete)) == n
+            )
+            if count + len(nxt) > cap:
+                raise EnumerationCapExceeded(cap)
+        count += len(nxt)
         level = nxt
 
 
-def _tuple_walk(
-    rs: RootSystem, cap: int
-) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
-    """The walk of :func:`all_elements` on tuples, for more than ``MAX_BYTE_ROOTS`` roots.
+def _tuple_levels(rs: RootSystem, cap: int) -> Iterator[List[tuple]]:
+    """The levels of :func:`levels` on tuples, for more than ``MAX_BYTE_ROOTS`` roots.
 
-    Each level entry is (word, v, x) with x = v^-1; the left descents of v
+    Each level entry is (word, (v, x)) with x = v^-1; the left descents of v
     are the right descents of x, so the child test reads x alone: s_i v is
     a child iff x sends alpha_i and s_i alpha_k (k < i) to positive roots.
     x is stored with signed indexing, x[a] = x(beta_a) and x[-a] = -x[a]
@@ -202,17 +216,16 @@ def _tuple_walk(
     ]
     signed_rows = [signed(row) for row in rows]
     start = tuple(range(1, rs.num_positive_roots + 1))
-    level = [((), start, signed(start))]
+    level = [((), (start, signed(start)))]
     count = 1
     while level:
-        for word, v, _ in level:
-            yield v, word
+        yield level
         nxt = []
         for i, row in enumerate(signed_rows):
             right = itemgetter(*row)  # x s_i, permuting x's entries
             guard = guards[i]
             letter = (i + 1,)
-            for word, v, x in level:
+            for word, (v, x) in level:
                 for g in guard:
                     if x[g] < 0:
                         break
@@ -220,5 +233,5 @@ def _tuple_walk(
                     count += 1
                     if count > cap:
                         raise EnumerationCapExceeded(cap)
-                    nxt.append((letter + word, itemgetter(*v)(row), right(x)))
+                    nxt.append((letter + word, (itemgetter(*v)(row), right(x))))
         level = nxt

@@ -56,6 +56,22 @@ def test_group_a1_exact_output(capsys):
     assert out == "group of type A1: 2 elements\n  length  0: 1\n  length  1: 1\n"
 
 
+@pytest.mark.parametrize("family,rank,expected", [
+    ("D", 4, '{\n  "length_distribution": {\n    "0": 1,\n    "1": 4,\n    "10": 9,\n'
+             '    "11": 4,\n    "12": 1,\n    "2": 9,\n    "3": 16,\n    "4": 23,\n'
+             '    "5": 28,\n    "6": 30,\n    "7": 28,\n    "8": 23,\n    "9": 16\n  },\n'
+             '  "order": 192,\n  "schema": 1,\n  "type": "D4"\n}\n'),
+    ("A", 1, '{\n  "length_distribution": {\n    "0": 1,\n    "1": 1\n  },\n'
+             '  "order": 2,\n  "schema": 1,\n  "type": "A1"\n}\n'),
+], ids=["D4", "A1"])
+def test_group_out_exact_bytes(tmp_path, capsys, family, rank, expected):
+    out_file = tmp_path / "group.json"
+    code, _ = run(capsys, "group", "--type", family, "--rank", str(rank),
+                  "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == expected.encode()
+
+
 def test_group_cap_reported_cleanly(capsys):
     code = main(["group", "--type", "A", "--rank", "3", "--cap", "5"])
     assert code == 2
@@ -515,13 +531,20 @@ def test_verify_exit_code_and_report(tmp_path, capsys):
     assert data["campaigns"][0]["summary"]["failed"] == 0
 
 
-def test_verify_unwritable_out_fails_before_the_campaign(tmp_path, capsys):
-    out_file = tmp_path / "missing" / "report.json"
-    code = main(["verify", "table1", "--out", str(out_file)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+@pytest.mark.parametrize("argv", [
+    ["roots", "--type", "A", "--rank", "2"],
+    ["group", "--type", "A", "--rank", "2"],
+    ["balance", "--type", "A", "--rank", "2", "--interval", "1 2"],
+    ["heap", "--type", "A", "--rank", "2", "--word", "1 2"],
+    ["semiorder", "--type", "A", "--rank", "2"],
+    ["alcove", "--type", "A", "--rank", "2"],
+    ["verify", "table1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, argv):
+    """--out is opened before the command computes or prints anything."""
+    out_file = tmp_path / "missing" / "out.json"
+    code = main([*argv, "--out", str(out_file)])
+    assert_error_line(capsys, code, "No such file or directory")
     assert not out_file.exists()
 
 

@@ -11,6 +11,7 @@ from coxbalance.weyl import (
     EnumerationCapExceeded,
     WeylContext,
     all_elements,
+    levels,
     reduced_word,
 )
 
@@ -216,6 +217,27 @@ def capped_elements(rs, cap):
     return out, None
 
 
+def decode(code):
+    """A level entry's element: the byte walk stores each signed root index
+    a as a % 256, and the tuple walk's code is the pair (v, v^-1)."""
+    if isinstance(code, bytes):
+        return tuple(a - 256 if a > 127 else a for a in code)
+    return code[0]
+
+
+def capped_levels(rs, cap):
+    """The concatenated ``levels`` stream, as ``capped_elements`` returns it;
+    level k must hold exactly the words of length k."""
+    out = []
+    try:
+        for k, level in enumerate(levels(rs, cap)):
+            assert {len(word) for word, _ in level} == {k}
+            out.extend((decode(code), word) for word, code in level)
+    except EnumerationCapExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
 # Types too large to walk in full, on both sides of the walk's byte-encoding
 # bound MAX_BYTE_ROOTS = 127: E8 and A15 (120 roots) and B11 (121) are the
 # largest byte-walk indices, A16 (136) and D12 (132) take the tuple walk.
@@ -237,10 +259,13 @@ def test_enumeration_matches_bfs_oracle(family, rank):
     else:
         full = bfs_elements(rs, 10**6)
         assert capped_elements(rs, 10**6) == full
+        assert capped_levels(rs, 10**6) == full
         n = len(full[0])
         caps = (1, 2, 5, n // 3, n - 1, n)
     for cap in caps:
-        assert capped_elements(rs, cap) == bfs_elements(rs, cap), cap
+        expected = bfs_elements(rs, cap)
+        assert capped_elements(rs, cap) == expected, cap
+        assert capped_levels(rs, cap) == expected, cap
 
 
 def test_enumeration_cap():
@@ -292,6 +317,8 @@ def test_length_counts_match_poincare_polynomial(family, rank):
     expected = poincare_coefficients(degrees(family, rank))
     assert [counts[k] for k in range(len(expected))] == expected
     assert sum(counts.values()) == sum(expected)
+    # the level sizes that ``coxbalance group`` prints
+    assert [len(level) for level in levels(rs)] == expected
 
 
 def test_one_line_notation():
