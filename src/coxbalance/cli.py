@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -54,8 +56,32 @@ def _parse_word(text: str) -> List[int]:
     return _parse_ints(text, "word letters")
 
 
+@contextlib.contextmanager
+def _out_file(path: str):
+    """--out as a file beside ``path``, moved over it once the command returns.
+
+    Opened before the command runs, so a missing directory or a directory
+    ``path`` fails before any work; a command that raises leaves ``path``
+    as it was and no file behind.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "w")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def _write_out(out, payload: dict) -> None:
-    """Write ``payload`` as the --out JSON to ``out``, the file opened by ``main``."""
+    """Write ``payload`` as the --out JSON to ``out``, the file of :func:`_out_file`."""
     if out:
         json.dump({"schema": 1, **payload}, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -388,8 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        # Open --out first: an unwritable path fails before any work is done.
-        with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        with _out_file(args.out) if args.out else contextlib.nullcontext() as out:
             return args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

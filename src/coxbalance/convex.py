@@ -9,12 +9,13 @@ coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.  An
 element of either is a tuple that is its own key, so members are hashed and
 compared directly.
 
-Single sets, and every set of a diagram, are built by a breadth-first search
-inside W^A.  Scans over many sets W^A of one finite Weyl group need no search:
-W^A = {w : N(w) inside A}, so :func:`ideals_from_uppers` enumerates the group
-once and reads each W^A off a table of inversion bitmasks.  The distinct
-convex order ideals are exactly the distinct unions of inversion sets, so
+Single sets, and every set of a diagram, come from a walk of the shortlex
+tree pruned to W^A.  Scans over many sets W^A of one finite Weyl group walk
+the group once: W^A = {w : N(w) inside A}, so :func:`ideals_from_uppers`
+reads each W^A off a table of inversion bitmasks.  The distinct convex
+order ideals are exactly the distinct unions of inversion sets, so
 :func:`enumerate_convex_ideals` closes the same table's bitmasks under union.
+Both give (element, shortlex word, inversion keys) rows in shortlex order.
 """
 
 from __future__ import annotations
@@ -130,59 +131,51 @@ class ConvexSet:
         return "\n".join(lines)
 
 
-def _bfs_within(ctx, allowed: FrozenSet,
-                cap: int = weyl.DEFAULT_ELEMENT_CAP) -> List[Tuple[object, FrozenSet]]:
-    """All w with T_R(w) inside ``allowed``, as (element, inversion keys).
+def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> List[Tuple]:
+    """(w, shortlex word, inversion keys) for each w with T_R(w) inside
+    ``allowed``, in (length, word) order: the tree of :func:`weyl.levels`.
 
-    Works on the inverses: v = w^{-1} satisfies T_L(v) = T_R(w), and right
-    multiplication grows T_L(v s_i) = T_L(v) + {v alpha_i} whenever
-    v alpha_i is positive.  That keeps the search inside the left weak-order
-    ideal W^A while only ever reading off images of simple roots.
-    Terminates for any group since lengths are bounded by |allowed|; the
-    cap keeps runaway searches (huge groups, huge A) explicit.
+    v = w^-1 is kept beside w, and T_L(v s_i) = T_L(v) + {v alpha_i} when
+    v alpha_i > 0, so s_i w is longer and in W^A iff that key is allowed.
+    It is a tree child iff no k < i is a right descent of v s_i.  Dropping a
+    first letter shrinks T_R, so W^A holds the tree parents of its members
+    and each is reached once.  Lengths are at most |allowed|.
     """
-    start = ctx.identity()
-    seen = {start}
-    out = [(start, frozenset())]
-    level = [(start, frozenset())]
+    start = (ctx.identity(), (), frozenset())
+    rows = [start]
+    level = [(start[0], start)]
     while level:
         nxt = []
-        for v, inv in level:
-            for i in range(1, ctx.rank + 1):
+        for i in range(1, ctx.rank + 1):
+            for v, (w, word, inv) in level:
                 key = ctx.simple_image_key(v, i)
                 if key is None or key not in allowed:
                     continue
                 v2 = ctx.mul_simple_right(v, i)
-                if v2 not in seen:
-                    seen.add(v2)
-                    if len(seen) > cap:
-                        raise weyl.EnumerationCapExceeded(cap)
-                    nxt.append((v2, inv | {key}))
-        out.extend(nxt)
+                if any(ctx.simple_image_key(v2, k) is None for k in range(1, i)):
+                    continue
+                row = (ctx.mul_simple_left(w, i), (i,) + word, inv | {key})
+                rows.append(row)
+                if len(rows) > cap:
+                    raise weyl.EnumerationCapExceeded(cap)
+                nxt.append((v2, row))
         level = nxt
-    return [(ctx.invert(v), inv) for v, inv in out]
+    return rows
 
 
-def _build(ctx, pairs) -> ConvexSet:
-    """Assemble a canonical ConvexSet from (element, inversion keys) pairs."""
-    if not pairs:
+def _build(ctx, rows) -> ConvexSet:
+    """The ConvexSet of (element, word, inversion keys) rows, in their order."""
+    if not rows:
         raise EmptyConvexSetError("the requested convex set is empty")
-    decorated = sorted(
-        ((ctx.reduced_word(w), w, inv) for w, inv in pairs),
-        key=lambda t: (len(t[0]), t[0]),
-    )
-    members = tuple(t[1] for t in decorated)
-    words = tuple(t[0] for t in decorated)
-    invs = tuple(t[2] for t in decorated)
-    lower = frozenset.intersection(*invs)
-    upper = frozenset.union(*invs)
-    return ConvexSet(ctx, members, words, invs, lower, upper)
+    members, words, invs = zip(*rows)
+    return ConvexSet(ctx, members, words, invs,
+                     frozenset.intersection(*invs), frozenset.union(*invs))
 
 
 def ideal_from_upper(ctx, allowed: Iterable,
                      cap: int = weyl.DEFAULT_ELEMENT_CAP) -> ConvexSet:
     """The convex order ideal W^A: every element with inversions inside A."""
-    return _build(ctx, _bfs_within(ctx, frozenset(allowed), cap))
+    return _build(ctx, _walk_within(ctx, frozenset(allowed), cap))
 
 
 def convex_set(ctx, lower: Iterable, upper: Iterable) -> ConvexSet:
@@ -191,8 +184,7 @@ def convex_set(ctx, lower: Iterable, upper: Iterable) -> ConvexSet:
     upper = frozenset(upper)
     if not lower <= upper:
         raise EmptyConvexSetError("lower constraint set is not inside the upper one")
-    pairs = [p for p in _bfs_within(ctx, upper) if lower <= p[1]]
-    return _build(ctx, pairs)
+    return _build(ctx, [row for row in _walk_within(ctx, upper) if lower <= row[2]])
 
 
 def interval_left(ctx, w) -> ConvexSet:
@@ -210,28 +202,25 @@ def convex_hull(ctx, elements: Sequence) -> ConvexSet:
 
 def from_members(ctx, elements: Sequence) -> ConvexSet:
     """Wrap an explicit element list, verifying it is convex."""
-    invs = [ctx.inversion_keys(w) for w in elements]
-    hull = convex_set(ctx, frozenset.intersection(*invs), frozenset.union(*invs))
+    hull = convex_hull(ctx, elements)
     if len(hull) != len(set(elements)):
         raise ValueError("element list is not convex: its hull is strictly larger")
     return hull
 
 
 def _element_table(ctx: WeylContext) -> List[Tuple]:
-    """(inversion bitmask, element, shortlex word, inversion set) per element."""
+    """(inversion bitmask, (element, shortlex word, inversion set)) per element."""
     table = []
     for w, word in weyl.all_elements(ctx.root_system):
         inv = ctx.inversion_keys(w)
-        table.append((sum(1 << j for j in inv), w, word, inv))
+        table.append((sum(1 << j for j in inv), (w, word, inv)))
     return table
 
 
 def _ideals_in(ctx: WeylContext, table, uppers: Iterable[int]) -> Iterator[ConvexSet]:
     for upper in uppers:
         outside = ~upper
-        _, members, words, invs = zip(*(e for e in table if not e[0] & outside))
-        yield ConvexSet(ctx, members, words, invs,
-                        frozenset.intersection(*invs), frozenset.union(*invs))
+        yield _build(ctx, [row for mask, row in table if not mask & outside])
 
 
 def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[ConvexSet]:
@@ -261,8 +250,8 @@ def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
         )
     table = _element_table(ctx)
     unions = {0}
-    for e in table:
-        unions |= {u | e[0] for u in unions}
+    for mask, _ in table:
+        unions |= {u | mask for u in unions}
     yield from _ideals_in(ctx, table, sorted(
         unions, key=lambda a: (a.bit_count(), [j for j in range(n) if (a >> j) & 1])
     ))

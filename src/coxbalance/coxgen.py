@@ -223,11 +223,6 @@ class CoxSystem:
             for col in w
         )
 
-    def mul(self, u: Columns, v: Columns) -> Columns:
-        for i in self.reduced_word(v):
-            u = self.mul_simple_right(u, i)
-        return u
-
     def simple_image_key(self, v: Columns, i: int):
         """Key of v(alpha_i) if that root is positive, else None."""
         col = v[i - 1]

@@ -13,7 +13,7 @@ doubled simple roots.  Every stored field is an integer table:
 ``coefficients`` (simple-root coordinates of each positive root), the
 root-poset bitmasks ``_leq``/``_down``, the signed simple action
 ``_simple_action``, and ``_doubled``, twice the ambient coordinates of each
-positive root (integral in every supported type), with its inverse map.  The
+positive root (integral in every supported type).  The
 ``Fraction`` views ``positive_roots`` (ambient coordinates) and ``coweights``
 are computed from those tables on first access.
 
@@ -150,12 +150,9 @@ class RootSystem:
     _simple_action: Tuple[Tuple[int, ...], ...] = field(
         repr=False, hash=False, compare=False, default=()
     )
-    # twice the ambient coordinates of each positive root, and its inverse map
+    # twice the ambient coordinates of each positive root
     _doubled: Tuple[Tuple[int, ...], ...] = field(
         repr=False, hash=False, compare=False, default=()
-    )
-    _doubled_index: Dict[Tuple[int, ...], int] = field(
-        repr=False, hash=False, compare=False, default_factory=dict
     )
     # Coxeter matrix m_ij, 0-based
     _coxeter: Tuple[Tuple[int, ...], ...] = field(repr=False, hash=False, compare=False, default=())
@@ -306,7 +303,6 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         _down=tuple(down),
         _simple_action=tuple(action),
         _doubled=doubled_roots,
-        _doubled_index={d: i for i, d in enumerate(doubled_roots)},
         # a_ij a_ji = 4 cos^2(pi / m_ij): 0, 1, 2 or 3 off the diagonal, 4 on it
         _coxeter=tuple(tuple((2, 3, 4, 6, 1)[cartan[i][j] * cartan[j][i]] for j in range(rank))
                        for i in range(rank)),

@@ -81,23 +81,15 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
 
 
 def _reflection_element(rs: RootSystem, k: int) -> Tuple[int, ...]:
-    """The reflection in positive root k, as a signed permutation of roots.
-
-    Works on the integer doubled ambient coordinates stored on ``rs``:
-    s_b(g) = g - (2<g, b>/<b, b>) b, with an integral coefficient.
-    """
-    b = rs._doubled[k]
-    bb = sum(x * x for x in b)
-    action = []
-    for g in rs._doubled:
-        p = 2 * sum(x * y for x, y in zip(g, b)) // bb
-        img = tuple(x - p * y for x, y in zip(g, b))
-        j = rs._doubled_index.get(img)
-        if j is None:
-            action.append(-(rs._doubled_index[tuple(-x for x in img)] + 1))
-        else:
-            action.append(j + 1)
-    return tuple(action)
+    """The reflection in positive root k, as a signed permutation of roots:
+    u s_j u^-1, where u^-1 = s_im .. s_i1 lowers root k to alpha_j."""
+    path = []
+    while k not in rs.simple_indices:
+        i = next(i for i in range(1, rs.rank + 1) if 0 < rs.simple_image(i, k) <= k)
+        path.append(i)
+        k = rs.simple_image(i, k) - 1
+    j = rs.simple_indices.index(k) + 1
+    return WeylContext(rs).from_word(path + [j] + path[::-1])
 
 
 # -- single-exit witnesses over root-poset ideals -----------------------------

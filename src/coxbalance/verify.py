@@ -291,12 +291,11 @@ def fully_commutative_elements(rs: RootSystem):
     return out
 
 
-def classify_fc_equality(rs: RootSystem) -> VerificationReport:
+def classify_fc_equality(rs: RootSystem, refs: dict) -> VerificationReport:
     """Find every fully commutative element whose heap balance equals 1/3 and
-    match the heap components against the known reference shapes."""
+    match the heap components against the :func:`_reference_heaps` ``refs``."""
 
     def body(report: VerificationReport):
-        refs = _reference_heaps()
         sys = WeylContext(rs)
         unmatched = []
         hits = 0
@@ -466,8 +465,9 @@ def run_campaign(name: str, include_big: bool = False) -> List[VerificationRepor
     if name == "counterexamples":
         return [verify_counterexamples()]
     if name == "classify":
+        refs = _reference_heaps()
         return [
-            classify_fc_equality(build_root_system(f, r)) for f, r in CLASSIFY_TYPES
+            classify_fc_equality(build_root_system(f, r), refs) for f, r in CLASSIFY_TYPES
         ]
     if name == "exits":
         return [verify_exit_witnesses(include_big=include_big)]

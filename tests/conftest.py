@@ -2,7 +2,8 @@
 
 The oracles recompute, by a second route, what ``src/`` computes on integer
 tables: type A one-line notation, the action and reflections on
-``Fraction`` vectors, the single-exit simple roots of a root-poset ideal,
+``Fraction`` vectors, the members and words of a convex set by
+breadth-first search, the single-exit simple roots of a root-poset ideal,
 the classical semiorder of a point set and brute-force linear extension
 counts.  The helpers build objects the tests compare: commutation classes,
 right translates of convex sets and dual posets.  Property tests run under
@@ -16,7 +17,7 @@ from itertools import permutations
 
 from hypothesis import settings
 
-from coxbalance import convex
+from coxbalance import convex, weyl
 from coxbalance.coxgen import NotReducedError
 from coxbalance.linalg import bits, dot, sub
 from coxbalance.posets import LabeledPoset
@@ -64,7 +65,7 @@ def one_line(rs, w):
     n = rs.rank + 1
     perm = [0] * n
     for j in range(1, n):
-        img = w[rs._doubled_index[(2,) + (0,) * (j - 1) + (-2,) + (0,) * (n - j - 1)]]
+        img = w[rs._doubled.index((2,) + (0,) * (j - 1) + (-2,) + (0,) * (n - j - 1))]
         d = [x if img > 0 else -x for x in rs._doubled[abs(img) - 1]]
         perm[0], perm[j] = d.index(2) + 1, d.index(-2) + 1
     return tuple(perm)
@@ -102,6 +103,40 @@ def commutation_class(sys, word):
                     seen.add(w2)
                     frontier.append(w2)
     return sorted(seen)
+
+
+def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
+    """Oracle for the single-set walk of ``convex``: the (element, word,
+    inversion keys) rows of W_D^A, D = ``lower`` and A = ``upper``, sorted
+    by (length, word).
+
+    A breadth-first search on the inverses v = w^-1 inside W^A, keeping a
+    set of seen elements, with the cap counting the members found.  Each
+    member is inverted at the end and its word recomputed by
+    ``reduced_word``; only then are the rows filtered by D and sorted.
+    """
+    start = ctx.identity()
+    seen = {start}
+    found = [(start, frozenset())]
+    level = list(found)
+    while level:
+        nxt = []
+        for v, inv in level:
+            for i in range(1, ctx.rank + 1):
+                key = ctx.simple_image_key(v, i)
+                if key is None or key not in upper:
+                    continue
+                v2 = ctx.mul_simple_right(v, i)
+                if v2 not in seen:
+                    seen.add(v2)
+                    if len(seen) > cap:
+                        raise weyl.EnumerationCapExceeded(cap)
+                    nxt.append((v2, inv | {key}))
+        found += nxt
+        level = nxt
+    rows = [(w, ctx.reduced_word(w), inv)
+            for w, inv in ((ctx.invert(v), inv) for v, inv in found) if lower <= inv]
+    return sorted(rows, key=lambda row: (len(row[1]), row[1]))
 
 
 def translate(c, w):

@@ -548,6 +548,42 @@ def test_unwritable_out_fails_before_the_work(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "A", "--rank", "2"],
+    ["verify", "table1"],
+], ids=lambda argv: argv[0])
+def test_directory_out_fails_before_the_work(tmp_path, capsys, argv):
+    """An --out path that is a directory fails before the command prints."""
+    code = main([*argv, "--out", str(tmp_path)])
+    assert_error_line(capsys, code, f"Is a directory: '{tmp_path}'")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [b'{"schema": 1}\n', None], ids=["existing", "absent"])
+def test_failing_command_keeps_the_out_file(tmp_path, capsys, existing):
+    """A command that fails after --out is opened leaves an existing file
+    byte for byte, creates none, and leaves no temporary file behind."""
+    out_file = tmp_path / "prev.json"
+    if existing is not None:
+        out_file.write_bytes(existing)
+    code = main(["group", "--type", "A", "--rank", "3", "--cap", "5", "--out", str(out_file)])
+    assert_error_line(capsys, code, "cap of 5")
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [out_file]
+        assert out_file.read_bytes() == existing
+
+
+def test_out_replaces_the_file_and_leaves_no_temporary(tmp_path, capsys):
+    out_file = tmp_path / "group.json"
+    out_file.write_text("stale")
+    code, _ = run(capsys, "group", "--type", "A", "--rank", "1", "--out", str(out_file))
+    assert code == 0
+    assert list(tmp_path.iterdir()) == [out_file]
+    assert json.loads(out_file.read_text())["order"] == 2
+
+
 def test_verify_unknown_campaign():
     with pytest.raises(SystemExit):
         main(["verify", "bogus"])

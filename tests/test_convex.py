@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import translate
+from conftest import bfs_convex_rows, translate
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
@@ -106,6 +108,8 @@ def test_empty_convex_set_errors():
         convex_set(a2, {high}, {high})
     with pytest.raises(EmptyConvexSetError):
         convex_set(a2, {0}, frozenset())
+    with pytest.raises(EmptyConvexSetError):
+        from_members(a2, [])
 
 
 def test_canonicality():
@@ -335,9 +339,9 @@ def test_scans_walk_the_group_once(monkeypatch):
 
 def test_campaign_scans_build_no_set_by_bfs(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a scan built W^A by breadth-first search")
+        raise AssertionError("a scan built W^A by a single-set walk")
 
-    monkeypatch.setattr(convex, "_bfs_within", refuse)
+    monkeypatch.setattr(convex, "_walk_within", refuse)
     for name in ("semiorder", "conjecture", "geometry"):
         for report in run_campaign(name):
             assert report.all_passed, report.campaign
@@ -352,6 +356,70 @@ def test_bfs_cap_guard():
     ctx = weyl_ctx("A", 3)
     with pytest.raises(weyl.EnumerationCapExceeded, match="10"):
         ideal_from_upper(ctx, all_roots(ctx), cap=10)
+
+
+ORACLE_GROUPS = {
+    "A3": weyl_ctx("A", 3),
+    "B3": weyl_ctx("B", 3),
+    "G2": weyl_ctx("G", 2),
+    "D4": weyl_ctx("D", 4),
+    "path-3-4": build_system(path_matrix(3, [3, 4])),
+    "path-6-inf": build_system(path_matrix(3, [6, INF])),
+    "path-inf-3-4": build_system(path_matrix(4, [INF, 3, 4])),
+    "triangle": build_system(complete_graph_matrix(3)),
+}
+
+
+def set_view(c):
+    return c.members, c.words, c.inv_sets, c.lower, c.upper
+
+
+def oracle_view(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
+    members, words, invs = zip(*bfs_convex_rows(ctx, frozenset(lower), frozenset(upper), cap))
+    return members, words, invs, frozenset.intersection(*invs), frozenset.union(*invs)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_single_sets_match_bfs_oracle(name):
+    """Intervals, hulls and ideals W^A for A inside a union of inversion
+    sets have the members, words, inversion sets, lower and upper sets of
+    the breadth-first oracle, and both stop at the same cap."""
+    ctx = ORACLE_GROUPS[name]
+    rng = random.Random(name)
+    for _ in range(25):
+        els = [ctx.from_word([rng.randint(1, ctx.rank) for _ in range(rng.randint(0, 12))])
+               for _ in range(rng.randint(1, 3))]
+        invs = [ctx.inversion_keys(w) for w in els]
+        lower, upper = frozenset.intersection(*invs), frozenset.union(*invs)
+        assert set_view(interval_left(ctx, els[0])) == oracle_view(ctx, (), invs[0])
+        assert set_view(convex_hull(ctx, els)) == oracle_view(ctx, lower, upper)
+        allowed = frozenset(k for k in upper if rng.random() < 0.7)
+        c = ideal_from_upper(ctx, allowed)
+        assert set_view(c) == oracle_view(ctx, (), allowed)
+        assert set_view(ideal_from_upper(ctx, allowed, cap=len(c))) == set_view(c)
+        if len(c) > 1:
+            with pytest.raises(weyl.EnumerationCapExceeded):
+                ideal_from_upper(ctx, allowed, cap=len(c) - 1)
+            with pytest.raises(weyl.EnumerationCapExceeded):
+                oracle_view(ctx, (), allowed, cap=len(c) - 1)
+
+
+HULL_GROUPS = {
+    "A3": weyl_ctx("A", 3),
+    "B3": weyl_ctx("B", 3),
+    "path-4-inf": build_system(path_matrix(3, [4, INF])),
+}
+
+
+@given(
+    key=st.sampled_from(sorted(HULL_GROUPS)),
+    words=st.lists(st.lists(st.integers(min_value=1, max_value=3), max_size=8),
+                   min_size=1, max_size=3),
+)
+def test_hull_of_hull_members_is_the_hull(key, words):
+    ctx = HULL_GROUPS[key]
+    hull = convex_hull(ctx, [ctx.from_word(w) for w in words])
+    assert set_view(convex_hull(ctx, hull.members)) == set_view(hull)
 
 
 def test_fc_interval_bound_in_acyclic_systems():

@@ -36,7 +36,8 @@ ALLOWED = {
 # Defaulted parameters that no call in src/ passes, each with its reason.
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "the entry point; the console script calls main() with no argument",
-    "convex.ideal_from_upper.cap": "test_bfs_cap_guard sets it to check the BFS cap guard",
+    "convex.ideal_from_upper.cap": "the tests set it to check the walk's cap point "
+                                   "against the BFS oracle",
     "weyl.all_elements.cap": "the tests check its cap point against the BFS oracle; "
                              "group passes its --cap to weyl.levels instead",
 }

@@ -126,7 +126,6 @@ def fraction_route_fields(family, rank):
         "_down": down,
         "_simple_action": action,
         "_doubled": doubled,
-        "_doubled_index": {d: i for i, d in enumerate(doubled)},
         "_coxeter": coxeter,
         "positive_roots": pos_roots,
         "coweights": coweights,
@@ -242,23 +241,6 @@ def test_root_poset_and_heights():
     for rs in (a2, b3):
         for s in rs.simple_indices:
             assert rs.heights[s] == 1
-
-
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("F", 4), ("G", 2), ("E", 8)])
-def test_index_of_rejects_non_roots(family, rank):
-    """The index of a root, looked up in ``_doubled_index`` by its doubled
-    coordinates, exists for the positive roots alone."""
-    rs = build_root_system(family, rank)
-
-    def doubled(v):
-        return tuple(2 * x for x in v)
-
-    for i, beta in enumerate(rs.positive_roots):
-        assert rs._doubled_index[doubled(beta)] == i
-        for other in (tuple(x / 2 for x in beta), neg(beta), beta + (Fraction(0),)):
-            assert doubled(other) not in rs._doubled_index
-    half_high = tuple(x / 2 for x in rs.positive_roots[rs.highest_root_index])
-    assert doubled(half_high) not in rs._doubled_index
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)])

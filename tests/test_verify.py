@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from coxbalance import verify
 from coxbalance.cli import main
 from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.verify import (
     VerificationReport,
+    _reference_heaps,
     classify_fc_equality,
     run_campaign,
     verify_conjecture,
@@ -74,7 +76,7 @@ def test_exit_witness_campaign():
 
 
 def test_classify_campaign_a3():
-    rep = classify_fc_equality(build_root_system("A", 3))
+    rep = classify_fc_equality(build_root_system("A", 3), _reference_heaps())
     assert rep.all_passed
     # in A3 every equality heap is a single 2-chain component, so nothing
     # lands outside the reference list
@@ -87,10 +89,22 @@ def test_classify_campaign_reports_dual_claws():
 
     These are reported as findings (still passing records).
     """
-    rep = classify_fc_equality(build_root_system("B", 3))
+    rep = classify_fc_equality(build_root_system("B", 3), _reference_heaps())
     assert rep.all_passed
     outside = [r for r in rep.records if "outside" in r.instance]
     assert outside and int(outside[0].value) >= 1
+
+
+def test_classify_builds_the_reference_heaps_once(monkeypatch):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return _reference_heaps()
+
+    monkeypatch.setattr(verify, "_reference_heaps", counted)
+    assert all(rep.all_passed for rep in run_campaign("classify"))
+    assert len(calls) == 1
 
 
 def test_unknown_campaign():
