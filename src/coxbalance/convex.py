@@ -77,17 +77,17 @@ class ConvexSet:
         Only reflections in A (and outside D) can realise the maximum; all
         others have constant inversion fraction 0 or 1 on the set.
         """
-        best = Fraction(0)
+        best = 0
         witnesses: List = []
         n = len(self.members)
         for key in sorted(self.upper - self.lower):
             c = self.inversion_count(key)
-            score = min(Fraction(c, n), Fraction(n - c, n))
+            score = min(c, n - c)
             if score > best:
                 best, witnesses = score, [key]
             elif score == best and score > 0:
                 witnesses.append(key)
-        return best, witnesses
+        return Fraction(best, n), witnesses
 
     def balance_value(self) -> Fraction:
         return self.balance()[0]

@@ -453,40 +453,31 @@ CLASSIFY_TYPES: Tuple[Tuple[str, int], ...] = (
 )
 
 
+def _classify() -> List[VerificationReport]:
+    refs = _reference_heaps()
+    return [classify_fc_equality(build_root_system(f, r), refs) for f, r in CLASSIFY_TYPES]
+
+
+# Each campaign's runner, called with include_big, in the order ``all`` runs them.
+CAMPAIGNS: Dict[str, Callable[[bool], List[VerificationReport]]] = {
+    "table1": lambda big: [verify_params_table()],
+    "conjecture": lambda big: [
+        verify_conjecture(build_root_system(f, r)) for f, r in CONJECTURE_TYPES
+    ],
+    "equality": lambda big: [verify_equality_cases()],
+    "counterexamples": lambda big: [verify_counterexamples()],
+    "classify": lambda big: _classify(),
+    "exits": lambda big: [verify_exit_witnesses(include_big=big)],
+    "semiorder": lambda big: [verify_semiorder_bounds()],
+    "geometry": lambda big: [verify_geometry()],
+}
+
+CAMPAIGN_NAMES = (*CAMPAIGNS, "all")
+
+
 def run_campaign(name: str, include_big: bool = False) -> List[VerificationReport]:
-    if name == "table1":
-        return [verify_params_table()]
-    if name == "conjecture":
-        return [
-            verify_conjecture(build_root_system(f, r)) for f, r in CONJECTURE_TYPES
-        ]
-    if name == "equality":
-        return [verify_equality_cases()]
-    if name == "counterexamples":
-        return [verify_counterexamples()]
-    if name == "classify":
-        refs = _reference_heaps()
-        return [
-            classify_fc_equality(build_root_system(f, r), refs) for f, r in CLASSIFY_TYPES
-        ]
-    if name == "exits":
-        return [verify_exit_witnesses(include_big=include_big)]
-    if name == "semiorder":
-        return [verify_semiorder_bounds()]
-    if name == "geometry":
-        return [verify_geometry()]
     if name == "all":
-        out = []
-        for n in (
-            "table1", "conjecture", "equality", "counterexamples",
-            "classify", "exits", "semiorder", "geometry",
-        ):
-            out.extend(run_campaign(n, include_big=include_big))
-        return out
-    raise ValueError(f"unknown campaign {name!r}")
-
-
-CAMPAIGN_NAMES = (
-    "table1", "conjecture", "equality", "counterexamples", "classify",
-    "exits", "semiorder", "geometry", "all",
-)
+        return [rep for run in CAMPAIGNS.values() for rep in run(include_big)]
+    if name not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {name!r}")
+    return CAMPAIGNS[name](include_big)

@@ -6,11 +6,13 @@ and hashing are O(#roots) and independent of any choice of word, and reduced
 words are derived data.  :class:`WeylContext` is the group object of one
 type and computes directly on these tuples, with integer arithmetic only;
 a vector's image under w is read from the same tuple in ``alcove``.
+:func:`levels` walks the group one length at a time, after comparing its
+order, known from the type (:func:`group_order`), with the element cap.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from math import factorial, prod
 from struct import Struct
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -108,6 +110,14 @@ def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
         x = g.mul_simple_right(x, i)
 
 
+def group_order(rs: RootSystem) -> int:
+    """|W| = r! m_1 ... m_r f, where the m_i are the marks of the highest root
+    and f = 1 + #{i : m_i = 1} is the index of connection (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, section 2)."""
+    marks = rs.coefficients[rs.highest_root_index]
+    return factorial(rs.rank) * prod(marks) * (1 + marks.count(1))
+
+
 # A signed root index a = +-1..+-N fits a byte as a % 256 while N <= 127,
 # which holds up to E8 (N = 120); bytes 0 and 128 are never used.
 MAX_BYTE_ROOTS = 127
@@ -119,12 +129,10 @@ def all_elements(
     """Every group element with its shortlex-minimal reduced word.
 
     The entries of :func:`levels`, one length at a time, each decoded to
-    its signed tuple.  Raises :class:`EnumerationCapExceeded` once more than
-    ``cap`` elements have been found, after the lengths below that element
-    were yielded.
+    its signed tuple.  Raises :class:`EnumerationCapExceeded` before any
+    element when the group has more than ``cap`` elements.
     """
-    n = rs.num_positive_roots
-    decode = Struct(f"{n}b").unpack if n <= MAX_BYTE_ROOTS else itemgetter(0)
+    decode = Struct(f"{rs.num_positive_roots}b").unpack
     for level in levels(rs, cap):
         for word, code in level:
             yield decode(code), word
@@ -134,13 +142,13 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
     """The group one length at a time, each level as one list in shortlex order.
 
     An entry is (word, code): the element's shortlex-minimal reduced word
-    and the element as ``bytes``, entry a as a % 256.  Types with more than
-    ``MAX_BYTE_ROOTS`` roots, whose groups are far too large to walk past a
-    capped prefix, take :func:`_tuple_levels`, whose code is the pair
-    (v, v^-1) of signed tuples.  The walk steps from each yielded list to
-    the next level, so callers must not change it.  Raises
-    :class:`EnumerationCapExceeded` once more than ``cap`` elements have
-    been found, before the level of that element is yielded.
+    and the element as ``bytes``, entry a as a % 256.  The walk steps from
+    each yielded list to the next level, so callers must not change it.
+    At the first ``next()``, before any level, it raises
+    :class:`EnumerationCapExceeded` when :func:`group_order` exceeds
+    ``cap``, and ``ValueError`` for a type with more than ``MAX_BYTE_ROOTS``
+    positive roots, whose codes would not fit a byte; such a group has at
+    least 9.8 * 10^11 elements.
 
     Lexicographically least reduced words are closed under taking suffixes,
     and the least word of v != e starts with its least left descent i.  So
@@ -160,10 +168,14 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
     if s_i u is a child, and shorter than N if it is not: one C-level call
     per (letter, element) makes the child test and the product.
     """
+    if group_order(rs) > cap:
+        raise EnumerationCapExceeded(cap)
     n = rs.num_positive_roots
     if n > MAX_BYTE_ROOTS:
-        yield from _tuple_levels(rs, cap)
-        return
+        raise ValueError(
+            f"the group walk encodes at most {MAX_BYTE_ROOTS} positive roots; "
+            f"type {rs.root_label()} has {n}"
+        )
     simple = rs.simple_indices
     steps = []
     for i, row in enumerate(rs._simple_action):
@@ -174,7 +186,6 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
         delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
         steps.append((bytes(table), delete, (i + 1,)))
     level = [((), bytes(range(1, n + 1)))]
-    count = 1
     while level:
         yield level
         nxt = []
@@ -184,54 +195,4 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
                 for word, u in level
                 if len(c := u.translate(table, delete)) == n
             )
-            if count + len(nxt) > cap:
-                raise EnumerationCapExceeded(cap)
-        count += len(nxt)
-        level = nxt
-
-
-def _tuple_levels(rs: RootSystem, cap: int) -> Iterator[List[tuple]]:
-    """The levels of :func:`levels` on tuples, for more than ``MAX_BYTE_ROOTS`` roots.
-
-    Each level entry is (word, (v, x)) with x = v^-1; the left descents of v
-    are the right descents of x, so the child test reads x alone: s_i v is
-    a child iff x sends alpha_i and s_i alpha_k (k < i) to positive roots.
-    x is stored with signed indexing, x[a] = x(beta_a) and x[-a] = -x[a]
-    for a = 1..N (x[0] = 0), and likewise each simple reflection's row r.
-    Each step is then one C-level ``itemgetter`` call with no sign tests:
-    s_i v = itemgetter(*v)(r) reads r at v's values, and x s_i =
-    itemgetter(*r)(x) reads x at r's values, with that getter built once
-    per letter.
-    """
-    rows = rs._simple_action
-    simple = rs.simple_indices
-
-    def signed(t: Tuple[int, ...]) -> Tuple[int, ...]:
-        return (0,) + t + tuple([-a for a in reversed(t)])
-
-    # 1-based indices of alpha_i and of s_i alpha_k for k < i, in signed x
-    guards = [
-        (simple[i] + 1,) + tuple([abs(rows[i][simple[k]]) for k in range(i)])
-        for i in range(rs.rank)
-    ]
-    signed_rows = [signed(row) for row in rows]
-    start = tuple(range(1, rs.num_positive_roots + 1))
-    level = [((), (start, signed(start)))]
-    count = 1
-    while level:
-        yield level
-        nxt = []
-        for i, row in enumerate(signed_rows):
-            right = itemgetter(*row)  # x s_i, permuting x's entries
-            guard = guards[i]
-            letter = (i + 1,)
-            for word, (v, x) in level:
-                for g in guard:
-                    if x[g] < 0:
-                        break
-                else:
-                    count += 1
-                    if count > cap:
-                        raise EnumerationCapExceeded(cap)
-                    nxt.append((letter + word, (itemgetter(*v)(row), right(x))))
         level = nxt

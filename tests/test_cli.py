@@ -84,6 +84,12 @@ def test_group_cap_zero_is_a_cap(capsys):
     assert "cap of 0" in capsys.readouterr().err
 
 
+def test_group_past_the_cap_is_refused_before_the_walk(capsys):
+    """A20 has 21! elements and 210 roots: |W| is compared with the cap first."""
+    code = main(["group", "--type", "A", "--rank", "20"])
+    assert_error_line(capsys, code, "exceeded the element cap of 1000000")
+
+
 def test_group_negative_cap_is_reported(capsys):
     code = main(["group", "--type", "A", "--rank", "1", "--cap", "-1"])
     assert_error_line(capsys, code, "--cap must be a nonnegative element count")

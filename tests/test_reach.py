@@ -38,8 +38,8 @@ ALLOWED_DEFAULTS = {
     "cli.main.argv": "the entry point; the console script calls main() with no argument",
     "convex.ideal_from_upper.cap": "the tests set it to check the walk's cap point "
                                    "against the BFS oracle",
-    "weyl.all_elements.cap": "the tests check its cap point against the BFS oracle; "
-                             "group passes its --cap to weyl.levels instead",
+    "weyl.all_elements.cap": "the tests check that a cap below |W| raises before "
+                             "the walk; group passes its --cap to weyl.levels instead",
 }
 
 

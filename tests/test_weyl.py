@@ -2,15 +2,19 @@
 
 import random
 from collections import Counter
+from itertools import islice
+from math import prod
 
 import pytest
 
 from conftest import apply, one_line
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import (
+    MAX_BYTE_ROOTS,
     EnumerationCapExceeded,
     WeylContext,
     all_elements,
+    group_order,
     levels,
     reduced_word,
 )
@@ -176,20 +180,16 @@ def test_enumeration_is_shortlex_sorted():
     assert words == sorted(words, key=lambda w: (len(w), w))
 
 
-def bfs_elements(rs, cap):
-    """Oracle: breadth-first search with a set of seen elements.
-
-    Each level is sorted by the word that first reached each element.
-    Returns the yielded (element, word) pairs and the cap error message, if any.
-    """
+def bfs_levels(rs):
+    """Oracle: breadth-first search with a set of seen elements, one length
+    at a time, each level as (element, word) pairs sorted by the word that
+    first reached each element."""
     ctx = WeylContext(rs)
     start = ctx.identity()
     seen = {start}
     level = [((), start)]
-    out = []
-    count = 1
     while level:
-        out.extend((w, word) for word, w in level)
+        yield [(w, word) for word, w in level]
         nxt = []
         for word, w in level:
             for i in range(1, rs.rank + 1):
@@ -198,74 +198,74 @@ def bfs_elements(rs, cap):
                 w2 = ctx.mul_simple_right(w, i)
                 if w2 not in seen:
                     seen.add(w2)
-                    count += 1
-                    if count > cap:
-                        return out, str(EnumerationCapExceeded(cap))
                     nxt.append((word + (i,), w2))
         nxt.sort(key=lambda t: t[0])
         level = nxt
-    return out, None
-
-
-def capped_elements(rs, cap):
-    out = []
-    try:
-        for w, word in all_elements(rs, cap):
-            out.append((w, word))
-    except EnumerationCapExceeded as exc:
-        return out, str(exc)
-    return out, None
 
 
 def decode(code):
-    """A level entry's element: the byte walk stores each signed root index
-    a as a % 256, and the tuple walk's code is the pair (v, v^-1)."""
-    if isinstance(code, bytes):
-        return tuple(a - 256 if a > 127 else a for a in code)
-    return code[0]
+    """A level entry's element: the walk stores each signed root index a as a % 256."""
+    return tuple(a - 256 if a > 127 else a for a in code)
 
 
-def capped_levels(rs, cap):
-    """The concatenated ``levels`` stream, as ``capped_elements`` returns it;
-    level k must hold exactly the words of length k."""
-    out = []
-    try:
-        for k, level in enumerate(levels(rs, cap)):
-            assert {len(word) for word, _ in level} == {k}
-            out.extend((decode(code), word) for word, code in level)
-    except EnumerationCapExceeded as exc:
-        return out, str(exc)
-    return out, None
+def decoded_levels(rs):
+    """``levels`` with each entry as an (element, word) pair; level k must
+    hold exactly the words of length k."""
+    for k, level in enumerate(levels(rs, group_order(rs))):
+        assert {len(word) for word, _ in level} == {k}
+        yield [(decode(code), word) for word, code in level]
 
 
-# Types too large to walk in full, on both sides of the walk's byte-encoding
-# bound MAX_BYTE_ROOTS = 127: E8 and A15 (120 roots) and B11 (121) are the
-# largest byte-walk indices, A16 (136) and D12 (132) take the tuple walk.
-CAPPED_ONLY = {("E", 8): 120, ("A", 15): 120, ("B", 11): 121, ("A", 16): 136, ("D", 12): 132}
-
-
-@pytest.mark.parametrize("family,rank", [
+FULL_TYPES = [
     *(("A", r) for r in range(1, 7)),
     *(("B", r) for r in range(2, 6)),
     *(("C", r) for r in range(2, 6)),
     ("D", 4), ("D", 5), ("F", 4), ("G", 2),
-    *CAPPED_ONLY,
-])
+]
+
+# Types too large to walk in full, on both sides of the walk's byte-encoding
+# bound MAX_BYTE_ROOTS = 127: E8 and A15 (120 roots) and B11 (121) have the
+# largest indices that still fit, and the walk refuses A16 (136) and D12 (132).
+NEAR_BYTE_BOUND = {("E", 8): 120, ("A", 15): 120, ("B", 11): 121}
+PAST_BYTE_BOUND = {("A", 16): 136, ("D", 12): 132}
+
+
+@pytest.mark.parametrize("family,rank", [*FULL_TYPES, *NEAR_BYTE_BOUND])
 def test_enumeration_matches_bfs_oracle(family, rank):
+    """Every level on the full types; the first 6 levels near the byte bound."""
     rs = build_root_system(family, rank)
-    if (family, rank) in CAPPED_ONLY:
-        assert rs.num_positive_roots == CAPPED_ONLY[family, rank]
-        caps = (1, 2, 5, 1000)
-    else:
-        full = bfs_elements(rs, 10**6)
-        assert capped_elements(rs, 10**6) == full
-        assert capped_levels(rs, 10**6) == full
-        n = len(full[0])
-        caps = (1, 2, 5, n // 3, n - 1, n)
-    for cap in caps:
-        expected = bfs_elements(rs, cap)
-        assert capped_elements(rs, cap) == expected, cap
-        assert capped_levels(rs, cap) == expected, cap
+    if (family, rank) in NEAR_BYTE_BOUND:
+        assert rs.num_positive_roots == NEAR_BYTE_BOUND[family, rank] <= MAX_BYTE_ROOTS
+        walk = decoded_levels(rs)
+        assert list(islice(walk, 6)) == list(islice(bfs_levels(rs), 6))
+        walk.close()
+        return
+    expected = list(bfs_levels(rs))
+    assert list(decoded_levels(rs)) == expected
+    assert list(all_elements(rs)) == [entry for level in expected for entry in level]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_cap_is_checked_against_group_order_before_the_walk(family, rank):
+    rs = build_root_system(family, rank)
+    order = group_order(rs)
+    assert sum(len(level) for level in levels(rs, order)) == order
+    for cap in (order - 1, 0):
+        for walk in (levels(rs, cap), all_elements(rs, cap)):
+            with pytest.raises(EnumerationCapExceeded) as exc:
+                next(walk)
+            assert str(exc.value) == f"group enumeration exceeded the element cap of {cap}"
+
+
+@pytest.mark.parametrize("family,rank", PAST_BYTE_BOUND)
+def test_walk_refuses_types_past_the_byte_bound(family, rank):
+    rs = build_root_system(family, rank)
+    assert rs.num_positive_roots == PAST_BYTE_BOUND[family, rank] > MAX_BYTE_ROOTS
+    with pytest.raises(EnumerationCapExceeded):
+        next(levels(rs))
+    with pytest.raises(ValueError, match=f"at most {MAX_BYTE_ROOTS} positive roots") as exc:
+        next(levels(rs, group_order(rs)))
+    assert not isinstance(exc.value, EnumerationCapExceeded)
 
 
 def test_enumeration_cap():
@@ -284,8 +284,13 @@ def degrees(family, rank):
         return list(range(2, 2 * rank + 1, 2))
     if family == "D":
         return list(range(2, 2 * rank - 1, 2)) + [rank]
-    return {("E", 6): [2, 5, 6, 8, 9, 12], ("F", 4): [2, 6, 8, 12], ("G", 2): [2, 6]}[
-        family, rank]
+    return {
+        ("E", 6): [2, 5, 6, 8, 9, 12],
+        ("E", 7): [2, 6, 8, 10, 12, 14, 18],
+        ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
+        ("F", 4): [2, 6, 8, 12],
+        ("G", 2): [2, 6],
+    }[family, rank]
 
 
 def poincare_coefficients(degrees):
@@ -318,7 +323,20 @@ def test_length_counts_match_poincare_polynomial(family, rank):
     assert [counts[k] for k in range(len(expected))] == expected
     assert sum(counts.values()) == sum(expected)
     # the level sizes that ``coxbalance group`` prints
-    assert [len(level) for level in levels(rs)] == expected
+    sizes = [len(level) for level in levels(rs)]
+    assert sizes == expected
+    assert group_order(rs) == sum(sizes)
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 20)),
+    *((f, r) for f in "BC" for r in range(2, 16)),
+    *(("D", r) for r in range(4, 16)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+])
+def test_group_order_is_the_product_of_the_degrees(family, rank):
+    """|W| = d_1 ... d_r (Humphreys, section 3.9), read from the type alone."""
+    assert group_order(build_root_system(family, rank)) == prod(degrees(family, rank))
 
 
 def test_one_line_notation():
