@@ -5,7 +5,8 @@ Submodules:
 * ``rootsys``   crystallographic root systems, root posets, order ideals
 * ``weyl``      finite Weyl groups: elements as signed root permutations
 * ``coxgen``    Coxeter systems of diagrams (labels 2, 3, 4, 6, inf) on integer
-                roots, and word combinatorics
+                roots, the word routines of both group objects, and word
+                combinatorics
 * ``posets``    labelled posets, heaps, ideal statistics
 * ``convex``    convex subsets, inversion fractions, balance constants
 * ``semiorder`` generalized semiorders and the single-exit witness scans
@@ -15,8 +16,11 @@ Submodules:
 
 A finite Weyl type is the group object ``WeylContext`` and a diagram the group
 object ``CoxSystem``; the convex-set, heap and word routines take either one.
-An element of either is a bare tuple that is its own key: the signed action
-on the positive roots for a Weyl type, the integer root columns for a diagram.
+Each keeps only its element primitives and inherits the word routines
+(``from_word``, ``reduced_word``, ``check_reduced`` and the rest) from
+``coxgen.GroupWords``.  An element of either is a bare tuple that is its own
+key: the signed action on the positive roots for a Weyl type, the integer
+root columns for a diagram.
 """
 
 from .rootsys import RootSystem, build_root_system

@@ -161,12 +161,14 @@ class _RootTables:
     ``-a`` to its negative, which Python's negative indexing reads from the
     end of the list, so ``w[k]`` indexes the image of root k directly.
     ``pairing[a] / den`` is the pairing of the root with the centroid of the
-    fundamental alcove, and ``height[a]`` its height.
+    fundamental alcove, and ``height[a]`` its height.  ``margin`` is the
+    type's ``alcove_params`` margin, for :func:`centroid_split_root`.
     """
 
     pairing: Tuple[int, ...]
     den: int
     height: Tuple[int, ...]
+    margin: Fraction
 
 
 def _signed(values: Sequence[int]) -> Tuple[int, ...]:
@@ -193,6 +195,7 @@ def _root_tables(rs: RootSystem) -> _RootTables:
             pairing=_signed(pairing),
             den=(rs.rank + 1) * lcm_marks,
             height=_signed(rs.heights),
+            margin=alcove_params(rs).margin,
         )
     return tables
 
@@ -253,11 +256,10 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
     rs = c.ctx.root_system
-    margin = alcove_params(rs).margin
     tables = _root_tables(rs)
     n = len(c)
-    lhs = (rs.rank + 1) * margin.denominator
-    rhs = n * tables.den * margin.numerator
+    lhs = (rs.rank + 1) * tables.margin.denominator
+    rhs = n * tables.den * tables.margin.numerator
     for k in range(rs.num_positive_roots):
         cnt = c.inversion_count(k)
         if 0 < cnt < n and abs(_image_sum(tables.pairing, c, k)) * lhs <= rhs:

@@ -111,7 +111,7 @@ def cmd_roots(args, out) -> int:
         text = root_graph_dot(rs) if args.graph else poset_dot(rs)
         print(text)
     elif args.format == "json":
-        print(roots_json(rs))
+        print(json.dumps(roots_json(rs), indent=2, sort_keys=True))
     else:
         print(f"type {rs.root_label()}: {rs.num_positive_roots} positive roots, "
               f"ambient dimension {rs.ambient_dim}")
@@ -126,7 +126,7 @@ def cmd_roots(args, out) -> int:
             coords = " ".join(str(c) for c in root)
             note = f"  ({', '.join(mark)})" if mark else ""
             print(f"  [{i:3d}] ht {rs.heights[i]:2d}  {coords}{note}")
-    _write_out(out, {"roots": json.loads(roots_json(rs))})
+    _write_out(out, {"roots": roots_json(rs)})
     return 0
 
 
@@ -183,7 +183,7 @@ def cmd_balance(args, out) -> int:
               f"(fraction {c.inversion_fraction(k)})")
     if args.format == "dot":
         print(c.to_dot())
-    _write_out(out, json.loads(c.to_json()))
+    _write_out(out, c.to_json())
     return 0
 
 
@@ -203,7 +203,7 @@ def cmd_heap(args, out) -> int:
         "ideal_count": count,
         "balance": fraction_json(balance),
         "fractions": [fraction_json(f) for f in fracs],
-        "poset": json.loads(posets.poset_json(heap)),
+        "poset": posets.poset_json(heap),
     })
     return 0
 
@@ -289,7 +289,7 @@ def cmd_alcove(args, out) -> int:
             b >= alcove.exponential_bound_threshold(rs) if non_singleton else None
         )
         short_ok = (
-            b >= alcove.short_root_bound_threshold()
+            alcove.check_short_root_bound(c)
             if non_singleton and rs.family == "B"
             else None
         )
@@ -337,7 +337,7 @@ def cmd_verify(args, out) -> int:
     for rep in reports:
         print(rep.table())
         all_ok = all_ok and rep.all_passed
-    _write_out(out, {"campaigns": [json.loads(rep.to_json()) for rep in reports]})
+    _write_out(out, {"campaigns": [rep.to_json() for rep in reports]})
     return 0 if all_ok else 1
 
 

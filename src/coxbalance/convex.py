@@ -20,7 +20,6 @@ Both give (element, shortlex word, inversion keys) rows in shortlex order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -106,9 +105,10 @@ class ConvexSet:
                     edges.append((k, k2, i))
         return edges
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
+        """The set's JSON payload, as a dict for ``json.dumps``."""
         b, wits = self.balance()
-        payload = {
+        return {
             "schema": 1,
             "size": len(self.members),
             "lower": [self.ctx.key_display(k) for k in self.canonical_lower],
@@ -117,7 +117,6 @@ class ConvexSet:
             "witnesses": [self.ctx.key_display(k) for k in wits],
             "elements": [" ".join(map(str, w)) for w in self.words],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_dot(self) -> str:
         lines = ["digraph weakorder {", "  rankdir=BT;"]
@@ -137,7 +136,7 @@ def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -
 
     v = w^-1 is kept beside w, and T_L(v s_i) = T_L(v) + {v alpha_i} when
     v alpha_i > 0, so s_i w is longer and in W^A iff that key is allowed.
-    It is a tree child iff no k < i is a right descent of v s_i.  Dropping a
+    It is a tree child iff i is the least right descent of v s_i.  Dropping a
     first letter shrinks T_R, so W^A holds the tree parents of its members
     and each is reached once.  Lengths are at most |allowed|.
     """
@@ -152,7 +151,7 @@ def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -
                 if key is None or key not in allowed:
                     continue
                 v2 = ctx.mul_simple_right(v, i)
-                if any(ctx.simple_image_key(v2, k) is None for k in range(1, i)):
+                if ctx.descent(v2) != i:
                     continue
                 row = (ctx.mul_simple_left(w, i), (i,) + word, inv | {key})
                 rows.append(row)

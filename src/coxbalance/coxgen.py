@@ -8,14 +8,18 @@ and every real root w(alpha_i) is an integer vector in simple-root
 coordinates, either positive or negative (Kac, *Infinite-dimensional Lie
 algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 
-:class:`CoxSystem` is the group object of a diagram, with the same element
-methods as ``weyl.WeylContext`` has for a finite Weyl type.  A diagram
-element is its tuple of columns, column j = w(alpha_j), and is its own key.
-This module also holds the word combinatorics shared by both group objects:
-inversion and reflection keys of words, braid-move detection and full
-commutativity.  They take any group object exposing
-``rank``, ``coxeter_m(i, j)``, ``word_length(word)`` and those element
-methods.
+:class:`CoxSystem` is the group object of a diagram; a diagram element is
+its tuple of columns, column j = w(alpha_j), and is its own key.  Like
+``weyl.WeylContext``, the group object of a finite Weyl type, it keeps only
+the element primitives ``rank``, ``identity()``, ``mul_simple_right`` and
+``mul_simple_left(w, i)``, ``simple_image_key(w, i)`` (None when w(alpha_i)
+is negative), ``invert(w)``, ``inversion_keys(w)``, ``coxeter_m(i, j)`` and
+``key_display(key)``.  Both inherit from :class:`GroupWords` the routines
+that read elements only through these: ``from_word``, ``word_length``,
+``check_reduced``, the least right descent ``descent`` and the greedy least
+reduced words ``inverse_word`` and ``reduced_word``.  This module also
+holds the word combinatorics shared by both group objects: inversion and
+reflection keys of words, braid-move detection and full commutativity.
 """
 
 from __future__ import annotations
@@ -176,16 +180,61 @@ def is_irreducible(matrix: CoxeterMatrix) -> bool:
 Columns = Tuple[Tuple[int, ...], ...]  # an element: column j = w(alpha_j)
 
 
-def _right_descent(w: Columns) -> int:
-    """Least i with w(alpha_i) a negative root, or 0 when w = e."""
-    for i, col in enumerate(w, start=1):
-        if min(col) < 0:
-            return i
-    return 0
+class NotReducedError(ValueError):
+    def __init__(self, word):
+        super().__init__(f"word {list(word)} is not reduced")
+        self.word = word
+
+
+class GroupWords:
+    """The word routines of both group objects, written once on the element
+    primitives that the module docstring lists."""
+
+    def from_word(self, word: Sequence[int]):
+        """Compose simple reflections left to right: word [i1, .., ik] -> s_i1 ... s_ik."""
+        w = self.identity()
+        for i in word:
+            if not 1 <= i <= self.rank:
+                raise ValueError(f"simple index {i} out of range 1..{self.rank}")
+            w = self.mul_simple_right(w, i)
+        return w
+
+    def word_length(self, word: Sequence[int]) -> int:
+        return len(self.inversion_keys(self.from_word(word)))
+
+    def check_reduced(self, word: Sequence[int]) -> None:
+        """Raise :class:`NotReducedError` unless ``word`` is reduced."""
+        if self.word_length(word) != len(word):
+            raise NotReducedError(word)
+
+    def descent(self, x) -> int:
+        """Least right descent of x: the least i with x(alpha_i) negative, or 0 when x = e."""
+        for i in range(1, self.rank + 1):
+            if self.simple_image_key(x, i) is None:
+                return i
+        return 0
+
+    def inverse_word(self, x) -> Tuple[int, ...]:
+        """Lexicographically least reduced word of x^-1.
+
+        Stripping the least right descent until e is reached leaves
+        x s_i1 ... s_il = e, so x^-1 = s_i1 ... s_il, and each i_k is the
+        least left descent of s_i(k-1) ... s_i1 x^-1: the greedy word
+        (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 3).
+        """
+        word = []
+        while i := self.descent(x):
+            word.append(i)
+            x = self.mul_simple_right(x, i)
+        return tuple(word)
+
+    def reduced_word(self, w) -> Tuple[int, ...]:
+        """Lexicographically least reduced word of w."""
+        return self.inverse_word(self.invert(w))
 
 
 @dataclass(frozen=True)
-class CoxSystem:
+class CoxSystem(GroupWords):
     """The Coxeter group of a diagram, acting on its integer root lattice.
 
     ``cartan[i][j]`` is a_ij (0-based), so s_i alpha_j = alpha_j - a_ij alpha_i.
@@ -228,42 +277,12 @@ class CoxSystem:
         col = v[i - 1]
         return col if min(col) >= 0 else None
 
-    def _inverse_word(self, w: Columns) -> Tuple[int, ...]:
-        """Lexicographically least reduced word of w^-1.
-
-        Stripping the least right descent until e is reached leaves
-        w s_i1 ... s_il = e, so w^-1 = s_i1 ... s_il, and each i_k is the
-        least left descent of s_i(k-1) ... s_i1 w^-1: the greedy word.
-        """
-        word = []
-        while True:
-            i = _right_descent(w)
-            if not i:
-                return tuple(word)
-            word.append(i)
-            w = self.mul_simple_right(w, i)
-
     def invert(self, w: Columns) -> Columns:
-        return self.from_word(self._inverse_word(w))
-
-    def reduced_word(self, w: Columns) -> Tuple[int, ...]:
-        """Lexicographically least reduced word."""
-        return self._inverse_word(self.invert(w))
+        return self.from_word(self.inverse_word(w))
 
     def inversion_keys(self, w: Columns) -> FrozenSet[Tuple[int, ...]]:
         """Positive roots sent negative by w."""
-        return frozenset(inversion_keys_of_word(self, self._inverse_word(w)[::-1]))
-
-    def from_word(self, word: Sequence[int]) -> Columns:
-        w = self.identity()
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"simple index {i} out of range 1..{self.rank}")
-            w = self.mul_simple_right(w, i)
-        return w
-
-    def word_length(self, word: Sequence[int]) -> int:
-        return len(self._inverse_word(self.from_word(word)))
+        return frozenset(inversion_keys_of_word(self, self.inverse_word(w)[::-1]))
 
     def key_display(self, key: Tuple[int, ...]) -> str:
         return root_display(key)
@@ -323,21 +342,10 @@ def reflection_key_of_word(g, word: Sequence[int]):
 # -- word combinatorics (shared with finite Weyl groups) ----------------------
 
 
-class NotReducedError(ValueError):
-    def __init__(self, word):
-        super().__init__(f"word {list(word)} is not reduced")
-        self.word = word
-
-
-def _check_reduced(sys, word: Sequence[int]) -> None:
-    if sys.word_length(word) != len(word):
-        raise NotReducedError(word)
-
-
 def _commutation_walk(sys, word: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """Each word reachable from a reduced word by swapping commuting letters,
     once, depth first; a word's neighbours are found only after it is yielded."""
-    _check_reduced(sys, word)
+    sys.check_reduced(word)
     start = tuple(word)
     seen: Set[Tuple[int, ...]] = {start}
     stack = [start]

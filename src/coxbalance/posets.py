@@ -14,14 +14,12 @@ built from reduced words of a Coxeter system and carry the word positions
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .coxgen import NotReducedError
 from .linalg import bits
 
 # Most order ideals one walk may visit.  The campaigns walk at most 96 (the
@@ -246,10 +244,10 @@ def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
 
     Element ids are 0-based word positions; later letters sit lower.  The
     element at position p carries label word[p].  For fully commutative
-    words the result only depends on the element.
+    words the result only depends on the element.  A word that is not
+    reduced raises ``coxgen.NotReducedError``.
     """
-    if sys.word_length(word) != len(word):
-        raise NotReducedError(word)
+    sys.check_reduced(word)
     covers = []
     last: Dict[int, int] = {}  # letter -> its last position so far
     for j, a in enumerate(word):
@@ -341,11 +339,11 @@ def poset_dot(poset: LabeledPoset) -> str:
     return "\n".join(lines)
 
 
-def poset_json(poset: LabeledPoset) -> str:
-    payload = {
+def poset_json(poset: LabeledPoset) -> dict:
+    """The poset's JSON payload, as a dict for ``json.dumps``."""
+    return {
         "schema": 1,
         "n": poset.n,
         "covers": sorted(poset.covers()),
         "labels": list(poset.labels) if poset.labels is not None else None,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -32,7 +32,6 @@ s_1 .. s_{r-1} form the long path and s_r hangs off s_3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -415,9 +414,9 @@ def fraction_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def roots_json(rs: RootSystem) -> str:
-    """JSON dump of the positive roots as exact fraction pairs."""
-    payload = {
+def roots_json(rs: RootSystem) -> dict:
+    """JSON payload of the positive roots as exact fraction pairs, as a dict."""
+    return {
         "schema": 1,
         "family": rs.family,
         "rank": rs.rank,
@@ -430,4 +429,3 @@ def roots_json(rs: RootSystem) -> str:
         "highest_root_index": rs.highest_root_index,
         "highest_short_root_index": rs.highest_short_root_index,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)

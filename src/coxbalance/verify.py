@@ -9,7 +9,6 @@ body.  A failing theorem-level record carries a reproducer payload.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,8 +69,9 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return self.passed == self.total
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json(self) -> dict:
+        """The report's JSON payload, as a dict for ``json.dumps``."""
+        return {
             "schema": 1,
             "campaign": self.campaign,
             "records": [
@@ -90,7 +90,6 @@ class VerificationReport:
                 "failed": self.total - self.passed,
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def table(self) -> str:
         lines = [f"campaign: {self.campaign}"]
@@ -398,7 +397,6 @@ def verify_geometry() -> VerificationReport:
         for family, rank in CONJECTURE_TYPES:
             rs = build_root_system(family, rank)
             threshold = alcove.exponential_bound_threshold(rs)
-            short_threshold = alcove.short_root_bound_threshold()
             scored = convex.scored_ideals(WeylContext(rs))
             no_height = []
             no_split = []
@@ -411,7 +409,7 @@ def verify_geometry() -> VerificationReport:
                     no_split.append(c)
                 if b < threshold:
                     below.append(c)
-                if rs.family == "B" and b < short_threshold:
+                if rs.family == "B" and not alcove.check_short_root_bound(c):
                     below_short.append(c)
             label = rs.root_label()
 

@@ -3,8 +3,9 @@
 An element is the tuple ``w`` with ``w[j] = +-(k+1)`` when it sends positive
 root ``j`` to ``+-`` positive root ``k``.  The tuple is its own key: equality
 and hashing are O(#roots) and independent of any choice of word, and reduced
-words are derived data.  :class:`WeylContext` is the group object of one
-type and computes directly on these tuples, with integer arithmetic only;
+words are derived data.  :class:`WeylContext`, the group object of one
+type, computes its element primitives on these tuples with integer
+arithmetic only and inherits its word routines from ``coxgen.GroupWords``;
 a vector's image under w is read from the same tuple in ``alcove``.
 :func:`levels` walks the group one length at a time, after comparing its
 order, known from the type (:func:`group_order`), with the element cap.
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from math import factorial, prod
 from struct import Struct
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .coxgen import root_display
+from .coxgen import GroupWords, root_display
 from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -30,13 +31,14 @@ class EnumerationCapExceeded(ValueError):
         self.cap = cap
 
 
-class WeylContext:
+class WeylContext(GroupWords):
     """The group object of a finite Weyl type; root keys are positive-root indices.
 
-    Its element methods match those of ``coxgen.CoxSystem``, the group object
-    of a diagram, so every routine in ``convex``, ``coxgen`` and ``posets``
-    takes either one.  Every method works on the signed action tuples; the
-    ``Fraction`` views of the root system are never read.
+    Its element primitives match those of ``coxgen.CoxSystem``, the group
+    object of a diagram, and both inherit the word routines of
+    ``coxgen.GroupWords``, so every routine in ``convex``, ``coxgen`` and
+    ``posets`` takes either one.  Every method works on the signed action
+    tuples; the ``Fraction`` views of the root system are never read.
     """
 
     def __init__(self, rs: RootSystem):
@@ -74,18 +76,6 @@ class WeylContext:
     def reduced_word(self, w: Element) -> Tuple[int, ...]:
         return reduced_word(self.root_system, w)
 
-    def from_word(self, word: Sequence[int]) -> Element:
-        """Compose simple reflections left to right: word [i1, .., ik] -> s_i1 ... s_ik."""
-        w = self.identity()
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"simple index {i} out of range 1..{self.rank}")
-            w = self.mul_simple_right(w, i)
-        return w
-
-    def word_length(self, word: Sequence[int]) -> int:
-        return sum(1 for a in self.from_word(word) if a < 0)
-
     def coxeter_m(self, i: int, j: int) -> int:
         return self.root_system.coxeter_m(i, j)
 
@@ -94,20 +84,12 @@ class WeylContext:
 
 
 def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
-    """Lexicographically least reduced word of w, by greedy left-descent stripping.
-
-    i is a left descent of w iff w^-1 alpha_i is a negative root, and
-    (s_i w)^-1 = w^-1 s_i, so the walk keeps x = w^-1 alone.
-    """
+    """Lexicographically least reduced word of w: the greedy word that
+    ``coxgen.GroupWords.inverse_word`` builds from w^-1.
+    ``WeylContext.reduced_word`` calls this function, so ``bench/spans.py``
+    can trace it."""
     g = WeylContext(rs)
-    x = g.invert(w)
-    word = []
-    while True:
-        i = next((i for i, k in enumerate(rs.simple_indices, 1) if x[k] < 0), 0)
-        if not i:
-            return tuple(word)
-        word.append(i)
-        x = g.mul_simple_right(x, i)
+    return g.inverse_word(g.invert(w))
 
 
 def group_order(rs: RootSystem) -> int:

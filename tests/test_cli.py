@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, JSON round trips, exit codes."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,35 @@ def test_roots_table_and_json(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["schema"] == 1
     assert len(data["roots"]["positive_roots"]) == 9
+
+
+@pytest.mark.parametrize("argv,size,digest", [
+    (["roots", "--type", "E", "--rank", "8"], 61242,
+     "9076236742da6ee4c04c0688501ecad31738d40a01ed8847dc0c8af4352a3a2d"),
+    (["roots", "--type", "B", "--rank", "3"], 2130,
+     "bbf3ef3d7b9f5790d050afb935df469f21761cc8afff10b8de9dd91c46b4723f"),
+    (["balance", "--type", "A", "--rank", "2", "--interval", "1 2"], 225,
+     "8b0542d1f7dc29c0f68ccd0427d3b3708d494cb8ba55ea6f47e3e4dd67f4445f"),
+    (["balance", "--type", "B", "--rank", "3", "--ideal-roots", "0,1,2"], 247,
+     "547a16824a697b853b2083667d657fba2d17945bfc6f693c2594c323e6363d1b"),
+    (["heap", "--type", "B", "--rank", "3", "--word", "3 2 3 1"], 566,
+     "de6ee751f3da541fe18b39bad523a0b290c3d40d2ac0b8fbaaa760ef3c369530"),
+], ids=["roots-E8", "roots-B3", "balance-A2", "balance-B3", "heap-B3"])
+def test_readme_examples_out_exact_bytes(tmp_path, capsys, argv, size, digest):
+    """The --out files of the README examples, byte for byte."""
+    out_file = tmp_path / "out.json"
+    code, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    data = out_file.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_roots_format_json_exact_bytes(capsys):
+    code, out = run(capsys, "roots", "--type", "B", "--rank", "3", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        1798, "07fa159a600f11faca2409b8eff4e7c089112b0ba352c827be57201f331d3179")
 
 
 def test_roots_dot(capsys):

@@ -501,7 +501,7 @@ def test_ex63_hull_and_report():
     assert dot.count("->") == len(hull.cayley_edges())
     import json
 
-    payload = json.loads(hull.to_json())
+    payload = json.loads(json.dumps(hull.to_json()))
     assert payload["size"] == 10
     assert payload["balance"] == {"num": 3, "den": 10}
     # round trip: the emitted element words rebuild the same set

@@ -127,14 +127,22 @@ def test_descents_match_definition():
 
 
 def test_lengths_agree_with_weyl_module():
-    """Integer root columns match the root-action lengths on {2,3} types."""
-    rs = build_root_system("A", 3)
-    generic = build_system(path_matrix(3, [3, 3]))
-    weyl_group = WeylContext(rs)
+    """Integer root columns match the root-action lengths and least reduced
+    words on A3, B3 and G2, and both backends refuse the same words."""
     random.seed(11)
-    for _ in range(150):
-        word = [random.randint(1, 3) for _ in range(random.randint(0, 6))]
-        assert generic.word_length(word) == weyl_group.word_length(word)
+    for family, rank, labels in (("A", 3, [3, 3]), ("B", 3, [3, 4]), ("G", 2, [6])):
+        generic = build_system(path_matrix(rank, labels))
+        weyl_group = WeylContext(build_root_system(family, rank))
+        for _ in range(150):
+            word = [random.randint(1, rank) for _ in range(random.randint(0, 6))]
+            assert generic.word_length(word) == weyl_group.word_length(word)
+            assert (generic.reduced_word(generic.from_word(word))
+                    == weyl_group.reduced_word(weyl_group.from_word(word)))
+    for g in (build_system(path_matrix(2, [3])), WeylContext(build_root_system("A", 2))):
+        g.check_reduced([1, 2, 1])
+        for word in ([1, 1], [1, 2, 1, 2]):
+            with pytest.raises(NotReducedError):
+                g.check_reduced(word)
 
 
 def test_form_entries_exact():

@@ -350,7 +350,7 @@ def test_heap_inversion_map_identity_empty():
 def test_json_round_trip():
     """The covers and labels that ``poset_json`` writes rebuild the poset."""
     for poset in (claw_chain(2, 2), poset_from_covers(3, [(0, 2)], labels=(1, 3, 2))):
-        data = json.loads(poset_json(poset))
+        data = json.loads(json.dumps(poset_json(poset)))
         again = poset_from_covers(data["n"], [tuple(c) for c in data["covers"]], data["labels"])
         assert again == poset
     assert "digraph" in poset_dot(claw_chain(2, 2))

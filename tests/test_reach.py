@@ -27,7 +27,6 @@ ALLOWED = {
     "alcove.order_polytope_halfspaces": "the order-polytope check record of ROADMAP item 4",
     "alcove.contains": "the order-polytope check record of ROADMAP item 4",
     "alcove.alcove_vertices_of": "the order-polytope check record of ROADMAP item 4",
-    "alcove.check_short_root_bound": "bench/spans.py traces it; goes with the benchmark change",
     "coxgen.is_acyclic": "the acyclic-diagram sweep of ROADMAP item 3",
     "coxgen.is_irreducible": "the acyclic-diagram sweep of ROADMAP item 3",
 }

@@ -410,7 +410,7 @@ def test_ideal_validation_names_violating_pair():
 
 def test_exports_parse():
     rs = build_root_system("B", 2)
-    data = json.loads(roots_json(rs))
+    data = json.loads(json.dumps(roots_json(rs)))
     assert data["schema"] == 1
     assert len(data["positive_roots"]) == 4
     first = data["positive_roots"][0][0]
