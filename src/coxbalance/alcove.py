@@ -301,11 +301,12 @@ def short_root_bound_threshold() -> Fraction:
     return _half_inverse_exp_bound(Fraction(1))
 
 
-def check_short_root_bound(c: ConvexSet) -> bool:
-    """Certify the improved type B bound balance >= 1/(2e)."""
+def check_short_root_bound(c: ConvexSet, balance: Fraction) -> bool:
+    """Certify the improved type B bound balance >= 1/(2e), given the
+    balance of ``c`` that the caller already holds."""
     rs = c.ctx.root_system
     if rs.family != "B":
         raise ValueError("the short-root bound is asserted for type B only")
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
-    return c.balance_value() >= short_root_bound_threshold()
+    return balance >= short_root_bound_threshold()

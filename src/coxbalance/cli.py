@@ -289,7 +289,7 @@ def cmd_alcove(args, out) -> int:
             b >= alcove.exponential_bound_threshold(rs) if non_singleton else None
         )
         short_ok = (
-            alcove.check_short_root_bound(c)
+            alcove.check_short_root_bound(c, b)
             if non_singleton and rs.family == "B"
             else None
         )

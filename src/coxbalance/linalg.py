@@ -1,9 +1,9 @@
 """Small exact linear algebra over Fraction vectors and matrices.
 
 The ``Fraction`` views of a root system (ambient coordinates, coweights)
-need a handful of dense operations: building vectors, differences, dot
-products and Gauss-Jordan inversion.  No floating point.  This module also
-holds :func:`bits`, the set iteration of the int bitmask tables.
+need two dense operations: dot products and Gauss-Jordan inversion.  No
+floating point.  This module also holds :func:`bits`, the set iteration of
+the int bitmask tables.
 """
 
 from __future__ import annotations
@@ -23,18 +23,10 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def vec(entries: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def invert(m: Matrix) -> Matrix:

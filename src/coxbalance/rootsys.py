@@ -7,15 +7,22 @@ is a bitmask over the positive-root indices throughout; its walk is the
 shared one of :func:`posets.walk_order_ideals`, along the index order.
 Inner products are the ambient Euclidean dot product.
 
-The roots are generated as integer vectors in simple-root coordinates, where
-s_i(c) = c - <c, alpha_i^vee> e_i with the integer Cartan matrix read off the
-doubled simple roots.  Every stored field is an integer table:
-``coefficients`` (simple-root coordinates of each positive root), the
-root-poset bitmasks ``_leq``/``_down``, the signed simple action
-``_simple_action``, and ``_doubled``, twice the ambient coordinates of each
-positive root (integral in every supported type).  The
-``Fraction`` views ``positive_roots`` (ambient coordinates) and ``coweights``
-are computed from those tables on first access.
+The simple roots are defined once, by twice their ambient coordinates (an
+integer table in every supported type); ``simple_roots`` is their
+``Fraction`` view.  :func:`build_root_system` makes one walk over the positive
+roots by height, as integer vectors in simple-root coordinates.  Each
+(root, simple reflection) pair costs one pairing p = <c, alpha_i^vee> with
+the integer Cartan matrix, and s_i(c) = c - p e_i.  A root first met as
+s_i(c) takes its doubled ambient coordinates from c, and the walk records
+each image, so the signed simple action is the walk's table renumbered to
+the index order.  The root-poset bitmasks follow from the covers, the
+steps along the alpha_i-strings that the raises span.  Every stored field
+is an integer table: ``coefficients`` (simple-root coordinates of each
+positive root), the root-poset bitmasks ``_leq``/``_down``, the signed
+simple action ``_simple_action``, and ``_doubled``, twice the ambient
+coordinates of each positive root.  The ``Fraction`` views ``positive_roots`` (ambient
+coordinates) and ``coweights`` are computed from those tables on first
+access.
 
 Coordinate conventions for the classical families:
 
@@ -35,79 +42,56 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .coxgen import root_display
-from .linalg import Vector, bits, dot, invert, sub, vec
+from .linalg import Vector, bits, dot, invert
 from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
 
-_HALF = Fraction(1, 2)
+# Twice the ambient coordinates of the E8 simple roots: the path s1..s7,
+# with s8 attached to s3 (branch node).
+_E8_DOUBLED = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+)
 
 
-def _unit(n: int, i: int, c=1) -> Vector:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(c)
-    return tuple(v)
+def _doubled_simple_roots(family: Family, rank: int) -> List[Tuple[int, ...]]:
+    """Twice the ambient coordinates of the simple roots, in diagram order.
 
-
-def _e8_simple_roots() -> List[Vector]:
-    # Path s1..s7, with s8 attached to s3 (branch node).
-    a1 = tuple(Fraction(c, 2) for c in (1, -1, -1, -1, -1, -1, -1, 1))
-    chain = [
-        tuple(Fraction(c) for c in row)
-        for row in (
-            (-1, 1, 0, 0, 0, 0, 0, 0),
-            (0, -1, 1, 0, 0, 0, 0, 0),
-            (0, 0, -1, 1, 0, 0, 0, 0),
-            (0, 0, 0, -1, 1, 0, 0, 0),
-            (0, 0, 0, 0, -1, 1, 0, 0),
-            (0, 0, 0, 0, 0, -1, 1, 0),
-        )
-    ]
-    branch = tuple(Fraction(c) for c in (1, 1, 0, 0, 0, 0, 0, 0))
-    return [a1] + chain + [branch]
+    These are integers in every supported type (E8 and F4 have
+    half-integer simple roots) and sort exactly like the coordinates.
+    """
+    if family in ("B", "C", "D"):
+        # 2 (e_i - e_{i+1}) for i < r - 1, then the last simple root
+        path = [tuple(2 * ((t == i) - (t == i + 1)) for t in range(rank))
+                for i in range(rank - 1)]
+        last = {"B": (2,), "C": (4,), "D": (2, 2)}[family]
+        return path + [(0,) * (rank - len(last)) + last]
+    if family == "A":
+        return [tuple(2 * ((t == i) - (t == i + 1)) for t in range(rank + 1)) for i in range(rank)]
+    if family == "E" and rank in (6, 7, 8):
+        # E7: drop s7 of E8 and relabel the branch root as s7; E6 similarly.
+        return list(_E8_DOUBLED[: rank - 1]) + [_E8_DOUBLED[7]]
+    if family == "F":
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    if family == "G":
+        return [(2, -2, 0), (-4, 2, 2)]
+    raise InvalidTypeError(family, rank)
 
 
 def simple_roots(family: Family, rank: int) -> List[Vector]:
     """Simple roots for the given irreducible type, in diagram order."""
-    if family == "A":
-        return [sub(_unit(rank + 1, i), _unit(rank + 1, i + 1)) for i in range(rank)]
-    if family == "B":
-        return [sub(_unit(rank, i), _unit(rank, i + 1)) for i in range(rank - 1)] + [
-            _unit(rank, rank - 1)
-        ]
-    if family == "C":
-        return [sub(_unit(rank, i), _unit(rank, i + 1)) for i in range(rank - 1)] + [
-            _unit(rank, rank - 1, 2)
-        ]
-    if family == "D":
-        last = tuple(
-            Fraction(1 if i >= rank - 2 else 0) for i in range(rank)
-        )  # e_{r-1} + e_r
-        return [sub(_unit(rank, i), _unit(rank, i + 1)) for i in range(rank - 1)] + [
-            last
-        ]
-    if family == "E":
-        e8 = _e8_simple_roots()
-        # E7: drop s7 of E8 and relabel the branch root as s7; E6 similarly.
-        if rank == 8:
-            return e8
-        if rank == 7:
-            return e8[0:6] + [e8[7]]
-        if rank == 6:
-            return e8[0:5] + [e8[7]]
-    if family == "F":
-        return [
-            vec((0, 1, -1, 0)),
-            vec((0, 0, 1, -1)),
-            vec((0, 0, 0, 1)),
-            (_HALF, -_HALF, -_HALF, -_HALF),
-        ]
-    if family == "G":
-        return [vec((1, -1, 0)), vec((-2, 1, 1))]
-    raise InvalidTypeError(family, rank)
+    return [tuple(Fraction(x, 2) for x in d) for d in _doubled_simple_roots(family, rank)]
 
 
 class InvalidTypeError(ValueError):
@@ -204,70 +188,101 @@ class RootSystem:
 
 def build_root_system(family: Family, rank: int) -> RootSystem:
     """Construct the root system of the given irreducible type."""
-    if family not in _RANK_OK or not isinstance(rank, int) or not _RANK_OK[family](rank):
+    if (family not in _RANK_OK or isinstance(rank, bool) or not isinstance(rank, int)
+            or not _RANK_OK[family](rank)):
         raise InvalidTypeError(family, rank)
-    # Twice the ambient coordinates are integers (E8 and F4 have half-integer
-    # simple roots) and sort exactly like the Fraction coordinates.
-    doubled_simples = [tuple(int(2 * x) for x in a) for a in simple_roots(family, rank)]
+    doubled_simples = _doubled_simple_roots(family, rank)
     ambient = len(doubled_simples[0])
-    gram = [[sum(x * y for x, y in zip(a, b)) for b in doubled_simples] for a in doubled_simples]
+    gram = [[sum(map(mul, a, b)) for b in doubled_simples] for a in doubled_simples]
     # cartan[j][i] = <alpha_j, alpha_i^vee>, an integer in every supported type.
     cartan = [[2 * gram[j][i] // gram[i][i] for i in range(rank)] for j in range(rank)]
+    coroot_cols = [tuple(row[i] for row in cartan) for i in range(rank)]
 
-    def simple_reflection(c: Tuple[int, ...], i: int) -> Tuple[int, ...]:
-        """s_i(c) = c - <c, alpha_i^vee> e_i in simple-root coordinates."""
-        p = sum(c[j] * cartan[j][i] for j in range(rank) if c[j])
-        return c[:i] + (c[i] - p,) + c[i + 1:]
+    # One walk by height; roots carry discovery ids, alpha_i being id i.  A
+    # non-simple positive root pairs positively with some alpha_i^vee, so it
+    # is raised from a lower root and is found before its height is walked.
+    # With p = <c, alpha_i^vee>, s_i(c) = c - p e_i and d(s_i c) = d(c) -
+    # p d(alpha_i) for the doubled ambient coordinates d.  images[k][i] is the
+    # id of s_i(root k), or ~i = -i - 1 for s_i(alpha_i) = -alpha_i.
+    coords = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    doubled = list(doubled_simples)
+    heights = [1] * rank
+    images: List[Optional[Tuple[int, ...]]] = [None] * rank
+    found = {c: k for k, c in enumerate(coords)}
+    levels = {1: list(range(rank))}
+    # gamma covers beta iff gamma - beta is a simple root.  Every cover lies
+    # on an alpha_i-string, which runs from its bottom c up to s_i(c) = c -
+    # p alpha_i: one cover when p = -1.  A longer string (p = -2 or -3, in
+    # types B, C, F and G) is cut into covers after the walk, once every
+    # root on it is found.
+    covers: List[Tuple[int, int]] = []
+    strings = []
+    h = 1
+    while h in levels:
+        for k in levels[h]:
+            c = coords[k]
+            row: List[int] = []
+            for i, col in enumerate(coroot_cols):
+                p = sum(map(mul, c, col))
+                if p == 0:
+                    row.append(k)
+                    continue
+                if k == i:
+                    row.append(~k)
+                    continue
+                img = c[:i] + (c[i] - p,) + c[i + 1:]
+                j = found.get(img)
+                if j is None:  # raised to a root not found yet
+                    j = found[img] = len(coords)
+                    coords.append(img)
+                    doubled.append(tuple(x - p * y for x, y in zip(doubled[k], doubled_simples[i])))
+                    heights.append(h - p)
+                    images.append(None)
+                    levels.setdefault(h - p, []).append(j)
+                if p == -1:
+                    covers.append((k, j))
+                elif p < 0:
+                    strings.append((k, i, j))
+                row.append(j)
+            images[k] = tuple(row)
+        h += 1
+    for k, i, j in strings:
+        c = coords[k]
+        lo = k
+        for v in range(c[i] + 1, coords[j][i]):
+            hi = found[c[:i] + (v,) + c[i + 1:]]
+            covers.append((lo, hi))
+            lo = hi
+        covers.append((lo, j))
 
-    # Every positive root is reached from a simple root by simple reflections
-    # that raise the height.
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    found = set(units)
-    frontier = units
-    while frontier:
-        new = []
-        for c in frontier:
-            for i in range(rank):
-                img = simple_reflection(c, i)
-                if img[i] > c[i] and img not in found:
-                    found.add(img)
-                    new.append(img)
-        frontier = new
-
-    def doubled(c: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(
-            sum(c[j] * doubled_simples[j][t] for j in range(rank) if c[j])
-            for t in range(ambient)
-        )
-
-    ordered = sorted((sum(c), doubled(c), c) for c in found)
-    heights = tuple(t[0] for t in ordered)
-    doubled_roots = tuple(t[1] for t in ordered)
-    coords = tuple(t[2] for t in ordered)
-    coord_index = {c: i for i, c in enumerate(coords)}
-    simple_idx = tuple(coord_index[u] for u in units)
-
+    # Index order: by (height, doubled coordinates); pos maps ids to indices.
     n = len(coords)
-    # leq[i] = bitmask of j with root_i <= root_j in the root poset, and
-    # down[i] of j with root_j <= root_i: intersect, over each coordinate, the
-    # roots whose coefficient there is >= (resp. <=) that of root i.
-    leq = [(1 << n) - 1] * n
-    down = list(leq)
-    for k in range(rank):
-        col = [c[k] for c in coords]
-        for v in set(col):
-            ge = sum(1 << j for j, x in enumerate(col) if x >= v)
-            le = sum(1 << j for j, x in enumerate(col) if x <= v)
-            for i, x in enumerate(col):
-                if x == v:
-                    leq[i] &= ge
-                    down[i] &= le
+    order = sorted(range(n), key=lambda k: (heights[k], doubled[k]))
+    pos = [0] * n
+    for t, k in enumerate(order):
+        pos[k] = t
+    coords = tuple(coords[k] for k in order)
+    heights = tuple(heights[k] for k in order)
+    doubled_roots = tuple(doubled[k] for k in order)
+    simple_idx = tuple(pos[:rank])
+
+    # down[i] = bitmask of j with root_j <= root_i in the root poset: bit i OR
+    # the rows of its lower covers, which all sort before i.  leq[i], of j
+    # with root_i <= root_j, likewise over upper covers from the top down.
+    # A cover may come twice (a string and a p = -1 raise); OR absorbs it.
+    pairs = sorted((pos[lo], pos[hi]) for lo, hi in covers)
+    down = [1 << i for i in range(n)]
+    leq = list(down)
+    for lo, hi in pairs:
+        down[hi] |= down[lo]
+    for lo, hi in reversed(pairs):
+        leq[lo] |= leq[hi]
 
     highest = n - 1  # maximal height sorts last; uniqueness checked below
-    if sum(1 for h in heights if h == heights[highest]) != 1:
+    if heights.count(heights[highest]) != 1:
         raise AssertionError("root poset maximum is not unique")
 
-    norms = [sum(x * x for x in d) for d in doubled_roots]
+    norms = [sum(map(mul, d, d)) for d in doubled_roots]
     short_idx: Optional[int] = None
     if len(set(norms)) > 1:
         min_norm = min(norms)
@@ -277,17 +292,15 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
             raise AssertionError("highest short root is not unique")
         short_idx = tops[0]
 
-    # Simple-reflection action on positive roots, as signed 1-based indices.
-    # The only positive root that s_i makes negative is alpha_i itself.
-    action = []
-    for i in range(rank):
-        row = []
-        for j, c in enumerate(coords):
-            if j == simple_idx[i]:
-                row.append(-(j + 1))
-            else:
-                row.append(coord_index[simple_reflection(c, i)] + 1)
-        action.append(tuple(row))
+    # Simple-reflection action on positive roots, as signed 1-based indices:
+    # the walk's images remapped to the index order.  signed[k] is the signed
+    # index of id k and signed[~k] = -signed[k], for the only positive root
+    # that s_i makes negative, alpha_i itself.
+    signed = [t + 1 for t in pos]
+    signed += [-t for t in reversed(signed)]
+    action = tuple(
+        tuple(map(signed.__getitem__, col)) for col in zip(*map(images.__getitem__, order))
+    )
 
     return RootSystem(
         family=family,
@@ -300,7 +313,7 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         highest_short_root_index=short_idx,
         _leq=tuple(leq),
         _down=tuple(down),
-        _simple_action=tuple(action),
+        _simple_action=action,
         _doubled=doubled_roots,
         # a_ij a_ji = 4 cos^2(pi / m_ij): 0, 1, 2 or 3 off the diagonal, 4 on it
         _coxeter=tuple(tuple((2, 3, 4, 6, 1)[cartan[i][j] * cartan[j][i]] for j in range(rank))

@@ -16,7 +16,7 @@ from . import convex
 from .convex import ConvexSet
 from .linalg import bits
 from .rootsys import RootSystem, build_root_system, ideal_from_members, iter_ideal_masks
-from .weyl import WeylContext
+from .weyl import Element, WeylContext
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,31 @@ def from_unit_interval(values: Sequence[Fraction]) -> GeneralizedSemiorder:
     return build(rs, members)
 
 
-def check_half_bound(gs: GeneralizedSemiorder) -> bool:
+def reflections(rs: RootSystem) -> Tuple[Element, ...]:
+    """The reflection in each positive root, as a signed permutation of roots.
+
+    Built in index order: alpha_i gives the simple action of s_i, and any
+    other root k is s_i(j) for a lower root j, so s_k = s_i s_j s_i."""
+    ctx = WeylContext(rs)
+    out: List[Element] = []
+    for k in range(rs.num_positive_roots):
+        for s in rs._simple_action:
+            if s[k] < 0:  # k is the simple root of s
+                out.append(s)
+                break
+            if s[k] <= k:  # s lowers root k to root s[k] - 1
+                out.append(ctx.mul(ctx.mul(s, out[s[k] - 1]), s))
+                break
+    return tuple(out)
+
+
+def check_half_bound(gs: GeneralizedSemiorder, refl: Sequence[Element]) -> bool:
     """Every positive root has inversion fraction at most 1/2 on W^A.
 
     Also verifies the mechanism behind the bound: for alpha in A, right
     multiplication by s_alpha injects the members having alpha as an
-    inversion into the set.
+    inversion into the set.  ``refl`` is :func:`reflections` of the root
+    system.
     """
     c = gs.convex
     ctx = c.ctx
@@ -73,23 +92,10 @@ def check_half_bound(gs: GeneralizedSemiorder) -> bool:
         return False
     members = set(c.members)
     for k in bits(gs.mask):
-        refl = _reflection_element(gs.root_system, k)
         for m, inv in zip(c.members, c.inv_sets):
-            if k in inv and ctx.mul(m, refl) not in members:
+            if k in inv and ctx.mul(m, refl[k]) not in members:
                 return False
     return True
-
-
-def _reflection_element(rs: RootSystem, k: int) -> Tuple[int, ...]:
-    """The reflection in positive root k, as a signed permutation of roots:
-    u s_j u^-1, where u^-1 = s_im .. s_i1 lowers root k to alpha_j."""
-    path = []
-    while k not in rs.simple_indices:
-        i = next(i for i in range(1, rs.rank + 1) if 0 < rs.simple_image(i, k) <= k)
-        path.append(i)
-        k = rs.simple_image(i, k) - 1
-    j = rs.simple_indices.index(k) + 1
-    return WeylContext(rs).from_word(path + [j] + path[::-1])
 
 
 # -- single-exit witnesses over root-poset ideals -----------------------------

@@ -370,7 +370,8 @@ def verify_semiorder_bounds() -> VerificationReport:
         for family, rank in SEMIORDER_TYPES:
             rs = build_root_system(family, rank)
             sets = list(semiorder.semiorders(rs, [m for m in iter_ideal_masks(rs) if m]))
-            bad = [gs.mask for gs in sets if not semiorder.check_half_bound(gs)]
+            refl = semiorder.reflections(rs)
+            bad = [gs.mask for gs in sets if not semiorder.check_half_bound(gs, refl)]
             min_b = min(gs.convex.balance_value() for gs in sets if gs.size > 1)
             label = rs.root_label()
             report.check(
@@ -409,7 +410,7 @@ def verify_geometry() -> VerificationReport:
                     no_split.append(c)
                 if b < threshold:
                     below.append(c)
-                if rs.family == "B" and not alcove.check_short_root_bound(c):
+                if rs.family == "B" and not alcove.check_short_root_bound(c, b):
                     below_short.append(c)
             label = rs.root_label()
 

@@ -2,7 +2,8 @@
 
 The oracles recompute, by a second route, what ``src/`` computes on integer
 tables: type A one-line notation, the action and reflections on
-``Fraction`` vectors, the members and words of a convex set by
+``Fraction`` vectors, the reflection in a root as a conjugate of a simple
+reflection by words, the members and words of a convex set by
 breadth-first search, the single-exit simple roots of a root-poset ideal,
 the classical semiorder of a point set and brute-force linear extension
 counts.  The helpers build objects the tests compare: commutation classes,
@@ -19,7 +20,7 @@ from hypothesis import settings
 
 from coxbalance import convex, weyl
 from coxbalance.coxgen import NotReducedError
-from coxbalance.linalg import bits, dot, sub
+from coxbalance.linalg import bits, dot
 from coxbalance.posets import LabeledPoset
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
@@ -29,8 +30,16 @@ settings.load_profile("derandomized")
 # -- Fraction vectors -----------------------------------------------------------
 
 
+def vec(entries):
+    return tuple(Fraction(x) for x in entries)
+
+
 def add(x, y):
     return tuple(a + b for a, b in zip(x, y))
+
+
+def sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def scale(c, x):
@@ -85,6 +94,19 @@ def apply(rs, w, x):
             img = w[k]
             out = add(out, scale(c if img > 0 else -c, rs.positive_roots[abs(img) - 1]))
     return out
+
+
+def reflection_word_element(rs, k):
+    """The reflection in positive root k by words: u s_j u^-1, where
+    u^-1 = s_im .. s_i1 lowers root k to alpha_j one simple reflection at
+    a time."""
+    path = []
+    while k not in rs.simple_indices:
+        i = next(i for i in range(1, rs.rank + 1) if 0 < rs.simple_image(i, k) <= k)
+        path.append(i)
+        k = rs.simple_image(i, k) - 1
+    j = rs.simple_indices.index(k) + 1
+    return weyl.WeylContext(rs).from_word(path + [j] + path[::-1])
 
 
 def commutation_class(sys, word):

@@ -230,12 +230,13 @@ def test_c08_semiorder_bounds():
     for family, rank in SMALL_TYPES:
         rs = build_root_system(family, rank)
         assert rs.num_positive_roots <= 12
+        refl = semiorder.reflections(rs)
         for mask in iter_ideal_masks(rs):
             if mask == 0:
                 continue
             members = [i for i in range(rs.num_positive_roots) if (mask >> i) & 1]
             gs = semiorder.build(rs, members)
-            assert semiorder.check_half_bound(gs), (family, rank, mask)
+            assert semiorder.check_half_bound(gs, refl), (family, rank, mask)
             if gs.size > 1:
                 assert gs.convex.balance_value() >= THIRD, (family, rank, mask)
             checked += 1
@@ -264,7 +265,7 @@ def test_c09_geometry_bounds():
             assert alcove.centroid_split_root(c) is not None
             assert c.balance_value() >= threshold
             if family == "B":
-                assert alcove.check_short_root_bound(c)
+                assert alcove.check_short_root_bound(c, c.balance_value())
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report(9, f"height/centroid witnesses and exponential bounds on {sets} sets",

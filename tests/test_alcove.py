@@ -405,8 +405,8 @@ def test_short_root_bound_type_b_only():
     b2 = WeylContext(build_root_system("B", 2))
     for c in enumerate_convex_ideals(b2):
         if len(c) > 1:
-            assert check_short_root_bound(c)
+            assert check_short_root_bound(c, c.balance_value())
     a2 = WeylContext(build_root_system("A", 2))
     whole = ideal_from_upper(a2, range(a2.root_system.num_positive_roots))
     with pytest.raises(ValueError, match="type B"):
-        check_short_root_bound(whole)
+        check_short_root_bound(whole, whole.balance_value())

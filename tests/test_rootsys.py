@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import neg, reflect
-from coxbalance.linalg import dot, invert, vec
+from conftest import neg, reflect, vec
+from coxbalance.linalg import dot, invert
 from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
@@ -157,6 +157,34 @@ def test_build_matches_fraction_route(family, rank):
     assert all(type(x) is int for row in rs.coefficients for x in row)
 
 
+@pytest.mark.parametrize("family,rank", [(f, r) for f in "ABCD" for r in range(9, 13)])
+def test_integer_tables_past_rank_eight(family, rank):
+    """Integer checks of the poset rows and the simple action where the
+    Fraction oracle would be slow: the order is coordinatewise, ``_down``
+    is the transpose of ``_leq``, and s_i is an involutive signed
+    permutation of the positive roots that negates alpha_i alone and moves
+    only the i-th coefficient."""
+    rs = build_root_system(family, rank)
+    coeffs = rs.coefficients
+    n = len(coeffs)
+    for i in range(n):
+        above = sum(1 << j for j in range(n)
+                    if all(a <= b for a, b in zip(coeffs[i], coeffs[j])))
+        assert rs._leq[i] == above, i
+        assert rs._down[i] == sum(1 << j for j in range(n) if rs._leq[j] >> i & 1), i
+    for i, row in enumerate(rs._simple_action):
+        assert sorted(abs(x) for x in row) == list(range(1, n + 1))
+        assert [j for j, x in enumerate(row) if x < 0] == [rs.simple_indices[i]]
+        for j, x in enumerate(row):
+            if x > 0:
+                assert row[x - 1] == j + 1
+                img = list(coeffs[x - 1])
+                img[i] = coeffs[j][i]
+                assert tuple(img) == coeffs[j]
+    assert all(a <= b for a, b in zip(rs.heights, rs.heights[1:]))
+    assert rs.heights == tuple(map(sum, coeffs))
+
+
 CLASSICAL_COUNTS = [
     ("A", 1, 1), ("A", 2, 3), ("A", 4, 10), ("A", 8, 36),
     ("B", 2, 4), ("B", 5, 25), ("B", 8, 64),
@@ -173,7 +201,8 @@ def test_positive_root_counts(family, rank, expected):
     assert rs.num_positive_roots == expected
 
 
-@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("F", 3), ("G", 3), ("H", 3)])
+@pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("F", 3), ("G", 3), ("H", 3),
+                                         ("A", True), ("A", False), ("B", True)])
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(InvalidTypeError) as exc:
         build_root_system(family, rank)

@@ -11,6 +11,7 @@ from conftest import (
     linear_extension_count,
     neg,
     reflect,
+    reflection_word_element,
     single_exit_simple,
 )
 from coxbalance import semiorder
@@ -103,15 +104,16 @@ def test_unit_interval_closure_larger_sample():
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
 def test_half_bound_exhaustive(family, rank):
     rs = build_root_system(family, rank)
+    refl = semiorder.reflections(rs)
     for members in all_nonempty_ideals(rs):
-        assert check_half_bound(build(rs, members))
+        assert check_half_bound(build(rs, members), refl)
 
 
 def test_half_bound_whole_group_hits_half():
     rs = build_root_system("A", 2)
     gs = build(rs, range(3))
     assert max(gs.convex.inversion_fraction(k) for k in range(3)) == Fraction(1, 2)
-    assert check_half_bound(gs)
+    assert check_half_bound(gs, semiorder.reflections(rs))
 
 
 def test_single_exit_simple_a2():
@@ -184,8 +186,10 @@ def fraction_reflection_action(rs, k):
 @pytest.mark.parametrize("family,rank", SEMIORDER_TYPES + (("E", 6),))
 def test_reflection_element_matches_fraction_reflect(family, rank):
     rs = build_root_system(family, rank)
+    refl = semiorder.reflections(rs)
+    assert len(refl) == rs.num_positive_roots
     for k in range(rs.num_positive_roots):
-        assert semiorder._reflection_element(rs, k) == fraction_reflection_action(rs, k)
+        assert refl[k] == fraction_reflection_action(rs, k) == reflection_word_element(rs, k)
 
 
 @pytest.mark.parametrize("family,rank", EXIT_SCAN_TYPES + (("E", 6), ("E", 7)))
