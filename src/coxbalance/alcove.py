@@ -34,7 +34,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .convex import ConvexSet
-from .linalg import Vector
+from .linalg import Vector, bits
 from .rootsys import RootSystem
 from .weyl import WeylContext
 
@@ -120,8 +120,8 @@ def order_polytope_halfspaces(c: ConvexSet) -> List[HalfSpace]:
     if not isinstance(ctx, WeylContext):
         raise TypeError("order polytopes need a finite Weyl context")
     rs = ctx.root_system
-    hs = [(k + 1, 0) for k in c.canonical_lower]
-    hs += [(-k - 1, 0) for k in range(rs.num_positive_roots) if k not in c.upper]
+    hs = [(k + 1, 0) for k in bits(c.lower)]
+    hs += [(-k - 1, 0) for k in range(rs.num_positive_roots) if not c.upper >> k & 1]
     hs += [(ctx.invert(m)[rs.highest_root_index], 1) for m in c.members]
     return hs
 

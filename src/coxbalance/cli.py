@@ -164,12 +164,13 @@ def _build_set(args, ctx):
         return convex.from_members(ctx, [ctx.from_word(w) for w in words])
     if not isinstance(ctx, WeylContext):
         raise ValueError("--ideal-roots needs a Weyl type, not a diagram")
-    keys = _parse_ints(args.ideal_roots.replace(",", " "), "root indices")
     n = ctx.root_system.num_positive_roots
-    for k in keys:
+    mask = 0
+    for k in _parse_ints(args.ideal_roots.replace(",", " "), "root indices"):
         if not 0 <= k < n:
             raise ValueError(f"root index {k} out of range 0..{n - 1}")
-    return convex.ideal_from_upper(ctx, keys)
+        mask |= 1 << k
+    return convex.ideal_from_upper(ctx, mask)
 
 
 def cmd_balance(args, out) -> int:

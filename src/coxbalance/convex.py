@@ -2,12 +2,12 @@
 
 A convex set is stored canonically as the element list of
 ``{w : D subseteq T_R(w) subseteq A}`` together with the canonical pair
-D = intersection and A = union of the member inversion sets.  Inversion sets
-are kept as frozensets of "root keys": positive-root indices for a finite
-Weyl type, given by a ``weyl.WeylContext``, and integer simple-root
-coordinate tuples for a diagram, given by a ``coxgen.CoxSystem``.  An
-element of either is a tuple that is its own key, so members are hashed and
-compared directly.
+D = intersection and A = union of the member inversion sets.  A set of
+roots is an int bitmask of the root keys of a group object, a
+``weyl.WeylContext`` (finite Weyl type) or ``coxgen.CoxSystem`` (diagram),
+so D and A are the AND and OR of the members' masks; keys are listed in
+``key_order``.  An element is a tuple that is its own key, so members are
+hashed and compared directly.
 
 Single sets, and every set of a diagram, come from a walk of the shortlex
 tree pruned to W^A.  Scans over many sets W^A of one finite Weyl group walk
@@ -15,16 +15,19 @@ the group once: W^A = {w : N(w) inside A}, so :func:`ideals_from_uppers`
 reads each W^A off a table of inversion bitmasks.  The distinct convex
 order ideals are exactly the distinct unions of inversion sets, so
 :func:`enumerate_convex_ideals` closes the same table's bitmasks under union.
-Both give (element, shortlex word, inversion keys) rows in shortlex order.
+Both give (element, shortlex word, inversion mask) rows in shortlex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import coxgen, weyl
+from .linalg import bits
 from .weyl import WeylContext
 
 CONVEX_SCAN_MAX_ROOTS = 12
@@ -41,9 +44,9 @@ class ConvexSet:
     ctx: object = field(compare=False)
     members: Tuple = field(compare=False)
     words: Tuple[Tuple[int, ...], ...]
-    inv_sets: Tuple[FrozenSet, ...] = field(compare=False)
-    lower: FrozenSet = field(compare=False)  # D: intersection of inversions
-    upper: FrozenSet = field(compare=False)  # A: union of inversions
+    masks: Tuple[int, ...] = field(compare=False)  # inversion set of each member
+    lower: int = field(compare=False)  # D: AND of the masks
+    upper: int = field(compare=False)  # A: OR of the masks
 
     def __len__(self) -> int:
         return len(self.members)
@@ -52,17 +55,18 @@ class ConvexSet:
         return w in self.members
 
     @property
-    def canonical_upper(self) -> Tuple:
-        return tuple(sorted(self.upper))
+    def canonical_upper(self) -> Tuple[int, ...]:
+        return tuple(sorted(bits(self.upper), key=self.ctx.key_order))
 
     @property
-    def canonical_lower(self) -> Tuple:
-        return tuple(sorted(self.lower))
+    def canonical_lower(self) -> Tuple[int, ...]:
+        return tuple(sorted(bits(self.lower), key=self.ctx.key_order))
 
     # -- statistics --------------------------------------------------------
 
-    def inversion_count(self, key) -> int:
-        return sum(1 for s in self.inv_sets if key in s)
+    def inversion_count(self, key: int) -> int:
+        bit = 1 << key
+        return len([m for m in self.masks if m & bit])
 
     def inversion_fraction(self, key=None, word: Optional[Sequence[int]] = None) -> Fraction:
         """Fraction of members having the reflection as a right inversion."""
@@ -71,7 +75,7 @@ class ConvexSet:
         return Fraction(self.inversion_count(key), len(self.members))
 
     def balance(self) -> Tuple[Fraction, List]:
-        """Balance constant with every maximising reflection key.
+        """Balance constant with every maximising reflection key, in listing order.
 
         Only reflections in A (and outside D) can realise the maximum; all
         others have constant inversion fraction 0 or 1 on the set.
@@ -79,14 +83,14 @@ class ConvexSet:
         best = 0
         witnesses: List = []
         n = len(self.members)
-        for key in sorted(self.upper - self.lower):
+        for key in bits(self.upper & ~self.lower):
             c = self.inversion_count(key)
             score = min(c, n - c)
             if score > best:
                 best, witnesses = score, [key]
             elif score == best and score > 0:
                 witnesses.append(key)
-        return Fraction(best, n), witnesses
+        return Fraction(best, n), sorted(witnesses, key=self.ctx.key_order)
 
     def balance_value(self) -> Fraction:
         return self.balance()[0]
@@ -130,9 +134,9 @@ class ConvexSet:
         return "\n".join(lines)
 
 
-def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> List[Tuple]:
-    """(w, shortlex word, inversion keys) for each w with T_R(w) inside
-    ``allowed``, in (length, word) order: the tree of :func:`weyl.levels`.
+def _walk_within(ctx, allowed: int, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> List[Tuple]:
+    """(w, shortlex word, inversion mask) for each w with T_R(w) inside the
+    mask ``allowed``, in (length, word) order: the tree of :func:`weyl.levels`.
 
     v = w^-1 is kept beside w, and T_L(v s_i) = T_L(v) + {v alpha_i} when
     v alpha_i > 0, so s_i w is longer and in W^A iff that key is allowed.
@@ -140,7 +144,7 @@ def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -
     first letter shrinks T_R, so W^A holds the tree parents of its members
     and each is reached once.  Lengths are at most |allowed|.
     """
-    start = (ctx.identity(), (), frozenset())
+    start = (ctx.identity(), (), 0)
     rows = [start]
     level = [(start[0], start)]
     while level:
@@ -148,12 +152,12 @@ def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -
         for i in range(1, ctx.rank + 1):
             for v, (w, word, inv) in level:
                 key = ctx.simple_image_key(v, i)
-                if key is None or key not in allowed:
+                if key is None or not allowed >> key & 1:
                     continue
                 v2 = ctx.mul_simple_right(v, i)
                 if ctx.descent(v2) != i:
                     continue
-                row = (ctx.mul_simple_left(w, i), (i,) + word, inv | {key})
+                row = (ctx.mul_simple_left(w, i), (i,) + word, inv | 1 << key)
                 rows.append(row)
                 if len(rows) > cap:
                     raise weyl.EnumerationCapExceeded(cap)
@@ -163,40 +167,36 @@ def _walk_within(ctx, allowed: FrozenSet, cap: int = weyl.DEFAULT_ELEMENT_CAP) -
 
 
 def _build(ctx, rows) -> ConvexSet:
-    """The ConvexSet of (element, word, inversion keys) rows, in their order."""
+    """The ConvexSet of (element, word, inversion mask) rows, in their order."""
     if not rows:
         raise EmptyConvexSetError("the requested convex set is empty")
-    members, words, invs = zip(*rows)
-    return ConvexSet(ctx, members, words, invs,
-                     frozenset.intersection(*invs), frozenset.union(*invs))
+    members, words, masks = zip(*rows)
+    return ConvexSet(ctx, members, words, masks, reduce(and_, masks), reduce(or_, masks))
 
 
-def ideal_from_upper(ctx, allowed: Iterable,
-                     cap: int = weyl.DEFAULT_ELEMENT_CAP) -> ConvexSet:
-    """The convex order ideal W^A: every element with inversions inside A."""
-    return _build(ctx, _walk_within(ctx, frozenset(allowed), cap))
+def ideal_from_upper(ctx, allowed: int, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> ConvexSet:
+    """The convex order ideal W^A: every element with inversions inside the mask A."""
+    return _build(ctx, _walk_within(ctx, allowed, cap))
 
 
-def convex_set(ctx, lower: Iterable, upper: Iterable) -> ConvexSet:
-    """The set W_D^A; raises :class:`EmptyConvexSetError` when nothing matches."""
-    lower = frozenset(lower)
-    upper = frozenset(upper)
-    if not lower <= upper:
+def convex_set(ctx, lower: int, upper: int) -> ConvexSet:
+    """W_D^A for masks D and A; raises :class:`EmptyConvexSetError` if it is empty."""
+    if lower & ~upper:
         raise EmptyConvexSetError("lower constraint set is not inside the upper one")
-    return _build(ctx, [row for row in _walk_within(ctx, upper) if lower <= row[2]])
+    return _build(ctx, [row for row in _walk_within(ctx, upper) if row[2] & lower == lower])
 
 
 def interval_left(ctx, w) -> ConvexSet:
     """The left weak-order interval [id, w]."""
-    return ideal_from_upper(ctx, ctx.inversion_keys(w))
+    return ideal_from_upper(ctx, ctx.inversion_mask(w))
 
 
 def convex_hull(ctx, elements: Sequence) -> ConvexSet:
     """Smallest convex set containing the given elements."""
     if not elements:
         raise EmptyConvexSetError("hull of an empty element list")
-    invs = [ctx.inversion_keys(w) for w in elements]
-    return convex_set(ctx, frozenset.intersection(*invs), frozenset.union(*invs))
+    masks = [ctx.inversion_mask(w) for w in elements]
+    return convex_set(ctx, reduce(and_, masks), reduce(or_, masks))
 
 
 def from_members(ctx, elements: Sequence) -> ConvexSet:
@@ -208,18 +208,14 @@ def from_members(ctx, elements: Sequence) -> ConvexSet:
 
 
 def _element_table(ctx: WeylContext) -> List[Tuple]:
-    """(inversion bitmask, (element, shortlex word, inversion set)) per element."""
-    table = []
-    for w, word in weyl.all_elements(ctx.root_system):
-        inv = ctx.inversion_keys(w)
-        table.append((sum(1 << j for j in inv), (w, word, inv)))
-    return table
+    """(element, shortlex word, inversion mask) per element, in shortlex order."""
+    return [(w, word, ctx.inversion_mask(w)) for w, word in weyl.all_elements(ctx.root_system)]
 
 
 def _ideals_in(ctx: WeylContext, table, uppers: Iterable[int]) -> Iterator[ConvexSet]:
     for upper in uppers:
         outside = ~upper
-        yield _build(ctx, [row for mask, row in table if not mask & outside])
+        yield _build(ctx, [row for row in table if not row[2] & outside])
 
 
 def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[ConvexSet]:
@@ -249,11 +245,9 @@ def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
         )
     table = _element_table(ctx)
     unions = {0}
-    for mask, _ in table:
+    for _, _, mask in table:
         unions |= {u | mask for u in unions}
-    yield from _ideals_in(ctx, table, sorted(
-        unions, key=lambda a: (a.bit_count(), [j for j in range(n) if (a >> j) & 1])
-    ))
+    yield from _ideals_in(ctx, table, sorted(unions, key=lambda a: (a.bit_count(), list(bits(a)))))
 
 
 def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, ConvexSet]]:

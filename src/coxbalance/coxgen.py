@@ -13,8 +13,10 @@ its tuple of columns, column j = w(alpha_j), and is its own key.  Like
 ``weyl.WeylContext``, the group object of a finite Weyl type, it keeps only
 the element primitives ``rank``, ``identity()``, ``mul_simple_right`` and
 ``mul_simple_left(w, i)``, ``simple_image_key(w, i)`` (None when w(alpha_i)
-is negative), ``invert(w)``, ``inversion_keys(w)``, ``coxeter_m(i, j)`` and
-``key_display(key)``.  Both inherit from :class:`GroupWords` the routines
+is negative), ``invert(w)``, ``inversion_mask(w)``, ``coxeter_m(i, j)``,
+``key_order(key)`` (the order in which keys are listed) and
+``key_display(key)``.  A root key is an int, and a set of roots is the int
+bitmask of its keys.  Both inherit from :class:`GroupWords` the routines
 that read elements only through these: ``from_word``, ``word_length``,
 ``check_reduced``, the least right descent ``descent`` and the greedy least
 reduced words ``inverse_word`` and ``reduced_word``.  This module also
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 INF = None  # infinite edge label
 
@@ -200,7 +202,7 @@ class GroupWords:
         return w
 
     def word_length(self, word: Sequence[int]) -> int:
-        return len(self.inversion_keys(self.from_word(word)))
+        return self.inversion_mask(self.from_word(word)).bit_count()
 
     def check_reduced(self, word: Sequence[int]) -> None:
         """Raise :class:`NotReducedError` unless ``word`` is reduced."""
@@ -238,11 +240,16 @@ class CoxSystem(GroupWords):
     """The Coxeter group of a diagram, acting on its integer root lattice.
 
     ``cartan[i][j]`` is a_ij (0-based), so s_i alpha_j = alpha_j - a_ij alpha_i.
-    Root keys are the simple-root coordinate tuples of positive real roots.
+    A positive real root gets its key, the next free int, when
+    :meth:`simple_image_key` first meets its column; keys are listed in the
+    order of their columns.  The keys of two systems are unrelated.
     """
 
     matrix: CoxeterMatrix
     cartan: Tuple[Tuple[int, ...], ...] = field(compare=False)
+    # the column of each key, and the key of each column met so far
+    _columns: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -272,20 +279,30 @@ class CoxSystem(GroupWords):
             for col in w
         )
 
-    def simple_image_key(self, v: Columns, i: int):
+    def simple_image_key(self, v: Columns, i: int) -> Optional[int]:
         """Key of v(alpha_i) if that root is positive, else None."""
         col = v[i - 1]
-        return col if min(col) >= 0 else None
+        if min(col) < 0:
+            return None
+        key = self._keys.get(col)
+        if key is None:
+            key = self._keys[col] = len(self._columns)
+            self._columns.append(col)
+        return key
 
     def invert(self, w: Columns) -> Columns:
         return self.from_word(self.inverse_word(w))
 
-    def inversion_keys(self, w: Columns) -> FrozenSet[Tuple[int, ...]]:
-        """Positive roots sent negative by w."""
-        return frozenset(inversion_keys_of_word(self, self.inverse_word(w)[::-1]))
+    def inversion_mask(self, w: Columns) -> int:
+        """Bitmask of the positive roots sent negative by w, the distinct
+        inversion keys of a reduced word."""
+        return sum(1 << k for k in inversion_keys_of_word(self, self.inverse_word(w)[::-1]))
 
-    def key_display(self, key: Tuple[int, ...]) -> str:
-        return root_display(key)
+    def key_order(self, key: int) -> Tuple[int, ...]:
+        return self._columns[key]
+
+    def key_display(self, key: int) -> str:
+        return root_display(self._columns[key])
 
 
 def build_system(matrix: CoxeterMatrix) -> CoxSystem:

@@ -15,10 +15,10 @@ roots by height, as integer vectors in simple-root coordinates.  Each
 the integer Cartan matrix, and s_i(c) = c - p e_i.  A root first met as
 s_i(c) takes its doubled ambient coordinates from c, and the walk records
 each image, so the signed simple action is the walk's table renumbered to
-the index order.  The root-poset bitmasks follow from the covers, the
-steps along the alpha_i-strings that the raises span.  Every stored field
-is an integer table: ``coefficients`` (simple-root coordinates of each
-positive root), the root-poset bitmasks ``_leq``/``_down``, the signed
+the index order.  The root poset is stored as its covers, the steps along
+the alpha_i-strings that the raises span.  Every stored field is an
+integer table: ``coefficients`` (simple-root coordinates of each positive
+root), the cover bitmasks ``_lower_covers``/``_upper_covers``, the signed
 simple action ``_simple_action``, and ``_doubled``, twice the ambient
 coordinates of each positive root.  The ``Fraction`` views ``positive_roots`` (ambient
 coordinates) and ``coweights`` are computed from those tables on first
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .coxgen import root_display
 from .linalg import Vector, bits, dot, invert
@@ -128,8 +128,9 @@ class RootSystem:
     heights: Tuple[int, ...]
     highest_root_index: int
     highest_short_root_index: Optional[int]
-    _leq: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
-    _down: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
+    # bitmasks of the roots each root covers, and of those covering it
+    _lower_covers: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
+    _upper_covers: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
     _simple_action: Tuple[Tuple[int, ...], ...] = field(
         repr=False, hash=False, compare=False, default=()
     )
@@ -266,31 +267,25 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     doubled_roots = tuple(doubled[k] for k in order)
     simple_idx = tuple(pos[:rank])
 
-    # down[i] = bitmask of j with root_j <= root_i in the root poset: bit i OR
-    # the rows of its lower covers, which all sort before i.  leq[i], of j
-    # with root_i <= root_j, likewise over upper covers from the top down.
     # A cover may come twice (a string and a p = -1 raise); OR absorbs it.
-    pairs = sorted((pos[lo], pos[hi]) for lo, hi in covers)
-    down = [1 << i for i in range(n)]
-    leq = list(down)
-    for lo, hi in pairs:
-        down[hi] |= down[lo]
-    for lo, hi in reversed(pairs):
-        leq[lo] |= leq[hi]
+    lower, upper = [0] * n, [0] * n
+    for lo, hi in covers:
+        lower[pos[hi]] |= 1 << pos[lo]
+        upper[pos[lo]] |= 1 << pos[hi]
 
     highest = n - 1  # maximal height sorts last; uniqueness checked below
     if heights.count(heights[highest]) != 1:
         raise AssertionError("root poset maximum is not unique")
 
+    # The highest short root is the last short root, alone at its height.
     norms = [sum(map(mul, d, d)) for d in doubled_roots]
     short_idx: Optional[int] = None
     if len(set(norms)) > 1:
-        min_norm = min(norms)
-        shorts = [i for i in range(n) if norms[i] == min_norm]
-        tops = [i for i in shorts if all(leq[j] >> i & 1 for j in shorts)]
-        if len(tops) != 1:
+        short = min(norms)
+        shorts = [i for i in range(n) if norms[i] == short]
+        short_idx = shorts[-1]
+        if [heights[i] for i in shorts].count(heights[short_idx]) != 1:
             raise AssertionError("highest short root is not unique")
-        short_idx = tops[0]
 
     # Simple-reflection action on positive roots, as signed 1-based indices:
     # the walk's images remapped to the index order.  signed[k] is the signed
@@ -311,8 +306,8 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         heights=heights,
         highest_root_index=highest,
         highest_short_root_index=short_idx,
-        _leq=tuple(leq),
-        _down=tuple(down),
+        _lower_covers=tuple(lower),
+        _upper_covers=tuple(upper),
         _simple_action=action,
         _doubled=doubled_roots,
         # a_ij a_ji = 4 cos^2(pi / m_ij): 0, 1, 2 or 3 off the diagonal, 4 on it
@@ -324,23 +319,9 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
 # -- root poset ------------------------------------------------------------
 
 
-def _covers(rs: RootSystem) -> Tuple[List[int], List[int]]:
-    """Lower and upper cover bitmasks of each positive root.
-
-    gamma covers beta iff gamma - beta is a simple root, that is iff
-    beta < gamma and the heights differ by one: O(N) mask operations.
-    """
-    level: Dict[int, int] = {}
-    for j, h in enumerate(rs.heights):
-        level[h] = level.get(h, 0) | 1 << j
-    down = [d & level.get(h - 1, 0) for d, h in zip(rs._down, rs.heights)]
-    up = [u & level.get(h + 1, 0) for u, h in zip(rs._leq, rs.heights)]
-    return down, up
-
-
 def hasse_edges(rs: RootSystem) -> List[Tuple[int, int]]:
     """Cover pairs (i, j) of the root poset, root_i covered by root_j."""
-    return [(i, j) for i, u in enumerate(_covers(rs)[1]) for j in bits(u)]
+    return [(i, j) for i, u in enumerate(rs._upper_covers) for j in bits(u)]
 
 
 def root_graph(rs: RootSystem) -> List[Tuple[int, int, int]]:
@@ -365,13 +346,14 @@ def root_graph(rs: RootSystem) -> List[Tuple[int, int, int]]:
 def ideal_from_members(rs: RootSystem, members) -> int:
     """The bitmask of a root-poset ideal given by positive-root indices.
 
-    Rejects a set that is not downward closed, naming a violating pair.
+    Rejects a set that is not downward closed, naming a violating pair: the
+    first member with a lower cover outside the set, and its last such cover.
     """
     mask = 0
     for i in members:
         mask |= 1 << i
     for i in bits(mask):
-        missing = rs._down[i] & ~mask
+        missing = rs._lower_covers[i] & ~mask
         if missing:
             j = missing.bit_length() - 1
             raise ValueError(
@@ -390,8 +372,7 @@ def iter_ideal_masks(rs: RootSystem) -> Iterator[int]:
     order, so the stream is deterministic.  Intended for systems up to E8
     (25080 ideals).
     """
-    down, up = _covers(rs)
-    yield from walk_order_ideals(range(rs.num_positive_roots), down, up)
+    yield from walk_order_ideals(range(rs.num_positive_roots), rs._lower_covers, rs._upper_covers)
 
 
 def count_root_ideals(rs: RootSystem) -> int:

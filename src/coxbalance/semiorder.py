@@ -33,7 +33,7 @@ class GeneralizedSemiorder:
 def build(rs: RootSystem, members) -> GeneralizedSemiorder:
     """Construct W^A for a root-poset ideal given by positive-root indices."""
     mask = ideal_from_members(rs, members)
-    c = convex.ideal_from_upper(WeylContext(rs), bits(mask))
+    c = convex.ideal_from_upper(WeylContext(rs), mask)
     return GeneralizedSemiorder(rs, mask, c)
 
 
@@ -88,12 +88,12 @@ def check_half_bound(gs: GeneralizedSemiorder, refl: Sequence[Element]) -> bool:
     c = gs.convex
     ctx = c.ctx
     # Roots outside the union of the members' inversions count 0.
-    if any(2 * c.inversion_count(k) > len(c) for k in c.upper):
+    if any(2 * c.inversion_count(k) > len(c) for k in bits(c.upper)):
         return False
     members = set(c.members)
     for k in bits(gs.mask):
-        for m, inv in zip(c.members, c.inv_sets):
-            if k in inv and ctx.mul(m, refl[k]) not in members:
+        for m, inv in zip(c.members, c.masks):
+            if inv >> k & 1 and ctx.mul(m, refl[k]) not in members:
                 return False
     return True
 

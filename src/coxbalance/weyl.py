@@ -6,7 +6,9 @@ and hashing are O(#roots) and independent of any choice of word, and reduced
 words are derived data.  :class:`WeylContext`, the group object of one
 type, computes its element primitives on these tuples with integer
 arithmetic only and inherits its word routines from ``coxgen.GroupWords``;
-a vector's image under w is read from the same tuple in ``alcove``.
+a vector's image under w is read from the same tuple in ``alcove``.  A root
+key is a positive-root index, and a set of roots, such as an inversion set,
+is the int bitmask of its keys.
 :func:`levels` walks the group one length at a time, after comparing its
 order, known from the type (:func:`group_order`), with the element cap.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from math import factorial, prod
 from struct import Struct
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .coxgen import GroupWords, root_display
 from .rootsys import RootSystem
@@ -64,9 +66,9 @@ class WeylContext(GroupWords):
             out[abs(a) - 1] = j if a > 0 else -j
         return tuple(out)
 
-    def inversion_keys(self, w: Element) -> FrozenSet[int]:
-        """Indices of the positive roots that w sends negative."""
-        return frozenset(j for j, a in enumerate(w) if a < 0)
+    def inversion_mask(self, w: Element) -> int:
+        """Bitmask of the positive roots that w sends negative."""
+        return sum(1 << j for j, a in enumerate(w) if a < 0)
 
     def simple_image_key(self, v: Element, i: int) -> Optional[int]:
         """Key of v(alpha_i) if that root is positive, else None."""
@@ -78,6 +80,9 @@ class WeylContext(GroupWords):
 
     def coxeter_m(self, i: int, j: int) -> int:
         return self.root_system.coxeter_m(i, j)
+
+    def key_order(self, key: int) -> int:
+        return key
 
     def key_display(self, key: int) -> str:
         return root_display(self.root_system.coefficients[key])

@@ -4,10 +4,12 @@ The oracles recompute, by a second route, what ``src/`` computes on integer
 tables: type A one-line notation, the action and reflections on
 ``Fraction`` vectors, the reflection in a root as a conjugate of a simple
 reflection by words, the members and words of a convex set by
-breadth-first search, the single-exit simple roots of a root-poset ideal,
-the classical semiorder of a point set and brute-force linear extension
-counts.  The helpers build objects the tests compare: commutation classes,
-right translates of convex sets and dual posets.  Property tests run under
+breadth-first search on frozensets of root keys, the single-exit simple
+roots of a root-poset ideal, the classical semiorder of a point set and
+brute-force linear extension counts.  The helpers build objects the tests
+compare: commutation classes, right translates of convex sets, dual
+posets, and the root keys of a finite group object with the masks and
+frozensets of such keys.  Property tests run under
 a derandomized hypothesis profile: the examples are derived from each
 test's source, so every run of the suite draws the same ones, and no
 example database is written.
@@ -129,8 +131,8 @@ def commutation_class(sys, word):
 
 def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     """Oracle for the single-set walk of ``convex``: the (element, word,
-    inversion keys) rows of W_D^A, D = ``lower`` and A = ``upper``, sorted
-    by (length, word).
+    frozenset of inversion keys) rows of W_D^A, for the frozensets of root
+    keys D = ``lower`` and A = ``upper``, sorted by (length, word).
 
     A breadth-first search on the inverses v = w^-1 inside W^A, keeping a
     set of seen elements, with the cap counting the members found.  Each
@@ -159,6 +161,41 @@ def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     rows = [(w, ctx.reduced_word(w), inv)
             for w, inv in ((ctx.invert(v), inv) for v, inv in found) if lower <= inv]
     return sorted(rows, key=lambda row: (len(row[1]), row[1]))
+
+
+def keys_of(mask):
+    """The root keys of a bitmask, as a frozenset."""
+    return frozenset(bits(mask))
+
+
+def mask_of(keys):
+    """The bitmask of some root keys; a repeated key counts once."""
+    mask = 0
+    for k in keys:
+        mask |= 1 << k
+    return mask
+
+
+def root_keys(g):
+    """The key of each positive root of a finite group object, by its
+    ``key_order`` value (the column, for a diagram): every root w(alpha_i),
+    over a breadth-first walk of the whole group."""
+    seen = {g.identity()}
+    level = list(seen)
+    keys = {}
+    while level:
+        nxt = []
+        for v in level:
+            for i in range(1, g.rank + 1):
+                key = g.simple_image_key(v, i)
+                if key is not None:
+                    keys[g.key_order(key)] = key
+                v2 = g.mul_simple_right(v, i)
+                if v2 not in seen:
+                    seen.add(v2)
+                    nxt.append(v2)
+        level = nxt
+    return keys
 
 
 def translate(c, w):

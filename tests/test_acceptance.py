@@ -17,7 +17,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import commutation_class, labelled_relation, one_line, translate
+from conftest import commutation_class, labelled_relation, mask_of, one_line, root_keys, translate
 from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
@@ -324,8 +324,7 @@ def test_c10_translation_invariance():
         n = ctx.root_system.num_positive_roots
         for _ in range(count):
             mask = random.randrange(1, 1 << n)
-            allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
-            c = convex.ideal_from_upper(ctx, allowed)
+            c = convex.ideal_from_upper(ctx, mask)
             w = random.choice(els)
             assert translate(c, w).balance_value() == c.balance_value()
             pairs += 1
@@ -350,22 +349,20 @@ def test_c10_product_decomposition_min_rule():
     prod = build_system(matrix_from_edges(4, [(1, 2, 3), (2, 3, 3)]))
     f1 = build_system(path_matrix(3, [3, 3]))
     f2 = build_system(matrix_from_edges(1, []))
-    a3_rs = build_root_system("A", 3)
-    roots = [
-        tuple(Fraction(c) for c in coeffs) + (Fraction(0),)
-        for coeffs in a3_rs.coefficients
-    ]
-    alpha4 = (Fraction(0),) * 3 + (Fraction(1),)
+    roots = [coeffs + (0,) for coeffs in build_root_system("A", 3).coefficients]
+    alpha4 = (0, 0, 0, 1)
     roots.append(alpha4)
+    # each system's keys, by root column
+    prod_keys, f1_keys, f2_keys = root_keys(prod), root_keys(f1), root_keys(f2)
 
     def split(allowed):
-        c = convex.ideal_from_upper(prod, allowed)
-        c1 = convex.ideal_from_upper(f1, frozenset(r[:3] for r in allowed if r[3] == 0))
-        c2 = convex.ideal_from_upper(f2, frozenset((r[3],) for r in allowed if r[3] != 0))
+        c = convex.ideal_from_upper(prod, mask_of(prod_keys[r] for r in allowed))
+        c1 = convex.ideal_from_upper(f1, mask_of(f1_keys[r[:3]] for r in allowed if r[3] == 0))
+        c2 = convex.ideal_from_upper(f2, mask_of(f2_keys[r[3:]] for r in allowed if r[3] != 0))
         return c, c1, c2
 
     def describe(allowed, c, c1, c2):
-        coeffs = sorted(tuple(int(x) for x in r) for r in allowed)
+        coeffs = sorted(allowed)
         return (f"A={coeffs}: |C|={len(c)}, |C1|={len(c1)}, |C2|={len(c2)}, "
                 f"b={c.balance_value()}, b1={c1.balance_value()}, b2={c2.balance_value()}")
 

@@ -161,7 +161,7 @@ def fraction_halfspaces(c):
     rs = c.ctx.root_system
     roots = rs.positive_roots
     hs = [(roots[k], 0) for k in c.canonical_lower]
-    hs += [(neg(roots[k]), 0) for k in range(rs.num_positive_roots) if k not in c.upper]
+    hs += [(neg(roots[k]), 0) for k in range(rs.num_positive_roots) if k not in c.canonical_upper]
     xi = roots[rs.highest_root_index]
     hs += [(apply(rs, c.ctx.invert(m), xi), 1) for m in c.members]
     return hs
@@ -203,7 +203,7 @@ def test_centroid_of_whole_group_vanishes():
     for family, rank in [("A", 2), ("B", 2)]:
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
-        whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
+        whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
         assert centroid(whole) == zero(rs.ambient_dim)
 
 
@@ -226,7 +226,7 @@ def test_centroid_matches_vertex_average_oracle():
 def test_mean_height_whole_group_vanishes():
     rs = build_root_system("A", 2)
     ctx = WeylContext(rs)
-    whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
+    whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
     for k in range(rs.num_positive_roots):
         assert mean_height(whole, k) == 0
 
@@ -367,7 +367,7 @@ def test_witnesses_need_non_singleton():
 def test_whole_group_split_root_at_zero():
     rs = build_root_system("A", 2)
     ctx = WeylContext(rs)
-    whole = ideal_from_upper(ctx, range(rs.num_positive_roots))
+    whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
     k = centroid_split_root(whole)
     assert dot(centroid(whole), rs.positive_roots[k]) == 0
 
@@ -407,6 +407,6 @@ def test_short_root_bound_type_b_only():
         if len(c) > 1:
             assert check_short_root_bound(c, c.balance_value())
     a2 = WeylContext(build_root_system("A", 2))
-    whole = ideal_from_upper(a2, range(a2.root_system.num_positive_roots))
+    whole = ideal_from_upper(a2, (1 << a2.root_system.num_positive_roots) - 1)
     with pytest.raises(ValueError, match="type B"):
         check_short_root_bound(whole, whole.balance_value())

@@ -269,6 +269,23 @@ def test_balance_hull_with_diagram(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["balance"] == {"num": 3, "den": 10}
     assert payload["size"] == 10
+    # The README diagram example, byte for byte: the only byte check of the
+    # order in which a diagram's root keys are listed.
+    data = out_file.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        423, "c92bcba5e879b9be4b6e88b537e83d863f293427770f20546d41a89a42260764")
+
+
+def test_balance_ideal_roots_repeated_index(tmp_path, capsys):
+    """A repeated root index names the same set A: the same table and bytes."""
+    outputs = []
+    for roots in ("0,0,1", "0,1"):
+        out_file = tmp_path / f"{roots}.json"
+        code, out = run(capsys, "balance", "--type", "B", "--rank", "3",
+                        "--ideal-roots", roots, "--out", str(out_file))
+        assert code == 0
+        outputs.append((out, out_file.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_balance_ideal_roots(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bfs_convex_rows, translate
+from conftest import bfs_convex_rows, keys_of, mask_of, root_keys, translate
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
@@ -21,6 +21,7 @@ from coxbalance.convex import (
     scored_ideals,
 )
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
+from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
 from coxbalance.verify import SEMIORDER_TYPES, run_campaign
 from coxbalance.weyl import WeylContext
@@ -33,25 +34,26 @@ def weyl_ctx(family, rank):
 
 
 def all_roots(ctx):
-    return range(ctx.root_system.num_positive_roots)
+    """The mask of every positive root."""
+    return (1 << ctx.root_system.num_positive_roots) - 1
 
 
 def brute_force_ideal(ctx, allowed):
     """Oracle: filter the whole group by inversion containment."""
     return {
         w for w, _ in weyl.all_elements(ctx.root_system)
-        if ctx.inversion_keys(w) <= allowed
+        if keys_of(ctx.inversion_mask(w)) <= keys_of(allowed)
     }
 
 
 def test_ideal_from_upper_examples():
     a2 = weyl_ctx("A", 2)
-    assert len(ideal_from_upper(a2, frozenset())) == 1
+    assert len(ideal_from_upper(a2, 0)) == 1
     assert len(ideal_from_upper(a2, all_roots(a2))) == 6
     # A = {a1, a1+a2} gives the interval below s1 s2 read on the other side:
     # inversions of s2 s1 are a1 and a1+a2
     w = a2.from_word([2, 1])
-    c = ideal_from_upper(a2, a2.inversion_keys(w))
+    c = ideal_from_upper(a2, a2.inversion_mask(w))
     assert len(c) == 3
     assert c.words == ((), (1,), (2, 1))
 
@@ -61,9 +63,8 @@ def test_ideal_matches_brute_force_filter(family, rank):
     ctx = weyl_ctx(family, rank)
     n = ctx.root_system.num_positive_roots
     for mask in range(1 << n):
-        allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
-        c = ideal_from_upper(ctx, allowed)
-        assert set(c.members) == brute_force_ideal(ctx, allowed)
+        c = ideal_from_upper(ctx, mask)
+        assert set(c.members) == brute_force_ideal(ctx, mask)
 
 
 def test_ideals_downward_closed_in_left_order():
@@ -71,12 +72,11 @@ def test_ideals_downward_closed_in_left_order():
     els = [w for w, _ in weyl.all_elements(ctx.root_system)]
     n = ctx.root_system.num_positive_roots
     for mask in range(1 << n):
-        allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
-        c = ideal_from_upper(ctx, allowed)
+        c = ideal_from_upper(ctx, mask)
         members = set(c.members)
         for m in c.members:
             for u in els:
-                if ctx.inversion_keys(u) <= ctx.inversion_keys(m):  # u <= m, left
+                if keys_of(ctx.inversion_mask(u)) <= keys_of(ctx.inversion_mask(m)):  # u <= m
                     assert u in members
 
 
@@ -91,11 +91,11 @@ def test_interval_left():
 def test_convex_set_with_lower_constraint():
     a2 = weyl_ctx("A", 2)
     a1_key = a2.root_system.simple_indices[0]
-    c = convex_set(a2, {a1_key}, all_roots(a2))
+    c = convex_set(a2, 1 << a1_key, all_roots(a2))
     # brute force: elements of S3 with a1 as inversion
     expect = {
         w for w, _ in weyl.all_elements(a2.root_system)
-        if a1_key in a2.inversion_keys(w)
+        if a1_key in keys_of(a2.inversion_mask(w))
     }
     assert set(c.members) == expect
     assert len(c) == 3
@@ -105,9 +105,9 @@ def test_empty_convex_set_errors():
     a2 = weyl_ctx("A", 2)
     high = a2.root_system.highest_root_index
     with pytest.raises(EmptyConvexSetError):
-        convex_set(a2, {high}, {high})
+        convex_set(a2, 1 << high, 1 << high)
     with pytest.raises(EmptyConvexSetError):
-        convex_set(a2, {0}, frozenset())
+        convex_set(a2, 1 << 0, 0)
     with pytest.raises(EmptyConvexSetError):
         from_members(a2, [])
 
@@ -128,8 +128,8 @@ def test_hull_contains_inputs_and_is_minimal():
     for w in els:
         assert w in hull
     # minimality: the hull is contained in every W_D^A containing the inputs
-    invs = [a3.inversion_keys(w) for w in els]
-    c2 = convex_set(a3, frozenset.intersection(*invs), all_roots(a3))
+    lower = a3.inversion_mask(els[0]) & a3.inversion_mask(els[1])
+    c2 = convex_set(a3, lower, all_roots(a3))
     assert set(hull.members) <= set(c2.members)
 
 
@@ -174,11 +174,11 @@ def test_whole_group_balance_is_half():
 def test_fraction_constant_outside_bounds():
     a2 = weyl_ctx("A", 2)
     c = interval_left(a2, a2.from_word([1, 2]))
-    outside = next(k for k in all_roots(a2) if k not in c.upper)
+    outside = next(k for k in range(a2.root_system.num_positive_roots) if k not in keys_of(c.upper))
     assert c.inversion_fraction(outside) == 0
     w = a2.from_word([1, 2, 1])
     single = convex_hull(a2, [w])
-    for k in single.lower:
+    for k in keys_of(single.lower):
         assert single.inversion_fraction(k) == 1
 
 
@@ -200,8 +200,7 @@ def test_translation_invariance_of_balance():
         n = ctx.root_system.num_positive_roots
         for _ in range(pairs):
             mask = random.randrange(1, 1 << n)
-            allowed = frozenset(i for i in range(n) if (mask >> i) & 1)
-            c = ideal_from_upper(ctx, allowed)
+            c = ideal_from_upper(ctx, mask)
             w = random.choice(els)
             assert translate(c, w).balance_value() == c.balance_value()
 
@@ -216,17 +215,16 @@ def test_product_balance_law():
     prod = build_system(matrix_from_edges(4, [(1, 2, 3), (2, 3, 3)]))
     f1 = build_system(path_matrix(3, [3, 3]))
     f2 = build_system(matrix_from_edges(1, []))
-    roots = []
-    a3_rs = build_root_system("A", 3)
-    for coeffs in a3_rs.coefficients:
-        roots.append(tuple(Fraction(c) for c in coeffs) + (Fraction(0),))
-    roots.append((Fraction(0),) * 3 + (Fraction(1),))
+    # each system's keys, by root column
+    prod_keys, f1_keys, f2_keys = root_keys(prod), root_keys(f1), root_keys(f2)
+    roots = [coeffs + (0,) for coeffs in build_root_system("A", 3).coefficients]
+    roots.append((0, 0, 0, 1))
     for _ in range(50):
         mask = random.randrange(1, 1 << len(roots))
-        allowed = frozenset(r for k, r in enumerate(roots) if (mask >> k) & 1)
-        c = ideal_from_upper(prod, allowed)
-        a1 = frozenset(r[:3] for r in allowed if r[3] == 0)
-        a2 = frozenset((r[3],) for r in allowed if r[3] != 0)
+        allowed = [r for k, r in enumerate(roots) if (mask >> k) & 1]
+        c = ideal_from_upper(prod, mask_of(prod_keys[r] for r in allowed))
+        a1 = mask_of(f1_keys[r[:3]] for r in allowed if r[3] == 0)
+        a2 = mask_of(f2_keys[r[3:]] for r in allowed if r[3] != 0)
         b1 = ideal_from_upper(f1, a1).balance_value()
         b2 = ideal_from_upper(f2, a2).balance_value()
         assert len(c) == len(ideal_from_upper(f1, a1)) * len(ideal_from_upper(f2, a2))
@@ -245,7 +243,7 @@ def test_min_balance(family, rank, expected):
 def test_min_balance_b3_includes_figure_interval():
     ctx = weyl_ctx("B", 3)
     w = ctx.from_word([3, 2, 3, 1])
-    target = tuple(sorted(ctx.inversion_keys(w)))
+    target = tuple(bits(ctx.inversion_mask(w)))
     scored = scored_ideals(ctx)
     best = min(b for b, _ in scored)
     assert any(b == best and c.canonical_upper == target for b, c in scored)
@@ -263,7 +261,7 @@ def subset_scan_oracle(ctx):
     n = ctx.root_system.num_positive_roots
     seen = {}
     for mask in range(1 << n):
-        c = ideal_from_upper(ctx, {i for i in range(n) if (mask >> i) & 1})
+        c = ideal_from_upper(ctx, mask)
         seen.setdefault(c.canonical_upper, c)
     return [seen[k] for k in sorted(seen, key=lambda k: (len(k), k))]
 
@@ -271,7 +269,7 @@ def subset_scan_oracle(ctx):
 def scan_view(sets):
     return [
         (c.canonical_upper, c.canonical_lower, c.words,
-         c.members, c.inv_sets)
+         c.members, c.masks)
         for c in sets
     ]
 
@@ -294,9 +292,8 @@ def test_ideals_from_uppers_matches_bfs(family, rank):
     """The one-pass table gives, for every root-poset ideal A, the same W^A
     (words, members, inversion sets, lower and upper sets) as a BFS build."""
     ctx = weyl_ctx(family, rank)
-    n = ctx.root_system.num_positive_roots
     masks = list(iter_ideal_masks(ctx.root_system))
-    oracle = [ideal_from_upper(ctx, {j for j in range(n) if (m >> j) & 1}) for m in masks]
+    oracle = [ideal_from_upper(ctx, m) for m in masks]
     assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
 
 
@@ -307,7 +304,7 @@ def test_ideals_from_uppers_on_every_subset(family, rank):
     ctx = weyl_ctx(family, rank)
     n = ctx.root_system.num_positive_roots
     masks = range(1 << n)
-    oracle = [ideal_from_upper(ctx, {j for j in range(n) if (m >> j) & 1}) for m in masks]
+    oracle = [ideal_from_upper(ctx, m) for m in masks]
     assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
 
 
@@ -371,37 +368,52 @@ ORACLE_GROUPS = {
 
 
 def set_view(c):
-    return c.members, c.words, c.inv_sets, c.lower, c.upper
+    """Members, words, inversion sets and bounds, each set of roots as the
+    frozenset of its keys; the balance with its witnesses in order; and the
+    inversion count of each key in A."""
+    upper = keys_of(c.upper)
+    return (c.members, c.words, tuple(map(keys_of, c.masks)), keys_of(c.lower), upper,
+            c.balance(), {k: c.inversion_count(k) for k in upper})
 
 
 def oracle_view(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
-    members, words, invs = zip(*bfs_convex_rows(ctx, frozenset(lower), frozenset(upper), cap))
-    return members, words, invs, frozenset.intersection(*invs), frozenset.union(*invs)
+    """:func:`set_view` of W_D^A for the masks D and A, recomputed from the
+    frozenset rows of the breadth-first oracle."""
+    members, words, invs = zip(*bfs_convex_rows(ctx, keys_of(lower), keys_of(upper), cap))
+    union = frozenset.union(*invs)
+    n = len(invs)
+    counts = {k: sum(k in inv for inv in invs) for k in union}
+    best = max((min(c, n - c) for c in counts.values()), default=0)
+    witnesses = [k for k in sorted(union, key=ctx.key_order)
+                 if best and min(counts[k], n - counts[k]) == best]
+    return (members, words, invs, frozenset.intersection(*invs), union,
+            (Fraction(best, n), witnesses), counts)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_single_sets_match_bfs_oracle(name):
     """Intervals, hulls and ideals W^A for A inside a union of inversion
     sets have the members, words, inversion sets, lower and upper sets of
-    the breadth-first oracle, and both stop at the same cap."""
+    the breadth-first oracle, and its balance, witnesses and inversion
+    counts; and both stop at the same cap."""
     ctx = ORACLE_GROUPS[name]
     rng = random.Random(name)
     for _ in range(25):
         els = [ctx.from_word([rng.randint(1, ctx.rank) for _ in range(rng.randint(0, 12))])
                for _ in range(rng.randint(1, 3))]
-        invs = [ctx.inversion_keys(w) for w in els]
-        lower, upper = frozenset.intersection(*invs), frozenset.union(*invs)
-        assert set_view(interval_left(ctx, els[0])) == oracle_view(ctx, (), invs[0])
+        invs = [keys_of(ctx.inversion_mask(w)) for w in els]
+        lower, upper = mask_of(frozenset.intersection(*invs)), mask_of(frozenset.union(*invs))
+        assert set_view(interval_left(ctx, els[0])) == oracle_view(ctx, 0, mask_of(invs[0]))
         assert set_view(convex_hull(ctx, els)) == oracle_view(ctx, lower, upper)
-        allowed = frozenset(k for k in upper if rng.random() < 0.7)
+        allowed = mask_of(k for k in bits(upper) if rng.random() < 0.7)
         c = ideal_from_upper(ctx, allowed)
-        assert set_view(c) == oracle_view(ctx, (), allowed)
+        assert set_view(c) == oracle_view(ctx, 0, allowed)
         assert set_view(ideal_from_upper(ctx, allowed, cap=len(c))) == set_view(c)
         if len(c) > 1:
             with pytest.raises(weyl.EnumerationCapExceeded):
                 ideal_from_upper(ctx, allowed, cap=len(c) - 1)
             with pytest.raises(weyl.EnumerationCapExceeded):
-                oracle_view(ctx, (), allowed, cap=len(c) - 1)
+                oracle_view(ctx, 0, allowed, cap=len(c) - 1)
 
 
 HULL_GROUPS = {
@@ -535,7 +547,7 @@ def test_type_a_scan_against_permutation_model():
 
     all_perms = list(permutations(range(1, 5)))
     for c in enumerate_convex_ideals(ctx):
-        allowed_pairs = {pair_of_root[k] for k in c.upper}
+        allowed_pairs = {pair_of_root[k] for k in bits(c.upper)}
         members = [p for p in all_perms if perm_inversions(p) <= allowed_pairs]
         assert len(members) == len(c)
         if len(c) <= 1:

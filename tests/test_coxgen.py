@@ -26,6 +26,7 @@ from coxbalance.coxgen import (
     path_matrix,
     reflection_key_of_word,
 )
+from coxbalance.linalg import bits
 from coxbalance.posets import heap_from_word
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import WeylContext, all_elements
@@ -102,11 +103,13 @@ def test_identity_and_inversions():
     sys = build_system(path_matrix(3, [3, 3]))
     e = sys.identity()
     assert sys.reduced_word(e) == ()
-    assert sys.inversion_keys(e) == frozenset()
+    assert sys.inversion_mask(e) == 0
     w = sys.from_word([1, 2])
-    roots = sys.inversion_keys(w)
-    assert len(roots) == 2
-    assert set(inversion_keys_of_word(sys, [1, 2])) == roots
+    mask = sys.inversion_mask(w)
+    assert mask.bit_count() == 2
+    assert sorted(inversion_keys_of_word(sys, [1, 2])) == list(bits(mask))
+    listed = sorted(bits(mask), key=sys.key_order)
+    assert [sys.key_display(k) for k in listed] == ["a2", "a1+a2"]
 
 
 def test_braid_relation_in_triangle_group():
@@ -218,7 +221,7 @@ BACKENDS = {key: both_groups(*key) for key in CROSS_TYPES}
 
 def signature(c):
     """Size, balance and sorted inversion fractions: free of root keys."""
-    return len(c), c.balance_value(), sorted(c.inversion_fraction(k) for k in c.upper)
+    return len(c), c.balance_value(), sorted(c.inversion_fraction(k) for k in bits(c.upper))
 
 
 def reflection_or_none(g, word):

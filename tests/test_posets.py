@@ -29,6 +29,7 @@ from coxbalance.posets import (
     poset_from_covers,
     poset_json,
 )
+from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import WeylContext
 from coxbalance import convex
@@ -331,9 +332,9 @@ def test_heap_inversion_map_bijection():
     c = convex.interval_left(ctx, w)
     root_to_pos = {key: k for k, key in enumerate(inversion_keys_of_word(ctx, word))}
     assert len(root_to_pos) == 4
-    assert set(root_to_pos) == ctx.inversion_keys(w)
-    for inv in c.inv_sets:
-        ideal = {root_to_pos[k] for k in inv}
+    assert set(root_to_pos) == set(bits(ctx.inversion_mask(w)))
+    for inv in c.masks:
+        ideal = {root_to_pos[k] for k in bits(inv)}
         for x in ideal:  # downward closed in the heap
             for y in range(heap.n):
                 if (heap.rows[y] >> x) & 1:

@@ -24,8 +24,21 @@ from coxbalance.rootsys import (
 
 
 def leq(rs, i, j):
-    """Root-poset order read from the bitmask rows: beta_i <= beta_j."""
-    return (rs._leq[i] >> j) & 1
+    """Root-poset order, coordinatewise on simple-root coefficients: beta_i <= beta_j."""
+    return all(a <= b for a, b in zip(rs.coefficients[i], rs.coefficients[j]))
+
+
+def covers_from_order(coeffs):
+    """Lower and upper cover bitmasks of the coordinatewise order on the
+    coefficient vectors: j covers i iff i <= j and j is one higher."""
+    n = len(coeffs)
+    upper = tuple(
+        sum(1 << j for j in range(n) if sum(coeffs[j]) == sum(coeffs[i]) + 1
+            and all(a <= b for a, b in zip(coeffs[i], coeffs[j])))
+        for i in range(n)
+    )
+    lower = tuple(sum(1 << j for j in range(n) if upper[j] >> i & 1) for i in range(n))
+    return lower, upper
 
 
 def brute_force_ideal_count(rs):
@@ -90,7 +103,7 @@ def fraction_route_fields(family, rank):
         sum(1 << j for j in range(n) if all(a <= b for a, b in zip(coeffs[i], coeffs[j])))
         for i in range(n)
     )
-    down = tuple(sum(1 << j for j in range(n) if leq[j] >> i & 1) for i in range(n))
+    lower, upper = covers_from_order(coeffs)
     norms = [dot(b, b) for b in pos_roots]
     short_idx = None
     if len(set(norms)) > 1:
@@ -122,8 +135,8 @@ def fraction_route_fields(family, rank):
         "heights": tuple(int(p[0]) for p in positives),
         "highest_root_index": n - 1,
         "highest_short_root_index": short_idx,
-        "_leq": leq,
-        "_down": down,
+        "_lower_covers": lower,
+        "_upper_covers": upper,
         "_simple_action": action,
         "_doubled": doubled,
         "_coxeter": coxeter,
@@ -159,19 +172,14 @@ def test_build_matches_fraction_route(family, rank):
 
 @pytest.mark.parametrize("family,rank", [(f, r) for f in "ABCD" for r in range(9, 13)])
 def test_integer_tables_past_rank_eight(family, rank):
-    """Integer checks of the poset rows and the simple action where the
-    Fraction oracle would be slow: the order is coordinatewise, ``_down``
-    is the transpose of ``_leq``, and s_i is an involutive signed
-    permutation of the positive roots that negates alpha_i alone and moves
-    only the i-th coefficient."""
+    """Integer checks of the poset covers and the simple action where the
+    Fraction oracle would be slow: the covers are those of the coordinatewise
+    order, and s_i is an involutive signed permutation of the positive roots
+    that negates alpha_i alone and moves only the i-th coefficient."""
     rs = build_root_system(family, rank)
     coeffs = rs.coefficients
     n = len(coeffs)
-    for i in range(n):
-        above = sum(1 << j for j in range(n)
-                    if all(a <= b for a, b in zip(coeffs[i], coeffs[j])))
-        assert rs._leq[i] == above, i
-        assert rs._down[i] == sum(1 << j for j in range(n) if rs._leq[j] >> i & 1), i
+    assert (rs._lower_covers, rs._upper_covers) == covers_from_order(coeffs)
     for i, row in enumerate(rs._simple_action):
         assert sorted(abs(x) for x in row) == list(range(1, n + 1))
         assert [j for j, x in enumerate(row) if x < 0] == [rs.simple_indices[i]]
@@ -425,7 +433,7 @@ def test_ideal_stream_unique_and_closed():
         seen.add(mask)
         for i in range(rs.num_positive_roots):
             if (mask >> i) & 1:
-                assert rs._down[i] & ~mask == 0
+                assert all(mask >> j & 1 for j in range(rs.num_positive_roots) if leq(rs, j, i))
 
 
 def test_ideal_validation_names_violating_pair():

@@ -231,6 +231,6 @@ def fraction_single_exit(rs, mask):
 def test_single_exit_on_non_ideals(family, rank, mask):
     rs = build_root_system(family, rank)
     assert any(
-        (mask >> i) & 1 and rs._down[i] & ~mask for i in range(rs.num_positive_roots)
+        (mask >> i) & 1 and rs._lower_covers[i] & ~mask for i in range(rs.num_positive_roots)
     ), "mask should not be an order ideal"
     assert single_exit_simple(rs, mask) == fraction_single_exit(rs, mask)
