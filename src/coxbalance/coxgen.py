@@ -12,14 +12,15 @@ algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 its tuple of columns, column j = w(alpha_j), and is its own key.  Like
 ``weyl.WeylContext``, the group object of a finite Weyl type, it keeps only
 the element primitives ``rank``, ``identity()``, ``mul_simple_right`` and
-``mul_simple_left(w, i)``, ``simple_image_key(w, i)`` (None when w(alpha_i)
-is negative), ``invert(w)``, ``inversion_mask(w)``, ``coxeter_m(i, j)``,
-``key_order(key)`` (the order in which keys are listed) and
-``key_display(key)``.  A root key is an int, and a set of roots is the int
-bitmask of its keys.  Both inherit from :class:`GroupWords` the routines
-that read elements only through these: ``from_word``, ``word_length``,
-``check_reduced``, the least right descent ``descent`` and the greedy least
-reduced words ``inverse_word`` and ``reduced_word``.  This module also
+``mul_simple_left(w, i)``, ``is_descent(w, i)`` (True when w(alpha_i) is
+negative), ``simple_image_key(w, i)`` (None when it is), ``invert(w)``,
+``inversion_mask(w)``, ``coxeter_m(i, j)``, ``key_order(key)`` (the order
+in which keys are listed) and ``key_display(key)``.  A root key is an int,
+and a set of roots is the int bitmask of its keys.  Both inherit from
+:class:`GroupWords` the routines that read elements only through these:
+``from_word``, ``word_length``, ``check_reduced``, the least right descent
+``descent`` and the greedy least reduced words ``inverse_word`` and
+``reduced_word``.  This module also
 holds the word combinatorics shared by both group objects: inversion and
 reflection keys of words, braid-move detection and full commutativity.
 """
@@ -212,7 +213,7 @@ class GroupWords:
     def descent(self, x) -> int:
         """Least right descent of x: the least i with x(alpha_i) negative, or 0 when x = e."""
         for i in range(1, self.rank + 1):
-            if self.simple_image_key(x, i) is None:
+            if self.is_descent(x, i):
                 return i
         return 0
 
@@ -278,6 +279,11 @@ class CoxSystem(GroupWords):
             col[:k] + (col[k] - sum(a * x for a, x in zip(row, col)),) + col[k + 1:]
             for col in w
         )
+
+    def is_descent(self, v: Columns, i: int) -> bool:
+        """True iff v(alpha_i) is negative; read from the sign alone, so no
+        key is given to the column."""
+        return min(v[i - 1]) < 0
 
     def simple_image_key(self, v: Columns, i: int) -> Optional[int]:
         """Key of v(alpha_i) if that root is positive, else None."""

@@ -15,6 +15,7 @@ order, known from the type (:func:`group_order`), with the element cap.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial, prod
 from struct import Struct
 from typing import Iterator, List, Optional, Tuple
@@ -69,6 +70,10 @@ class WeylContext(GroupWords):
     def inversion_mask(self, w: Element) -> int:
         """Bitmask of the positive roots that w sends negative."""
         return sum(1 << j for j, a in enumerate(w) if a < 0)
+
+    def is_descent(self, v: Element, i: int) -> bool:
+        """True iff v(alpha_i) is negative."""
+        return v[self.root_system.simple_indices[i - 1]] < 0
 
     def simple_image_key(self, v: Element, i: int) -> Optional[int]:
         """Key of v(alpha_i) if that root is positive, else None."""
@@ -154,6 +159,14 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
     -s_i alpha_k for k < i.  ``u.translate(table, delete)`` is then s_i u
     if s_i u is a child, and shorter than N if it is not: one C-level call
     per (letter, element) makes the child test and the product.
+
+    A level in shortlex order lies in blocks by first letter, with e, which
+    has no left descent, after the last block; recording where each
+    letter's children start gives the next level's blocks.  Letter i skips
+    block i and each block j < i with m(i, j) = 2 (:func:`_walked_runs`):
+    if j is the least left descent of u, then s_j u is shorter, and for
+    j < i with m(i, j) = 2, s_i alpha_j = alpha_j keeps j a left descent of
+    s_i u, so neither is a child.
     """
     if group_order(rs) > cap:
         raise EnumerationCapExceeded(cap)
@@ -164,6 +177,7 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
             f"type {rs.root_label()} has {n}"
         )
     simple = rs.simple_indices
+    runs = _walked_runs(rs)
     steps = []
     for i, row in enumerate(rs._simple_action):
         table = bytearray(range(256))
@@ -171,15 +185,32 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
             table[a] = b % 256
             table[-a % 256] = -b % 256
         delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
-        steps.append((bytes(table), delete, (i + 1,)))
+        steps.append((bytes(table), delete, (i + 1,), runs[i]))
     level = [((), bytes(range(1, n + 1)))]
+    bounds = [0] * (rs.rank + 1) + [1]  # block k is level[bounds[k]:bounds[k + 1]]
     while level:
         yield level
         nxt = []
-        for table, delete, letter in steps:
-            nxt += (
-                (letter + word, c)
-                for word, u in level
-                if len(c := u.translate(table, delete)) == n
-            )
-        level = nxt
+        starts = []
+        for table, delete, letter, letter_runs in steps:
+            starts.append(len(nxt))
+            for a, b in letter_runs:
+                nxt += (
+                    (letter + word, c)
+                    for word, u in islice(level, bounds[a], bounds[b])
+                    if len(c := u.translate(table, delete)) == n
+                )
+        level, bounds = nxt, starts + [len(nxt)] * 2
+
+
+def _walked_runs(rs: RootSystem) -> List[List[Tuple[int, int]]]:
+    """Per letter, the blocks of a level that :func:`levels` tries it on, as
+    half-open runs (a, b) of block numbers.  Block k < r holds the elements
+    whose least word starts with letter k + 1, and block r holds e.  Letter
+    i takes the blocks of the letters j < i with m(i, j) > 2 and every block
+    after its own, e's included."""
+    r = rs.rank
+    return [
+        [(j, j + 1) for j in range(i) if rs.coxeter_m(i + 1, j + 1) > 2] + [(i + 1, r + 1)]
+        for i in range(r)
+    ]

@@ -378,13 +378,23 @@ def set_view(c):
 
 def oracle_view(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     """:func:`set_view` of W_D^A for the masks D and A, recomputed from the
-    frozenset rows of the breadth-first oracle."""
+    frozenset rows of the breadth-first oracle.  Witnesses are listed by
+    root index for a Weyl type, and for a diagram by the column y(alpha_i)
+    at which each member's word meets the root (``inversion_keys_of_word``'s
+    walk), without ``key_order``."""
     members, words, invs = zip(*bfs_convex_rows(ctx, keys_of(lower), keys_of(upper), cap))
     union = frozenset.union(*invs)
     n = len(invs)
     counts = {k: sum(k in inv for inv in invs) for k in union}
     best = max((min(c, n - c) for c in counts.values()), default=0)
-    witnesses = [k for k in sorted(union, key=ctx.key_order)
+    column = {}
+    if not isinstance(ctx, WeylContext):
+        for word in words:
+            y = ctx.identity()
+            for i in reversed(word):
+                column[ctx.simple_image_key(y, i)] = y[i - 1]
+                y = ctx.mul_simple_right(y, i)
+    witnesses = [k for k in sorted(union, key=lambda k: column.get(k, k))
                  if best and min(counts[k], n - counts[k]) == best]
     return (members, words, invs, frozenset.intersection(*invs), union,
             (Fraction(best, n), witnesses), counts)

@@ -129,6 +129,19 @@ def test_descents_match_definition():
     assert sys.reduced_word(w) == (1, 2)
 
 
+def test_descent_gives_no_key():
+    """The least right descent reads signs only, so it gives no column a key."""
+    sys = build_system(path_matrix(4, [INF, INF, INF]))
+    elements = [sys.from_word(word)
+                for word in ([], [2, 3, 2, 3], [1, 4, 2, 3], [3, 2, 1, 4, 3, 2], [4, 3, 2, 1])]
+    sys.inversion_mask(elements[1])
+    before = len(sys._columns)
+    assert [sys.descent(x) for x in elements] == [0, 3, 3, 2, 1]
+    assert len(sys._columns) == before
+    assert [next((i for i in range(1, 5) if sys.simple_image_key(x, i) is None), 0)
+            for x in elements] == [0, 3, 3, 2, 1]
+
+
 def test_lengths_agree_with_weyl_module():
     """Integer root columns match the root-action lengths and least reduced
     words on A3, B3 and G2, and both backends refuse the same words."""
