@@ -137,7 +137,7 @@ def cmd_group(args, out) -> int:
         cap = weyl.DEFAULT_ELEMENT_CAP
     elif cap < 0:
         raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
-    sizes = [len(level) for level in weyl.levels(rs, cap)]
+    sizes = [sum(map(len, level)) for level in weyl.levels(rs, cap)]
     count = sum(sizes)
     print(f"group of type {rs.root_label()}: {count} elements")
     for ln, size in enumerate(sizes):

@@ -134,36 +134,30 @@ class ConvexSet:
         return "\n".join(lines)
 
 
-def _walk_within(ctx, allowed: int, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> List[Tuple]:
+def _walk_within(ctx, allowed: int) -> List[Tuple]:
     """(w, shortlex word, inversion mask) for each w with T_R(w) inside the
-    mask ``allowed``, in (length, word) order: the tree of :func:`weyl.levels`.
+    mask ``allowed``, in (length, word) order: the shortlex tree pruned to W^A.
 
-    v = w^-1 is kept beside w, and T_L(v s_i) = T_L(v) + {v alpha_i} when
-    v alpha_i > 0, so s_i w is longer and in W^A iff that key is allowed.
-    It is a tree child iff i is the least right descent of v s_i.  Dropping a
-    first letter shrinks T_R, so W^A holds the tree parents of its members
-    and each is reached once.  Lengths are at most |allowed|.
+    An entry is (v, row) with v = w^-1, and T_L(v s_i) = T_L(v) + {v alpha_i}
+    when v alpha_i > 0, so s_i w is longer and in W^A iff that key is
+    allowed; it is a tree child iff i is the least right descent of v s_i.
+    Dropping a first letter shrinks T_R, so W^A holds the tree parents of
+    its members.  Lengths are at most |allowed|; the cap is
+    ``weyl.DEFAULT_ELEMENT_CAP`` members.
     """
-    start = (ctx.identity(), (), 0)
-    rows = [start]
-    level = [(start[0], start)]
-    while level:
-        nxt = []
-        for i in range(1, ctx.rank + 1):
-            for v, (w, word, inv) in level:
-                key = ctx.simple_image_key(v, i)
-                if key is None or not allowed >> key & 1:
-                    continue
+
+    def extend(i, block):
+        for v, (w, word, inv) in block:
+            key = ctx.simple_image_key(v, i)
+            if key is not None and allowed >> key & 1:
                 v2 = ctx.mul_simple_right(v, i)
-                if ctx.descent(v2) != i:
-                    continue
-                row = (ctx.mul_simple_left(w, i), (i,) + word, inv | 1 << key)
-                rows.append(row)
-                if len(rows) > cap:
-                    raise weyl.EnumerationCapExceeded(cap)
-                nxt.append((v2, row))
-        level = nxt
-    return rows
+                if ctx.descent(v2) == i:
+                    yield v2, (ctx.mul_simple_left(w, i), (i,) + word, inv | 1 << key)
+
+    e = ctx.identity()
+    walk = coxgen.shortlex_levels(ctx.rank, ctx.coxeter_m, (e, (e, (), 0)), extend,
+                                  weyl.DEFAULT_ELEMENT_CAP)
+    return [row for level in walk for block in level for _, row in block]
 
 
 def _build(ctx, rows) -> ConvexSet:
@@ -174,9 +168,9 @@ def _build(ctx, rows) -> ConvexSet:
     return ConvexSet(ctx, members, words, masks, reduce(and_, masks), reduce(or_, masks))
 
 
-def ideal_from_upper(ctx, allowed: int, cap: int = weyl.DEFAULT_ELEMENT_CAP) -> ConvexSet:
+def ideal_from_upper(ctx, allowed: int) -> ConvexSet:
     """The convex order ideal W^A: every element with inversions inside the mask A."""
-    return _build(ctx, _walk_within(ctx, allowed, cap))
+    return _build(ctx, _walk_within(ctx, allowed))
 
 
 def convex_set(ctx, lower: int, upper: int) -> ConvexSet:

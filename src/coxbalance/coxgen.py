@@ -20,9 +20,9 @@ and a set of roots is the int bitmask of its keys.  Both inherit from
 :class:`GroupWords` the routines that read elements only through these:
 ``from_word``, ``word_length``, ``check_reduced``, the least right descent
 ``descent`` and the greedy least reduced words ``inverse_word`` and
-``reduced_word``.  This module also
-holds the word combinatorics shared by both group objects: inversion and
-reflection keys of words, braid-move detection and full commutativity.
+``reduced_word``.  This module also holds the one walk of the shortlex
+tree, :func:`shortlex_levels`, and the word combinatorics shared by both:
+inversion and reflection keys of words, braid moves, full commutativity.
 """
 
 from __future__ import annotations
@@ -360,6 +360,65 @@ def reflection_key_of_word(g, word: Sequence[int]):
     if len(rw) != 1:
         raise ValueError("word does not describe a reflection")
     return g.simple_image_key(u, rw[0])
+
+
+# -- the shortlex tree ---------------------------------------------------------
+
+
+class EnumerationCapExceeded(ValueError):
+    def __init__(self, cap: int):
+        super().__init__(f"group enumeration exceeded the element cap of {cap}")
+        self.cap = cap
+
+
+def shortlex_levels(rank: int, coxeter_m, root, extend, cap: int) -> Iterator[List[list]]:
+    """The tree of least reduced words, one length at a time, in first-letter blocks.
+
+    A level is a list of rank + 1 blocks: block k < rank holds the entries
+    whose least word starts with letter k + 1, in shortlex order, and block
+    rank holds ``root``, the entry of e, alone at length 0.
+    ``extend(i, block)`` gives, in order, the entries of the children s_i u
+    of the block's elements u that are to be walked; a child left out takes
+    its subtree with it.  Callers must not change a yielded level.  Raises
+    :class:`EnumerationCapExceeded`, checked after each letter, once more
+    than ``cap`` entries, e's included, are walked.
+
+    The tree: least reduced words are closed under taking suffixes, and
+    the least word of v != e starts with its least left descent i, so they
+    form a tree rooted at e in which the parent of v is s_i v (Bjorner-
+    Brenti, Combinatorics of Coxeter Groups, ch. 3): s_i u is a child of u
+    iff i is not a left descent of u and no k < i is one of s_i u.  Each
+    element is reached once, so no set of seen elements is kept, and the
+    letters taken in order, each over blocks in shortlex order, give the
+    next level in shortlex order with no sort.
+
+    The blocks: letter i is handed only the blocks j > i, e's included,
+    and the blocks j < i with m(i, j) != 2 (inf is ``None``).  For u in
+    block j, j is the least left descent of u: if j = i, s_i u is shorter,
+    and if j < i and m(i, j) = 2, s_i alpha_j = alpha_j keeps j a left
+    descent of s_i u, so neither is a child.
+    """
+    tried = [[j for j in range(rank + 1) if j > i or j < i and coxeter_m(i + 1, j + 1) != 2]
+             for i in range(rank)]
+    if cap < 1:
+        raise EnumerationCapExceeded(cap)
+    level = [[] for _ in range(rank)] + [[root]]
+    count = 1
+    while True:
+        yield level
+        nxt = []
+        for i, blocks in enumerate(tried, 1):
+            children = []
+            for j in blocks:
+                if level[j]:
+                    children += extend(i, level[j])
+            count += len(children)
+            if count > cap:
+                raise EnumerationCapExceeded(cap)
+            nxt.append(children)
+        if not any(nxt):
+            return
+        level = nxt + [[]]
 
 
 # -- word combinatorics (shared with finite Weyl groups) ----------------------

@@ -89,11 +89,6 @@ def _doubled_simple_roots(family: Family, rank: int) -> List[Tuple[int, ...]]:
     raise InvalidTypeError(family, rank)
 
 
-def simple_roots(family: Family, rank: int) -> List[Vector]:
-    """Simple roots for the given irreducible type, in diagram order."""
-    return [tuple(Fraction(x, 2) for x in d) for d in _doubled_simple_roots(family, rank)]
-
-
 class InvalidTypeError(ValueError):
     def __init__(self, family, rank):
         super().__init__(f"not a valid irreducible type: ({family!r}, {rank!r})")

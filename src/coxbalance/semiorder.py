@@ -52,9 +52,10 @@ def from_unit_interval(values: Sequence[Fraction]) -> GeneralizedSemiorder:
         raise ValueError("need at least two values")
     rs = build_root_system("A", n - 1)
     members = []
-    for idx, doubled in enumerate(rs._doubled):
-        # twice e_i - e_j: +2 at position i, -2 at position j
-        if values[doubled.index(-2)] - values[doubled.index(2)] < 1:
+    for idx, coeffs in enumerate(rs.coefficients):
+        # e_i - e_j = alpha_i + ... + alpha_(j-1): ones on positions i..j-1
+        i = coeffs.index(1)
+        if values[i + sum(coeffs)] - values[i] < 1:
             members.append(idx)
     return build(rs, members)
 

@@ -15,23 +15,16 @@ order, known from the type (:func:`group_order`), with the element cap.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import factorial, prod
 from struct import Struct
 from typing import Iterator, List, Optional, Tuple
 
-from .coxgen import GroupWords, root_display
+from .coxgen import EnumerationCapExceeded, GroupWords, root_display, shortlex_levels
 from .rootsys import RootSystem
 
 DEFAULT_ELEMENT_CAP = 10**6
 
 Element = Tuple[int, ...]
-
-
-class EnumerationCapExceeded(ValueError):
-    def __init__(self, cap: int):
-        super().__init__(f"group enumeration exceeded the element cap of {cap}")
-        self.cap = cap
 
 
 class WeylContext(GroupWords):
@@ -115,42 +108,29 @@ def group_order(rs: RootSystem) -> int:
 MAX_BYTE_ROOTS = 127
 
 
-def all_elements(
-    rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP
-) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
+def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
-    The entries of :func:`levels`, one length at a time, each decoded to
-    its signed tuple.  Raises :class:`EnumerationCapExceeded` before any
-    element when the group has more than ``cap`` elements.
+    The entries of :func:`levels`, block by block, each decoded to its
+    signed tuple.  Raises :class:`EnumerationCapExceeded` before any
+    element when the group has more than ``DEFAULT_ELEMENT_CAP`` elements.
     """
     decode = Struct(f"{rs.num_positive_roots}b").unpack
-    for level in levels(rs, cap):
-        for word, code in level:
-            yield decode(code), word
+    for level in levels(rs, DEFAULT_ELEMENT_CAP):
+        for block in level:
+            for word, code in block:
+                yield decode(code), word
 
 
-def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tuple]]:
-    """The group one length at a time, each level as one list in shortlex order.
+def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[list]]:
+    """The group one length at a time: the levels of ``coxgen.shortlex_levels``.
 
     An entry is (word, code): the element's shortlex-minimal reduced word
-    and the element as ``bytes``, entry a as a % 256.  The walk steps from
-    each yielded list to the next level, so callers must not change it.
-    At the first ``next()``, before any level, it raises
-    :class:`EnumerationCapExceeded` when :func:`group_order` exceeds
-    ``cap``, and ``ValueError`` for a type with more than ``MAX_BYTE_ROOTS``
-    positive roots, whose codes would not fit a byte; such a group has at
-    least 9.8 * 10^11 elements.
-
-    Lexicographically least reduced words are closed under taking suffixes,
-    and the least word of v != e starts with its least left descent i.  So
-    the least words form a tree rooted at e (Bjorner-Brenti, Combinatorics
-    of Coxeter Groups, ch. 3): the parent of v is s_i v, and s_i u is a
-    child of u iff no k < i is a left descent of s_i u and i is not one of
-    u.  Every element is reached exactly once, so no set of seen elements
-    is kept.  Walking the letters i in the outer loop and a level, already
-    in shortlex order, in the inner loop gives the next level in shortlex
-    order with no sort.
+    and the element as ``bytes``, entry a as a % 256.  At the first
+    ``next()``, before any level, it raises :class:`EnumerationCapExceeded`
+    when :func:`group_order` exceeds ``cap``, and ``ValueError`` for a type
+    with more than ``MAX_BYTE_ROOTS`` positive roots, whose codes would not
+    fit a byte; such a group has at least 9.8 * 10^11 elements.
 
     k is a left descent of u iff u^-1 alpha_k < 0, that is iff -alpha_k is
     an entry of u, and k is one of s_i u iff -s_i alpha_k is an entry of u.
@@ -159,14 +139,6 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
     -s_i alpha_k for k < i.  ``u.translate(table, delete)`` is then s_i u
     if s_i u is a child, and shorter than N if it is not: one C-level call
     per (letter, element) makes the child test and the product.
-
-    A level in shortlex order lies in blocks by first letter, with e, which
-    has no left descent, after the last block; recording where each
-    letter's children start gives the next level's blocks.  Letter i skips
-    block i and each block j < i with m(i, j) = 2 (:func:`_walked_runs`):
-    if j is the least left descent of u, then s_j u is shorter, and for
-    j < i with m(i, j) = 2, s_i alpha_j = alpha_j keeps j a left descent of
-    s_i u, so neither is a child.
     """
     if group_order(rs) > cap:
         raise EnumerationCapExceeded(cap)
@@ -177,7 +149,6 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
             f"type {rs.root_label()} has {n}"
         )
     simple = rs.simple_indices
-    runs = _walked_runs(rs)
     steps = []
     for i, row in enumerate(rs._simple_action):
         table = bytearray(range(256))
@@ -185,32 +156,10 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[tupl
             table[a] = b % 256
             table[-a % 256] = -b % 256
         delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
-        steps.append((bytes(table), delete, (i + 1,), runs[i]))
-    level = [((), bytes(range(1, n + 1)))]
-    bounds = [0] * (rs.rank + 1) + [1]  # block k is level[bounds[k]:bounds[k + 1]]
-    while level:
-        yield level
-        nxt = []
-        starts = []
-        for table, delete, letter, letter_runs in steps:
-            starts.append(len(nxt))
-            for a, b in letter_runs:
-                nxt += (
-                    (letter + word, c)
-                    for word, u in islice(level, bounds[a], bounds[b])
-                    if len(c := u.translate(table, delete)) == n
-                )
-        level, bounds = nxt, starts + [len(nxt)] * 2
+        steps.append((bytes(table), delete, (i + 1,)))
 
+    def extend(i, block):
+        table, delete, letter = steps[i - 1]
+        return ((letter + word, c) for word, u in block if len(c := u.translate(table, delete)) == n)
 
-def _walked_runs(rs: RootSystem) -> List[List[Tuple[int, int]]]:
-    """Per letter, the blocks of a level that :func:`levels` tries it on, as
-    half-open runs (a, b) of block numbers.  Block k < r holds the elements
-    whose least word starts with letter k + 1, and block r holds e.  Letter
-    i takes the blocks of the letters j < i with m(i, j) > 2 and every block
-    after its own, e's included."""
-    r = rs.rank
-    return [
-        [(j, j + 1) for j in range(i) if rs.coxeter_m(i + 1, j + 1) > 2] + [(i + 1, r + 1)]
-        for i in range(r)
-    ]
+    yield from shortlex_levels(rs.rank, rs.coxeter_m, ((), bytes(range(1, n + 1))), extend, cap)

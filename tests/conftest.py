@@ -1,18 +1,17 @@
 """Shared test settings, oracles and helpers that no command needs.
 
 The oracles recompute, by a second route, what ``src/`` computes on integer
-tables: type A one-line notation, the action and reflections on
-``Fraction`` vectors, the reflection in a root as a conjugate of a simple
-reflection by words, the members and words of a convex set by
-breadth-first search on frozensets of root keys, the single-exit simple
-roots of a root-poset ideal, the classical semiorder of a point set and
-brute-force linear extension counts.  The helpers build objects the tests
-compare: commutation classes, right translates of convex sets, dual
-posets, and the root keys of a finite group object with the masks and
-frozensets of such keys.  Property tests run under
-a derandomized hypothesis profile: the examples are derived from each
-test's source, so every run of the suite draws the same ones, and no
-example database is written.
+tables: type A one-line notation, the simple roots of a type and the action
+and reflections on ``Fraction`` vectors, the reflection in a root as a
+conjugate of a simple reflection by words, the members and words of a convex
+set by breadth-first search on frozensets of root keys, the single-exit
+simple roots of a root-poset ideal, the classical semiorder of a point set
+and brute-force linear extension counts.  The helpers build objects the tests
+compare: commutation classes, right translates of convex sets, dual posets,
+and the root keys of a finite group object with the masks and frozensets of
+such keys.  Property tests run under a derandomized hypothesis profile: the
+examples are derived from each test's source, so every run of the suite
+draws the same ones, and no example database is written.
 """
 
 from fractions import Fraction
@@ -24,6 +23,7 @@ from coxbalance import convex, weyl
 from coxbalance.coxgen import NotReducedError
 from coxbalance.linalg import bits, dot
 from coxbalance.posets import LabeledPoset
+from coxbalance.rootsys import _doubled_simple_roots
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
@@ -59,6 +59,12 @@ def zero(n):
 def reflect(alpha, x):
     """Reflect a vector across a nonzero root: x - (2<a,x>/<a,a>) a, exactly."""
     return sub(x, scale(2 * dot(alpha, x) / dot(alpha, alpha), alpha))
+
+
+def simple_roots(family, rank):
+    """Simple roots of an irreducible type in diagram order, as ``Fraction``
+    vectors: the halves of the doubled table that ``rootsys`` builds from."""
+    return [tuple(Fraction(x, 2) for x in d) for d in _doubled_simple_roots(family, rank)]
 
 
 # -- group elements -------------------------------------------------------------

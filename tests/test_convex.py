@@ -349,10 +349,27 @@ def test_scan_count_a4():
     assert len(uppers) == len(set(uppers)) == 357
 
 
-def test_bfs_cap_guard():
+def test_bfs_cap_guard(monkeypatch):
     ctx = weyl_ctx("A", 3)
+    monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(weyl.EnumerationCapExceeded, match="10"):
-        ideal_from_upper(ctx, all_roots(ctx), cap=10)
+        ideal_from_upper(ctx, all_roots(ctx))
+
+
+def test_single_set_walk_tries_each_letter_on_its_blocks_only():
+    """The walk of D5's whole W^A multiplies once per (letter, parent) pair
+    that the first-letter blocks hand over and whose root is allowed."""
+    ctx = weyl_ctx("D", 5)
+    real = ctx.mul_simple_right
+    calls = []
+
+    def counted(v, i):
+        calls.append(i)
+        return real(v, i)
+
+    ctx.mul_simple_right = counted
+    assert len(ideal_from_upper(ctx, all_roots(ctx))) == 1920
+    assert len(calls) == 2705
 
 
 ORACLE_GROUPS = {
@@ -401,7 +418,7 @@ def oracle_view(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
-def test_single_sets_match_bfs_oracle(name):
+def test_single_sets_match_bfs_oracle(name, monkeypatch):
     """Intervals, hulls and ideals W^A for A inside a union of inversion
     sets have the members, words, inversion sets, lower and upper sets of
     the breadth-first oracle, and its balance, witnesses and inversion
@@ -418,10 +435,14 @@ def test_single_sets_match_bfs_oracle(name):
         allowed = mask_of(k for k in bits(upper) if rng.random() < 0.7)
         c = ideal_from_upper(ctx, allowed)
         assert set_view(c) == oracle_view(ctx, 0, allowed)
-        assert set_view(ideal_from_upper(ctx, allowed, cap=len(c))) == set_view(c)
+        with monkeypatch.context() as patch:
+            patch.setattr(weyl, "DEFAULT_ELEMENT_CAP", len(c))
+            assert set_view(ideal_from_upper(ctx, allowed)) == set_view(c)
+            if len(c) > 1:
+                patch.setattr(weyl, "DEFAULT_ELEMENT_CAP", len(c) - 1)
+                with pytest.raises(weyl.EnumerationCapExceeded):
+                    ideal_from_upper(ctx, allowed)
         if len(c) > 1:
-            with pytest.raises(weyl.EnumerationCapExceeded):
-                ideal_from_upper(ctx, allowed, cap=len(c) - 1)
             with pytest.raises(weyl.EnumerationCapExceeded):
                 oracle_view(ctx, 0, allowed, cap=len(c) - 1)
 

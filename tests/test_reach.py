@@ -3,12 +3,16 @@ every defaulted parameter of a public function.
 
 A public function, class or method that no other code of the package names
 is reached only by tests, so neither the command line nor a campaign runs
-it.  Such code belongs in the tests (as an oracle) or nowhere.  A name
-counts as referenced when it appears as an ``ast.Name`` or as an attribute
-name in ``src/coxbalance`` outside its own definition and outside every
-unreached definition, so a helper called only from unreached code is
-unreached too.  A name shared with a builtin method (``bytes.translate``,
-``set.add``) still counts as referenced wherever the method is called.
+it.  Such code belongs in the tests (as an oracle) or nowhere.  A
+module-level definition counts as referenced only through a name that
+resolves to it: ``module.name`` with ``module`` bound by ``from . import``,
+a ``from .module import name`` binding, or a bare name inside its own
+module that no import rebinds.  A method counts as referenced when its
+name appears as an attribute name anywhere, so a method that shares its
+name with a builtin one (``bytes.translate``, ``set.add``) counts wherever
+that is called.  A reference counts only outside the definition itself and
+outside every unreached definition, so a helper called only from
+unreached code is unreached too.
 
 Likewise a defaulted parameter that no call in ``src/coxbalance`` passes,
 by keyword or by position, is an option that only tests set.  A call counts
@@ -35,10 +39,6 @@ ALLOWED = {
 # Defaulted parameters that no call in src/ passes, each with its reason.
 ALLOWED_DEFAULTS = {
     "cli.main.argv": "the entry point; the console script calls main() with no argument",
-    "convex.ideal_from_upper.cap": "the tests set it to check the walk's cap point "
-                                   "against the BFS oracle",
-    "weyl.all_elements.cap": "the tests check that a cap below |W| raises before "
-                             "the walk; group passes its --cap to weyl.levels instead",
 }
 
 
@@ -60,29 +60,48 @@ def public_definitions(module, body, owner=""):
                 yield from public_definitions(module, node.body, f"{owner}{node.name}.")
 
 
+def references(module, tree):
+    """(target, line) of each reference in one module: ``module.name`` for a
+    name that resolves to a module-level definition, ``.name`` for each
+    attribute name."""
+    modules, names = {}, {}  # local name -> what a relative import binds to it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    yield f"{node.module}.{alias.name}", node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in modules:
+            yield names.get(node.id, f"{module}.{node.id}"), node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield f".{node.attr}", node.lineno
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                yield f"{modules[node.value.id]}.{node.attr}", node.lineno
+
+
 def unreached(kept=frozenset()):
     """Qualified names of the unreached public definitions; those in ``kept``
     count as reached, and so does what they call."""
-    definitions = []
-    references = []  # (name, module, line)
+    definitions = []  # (qualified name, the target that reaches it, module, span)
+    refs = []  # (target, module, line)
     for module, tree in parsed_src():
-        for qualified, node, _ in public_definitions(module, tree.body):
-            definitions.append((qualified, node.name, module, node.lineno, node.end_lineno))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                references.append((node.id, module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                references.append((node.attr, module, node.lineno))
+        for qualified, node, owner in public_definitions(module, tree.body):
+            target = f".{node.name}" if owner else qualified
+            definitions.append((qualified, target, module, node.lineno, node.end_lineno))
+        refs += [(target, module, line) for target, line in references(module, tree)]
     dead = set()
     while True:
         dead_spans = [(module, first, last) for qualified, _, module, first, last in definitions
                       if qualified in dead]
 
-        def live(name, module, first, last):
+        def live(target, module, first, last):
             return any(
-                ref == name and not (where == module and first <= line <= last)
+                ref == target and not (where == module and first <= line <= last)
                 and not any(where == m and a <= line <= b for m, a, b in dead_spans)
-                for ref, where, line in references
+                for ref, where, line in refs
             )
 
         found = {qualified for qualified, *span in definitions

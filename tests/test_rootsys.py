@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import neg, reflect, vec
+from conftest import neg, reflect, simple_roots, vec
 from coxbalance.linalg import dot, invert
 from coxbalance.rootsys import (
     InvalidTypeError,
@@ -19,7 +19,6 @@ from coxbalance.rootsys import (
     root_graph,
     root_graph_dot,
     roots_json,
-    simple_roots,
 )
 
 

@@ -8,13 +8,14 @@ from math import prod
 import pytest
 
 from conftest import apply, one_line
+from coxbalance import weyl
+from coxbalance.coxgen import INF, build_system, complete_graph_matrix, path_matrix, shortlex_levels
 from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import (
     MAX_BYTE_ROOTS,
     EnumerationCapExceeded,
     WeylContext,
-    _walked_runs,
     all_elements,
     group_order,
     levels,
@@ -211,11 +212,14 @@ def decode(code):
 
 
 def decoded_levels(rs):
-    """``levels`` with each entry as an (element, word) pair; level k must
-    hold exactly the words of length k."""
+    """``levels`` with each entry as an (element, word) pair, flattened
+    block by block; level k must hold exactly the words of length k, and
+    block j those whose first letter is j + 1 (e's block is the last)."""
     for k, level in enumerate(levels(rs, group_order(rs))):
-        assert {len(word) for word, _ in level} == {k}
-        yield [(decode(code), word) for word, code in level]
+        assert {len(word) for block in level for word, _ in block} == {k}
+        assert all((word[0] - 1 if word else rs.rank) == j
+                   for j, block in enumerate(level) for word, _ in block)
+        yield [(decode(code), word) for block in level for word, code in block]
 
 
 FULL_TYPES = [
@@ -247,50 +251,105 @@ def test_enumeration_matches_bfs_oracle(family, rank):
     assert list(all_elements(rs)) == [entry for level in expected for entry in level]
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("D", 4), ("F", 4), ("G", 2)])
-def test_skipped_blocks_hold_no_tree_child(family, rank):
-    """Each level lies in blocks by first letter, in increasing order, with
-    e alone at length 0; and for every letter i that the walk skips on u's
-    block, s_i u is shorter than u or has a left descent k < i, so it is
-    not u's child in the tree of least words."""
-    rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
-    walked = [{k for a, b in runs for k in range(a, b)} for runs in _walked_runs(rs)]
+TREE_GROUPS = {
+    **{f"{family}-{rank}": WeylContext(build_root_system(family, rank))
+       for family, rank in [("A", 4), ("B", 4), ("D", 4), ("F", 4), ("G", 2)]},
+    "path-6-inf": build_system(path_matrix(3, [6, INF])),
+    "path-inf-3-4": build_system(path_matrix(4, [INF, 3, 4])),
+    "triangle": build_system(complete_graph_matrix(3)),
+}
+
+
+def ball(g, radius):
+    """Oracle: the length of each element of length at most ``radius``, by
+    breadth-first search with a set of seen elements."""
+    dist = {g.identity(): 0}
+    frontier = [g.identity()]
+    for ell in range(1, radius + 1):
+        nxt = []
+        for u in frontier:
+            for i in range(1, g.rank + 1):
+                v = g.mul_simple_left(u, i)
+                if v not in dist:
+                    dist[v] = ell
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("name", list(TREE_GROUPS))
+def test_skipped_blocks_hold_no_tree_child(name):
+    """``shortlex_levels`` with an ``extend`` that keeps every tree child,
+    found by breadth-first lengths, on a Weyl group object in full and on
+    a diagram's first 8 levels.  Level k is the sphere of radius k, each
+    element once; block j < r holds the elements whose least left descent
+    is j + 1, and block r holds e alone at length 0.  For every (letter i,
+    block) pair the walk does not hand to ``extend``, each u in the block
+    has s_i u shorter than u or a left descent k < i of s_i u, so the
+    block holds no child of letter i."""
+    g = TREE_GROUPS[name]
+    r = g.rank
+    depth = 30 if isinstance(g, WeylContext) else 8  # past the longest Weyl element
+    dist = ball(g, depth + 1)
+
+    def left_descents(u):
+        return [k for k in range(1, r + 1) if dist[g.mul_simple_left(u, k)] < dist[u]]
+
+    def is_child(i, u):
+        v = g.mul_simple_left(u, i)
+        return dist[v] > dist[u] and not any(k < i for k in left_descents(v))
+
+    handed = set()
+
+    def extend(i, block):
+        handed.add((i, id(block)))
+        return [g.mul_simple_left(u, i) for u in block if is_child(i, u)]
+
+    walked = list(islice(shortlex_levels(r, g.coxeter_m, g.identity(), extend, 10**6), depth + 1))
+    assert walked[0] == [[]] * r + [[g.identity()]]
     skips = 0
-    for ell, level in enumerate(levels(rs)):
-        firsts = [word[0] - 1 if word else rank for word, _ in level]
-        assert firsts == sorted(firsts)
-        if ell == 0:
-            assert level == [((), bytes(range(1, rs.num_positive_roots + 1)))]
-        for (word, code), j in zip(level, firsts):
-            u = decode(code)
-            for i in range(1, rank + 1):
-                if j in walked[i - 1]:
-                    continue
-                skips += 1
-                v = ctx.mul_simple_left(u, i)
-                assert length(v) < length(u) or any(
-                    length(ctx.mul_simple_left(v, k)) < length(v) for k in range(1, i))
+    for ell, level in enumerate(walked):
+        members = [u for block in level for u in block]
+        assert len(members) == len(set(members))
+        assert set(members) == {u for u, d in dist.items() if d == ell}
+        for j, block in enumerate(level[:r]):
+            assert all(left_descents(u)[0] == j + 1 for u in block)
+        if ell == depth:
+            break  # the walk stopped before extending this level
+        for j, block in enumerate(level):
+            for i in range(1, r + 1):
+                if block and (i, id(block)) not in handed:
+                    skips += 1
+                    assert not any(is_child(i, u) for u in block)
     assert skips > 0
 
 
-def test_walk_tries_each_letter_on_its_blocks_only():
-    """On E6 the walk makes 95113 of the 6 * 51840 (letter, element) tries."""
+def test_walk_tries_each_letter_on_its_blocks_only(monkeypatch):
+    """On E6 the walk hands its translate step 95113 of the 6 * 51840
+    (letter, element) pairs."""
     rs = build_root_system("E", 6)
-    tries = 0
-    for level in levels(rs):
-        sizes = Counter(word[0] - 1 if word else rs.rank for word, _ in level)
-        tries += sum(sizes[k] for runs in _walked_runs(rs) for a, b in runs for k in range(a, b))
-    assert (tries, group_order(rs)) == (95113, 51840)
+    tries = []
+
+    def counted(rank, coxeter_m, root, extend, cap):
+        def counting(i, block):
+            tries.append(len(block))
+            return extend(i, block)
+
+        return shortlex_levels(rank, coxeter_m, root, counting, cap)
+
+    monkeypatch.setattr(weyl, "shortlex_levels", counted)
+    order = sum(len(block) for level in levels(rs) for block in level)
+    assert (sum(tries), order) == (95113, 51840)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
-def test_cap_is_checked_against_group_order_before_the_walk(family, rank):
+def test_cap_is_checked_against_group_order_before_the_walk(family, rank, monkeypatch):
     rs = build_root_system(family, rank)
     order = group_order(rs)
-    assert sum(len(level) for level in levels(rs, order)) == order
+    assert sum(len(block) for level in levels(rs, order) for block in level) == order
     for cap in (order - 1, 0):
-        for walk in (levels(rs, cap), all_elements(rs, cap)):
+        monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", cap)
+        for walk in (levels(rs, cap), all_elements(rs)):
             with pytest.raises(EnumerationCapExceeded) as exc:
                 next(walk)
             assert str(exc.value) == f"group enumeration exceeded the element cap of {cap}"
@@ -307,10 +366,11 @@ def test_walk_refuses_types_past_the_byte_bound(family, rank):
     assert not isinstance(exc.value, EnumerationCapExceeded)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     rs = build_root_system("A", 3)
+    monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 5)
     with pytest.raises(EnumerationCapExceeded) as exc:
-        list(all_elements(rs, cap=5))
+        list(all_elements(rs))
     assert "5" in str(exc.value)
 
 
@@ -362,7 +422,7 @@ def test_length_counts_match_poincare_polynomial(family, rank):
     assert [counts[k] for k in range(len(expected))] == expected
     assert sum(counts.values()) == sum(expected)
     # the level sizes that ``coxbalance group`` prints
-    sizes = [len(level) for level in levels(rs)]
+    sizes = [sum(map(len, level)) for level in levels(rs)]
     assert sizes == expected
     assert group_order(rs) == sum(sizes)
 
