@@ -155,8 +155,7 @@ def _walk_within(ctx, allowed: int) -> List[Tuple]:
                     yield v2, (ctx.mul_simple_left(w, i), (i,) + word, inv | 1 << key)
 
     e = ctx.identity()
-    walk = coxgen.shortlex_levels(ctx.rank, ctx.coxeter_m, (e, (e, (), 0)), extend,
-                                  weyl.DEFAULT_ELEMENT_CAP)
+    walk = coxgen.shortlex_levels(ctx.coxeter, (e, (e, (), 0)), extend, weyl.DEFAULT_ELEMENT_CAP)
     return [row for level in walk for block in level for _, row in block]
 
 

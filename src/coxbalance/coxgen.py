@@ -14,8 +14,9 @@ its tuple of columns, column j = w(alpha_j), and is its own key.  Like
 the element primitives ``rank``, ``identity()``, ``mul_simple_right`` and
 ``mul_simple_left(w, i)``, ``is_descent(w, i)`` (True when w(alpha_i) is
 negative), ``simple_image_key(w, i)`` (None when it is), ``invert(w)``,
-``inversion_mask(w)``, ``coxeter_m(i, j)``, ``key_order(key)`` (the order
-in which keys are listed) and ``key_display(key)``.  A root key is an int,
+``inversion_mask(w)``, ``coxeter_m(i, j)``, ``coxeter`` (the rows of the
+Coxeter matrix), ``key_order(key)`` (the order in which keys are listed)
+and ``key_display(key)``.  A root key is an int,
 and a set of roots is the int bitmask of its keys.  Both inherit from
 :class:`GroupWords` the routines that read elements only through these:
 ``from_word``, ``word_length``, ``check_reduced``, the least right descent
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 INF = None  # infinite edge label
@@ -256,6 +258,11 @@ class CoxSystem(GroupWords):
     def rank(self) -> int:
         return self.matrix.rank
 
+    @property
+    def coxeter(self) -> Tuple[Tuple[Optional[int], ...], ...]:
+        """The Coxeter matrix as rows, 0-based."""
+        return self.matrix.entries
+
     def coxeter_m(self, i: int, j: int) -> Optional[int]:
         return self.matrix.m(i, j)
 
@@ -371,12 +378,13 @@ class EnumerationCapExceeded(ValueError):
         self.cap = cap
 
 
-def shortlex_levels(rank: int, coxeter_m, root, extend, cap: int) -> Iterator[List[list]]:
+def shortlex_levels(coxeter, root, extend, cap: int) -> Iterator[List[list]]:
     """The tree of least reduced words, one length at a time, in first-letter blocks.
 
-    A level is a list of rank + 1 blocks: block k < rank holds the entries
-    whose least word starts with letter k + 1, in shortlex order, and block
-    rank holds ``root``, the entry of e, alone at length 0.
+    ``coxeter`` is a group object's ``coxeter``, the rows of its Coxeter
+    matrix.  A level is a list of rank + 1 blocks: block k < rank holds the
+    entries whose least word starts with letter k + 1, in shortlex order,
+    and block rank holds ``root``, the entry of e, alone at length 0.
     ``extend(i, block)`` gives, in order, the entries of the children s_i u
     of the block's elements u that are to be walked; a child left out takes
     its subtree with it.  Callers must not change a yielded level.  Raises
@@ -398,11 +406,10 @@ def shortlex_levels(rank: int, coxeter_m, root, extend, cap: int) -> Iterator[Li
     and if j < i and m(i, j) = 2, s_i alpha_j = alpha_j keeps j a left
     descent of s_i u, so neither is a child.
     """
-    tried = [[j for j in range(rank + 1) if j > i or j < i and coxeter_m(i + 1, j + 1) != 2]
-             for i in range(rank)]
+    tried = _letter_blocks(coxeter)
     if cap < 1:
         raise EnumerationCapExceeded(cap)
-    level = [[] for _ in range(rank)] + [[root]]
+    level = [[] for _ in tried] + [[root]]
     count = 1
     while True:
         yield level
@@ -419,6 +426,15 @@ def shortlex_levels(rank: int, coxeter_m, root, extend, cap: int) -> Iterator[Li
         if not any(nxt):
             return
         level = nxt + [[]]
+
+
+@lru_cache(maxsize=64)
+def _letter_blocks(coxeter) -> Tuple[Tuple[int, ...], ...]:
+    """Per letter, the blocks that :func:`shortlex_levels` hands it.  Built
+    once per Coxeter matrix: building them took most of a walk of {e}."""
+    rank = len(coxeter)
+    return tuple(tuple(j for j in range(rank + 1) if j > i or j < i and row[j] != 2)
+                 for i, row in enumerate(coxeter))
 
 
 # -- word combinatorics (shared with finite Weyl groups) ----------------------

@@ -9,8 +9,10 @@ arithmetic only and inherits its word routines from ``coxgen.GroupWords``;
 a vector's image under w is read from the same tuple in ``alcove``.  A root
 key is a positive-root index, and a set of roots, such as an inversion set,
 is the int bitmask of its keys.
-:func:`levels` walks the group one length at a time, after comparing its
-order, known from the type (:func:`group_order`), with the element cap.
+:func:`levels` walks the group one length at a time as bare byte codes,
+after comparing its order, known from the type (:func:`group_order`), with
+the element cap; :func:`all_elements` decodes each code and derives its
+word from its parent's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class WeylContext(GroupWords):
     def __init__(self, rs: RootSystem):
         self.root_system = rs
         self.rank = rs.rank
+        self.coxeter = rs._coxeter
 
     def identity(self) -> Element:
         return tuple(range(1, self.root_system.num_positive_roots + 1))
@@ -107,39 +110,67 @@ def group_order(rs: RootSystem) -> int:
 # which holds up to E8 (N = 120); bytes 0 and 128 are never used.
 MAX_BYTE_ROOTS = 127
 
+# The code of -a is that of a under this table.
+_NEGATE = bytes(-a % 256 for a in range(256))
+
 
 def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
-    The entries of :func:`levels`, block by block, each decoded to its
-    signed tuple.  Raises :class:`EnumerationCapExceeded` before any
-    element when the group has more than ``DEFAULT_ELEMENT_CAP`` elements.
+    The codes of :func:`levels`, block by block, each decoded to its
+    signed tuple.  A code c in block k has the tree parent s_(k+1) c,
+    ``c.translate(table)`` with letter k+1's table and no delete string
+    (s_i is an involution on codes), and its word is k+1 followed by the
+    parent's word, read from the previous level's words.  Raises
+    :class:`EnumerationCapExceeded` before any element when the group has
+    more than ``DEFAULT_ELEMENT_CAP`` elements.
     """
+    tables = [table for table, _ in _letter_steps(rs, DEFAULT_ELEMENT_CAP)]
     decode = Struct(f"{rs.num_positive_roots}b").unpack
+    words = {}
     for level in levels(rs, DEFAULT_ELEMENT_CAP):
-        for block in level:
-            for word, code in block:
-                yield decode(code), word
+        parents, words = words, {}
+        for letter, (table, block) in enumerate(zip(tables, level), 1):
+            first = (letter,)
+            for c in block:
+                word = words[c] = first + parents[c.translate(table)]
+                yield decode(c), word
+        for c in level[-1]:  # e, alone at length 0
+            words[c] = ()
+            yield decode(c), ()
 
 
-def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[list]]:
+def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[List[bytes]]]:
     """The group one length at a time: the levels of ``coxgen.shortlex_levels``.
 
-    An entry is (word, code): the element's shortlex-minimal reduced word
-    and the element as ``bytes``, entry a as a % 256.  At the first
-    ``next()``, before any level, it raises :class:`EnumerationCapExceeded`
-    when :func:`group_order` exceeds ``cap``, and ``ValueError`` for a type
-    with more than ``MAX_BYTE_ROOTS`` positive roots, whose codes would not
-    fit a byte; such a group has at least 9.8 * 10^11 elements.
+    An entry is the element as ``bytes``, its entry a stored as a % 256;
+    words are left to :func:`all_elements`.  At the first ``next()``,
+    before any level, it raises :class:`EnumerationCapExceeded` when
+    :func:`group_order` exceeds ``cap``, and ``ValueError`` for a type with
+    more than ``MAX_BYTE_ROOTS`` positive roots, whose codes would not fit
+    a byte; such a group has at least 9.8 * 10^11 elements.
 
     k is a left descent of u iff u^-1 alpha_k < 0, that is iff -alpha_k is
     an entry of u, and k is one of s_i u iff -s_i alpha_k is an entry of u.
-    Per letter i, a 256-byte table maps each code to that of its image
-    under s_i, and a delete string holds the codes of -alpha_i and of
-    -s_i alpha_k for k < i.  ``u.translate(table, delete)`` is then s_i u
-    if s_i u is a child, and shorter than N if it is not: one C-level call
-    per (letter, element) makes the child test and the product.
+    With letter i's table and delete string from :func:`_letter_steps`,
+    ``u.translate(table, delete)`` is s_i u if s_i u is a child, and
+    shorter than N if it is not: one C-level call per (letter, element)
+    makes the child test and the product.
     """
+    steps = _letter_steps(rs, cap)
+    n = rs.num_positive_roots
+
+    def extend(i, block):
+        table, delete = steps[i - 1]
+        return [c for u in block if len(c := u.translate(table, delete)) == n]
+
+    yield from shortlex_levels(rs._coxeter, bytes(range(1, n + 1)), extend, cap)
+
+
+def _letter_steps(rs: RootSystem, cap: int) -> List[Tuple[bytes, bytes]]:
+    """Per letter i, (table, delete): the 256-byte table that maps each code
+    to that of its image under s_i, and the codes of -alpha_i and of
+    -s_i alpha_k for k < i.  Raises the errors that :func:`levels` names."""
     if group_order(rs) > cap:
         raise EnumerationCapExceeded(cap)
     n = rs.num_positive_roots
@@ -148,18 +179,13 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[list
             f"the group walk encodes at most {MAX_BYTE_ROOTS} positive roots; "
             f"type {rs.root_label()} has {n}"
         )
-    simple = rs.simple_indices
+    roots = bytes(range(1, n + 1))
+    signed = roots + roots.translate(_NEGATE)
+    simple = bytes(k + 1 for k in rs.simple_indices)
     steps = []
     for i, row in enumerate(rs._simple_action):
-        table = bytearray(range(256))
-        for a, b in enumerate(row, 1):
-            table[a] = b % 256
-            table[-a % 256] = -b % 256
-        delete = bytes([-(simple[i] + 1) % 256] + [-row[simple[k]] % 256 for k in range(i)])
-        steps.append((bytes(table), delete, (i + 1,)))
-
-    def extend(i, block):
-        table, delete, letter = steps[i - 1]
-        return ((letter + word, c) for word, u in block if len(c := u.translate(table, delete)) == n)
-
-    yield from shortlex_levels(rs.rank, rs.coxeter_m, ((), bytes(range(1, n + 1))), extend, cap)
+        images = bytes([b % 256 for b in row])
+        table = bytes.maketrans(signed, images + images.translate(_NEGATE))
+        delete = (simple[i:i + 1] + simple[:i].translate(table)).translate(_NEGATE)
+        steps.append((table, delete))
+    return steps

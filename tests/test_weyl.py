@@ -212,14 +212,9 @@ def decode(code):
 
 
 def decoded_levels(rs):
-    """``levels`` with each entry as an (element, word) pair, flattened
-    block by block; level k must hold exactly the words of length k, and
-    block j those whose first letter is j + 1 (e's block is the last)."""
-    for k, level in enumerate(levels(rs, group_order(rs))):
-        assert {len(word) for block in level for word, _ in block} == {k}
-        assert all((word[0] - 1 if word else rs.rank) == j
-                   for j, block in enumerate(level) for word, _ in block)
-        yield [(decode(code), word) for block in level for word, code in block]
+    """``levels`` with each code decoded, one list of blocks per level."""
+    for level in levels(rs, group_order(rs)):
+        yield [[decode(code) for code in block] for block in level]
 
 
 FULL_TYPES = [
@@ -237,18 +232,30 @@ PAST_BYTE_BOUND = {("A", 16): 136, ("D", 12): 132}
 
 
 @pytest.mark.parametrize("family,rank", [*FULL_TYPES, *NEAR_BYTE_BOUND])
-def test_enumeration_matches_bfs_oracle(family, rank):
-    """Every level on the full types; the first 6 levels near the byte bound."""
+def test_enumeration_matches_bfs_oracle(family, rank, monkeypatch):
+    """Every level on the full types; the first 6 levels near the byte bound.
+    Level k of ``levels``, decoded, is the oracle's sphere of radius k in
+    shortlex order, and its block j holds exactly the elements whose oracle
+    word starts with j + 1 (e's block is the last).  ``all_elements`` gives
+    the oracle's (element, word) pairs in the same order."""
     rs = build_root_system(family, rank)
-    if (family, rank) in NEAR_BYTE_BOUND:
+    walk, oracle = decoded_levels(rs), bfs_levels(rs)
+    near = (family, rank) in NEAR_BYTE_BOUND
+    if near:
         assert rs.num_positive_roots == NEAR_BYTE_BOUND[family, rank] <= MAX_BYTE_ROOTS
-        walk = decoded_levels(rs)
-        assert list(islice(walk, 6)) == list(islice(bfs_levels(rs), 6))
-        walk.close()
-        return
-    expected = list(bfs_levels(rs))
-    assert list(decoded_levels(rs)) == expected
-    assert list(all_elements(rs)) == [entry for level in expected for entry in level]
+        walk, oracle = islice(walk, 6), islice(oracle, 6)
+    walked, expected = list(walk), list(oracle)
+    assert len(walked) == len(expected)
+    for blocks, sphere in zip(walked, expected):
+        assert [w for block in blocks for w in block] == [w for w, _ in sphere]
+        for j, block in enumerate(blocks):
+            assert block == [w for w, word in sphere if (word[0] - 1 if word else rank) == j]
+    flat = [entry for sphere in expected for entry in sphere]
+    if near:
+        monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", group_order(rs))
+        assert list(islice(all_elements(rs), len(flat))) == flat
+    else:
+        assert list(all_elements(rs)) == flat
 
 
 TREE_GROUPS = {
@@ -305,7 +312,7 @@ def test_skipped_blocks_hold_no_tree_child(name):
         handed.add((i, id(block)))
         return [g.mul_simple_left(u, i) for u in block if is_child(i, u)]
 
-    walked = list(islice(shortlex_levels(r, g.coxeter_m, g.identity(), extend, 10**6), depth + 1))
+    walked = list(islice(shortlex_levels(g.coxeter, g.identity(), extend, 10**6), depth + 1))
     assert walked[0] == [[]] * r + [[g.identity()]]
     skips = 0
     for ell, level in enumerate(walked):
@@ -330,12 +337,12 @@ def test_walk_tries_each_letter_on_its_blocks_only(monkeypatch):
     rs = build_root_system("E", 6)
     tries = []
 
-    def counted(rank, coxeter_m, root, extend, cap):
+    def counted(coxeter, root, extend, cap):
         def counting(i, block):
             tries.append(len(block))
             return extend(i, block)
 
-        return shortlex_levels(rank, coxeter_m, root, counting, cap)
+        return shortlex_levels(coxeter, root, counting, cap)
 
     monkeypatch.setattr(weyl, "shortlex_levels", counted)
     order = sum(len(block) for level in levels(rs) for block in level)
@@ -404,15 +411,19 @@ def poincare_coefficients(degrees):
     return coeffs
 
 
-@pytest.mark.parametrize("family,rank", [
+POINCARE_TYPES = [
     *(("A", r) for r in range(1, 6)),
     *(("B", r) for r in range(2, 6)),
     *(("C", r) for r in range(2, 6)),
     ("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
-])
+]
+
+
+@pytest.mark.parametrize("family,rank", POINCARE_TYPES)
 def test_length_counts_match_poincare_polynomial(family, rank):
-    """The walk's length distribution is the Poincare polynomial of W, whose
-    coefficients come from the degrees alone, not from any group element."""
+    """The length distribution of ``all_elements`` is the Poincare polynomial
+    of W, whose coefficients come from the degrees alone, not from any
+    group element."""
     rs = build_root_system(family, rank)
     counts = Counter()
     for w, word in all_elements(rs):
@@ -421,8 +432,16 @@ def test_length_counts_match_poincare_polynomial(family, rank):
     expected = poincare_coefficients(degrees(family, rank))
     assert [counts[k] for k in range(len(expected))] == expected
     assert sum(counts.values()) == sum(expected)
-    # the level sizes that ``coxbalance group`` prints
-    sizes = [sum(map(len, level)) for level in levels(rs)]
+
+
+@pytest.mark.parametrize("family,rank", [*POINCARE_TYPES, ("E", 7)])
+def test_level_sizes_match_poincare_polynomial(family, rank):
+    """The level sizes that ``coxbalance group`` prints, with no code
+    decoded, so E7's 2903040 elements (past ``DEFAULT_ELEMENT_CAP``) are
+    walked too."""
+    rs = build_root_system(family, rank)
+    expected = poincare_coefficients(degrees(family, rank))
+    sizes = [sum(map(len, level)) for level in levels(rs, group_order(rs))]
     assert sizes == expected
     assert group_order(rs) == sum(sizes)
 
