@@ -9,13 +9,15 @@ so D and A are the AND and OR of the members' masks; keys are listed in
 ``key_order``.  An element is a tuple that is its own key, so members are
 hashed and compared directly.
 
-Single sets, and every set of a diagram, come from a walk of the shortlex
-tree pruned to W^A.  Scans over many sets W^A of one finite Weyl group walk
-the group once: W^A = {w : N(w) inside A}, so :func:`ideals_from_uppers`
-reads each W^A off a table of inversion bitmasks.  The distinct convex
-order ideals are exactly the distinct unions of inversion sets, so
-:func:`enumerate_convex_ideals` closes the same table's bitmasks under union.
-Both give (element, shortlex word, inversion mask) rows in shortlex order.
+Single sets, and every set of a diagram, come from :func:`pruned_walk`, a
+walk of the shortlex tree pruned to W^A by its child test (``verify``
+prunes it to the fully commutative elements).  Scans over many sets W^A of
+one finite Weyl group walk the group once: W^A = {w : N(w) inside A}, so
+:func:`ideals_from_uppers` reads each W^A off a table of inversion
+bitmasks.  The distinct convex order ideals are exactly the distinct unions
+of inversion sets, so :func:`enumerate_convex_ideals` closes the same
+table's bitmasks under union.  Both give (element, shortlex word, inversion
+mask) rows in shortlex order.
 """
 
 from __future__ import annotations
@@ -134,25 +136,26 @@ class ConvexSet:
         return "\n".join(lines)
 
 
-def _walk_within(ctx, allowed: int) -> List[Tuple]:
-    """(w, shortlex word, inversion mask) for each w with T_R(w) inside the
-    mask ``allowed``, in (length, word) order: the shortlex tree pruned to W^A.
+def pruned_walk(ctx, keep) -> List[Tuple]:
+    """(w, shortlex word, inversion mask) for each w of the shortlex tree
+    that the child test ``keep`` leaves, in (length, word) order.
 
     An entry is (v, row) with v = w^-1, and T_L(v s_i) = T_L(v) + {v alpha_i}
-    when v alpha_i > 0, so s_i w is longer and in W^A iff that key is
-    allowed; it is a tree child iff i is the least right descent of v s_i.
-    Dropping a first letter shrinks T_R, so W^A holds the tree parents of
-    its members.  Lengths are at most |allowed|; the cap is
-    ``weyl.DEFAULT_ELEMENT_CAP`` members.
+    when v alpha_i > 0, so s_i w is longer; ``keep(key, word)`` then gets
+    the key of v alpha_i and the word of s_i w, before the product, and
+    s_i w is a tree child iff i is the least right descent of v s_i.  A
+    child left out takes its subtree with it, so the kept set must hold
+    the tree parents of its members, as W^A and the fully commutative
+    elements do.  The cap is ``weyl.DEFAULT_ELEMENT_CAP`` members.
     """
 
     def extend(i, block):
         for v, (w, word, inv) in block:
             key = ctx.simple_image_key(v, i)
-            if key is not None and allowed >> key & 1:
+            if key is not None and keep(key, child := (i,) + word):
                 v2 = ctx.mul_simple_right(v, i)
                 if ctx.descent(v2) == i:
-                    yield v2, (ctx.mul_simple_left(w, i), (i,) + word, inv | 1 << key)
+                    yield v2, (ctx.mul_simple_left(w, i), child, inv | 1 << key)
 
     e = ctx.identity()
     walk = coxgen.shortlex_levels(ctx.coxeter, (e, (e, (), 0)), extend, weyl.DEFAULT_ELEMENT_CAP)
@@ -169,14 +172,15 @@ def _build(ctx, rows) -> ConvexSet:
 
 def ideal_from_upper(ctx, allowed: int) -> ConvexSet:
     """The convex order ideal W^A: every element with inversions inside the mask A."""
-    return _build(ctx, _walk_within(ctx, allowed))
+    return _build(ctx, pruned_walk(ctx, lambda key, word: allowed >> key & 1))
 
 
 def convex_set(ctx, lower: int, upper: int) -> ConvexSet:
     """W_D^A for masks D and A; raises :class:`EmptyConvexSetError` if it is empty."""
     if lower & ~upper:
         raise EmptyConvexSetError("lower constraint set is not inside the upper one")
-    return _build(ctx, [row for row in _walk_within(ctx, upper) if row[2] & lower == lower])
+    rows = pruned_walk(ctx, lambda key, word: upper >> key & 1)
+    return _build(ctx, [row for row in rows if row[2] & lower == lower])
 
 
 def interval_left(ctx, w) -> ConvexSet:

@@ -23,7 +23,8 @@ and a set of roots is the int bitmask of its keys.  Both inherit from
 ``descent`` and the greedy least reduced words ``inverse_word`` and
 ``reduced_word``.  This module also holds the one walk of the shortlex
 tree, :func:`shortlex_levels`, and the word combinatorics shared by both:
-inversion and reflection keys of words, braid moves, full commutativity.
+inversion and reflection keys of words, and full commutativity, decided
+on the heap of one reduced word (``posets.heap_from_word``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+from .linalg import bits
+from .posets import heap_from_word
 
 INF = None  # infinite edge label
 
@@ -440,46 +444,27 @@ def _letter_blocks(coxeter) -> Tuple[Tuple[int, ...], ...]:
 # -- word combinatorics (shared with finite Weyl groups) ----------------------
 
 
-def _commutation_walk(sys, word: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Each word reachable from a reduced word by swapping commuting letters,
-    once, depth first; a word's neighbours are found only after it is yielded."""
-    sys.check_reduced(word)
-    start = tuple(word)
-    seen: Set[Tuple[int, ...]] = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        yield w
-        for p in range(len(w) - 1):
-            if sys.coxeter_m(w[p], w[p + 1]) == 2:
-                w2 = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
-
-
-def _has_braid_factor(sys, word: Tuple[int, ...]) -> bool:
-    for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
-        if a == b:
-            return True  # not reduced; callers check beforehand
-        m = sys.coxeter_m(a, b)
-        if m is INF or m == 2:
-            continue
-        if p + m <= len(word):
-            ok = True
-            for t in range(m):
-                if word[p + t] != (a if t % 2 == 0 else b):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
-
-
 def is_fully_commutative(sys, word: Sequence[int]) -> bool:
-    """True iff no word in the commutation class admits a braid move.
+    """True iff the element of a reduced word is fully commutative.
 
-    Stops at the first word that admits one.
+    Stembridge (J. Algebraic Combin. 5 (1996), Prop. 3.3): iff no interval
+    of the word's heap is a chain whose labels alternate i, j over
+    m(i, j) >= 3 elements.  The positions of i and j form a chain in word
+    order, so such an interval is a run of m consecutive ones whose ends
+    bound an interval of m positions.  Its letters then alternate: an
+    interval of two equal letters would make the word not reduced, and a
+    word that is not reduced raises :class:`NotReducedError`.
     """
-    return not any(_has_braid_factor(sys, w) for w in _commutation_walk(sys, word))
+    rows = heap_from_word(sys, word).rows
+    letters = sorted(set(word))
+    for x, a in enumerate(letters):
+        for b in letters[x + 1:]:
+            m = sys.coxeter_m(a, b)
+            if m is INF or m == 2:
+                continue
+            chain = [p for p, c in enumerate(word) if c == a or c == b]
+            for top, bottom in zip(chain, chain[m - 1:]):
+                # the size of the interval: positions above bottom, below top
+                if sum(rows[top + z] >> top & 1 for z in bits(rows[bottom] >> top)) == m:
+                    return False
+    return True

@@ -8,8 +8,9 @@ these posets and the root posets (:func:`rootsys.iter_ideal_masks`).
 
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
-built from reduced words of a Coxeter system and carry the word positions
-1..l as element ids, labelled by their generator indices.
+built from reduced words of a Coxeter system in one pass over the word and
+carry the word positions 0..l-1 as element ids, labelled by their
+generator indices; ``coxgen.is_fully_commutative`` reads their rows.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def fraction_balance(fractions: Sequence[Fraction]) -> Fraction:
     return max((min(d, 1 - d) for d in fractions), default=Fraction(0))
 
 
-def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]],
-                      labels: Optional[Sequence[int]] = None) -> LabeledPoset:
+def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]]) -> LabeledPoset:
     """Build a poset as the reflexive-transitive closure of pairs (i, j),
     each meaning i <= j.  The pairs need not be covers, nor have i < j."""
     rows = [1 << i for i in range(n)]
@@ -233,7 +233,7 @@ def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]],
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return LabeledPoset(n, tuple(rows), tuple(labels) if labels is not None else None)
+    return LabeledPoset(n, tuple(rows))
 
 
 # -- heaps --------------------------------------------------------------------
@@ -246,18 +246,22 @@ def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
     element at position p carries label word[p].  For fully commutative
     words the result only depends on the element.  A word that is not
     reduced raises ``coxgen.NotReducedError``.
+
+    Equal letters form a chain, so the row of j is its own bit ORed with the
+    rows of the last earlier position of each letter that equals word[j]
+    or does not commute with it.
     """
     sys.check_reduced(word)
-    covers = []
+    rows: List[int] = []
     last: Dict[int, int] = {}  # letter -> its last position so far
     for j, a in enumerate(word):
-        # Earlier occurrences of a letter lie above its last one, so these
-        # pairs have the same closure as all non-commuting pairs.
+        row = 1 << j
         for b, k in last.items():
             if sys.coxeter_m(a, b) != 2:
-                covers.append((j, k))  # position j (later) lies below position k
+                row |= rows[k]
+        rows.append(row)
         last[a] = j
-    return poset_from_covers(len(word), covers, labels=tuple(word))
+    return LabeledPoset(len(word), tuple(rows), tuple(word))
 
 
 def claw_chain(k: int, length: int) -> LabeledPoset:

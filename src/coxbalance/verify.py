@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import alcove, convex, coxgen, posets, semiorder, weyl
+from . import alcove, convex, coxgen, posets, semiorder
 from .rootsys import RootSystem, build_root_system, iter_ideal_masks
 from .weyl import WeylContext
 
@@ -281,13 +281,11 @@ def _reference_heaps():
 
 
 def fully_commutative_elements(rs: RootSystem):
-    """(element, shortlex word) pairs for every fully commutative element."""
+    """(element, shortlex word) pairs for every fully commutative element,
+    in shortlex order: the walk of the shortlex tree pruned to them."""
     sys = WeylContext(rs)
-    out = []
-    for w, word in weyl.all_elements(rs):
-        if coxgen.is_fully_commutative(sys, word):
-            out.append((w, word))
-    return out
+    rows = convex.pruned_walk(sys, lambda key, word: coxgen.is_fully_commutative(sys, word))
+    return [(w, word) for w, word, _ in rows]
 
 
 def classify_fc_equality(rs: RootSystem, refs: dict) -> VerificationReport:

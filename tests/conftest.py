@@ -4,12 +4,13 @@ The oracles recompute, by a second route, what ``src/`` computes on integer
 tables: type A one-line notation, the simple roots of a type and the action
 and reflections on ``Fraction`` vectors, the reflection in a root as a
 conjugate of a simple reflection by words, the members and words of a convex
-set by breadth-first search on frozensets of root keys, the single-exit
-simple roots of a root-poset ideal, the classical semiorder of a point set
-and brute-force linear extension counts.  The helpers build objects the tests
-compare: commutation classes, right translates of convex sets, dual posets,
-and the root keys of a finite group object with the masks and frozensets of
-such keys.  Property tests run under a derandomized hypothesis profile: the
+set by breadth-first search on frozensets of root keys, full commutativity
+by a braid scan over a whole commutation class, the single-exit simple roots
+of a root-poset ideal, the classical semiorder of a point set and
+brute-force linear extension counts.  The helpers build objects the tests
+compare: commutation classes, the reduced words up to a length, right
+translates of convex sets, dual posets, and the root keys of a finite group
+object with the masks and frozensets of such keys.  Property tests run under a derandomized hypothesis profile: the
 examples are derived from each test's source, so every run of the suite
 draws the same ones, and no example database is written.
 """
@@ -133,6 +134,30 @@ def commutation_class(sys, word):
                     seen.add(w2)
                     frontier.append(w2)
     return sorted(seen)
+
+
+def braid_free_class(sys, word):
+    """Oracle for full commutativity: no word in the commutation class of a
+    reduced word has a factor i, j, i, ... of m(i, j) >= 3 letters."""
+    for w in commutation_class(sys, word):
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            m = sys.coxeter_m(a, b)
+            if m is not None and m > 2 and w[p:p + m] == ((a, b) * m)[:m]:
+                return False
+    return True
+
+
+def reduced_words(g, max_length):
+    """Every reduced word of a group object up to ``max_length`` letters, by
+    appending letters that are not right descents."""
+    words = [()]
+    level = [((), g.identity())]
+    for _ in range(max_length):
+        level = [(word + (i,), g.mul_simple_right(w, i))
+                 for word, w in level for i in range(1, g.rank + 1) if not g.is_descent(w, i)]
+        words += [word for word, _ in level]
+    return words
 
 
 def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):

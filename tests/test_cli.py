@@ -125,6 +125,21 @@ def test_group_negative_cap_is_reported(capsys):
     assert_error_line(capsys, code, "--cap must be a nonnegative element count")
 
 
+@pytest.mark.parametrize("command", ["group", "roots"])
+@pytest.mark.parametrize("rank", ["65", "99999"])
+def test_type_rank_past_the_bound_is_refused(capsys, command, rank):
+    """The rank is checked before the root system is built: A99999 would
+    not finish building."""
+    code = main([command, "--type", "A", "--rank", rank])
+    assert_error_line(capsys, code, f"rank {rank} is above the largest supported rank, 64")
+
+
+def test_type_rank_at_the_bound_builds(capsys):
+    code, out = run(capsys, "roots", "--type", "A", "--rank", "64")
+    assert code == 0
+    assert "2080 positive roots" in out
+
+
 def test_roots_graph_dot(capsys):
     code, out = run(capsys, "roots", "--type", "G", "--rank", "2",
                     "--format", "dot", "--graph")

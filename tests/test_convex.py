@@ -338,7 +338,7 @@ def test_campaign_scans_build_no_set_by_bfs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a scan built W^A by a single-set walk")
 
-    monkeypatch.setattr(convex, "_walk_within", refuse)
+    monkeypatch.setattr(convex, "pruned_walk", refuse)
     for name in ("semiorder", "conjecture", "geometry"):
         for report in run_campaign(name):
             assert report.all_passed, report.campaign

@@ -2,12 +2,13 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commutation_class, one_line
+from conftest import braid_free_class, commutation_class, one_line, reduced_words
 from coxbalance import convex
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
@@ -212,6 +213,20 @@ def test_infinite_label_group_everything_fc():
     sys = build_system(path_matrix(4, [INF, INF, INF]))
     for word in ([2, 3, 2, 3], [1, 4, 2, 3], [3, 2, 3, 2, 3]):
         assert is_fully_commutative(sys, word)
+
+
+def test_fc_heap_test_matches_class_oracle():
+    """Stembridge's heap test against a braid scan over the commutation
+    class, on every reduced word of up to 5 letters of each of the 125
+    rank-3 diagrams with labels 2, 3, 4, 6 and inf."""
+    checked = 0
+    for m12, m13, m23 in product((2, 3, 4, 6, INF), repeat=3):
+        sys = build_system(matrix_from_edges(3, [(1, 2, m12), (1, 3, m13), (2, 3, m23)]))
+        for word in reduced_words(sys, 5):
+            assert is_fully_commutative(sys, word) == braid_free_class(sys, word), (
+                m12, m13, m23, word)
+            checked += 1
+    assert checked == 9056
 
 
 # -- the Cartan backend against the Weyl backend --------------------------------

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commutation_class, dual, heap_respects_diagram, labelled_relation
@@ -17,6 +17,7 @@ from coxbalance.coxgen import (
     cycle_matrix,
     inversion_keys_of_word,
     is_fully_commutative,
+    matrix_from_edges,
     path_matrix,
 )
 from coxbalance.posets import (
@@ -208,7 +209,7 @@ def all_pairs_heap(sys, word):
         (j, k) for j in range(len(word)) for k in range(j)
         if sys.coxeter_m(word[j], word[k]) != 2
     ]
-    return poset_from_covers(len(word), covers, labels=tuple(word))
+    return LabeledPoset(len(word), poset_from_covers(len(word), covers).rows, tuple(word))
 
 
 def random_reduced_word(sys, rank, length, rng):
@@ -291,8 +292,8 @@ def test_isomorphism():
     # a claw and its dual are not isomorphic
     assert not is_isomorphic(claw_chain(2, 2), dual(claw_chain(2, 2)))
     # isomorphism ignores labels; the labelled relation tells them apart
-    p1 = poset_from_covers(2, [(0, 1)], labels=(1, 2))
-    p2 = poset_from_covers(2, [(0, 1)], labels=(2, 1))
+    p1 = LabeledPoset(2, poset_from_covers(2, [(0, 1)]).rows, (1, 2))
+    p2 = LabeledPoset(2, poset_from_covers(2, [(0, 1)]).rows, (2, 1))
     assert is_isomorphic(p1, p2)
     assert labelled_relation(p1) != labelled_relation(p2)
 
@@ -315,7 +316,7 @@ def test_heap_respects_diagram_everywhere():
     for sys, word in cases:
         assert heap_respects_diagram(heap_from_word(sys, word), sys)
     # a poset violating the adjacency property fails
-    bad = poset_from_covers(2, [(0, 1)], labels=(1, 3))
+    bad = LabeledPoset(2, poset_from_covers(2, [(0, 1)]).rows, (1, 3))
     a3 = WeylContext(build_root_system("A", 3))
     assert not heap_respects_diagram(bad, a3)
 
@@ -342,6 +343,25 @@ def test_heap_inversion_map_bijection():
     assert not is_fully_commutative(ctx, (2, 4, 2))  # a braid: the pairing needs FC
 
 
+@settings(max_examples=60)
+@given(labels=st.tuples(*[st.sampled_from((2, 4, 6, INF))] * 3),
+       letters=st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=12))
+def test_heap_ideal_fractions_equal_interval_inversion_fractions(labels, letters):
+    """On a fully commutative word of a rank-3 diagram with labels 4, 6 and
+    inf, the fraction of heap ideals that hold position k equals the
+    fraction of [e, w] that has the word's k-th inversion."""
+    m12, m13, m23 = labels
+    sys = build_system(matrix_from_edges(3, [(1, 2, m12), (1, 3, m13), (2, 3, m23)]))
+    word = []
+    for i in letters:  # keep each letter that leaves the word reduced and FC
+        if (sys.word_length(word + [i]) == len(word) + 1
+                and is_fully_commutative(sys, word + [i])):
+            word.append(i)
+    interval = convex.interval_left(sys, sys.from_word(word))
+    fractions = [interval.inversion_fraction(k) for k in inversion_keys_of_word(sys, word)]
+    assert fractions == heap_from_word(sys, word).ideal_fractions()
+
+
 def test_heap_inversion_map_identity_empty():
     sys = WeylContext(build_root_system("A", 2))
     assert inversion_keys_of_word(sys, ()) == []
@@ -350,9 +370,12 @@ def test_heap_inversion_map_identity_empty():
 
 def test_json_round_trip():
     """The covers and labels that ``poset_json`` writes rebuild the poset."""
-    for poset in (claw_chain(2, 2), poset_from_covers(3, [(0, 2)], labels=(1, 3, 2))):
+    labelled = LabeledPoset(3, poset_from_covers(3, [(0, 2)]).rows, (1, 3, 2))
+    for poset in (claw_chain(2, 2), labelled):
         data = json.loads(json.dumps(poset_json(poset)))
-        again = poset_from_covers(data["n"], [tuple(c) for c in data["covers"]], data["labels"])
+        rows = poset_from_covers(data["n"], [tuple(c) for c in data["covers"]]).rows
+        labels = None if data["labels"] is None else tuple(data["labels"])
+        again = LabeledPoset(data["n"], rows, labels)
         assert again == poset
     assert "digraph" in poset_dot(claw_chain(2, 2))
 

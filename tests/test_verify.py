@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from coxbalance import verify
+from coxbalance import verify, weyl
 from coxbalance.cli import main
+from coxbalance.coxgen import is_fully_commutative
 from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.verify import (
     VerificationReport,
@@ -19,6 +20,7 @@ from coxbalance.verify import (
     verify_exit_witnesses,
     verify_params_table,
 )
+from coxbalance.weyl import WeylContext
 
 
 def test_report_json_shape():
@@ -142,3 +144,26 @@ def test_campaigns_read_no_fraction_views(monkeypatch, capsys):
     assert main(["group", "--type", "E", "--rank", "6"]) == 0
     expected = (EXPECTED_DIR / "group-E6.txt").read_bytes()
     assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+])
+def test_fc_walk_matches_the_filtered_group(family, rank):
+    """The walk pruned to fully commutative elements gives what filtering
+    the whole group gives, in the same order."""
+    rs = build_root_system(family, rank)
+    ctx = WeylContext(rs)
+    expected = [(w, word) for w, word in weyl.all_elements(rs) if is_fully_commutative(ctx, word)]
+    assert verify.fully_commutative_elements(rs) == expected
+
+
+@pytest.mark.parametrize("family,rank,count", [
+    ("A", 5, 132), ("A", 7, 1430), ("E", 6, 662), ("E", 7, 2670),
+])
+def test_fc_counts(family, rank, count):
+    """Catalan numbers in type A and Stembridge's counts for E6 and E7
+    (J. Algebraic Combin. 7, 1998).  E8 (10846) is left out: its walk
+    takes 4-5 s."""
+    assert len(verify.fully_commutative_elements(build_root_system(family, rank))) == count
