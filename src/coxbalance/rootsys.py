@@ -8,21 +8,21 @@ shared one of :func:`posets.walk_order_ideals`, along the index order.
 Inner products are the ambient Euclidean dot product.
 
 The simple roots are defined once, by twice their ambient coordinates (an
-integer table in every supported type); ``simple_roots`` is their
-``Fraction`` view.  :func:`build_root_system` makes one walk over the positive
-roots by height, as integer vectors in simple-root coordinates.  Each
-(root, simple reflection) pair costs one pairing p = <c, alpha_i^vee> with
-the integer Cartan matrix, and s_i(c) = c - p e_i.  A root first met as
-s_i(c) takes its doubled ambient coordinates from c, and the walk records
-each image, so the signed simple action is the walk's table renumbered to
-the index order.  The root poset is stored as its covers, the steps along
-the alpha_i-strings that the raises span.  Every stored field is an
-integer table: ``coefficients`` (simple-root coordinates of each positive
+integer table in every supported type).  :func:`build_root_system` makes one
+walk over the positive roots by height, as integer vectors in simple-root
+coordinates.  Each (root, simple reflection) pair costs one pairing p = <c,
+alpha_i^vee> with the integer Cartan matrix, and s_i(c) = c - p e_i.  A root
+first met as s_i(c) takes its doubled ambient coordinates from c, and the
+walk records each image, so the signed simple action is the walk's table
+renumbered to the index order.  The root poset is stored as its covers, the
+steps along the alpha_i-strings that the raises span.  Every stored field is
+an integer table: ``coefficients`` (simple-root coordinates of each positive
 root), the cover bitmasks ``_lower_covers``/``_upper_covers``, the signed
 simple action ``_simple_action``, and ``_doubled``, twice the ambient
-coordinates of each positive root.  The ``Fraction`` views ``positive_roots`` (ambient
-coordinates) and ``coweights`` are computed from those tables on first
-access.
+coordinates of each positive root.  The ``Fraction`` views
+``positive_roots`` (ambient coordinates) and ``coweights`` are computed from
+those tables on first access, the coweights from the W-invariant form with
+no linear solve; ``linalg`` gives only :func:`bits` and the ``Vector`` type.
 
 Coordinate conventions for the classical families:
 
@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from .coxgen import root_display
-from .linalg import Vector, bits, dot, invert
+from .linalg import Vector, bits
 from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
@@ -148,24 +148,26 @@ class RootSystem:
 
     @cached_property
     def coweights(self) -> Tuple[Vector, ...]:
-        """The dual basis of the simple roots inside their span."""
-        simples = self.simple_roots
-        ginv = invert(tuple(tuple(dot(a, b) for b in simples) for a in simples))
+        """The dual basis of the simple roots inside their span.
+
+        S = sum over all roots beta of beta beta^T commutes with W, which
+        acts irreducibly on the span of the roots, so S = kappa I there
+        (Schur), and its trace gives kappa r = 2 sum_{beta > 0} |beta|^2.
+        As <beta, omega_j^vee> is c_j(beta), the coefficient of alpha_j in
+        beta, kappa omega_j^vee = S omega_j^vee = 2 sum_{beta > 0} c_j(beta)
+        beta.  So omega_j^vee = (2 r / sum |d|^2) sum_{beta > 0} c_j(beta) d,
+        with d = 2 beta the ``_doubled`` row: integer sums, no linear solve.
+        """
+        scale = Fraction(2 * self.rank, sum(sum(map(mul, d, d)) for d in self._doubled))
+        columns = tuple(zip(*self._doubled))
         return tuple(
-            tuple(
-                sum((ginv[j][k] * simples[k][t] for k in range(self.rank)), Fraction(0))
-                for t in range(self.ambient_dim)
-            )
-            for j in range(self.rank)
+            tuple(scale * sum(map(mul, c, col)) for col in columns)
+            for c in zip(*self.coefficients)
         )
 
     @property
     def num_positive_roots(self) -> int:
         return len(self.heights)
-
-    @property
-    def simple_roots(self) -> Tuple[Vector, ...]:
-        return tuple(self.positive_roots[i] for i in self.simple_indices)
 
     def root_label(self) -> str:
         return f"{self.family}{self.rank}"
@@ -211,11 +213,10 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     images: List[Optional[Tuple[int, ...]]] = [None] * rank
     found = {c: k for k, c in enumerate(coords)}
     levels = {1: list(range(rank))}
-    # gamma covers beta iff gamma - beta is a simple root.  Every cover lies
-    # on an alpha_i-string, which runs from its bottom c up to s_i(c) = c -
-    # p alpha_i: one cover when p = -1.  A longer string (p = -2 or -3, in
-    # types B, C, F and G) is cut into covers after the walk, once every
-    # root on it is found.
+    # gamma covers beta iff gamma - beta is a simple root, so every cover
+    # lies on an alpha_i-string.  A raise (p < 0) spans the part of the
+    # string from c up to s_i(c) = c - p alpha_i; it is cut into its -p
+    # covers after the walk, once every root on it is found.
     covers: List[Tuple[int, int]] = []
     strings = []
     h = 1
@@ -240,9 +241,7 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
                     heights.append(h - p)
                     images.append(None)
                     levels.setdefault(h - p, []).append(j)
-                if p == -1:
-                    covers.append((k, j))
-                elif p < 0:
+                if p < 0:
                     strings.append((k, i, j))
                 row.append(j)
             images[k] = tuple(row)
@@ -267,7 +266,7 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     doubled_roots = tuple(doubled[k] for k in order)
     simple_idx = tuple(pos[:rank])
 
-    # A cover may come twice (a string and a p = -1 raise); OR absorbs it.
+    # A cover may come twice (a G2 string of length 4 raises twice); OR absorbs it.
     lower, upper = [0] * n, [0] * n
     for lo, hi in covers:
         lower[pos[hi]] |= 1 << pos[lo]

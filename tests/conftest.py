@@ -1,7 +1,8 @@
 """Shared test settings, oracles and helpers that no command needs.
 
 The oracles recompute, by a second route, what ``src/`` computes on integer
-tables: type A one-line notation, the simple roots of a type and the action
+tables: type A one-line notation, the simple roots of a type, dot products,
+Gauss-Jordan inversion (the Gram-inverse route to the coweights), the action
 and reflections on ``Fraction`` vectors, the reflection in a root as a
 conjugate of a simple reflection by words, the members and words of a convex
 set by breadth-first search on frozensets of root keys, full commutativity
@@ -22,7 +23,7 @@ from hypothesis import settings
 
 from coxbalance import convex, weyl
 from coxbalance.coxgen import NotReducedError
-from coxbalance.linalg import bits, dot
+from coxbalance.linalg import bits
 from coxbalance.posets import LabeledPoset
 from coxbalance.rootsys import _doubled_simple_roots
 
@@ -55,6 +56,32 @@ def neg(x):
 
 def zero(n):
     return (Fraction(0),) * n
+
+
+def dot(x, y):
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def invert(m):
+    """Invert a square ``Fraction`` matrix (row-major) by Gauss-Jordan
+    elimination, exactly."""
+    n = len(m)
+    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = Fraction(1) / aug[col][col]
+        aug[col] = [a * inv_p for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def reflect(alpha, x):

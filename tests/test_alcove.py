@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import add, apply, neg, scale, zero
+from conftest import add, apply, dot, neg, scale, zero
 from coxbalance.alcove import (
     _root_tables,
     alcove_data,
@@ -25,7 +25,6 @@ from coxbalance.alcove import (
     small_mean_height_root,
 )
 from coxbalance.convex import enumerate_convex_ideals, ideal_from_upper, interval_left
-from coxbalance.linalg import dot
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
 from coxbalance.weyl import WeylContext

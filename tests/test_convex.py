@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bfs_convex_rows, keys_of, mask_of, root_keys, translate
@@ -203,6 +203,32 @@ def test_translation_invariance_of_balance():
             c = ideal_from_upper(ctx, mask)
             w = random.choice(els)
             assert translate(c, w).balance_value() == c.balance_value()
+
+
+TRANSLATION_GROUPS = {
+    "A3": weyl_ctx("A", 3),
+    "B3": weyl_ctx("B", 3),
+    "G2": weyl_ctx("G", 2),
+    **{f"path-{a or 'inf'}-{b or 'inf'}": build_system(path_matrix(3, [a, b]))
+       for a in (4, 6, INF) for b in (4, 6, INF)},
+}
+
+
+@settings(max_examples=120)
+@given(name=st.sampled_from(sorted(TRANSLATION_GROUPS)), data=st.data())
+def test_right_translates_of_random_intervals_keep_balance(name, data):
+    """C = [id, w] for a random word of length <= 5, moved on the right by a
+    random word of length <= 6 one simple reflection at a time: the translate
+    is convex, with |C| members and the balance of C."""
+    ctx = TRANSLATION_GROUPS[name]
+    letters = st.integers(min_value=1, max_value=ctx.rank)
+    c = interval_left(ctx, ctx.from_word(data.draw(st.lists(letters, max_size=5), label="word")))
+    moved = c.members
+    for i in data.draw(st.lists(letters, max_size=6), label="shift"):
+        moved = [ctx.mul_simple_right(m, i) for m in moved]
+    image = from_members(ctx, moved)
+    assert len(image) == len(c)
+    assert image.balance_value() == c.balance_value()
 
 
 def test_product_balance_law():

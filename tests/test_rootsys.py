@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import neg, reflect, simple_roots, vec
-from coxbalance.linalg import dot, invert
+from conftest import dot, invert, neg, reflect, simple_roots, vec
 from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
@@ -63,8 +62,10 @@ def brute_force_ideal_count(rs):
 def fraction_route_fields(family, rank):
     """Independent oracle: every ``RootSystem`` field by Fraction arithmetic.
 
-    Phi is the orbit of the simple roots under ``reflect``, coefficients are
-    read off the coweights, and the simple action reflects Fraction vectors.
+    Phi is the orbit of the simple roots under ``reflect``, the coweights
+    come from the inverse Gram matrix of the simple roots (a linear solve,
+    where ``src/`` sums over the roots), coefficients are read off the
+    coweights, and the simple action reflects Fraction vectors.
     The stored fields come in declaration order, followed by the ``VIEWS``.
     """
     simples = simple_roots(family, rank)
@@ -229,13 +230,16 @@ def test_b3_highest_short_root_is_e1():
     assert rs.coefficients[rs.highest_short_root_index] == (1, 1, 1)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
+@pytest.mark.parametrize(
+    "family,rank", ALL_TYPES + [("A", 12), ("B", 10), ("C", 11), ("D", 12), ("A", 16)]
+)
 def test_coweights_dual_to_simples(family, rank):
     rs = build_root_system(family, rank)
+    simples = simple_roots(family, rank)
     for i in range(rank):
         for j in range(rank):
             expected = Fraction(1 if i == j else 0)
-            assert dot(rs.simple_roots[i], rs.coweights[j]) == expected
+            assert dot(simples[i], rs.coweights[j]) == expected
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4), ("D", 4)])
@@ -252,9 +256,7 @@ def test_reflection_closure_and_invariance(family, rank):
 
 
 def test_reflect_basics():
-    rs = build_root_system("A", 2)
-    a1 = rs.simple_roots[0]
-    a2 = rs.simple_roots[1]
+    a1, a2 = simple_roots("A", 2)
     assert reflect(a1, a1) == neg(a1)
     assert reflect(a1, a2) == vec((1, 0, -1))  # a1 + a2
     e3 = vec((0, 0, 1))  # a short root of B3

@@ -12,6 +12,7 @@ from conftest import (
     neg,
     reflect,
     reflection_word_element,
+    simple_roots,
     single_exit_simple,
 )
 from coxbalance import semiorder
@@ -208,7 +209,7 @@ def fraction_single_exit(rs, mask):
     """Oracle for any mask: the first simple root in it whose Fraction
     reflection moves at most one member to a positive root outside."""
     index = {beta: i for i, beta in enumerate(rs.positive_roots)}
-    for i, alpha in enumerate(rs.simple_roots, start=1):
+    for i, alpha in enumerate(simple_roots(rs.family, rs.rank), start=1):
         if not (mask >> index[alpha]) & 1:
             continue
         exits = []
