@@ -91,9 +91,8 @@ class AlcoveData:
 
 def _corners(rs: RootSystem, scales: Sequence[int]) -> Tuple[Vector, ...]:
     """The origin and each omega_i^vee / scales[i], in ambient coordinates."""
-    r = rs.rank
-    units = [[Fraction(int(i == j), s) for j in range(r)] for i, s in enumerate(scales)]
-    return tuple(ambient(rs, y) for y in [[0] * r, *units])
+    origin = tuple(Fraction(0) for _ in rs.coweights[0])
+    return (origin, *(tuple(x / s for x in row) for row, s in zip(rs.coweights, scales)))
 
 
 def alcove_data(rs: RootSystem) -> AlcoveData:

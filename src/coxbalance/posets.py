@@ -4,7 +4,11 @@ A poset on ids 0..n-1 keeps its order relation as one bitmask row per
 element, bit j of row i set iff i <= j, as the root posets of
 :mod:`rootsys` do.  :func:`walk_order_ideals` is the package's one
 order-ideal walker: it runs along a given linear extension and serves both
-these posets and the root posets (:func:`rootsys.iter_ideal_masks`).
+these posets and the root posets (:func:`rootsys.iter_ideal_masks`).  It
+yields each ideal as a sum of per-element weights, each equal to the
+element's bit modulo 2^n, so the low n bits of a sum are the ideal's mask
+and the high bits can carry counters (``semiorder.scan_exit_witnesses``);
+unit weights give the bare masks.
 
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
@@ -130,7 +134,8 @@ class LabeledPoset:
         lower, upper = self._cover_masks
         below = _transpose(self.rows)
         order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
-        return walk_order_ideals(order, lower, upper, cap)
+        units = [1 << x for x in range(self.n)]
+        return walk_order_ideals(order, lower, upper, units, cap)
 
     def ideal_count(self, cap: Optional[int] = IDEAL_CAP) -> int:
         return sum(1 for _ in self.iter_ideal_masks(cap))
@@ -167,47 +172,58 @@ def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
 
 
 def walk_order_ideals(order: Sequence[int], lower: Sequence[int], upper: Sequence[int],
-                      cap: Optional[int] = None) -> Iterator[int]:
-    """Every order ideal of a finite poset as a bitmask over element ids, each
-    exactly once.
+                      weight: Sequence[int], cap: Optional[int] = None) -> Iterator[int]:
+    """Every order ideal I of a finite poset, each exactly once, as the sum of
+    ``weight[x]`` over the elements x of I.
 
     ``order`` is a linear extension, the element ids with each one after
     every element below it; ``lower[x]`` and ``upper[x]`` are the bitmasks
-    of the lower and upper covers of element x.  Raises
-    :class:`IdealCapExceeded` when a further ideal follows the ``cap``-th one
-    (``None`` for no cap).
+    of the lower and upper covers of element x.  Each ``weight[x]`` must
+    equal ``1 << x`` modulo 2^n, for n elements, or ``ValueError`` is raised
+    at the first ``next()``.  The low n bits of every sum are then the
+    bitmask of I over the element ids, even for a negative sum, and the rest
+    is the sum of the weights' high parts: unit weights ``1 << x`` give the
+    bare masks.  Raises :class:`IdealCapExceeded` when a further ideal
+    follows the ``cap``-th one (``None`` for no cap).
 
     Depth first, each ideal extended only by elements after its last one in
     ``order``, on an explicit stack, so no recursion limit applies.  Each
     stack entry carries ``cand``, the positions in ``order`` of the elements
-    addable to its mask after the last one added.  A child adding the
+    addable to its ideal after the last one added.  A child adding the
     element at position p keeps the bits of ``cand`` above p and gains the
     upper covers of that element whose lower covers now all lie in the
-    mask; no other element changes status.
+    ideal; no other element changes status.  The child's sum is the
+    parent's plus ``weight[x]``, whose low bits add x's bit to the mask,
+    since x is not yet in it.
     """
-    pos = [0] * len(order)
+    n = len(order)
+    full = (1 << n) - 1
+    if len(weight) != n or any(w & full != 1 << x for x, w in enumerate(weight)):
+        raise ValueError(f"each weight[x] must equal 1 << x modulo 2^{n}")
+    pos = [0] * n
     for p, x in enumerate(order):
         pos[x] = p
-    # per position: the id bit of its element, and the position bit and
+    # per position: the weight of its element, and the position bit and
     # lower covers of each of that element's upper covers
-    step = [(1 << x, [(1 << pos[y], lower[y]) for y in bits(upper[x])]) for x in order]
+    step = [(weight[x], [(1 << pos[y], lower[y]) for y in bits(upper[x])]) for x in order]
     stack = [(0, sum(1 << p for p, x in enumerate(order) if not lower[x]))]
     # one pass per ideal, at most ``cap`` of them
     for _ in count() if cap is None else range(cap):
         if not stack:
             return
-        mask, cand = stack.pop()
-        yield mask
+        total, cand = stack.pop()
+        yield total
         later = 0
         # last position first, so that the children pop in increasing order
         while cand:
             p = cand.bit_length() - 1
             pbit = 1 << p
             cand ^= pbit
-            xbit, grow = step[p]
-            child = mask | xbit
+            xweight, grow = step[p]
+            child = total + xweight
             new = later
             for ybit, ylower in grow:
+                # ylower has bits below n only, so this reads the mask
                 if ylower & child == ylower:
                     new |= ybit
             stack.append((child, new))

@@ -4,7 +4,9 @@ Builds the irreducible types A-G, exposes the root poset (ordering, heights,
 Hasse covers), fundamental coweights, the simple-reflection graph on positive
 roots, and order-ideal enumeration over the root poset.  A root-poset ideal
 is a bitmask over the positive-root indices throughout; its walk is the
-shared one of :func:`posets.walk_order_ideals`, along the index order.
+shared one of :func:`posets.walk_order_ideals`, along the index order, and
+:func:`iter_ideal_masks` can hand it per-root weights whose sums carry
+counters above the N mask bits (the exit scan of :mod:`semiorder`).
 Inner products are the ambient Euclidean dot product.
 
 The simple roots are defined once, by twice their ambient coordinates (an
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .coxgen import root_display
 from .linalg import Vector, bits
@@ -363,15 +365,21 @@ def ideal_from_members(rs: RootSystem, members) -> int:
     return mask
 
 
-def iter_ideal_masks(rs: RootSystem) -> Iterator[int]:
+def iter_ideal_masks(rs: RootSystem, weight: Optional[Sequence[int]] = None) -> Iterator[int]:
     """Every order ideal of the root poset as a bitmask, each exactly once.
 
     The index order is a linear extension, and the walk of
     :func:`posets.walk_order_ideals` along it adds roots in increasing index
     order, so the stream is deterministic.  Intended for systems up to E8
-    (25080 ideals).
+    (25080 ideals).  With ``weight``, one int per root with ``weight[j]``
+    equal to ``1 << j`` modulo 2^N, each ideal comes as the sum of its
+    roots' weights instead, whose low N bits are its mask (see
+    :func:`posets.walk_order_ideals`).
     """
-    yield from walk_order_ideals(range(rs.num_positive_roots), rs._lower_covers, rs._upper_covers)
+    n = rs.num_positive_roots
+    if weight is None:
+        weight = [1 << j for j in range(n)]
+    yield from walk_order_ideals(range(n), rs._lower_covers, rs._upper_covers, weight)
 
 
 def count_root_ideals(rs: RootSystem) -> int:

@@ -3,14 +3,16 @@
 Includes the classical unit-interval embedding into type A, the inversion
 fraction bound delta <= 1/2 with its pairing-injection mechanism, and the
 exhaustive single-exit witness scan over root-poset ideals that underpins
-the 1/3 bound for these sets (including the E8 scan, streamed).
+the 1/3 bound for these sets (including the E8 scan, streamed).  The scan
+has the ideal walk carry one exit counter per simple root above the mask
+bits, so each ideal costs one add and one AND.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from . import convex
 from .convex import ConvexSet
@@ -102,59 +104,61 @@ def check_half_bound(gs: GeneralizedSemiorder, refl: Sequence[Element]) -> bool:
 # -- single-exit witnesses over root-poset ideals -----------------------------
 
 
-ExitTable = List[Tuple[int, int, int]]
+def _exit_weights(rs: RootSystem) -> Tuple[List[int], int]:
+    """Per root, its weight for the exit scan's ideal walk, and the width w
+    of one counter field.
 
-
-def _exit_table(rs: RootSystem) -> ExitTable:
-    """Per simple root i: its bit, the mask P_i of roots that s_i raises and
-    the mask Q_i = s_i(P_i).
-
-    Only roots of P_i can leave an order ideal I: when s_i lowers or fixes a
-    root j of I, s_i(j) <= j lies in I too.  And for j in P_i, s_i(j) > j in
-    the root poset, so s_i(j) in I forces j in I.  Hence s_i moves exactly
-    |I & P_i| - |I & Q_i| members out of I.
+    Simple root i (1-based) owns the w-bit field at bit N + (i - 1) w, above
+    the N mask bits.  Let P_i be the roots that s_i raises and Q_i =
+    s_i(P_i).  Only roots of P_i can leave an order ideal I: when s_i
+    lowers or fixes a root j of I, s_i(j) <= j lies in I too.  And for j in
+    P_i, s_i(j) > j in the root poset, so s_i(j) in I forces j in I.  Hence
+    s_i moves exactly exits_i(I) = |I & P_i| - |I & Q_i| members out of I.
+    Root j's weight is ``1 << j`` plus, in field i, +1 if j is in P_i, -1
+    if j is in Q_i and -2 if j is alpha_i (the three are disjoint), so the
+    sum over I holds exits_i(I) - 2 [alpha_i in I] in field i.  That lies in
+    [-2, N - 1], inside the 2^(w - 1) > N + 2 that w = (N + 2).bit_length()
+    + 1 leaves on either side of 0.
     """
-    table = []
-    for i in range(1, rs.rank + 1):
-        raised = image = 0
-        for j in range(rs.num_positive_roots):
+    n = rs.num_positive_roots
+    width = (n + 2).bit_length() + 1
+    weight = [1 << j for j in range(n)]
+    for i, simple in enumerate(rs.simple_indices, start=1):
+        one = 1 << n + (i - 1) * width
+        weight[simple] -= 2 * one
+        for j in range(n):
             img = rs.simple_image(i, j) - 1
             if img > j:
-                raised |= 1 << j
-                image |= 1 << img
-        table.append((1 << rs.simple_indices[i - 1], raised, image))
-    return table
-
-
-def _first_single_exit(table: ExitTable, mask: int) -> Optional[int]:
-    """For an ideal mask, the first simple root (1-based) in the ideal moving
-    at most one member out of it, or None when there is none.
-
-    A root leaves the ideal under s_i when s_i sends it to a positive root
-    outside the ideal; the table counts those roots without listing them."""
-    for i, (simple_bit, raised, image) in enumerate(table, start=1):
-        if mask & simple_bit and (
-            (mask & raised).bit_count() - (mask & image).bit_count() <= 1
-        ):
-            return i
-    return None
+                weight[j] += one
+                weight[img] -= one
+    return weight, width
 
 
 def scan_exit_witnesses(rs: RootSystem) -> Tuple[int, List[int]]:
-    """Check every nonempty root-poset ideal for a single-exit simple root.
+    """Check every nonempty root-poset ideal for a single-exit simple root:
+    a simple root in the ideal that moves at most one member out of it.
 
     Returns (number of nonempty ideals scanned, masks of failing ideals).
     Streams the ideals, so even the 25080 ideals of E8 fit in memory.
+
+    The walk yields each ideal I as its sum v of :func:`_exit_weights`.
+    With ``tops`` = 2^(w - 1) in every field, field i of v + tops is
+    exits_i(I) + 2 [alpha_i not in I] + 2^(w - 1) - 2, in [0, 2^w), so no
+    field borrows from or carries into its neighbours, and its top bit is
+    clear iff alpha_i lies in I and at most one member exits.  So I fails
+    iff ``v + tops`` keeps every top bit, and its mask is v's low N bits.
     """
-    table = _exit_table(rs)
+    weight, width = _exit_weights(rs)
+    n = rs.num_positive_roots
+    tops = sum(1 << n + i * width + width - 1 for i in range(rs.rank))
+    low = (1 << n) - 1
+    ideals = iter_ideal_masks(rs, weight)
+    next(ideals)  # the empty ideal, which the walk yields first
     scanned = 0
     failures: List[int] = []
-    for mask in iter_ideal_masks(rs):
-        if mask == 0:
-            continue
-        scanned += 1
-        if _first_single_exit(table, mask) is None:
-            failures.append(mask)
+    for scanned, v in enumerate(ideals, start=1):
+        if v + tops & tops == tops:
+            failures.append(v & low)
     return scanned, failures
 
 

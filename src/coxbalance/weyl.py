@@ -125,10 +125,11 @@ def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     :class:`EnumerationCapExceeded` before any element when the group has
     more than ``DEFAULT_ELEMENT_CAP`` elements.
     """
-    tables = [table for table, _ in _letter_steps(rs, DEFAULT_ELEMENT_CAP)]
+    steps = _letter_steps(rs, DEFAULT_ELEMENT_CAP)
+    tables = [table for table, _ in steps]
     decode = Struct(f"{rs.num_positive_roots}b").unpack
     words = {}
-    for level in levels(rs, DEFAULT_ELEMENT_CAP):
+    for level in _walk(rs, steps, DEFAULT_ELEMENT_CAP):
         parents, words = words, {}
         for letter, (table, block) in enumerate(zip(tables, level), 1):
             first = (letter,)
@@ -157,14 +158,19 @@ def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[List
     shorter than N if it is not: one C-level call per (letter, element)
     makes the child test and the product.
     """
-    steps = _letter_steps(rs, cap)
+    yield from _walk(rs, _letter_steps(rs, cap), cap)
+
+
+def _walk(rs: RootSystem, steps: List[Tuple[bytes, bytes]],
+          cap: int) -> Iterator[List[List[bytes]]]:
+    """The levels of :func:`levels`, walked with the given letter steps."""
     n = rs.num_positive_roots
 
     def extend(i, block):
         table, delete = steps[i - 1]
         return [c for u in block if len(c := u.translate(table, delete)) == n]
 
-    yield from shortlex_levels(rs._coxeter, bytes(range(1, n + 1)), extend, cap)
+    return shortlex_levels(rs._coxeter, bytes(range(1, n + 1)), extend, cap)
 
 
 def _letter_steps(rs: RootSystem, cap: int) -> List[Tuple[bytes, bytes]]:

@@ -29,6 +29,7 @@ from coxbalance.posets import (
     poset_dot,
     poset_from_covers,
     poset_json,
+    walk_order_ideals,
 )
 from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system
@@ -174,6 +175,35 @@ def test_ideal_walk_yields_each_ideal_once(poset):
     assert count == len(walked)
     with pytest.raises(IdealCapExceeded):
         poset.ideal_count(cap=count - 1)
+
+
+@given(random_posets(), st.data())
+def test_ideal_walk_yields_weight_sums(poset, data):
+    """With weights 1 << x plus random high parts, negative ones included,
+    the walk yields the sum of the weights over each ideal, in the order in
+    which the unit-weight walk yields the ideals."""
+    n = poset.n
+    lower, upper = poset._cover_masks
+    below = [sum(row >> x & 1 for row in poset.rows) for x in range(n)]
+    order = sorted(range(n), key=lambda x: (below[x], x))
+    highs = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+    weight = [(1 << x) + (data.draw(highs) << n) for x in range(n)]
+    masks = list(walk_order_ideals(order, lower, upper, [1 << x for x in range(n)]))
+    assert sorted(masks) == brute_force_ideals(poset)
+    sums = list(walk_order_ideals(order, lower, upper, weight))
+    assert sums == [sum(weight[x] for x in bits(mask)) for mask in masks]
+
+
+def test_ideal_walk_rejects_weights_with_wrong_low_bits():
+    chain = poset_from_covers(3, [(0, 1), (1, 2)])
+    lower, upper = chain._cover_masks
+    good = [1 << x for x in range(3)]
+    assert list(walk_order_ideals([0, 1, 2], lower, upper, good)) == [0, 1, 3, 7]
+    for weight in ([1, 2, 5], [1, 2, 4 - 1], [0, 2, 4], [1, 2 + 4, 4], [1, 2], [1, 2, 4, 8]):
+        with pytest.raises(ValueError, match="must equal 1 << x modulo 2"):
+            next(walk_order_ideals([0, 1, 2], lower, upper, weight))
+    negative = [1 - 8, 2 - 16, 4 - 24]
+    assert list(walk_order_ideals([0, 1, 2], lower, upper, negative)) == [0, -7, -21, -41]
 
 
 def test_heap_a2():

@@ -195,14 +195,54 @@ def test_reflection_element_matches_fraction_reflect(family, rank):
 
 @pytest.mark.parametrize("family,rank", EXIT_SCAN_TYPES + (("E", 6), ("E", 7)))
 def test_exit_table_agrees_with_exit_roots(family, rank):
-    # the bit-count rule |I & P_i| - |I & Q_i| against the per-root count
+    # every counter field of every ideal's weight sum, decoded, against the
+    # per-root count exit_roots
     rs = build_root_system(family, rank)
-    table = semiorder._exit_table(rs)
-    for mask in iter_ideal_masks(rs):
-        if mask:
-            found = single_exit_simple(rs, mask)
-            assert found is not None
-            assert semiorder._first_single_exit(table, mask) == found[0], hex(mask)
+    weight, width = semiorder._exit_weights(rs)
+    n = rs.num_positive_roots
+    half = 1 << width - 1
+    tops = sum(half << n + i * width for i in range(rs.rank))
+    masks = list(iter_ideal_masks(rs))
+    sums = list(iter_ideal_masks(rs, weight))
+    assert len(sums) == len(masks)
+    for mask, v in zip(masks, sums):
+        assert v & (1 << n) - 1 == mask
+        for i, simple in enumerate(rs.simple_indices, start=1):
+            decoded = (v + tops >> n + (i - 1) * width) % (1 << width) - half + 2
+            outside = not mask >> simple & 1
+            assert decoded == len(exit_roots(rs, mask, i)) + 2 * outside, (hex(mask), i)
+
+
+@pytest.mark.parametrize("family,rank", EXIT_SCAN_TYPES + (("E", 6), ("E", 7)))
+def test_scan_reports_failing_ideals_as_bare_masks(monkeypatch, family, rank):
+    """The scan's failure branch, which no type reaches with the true
+    weights.  With the counters dropped every nonempty ideal fails; with
+    alpha_i's own -2 raised to -1, field i's top bit is clear iff alpha_i is
+    in the ideal and moves no member out, so exactly the ideals without
+    such a simple root fail (exit bound 0)."""
+    rs = build_root_system(family, rank)
+    scanned, failures = scan_exit_witnesses(rs)
+    assert failures == []
+    nonempty = [m for m in iter_ideal_masks(rs) if m]
+    assert scanned == len(nonempty)
+    weight, width = semiorder._exit_weights(rs)
+    n = rs.num_positive_roots
+
+    units = [1 << j for j in range(n)]
+    monkeypatch.setattr(semiorder, "_exit_weights", lambda rs: (units, width))
+    assert scan_exit_witnesses(rs) == (scanned, nonempty)
+
+    bound0 = list(weight)
+    for i, simple in enumerate(rs.simple_indices):
+        bound0[simple] += 1 << n + i * width
+    monkeypatch.setattr(semiorder, "_exit_weights", lambda rs: (bound0, width))
+    expected = [
+        m for m in nonempty
+        if not any(m >> simple & 1 and not exit_roots(rs, m, i)
+                   for i, simple in enumerate(rs.simple_indices, start=1))
+    ]
+    assert bool(expected) == (rank > 1)  # A1 alone has none failing at bound 0
+    assert scan_exit_witnesses(rs) == (scanned, expected)
 
 
 def fraction_single_exit(rs, mask):

@@ -373,6 +373,23 @@ def test_walk_refuses_types_past_the_byte_bound(family, rank):
     assert not isinstance(exc.value, EnumerationCapExceeded)
 
 
+@pytest.mark.parametrize("walk", [all_elements, levels])
+def test_walk_builds_the_letter_steps_once(walk, monkeypatch):
+    calls = []
+    build = weyl._letter_steps
+
+    def counted(rs, cap):
+        calls.append(cap)
+        return build(rs, cap)
+
+    monkeypatch.setattr(weyl, "_letter_steps", counted)
+    rs = build_root_system("B", 3)
+    items = walk(rs)
+    assert calls == []  # a generator: the steps and their errors wait for next()
+    assert sum(1 for _ in items) == {all_elements: 48, levels: 10}[walk]
+    assert calls == [weyl.DEFAULT_ELEMENT_CAP]
+
+
 def test_enumeration_cap(monkeypatch):
     rs = build_root_system("A", 3)
     monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", 5)
