@@ -49,8 +49,6 @@ class AlcoveParams:
     max_mark the exponent in the 1/(2 e^exponent) lower bound.
     """
 
-    family: str
-    rank: int
     min_mark: int
     max_mark: int
     height: int
@@ -65,8 +63,6 @@ def alcove_params(rs: RootSystem) -> AlcoveParams:
     ht = sum(marks)
     margin = Fraction(rs.rank, m0) + Fraction(1, m1) - Fraction(ht, m0 * m1)
     return AlcoveParams(
-        family=rs.family,
-        rank=rs.rank,
         min_mark=m0,
         max_mark=m1,
         height=ht,
@@ -84,7 +80,6 @@ def ambient(rs: RootSystem, y: Sequence) -> Vector:
 class AlcoveData:
     """Vertices of the fundamental alcove (plus short-root data)."""
 
-    root_system: RootSystem
     vertices: Tuple[Vector, ...]  # origin plus coweight/mark vertices
     short_vertices: Optional[Tuple[Vector, ...]]  # non-simply-laced only
 
@@ -99,7 +94,6 @@ def alcove_data(rs: RootSystem) -> AlcoveData:
     """The alcove points, in ambient coordinates; <omega_i^vee, eta> is eta_i."""
     short = rs.highest_short_root_index
     return AlcoveData(
-        rs,
         _corners(rs, rs.coefficients[rs.highest_root_index]),
         None if short is None else _corners(rs, rs.coefficients[short]),
     )

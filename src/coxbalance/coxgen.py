@@ -19,12 +19,13 @@ Coxeter matrix), ``key_order(key)`` (the order in which keys are listed)
 and ``key_display(key)``.  A root key is an int,
 and a set of roots is the int bitmask of its keys.  Both inherit from
 :class:`GroupWords` the routines that read elements only through these:
-``from_word``, ``word_length``, ``check_reduced``, the least right descent
-``descent`` and the greedy least reduced words ``inverse_word`` and
-``reduced_word``.  This module also holds the one walk of the shortlex
-tree, :func:`shortlex_levels`, and the word combinatorics shared by both:
-inversion and reflection keys of words, and full commutativity, decided
-on the heap of one reduced word (``posets.heap_from_word``).
+``from_word``, ``check_reduced`` (a descent test per letter), the least
+right descent ``descent`` and the greedy least reduced words
+``inverse_word`` and ``reduced_word``.  This module also holds the one
+walk of the shortlex tree, :func:`shortlex_levels`, and the word
+combinatorics shared by both: the reflection key of a word, and full
+commutativity, decided on the heap of one reduced word
+(``posets.heap_from_word``).
 """
 
 from __future__ import annotations
@@ -208,13 +209,18 @@ class GroupWords:
             w = self.mul_simple_right(w, i)
         return w
 
-    def word_length(self, word: Sequence[int]) -> int:
-        return self.inversion_mask(self.from_word(word)).bit_count()
-
     def check_reduced(self, word: Sequence[int]) -> None:
-        """Raise :class:`NotReducedError` unless ``word`` is reduced."""
-        if self.word_length(word) != len(word):
-            raise NotReducedError(word)
+        """Raise :class:`NotReducedError` at the first letter i that is a right
+        descent of the product x of the letters before it, as l(x s_i) > l(x)
+        iff x(alpha_i) > 0 (Humphreys, Reflection Groups and Coxeter Groups,
+        5.4).  A letter out of range raises ``ValueError`` first."""
+        if not all(1 <= i <= self.rank for i in word):
+            self.from_word(word)  # raises at the first letter out of range
+        x = self.identity()
+        for i in word:
+            if self.is_descent(x, i):
+                raise NotReducedError(word)
+            x = self.mul_simple_right(x, i)
 
     def descent(self, x) -> int:
         """Least right descent of x: the least i with x(alpha_i) negative, or 0 when x = e."""
@@ -311,9 +317,16 @@ class CoxSystem(GroupWords):
         return self.from_word(self.inverse_word(w))
 
     def inversion_mask(self, w: Columns) -> int:
-        """Bitmask of the positive roots sent negative by w, the distinct
-        inversion keys of a reduced word."""
-        return sum(1 << k for k in inversion_keys_of_word(self, self.inverse_word(w)[::-1]))
+        """Bitmask of the positive roots sent negative by w.  Stripping its
+        least right descents i1, .., il gives w = s_il ... s_i1, whose
+        inversions s_i1 ... s_i(k-1) alpha_ik are keyed for k = 1..l."""
+        mask = 0
+        y = self.identity()
+        while i := self.descent(w):
+            mask |= 1 << self.simple_image_key(y, i)
+            w = self.mul_simple_right(w, i)
+            y = self.mul_simple_right(y, i)
+        return mask
 
     def key_order(self, key: int) -> Tuple[int, ...]:
         return self._columns[key]
@@ -334,20 +347,6 @@ def root_display(coeffs: Sequence) -> str:
     return "+".join(
         f"a{k}" if c == 1 else f"{c}a{k}" for k, c in enumerate(coeffs, start=1) if c
     )
-
-
-def inversion_keys_of_word(g, word: Sequence[int]) -> List:
-    """Keys of s_{i_l} ... s_{i_{k+1}} alpha_{i_k} for k = 1..l (word assumed reduced).
-
-    These are the positive roots that s_{i_1} ... s_{i_l} sends negative.
-    ``g`` is any group object: a ``weyl.WeylContext`` or a :class:`CoxSystem`.
-    """
-    keys = []
-    y = g.identity()
-    for i in reversed(word):
-        keys.append(g.simple_image_key(y, i))
-        y = g.mul_simple_right(y, i)
-    return keys[::-1]
 
 
 def reflection_key_of_word(g, word: Sequence[int]):

@@ -53,6 +53,10 @@ from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
 
+# Most root-poset ideals one walk may visit: A13, B12, C12 and D12 have at most
+# 2.71 * 10^6 (about 1 s each), E8 25080, and A20 about 2.4 * 10^10.
+ROOT_IDEAL_CAP = 2 ** 22
+
 # Twice the ambient coordinates of the E8 simple roots: the path s1..s7,
 # with s8 attached to s3 (branch node).
 _E8_DOUBLED = (
@@ -371,15 +375,17 @@ def iter_ideal_masks(rs: RootSystem, weight: Optional[Sequence[int]] = None) -> 
     The index order is a linear extension, and the walk of
     :func:`posets.walk_order_ideals` along it adds roots in increasing index
     order, so the stream is deterministic.  Intended for systems up to E8
-    (25080 ideals).  With ``weight``, one int per root with ``weight[j]``
-    equal to ``1 << j`` modulo 2^N, each ideal comes as the sum of its
-    roots' weights instead, whose low N bits are its mask (see
-    :func:`posets.walk_order_ideals`).
+    (25080 ideals); raises :class:`posets.IdealCapExceeded` when a further
+    ideal follows the ``ROOT_IDEAL_CAP``-th one.  With ``weight``, one int
+    per root with ``weight[j]`` equal to ``1 << j`` modulo 2^N, each ideal
+    comes as the sum of its roots' weights instead, whose low N bits are
+    its mask (see :func:`posets.walk_order_ideals`).
     """
     n = rs.num_positive_roots
     if weight is None:
         weight = [1 << j for j in range(n)]
-    yield from walk_order_ideals(range(n), rs._lower_covers, rs._upper_covers, weight)
+    yield from walk_order_ideals(range(n), rs._lower_covers, rs._upper_covers, weight,
+                                 ROOT_IDEAL_CAP)
 
 
 def count_root_ideals(rs: RootSystem) -> int:

@@ -6,14 +6,17 @@ Gauss-Jordan inversion (the Gram-inverse route to the coweights), the action
 and reflections on ``Fraction`` vectors, the reflection in a root as a
 conjugate of a simple reflection by words, the members and words of a convex
 set by breadth-first search on frozensets of root keys, full commutativity
-by a braid scan over a whole commutation class, the single-exit simple roots
+by a braid scan over a whole commutation class, the inversion keys of a
+reduced word (for a diagram's ``inversion_mask``), the length of a word
+counted as inversions (for ``check_reduced``), the single-exit simple roots
 of a root-poset ideal, the classical semiorder of a point set and
 brute-force linear extension counts.  The helpers build objects the tests
 compare: commutation classes, the reduced words up to a length, right
 translates of convex sets, dual posets, and the root keys of a finite group
-object with the masks and frozensets of such keys.  Property tests run under a derandomized hypothesis profile: the
-examples are derived from each test's source, so every run of the suite
-draws the same ones, and no example database is written.
+object with the masks and frozensets of such keys.  Property tests run
+under a derandomized hypothesis profile: the examples are derived from each
+test's source, so every run of the suite draws the same ones, and no
+example database is written.
 """
 
 from fractions import Fraction
@@ -145,10 +148,31 @@ def reflection_word_element(rs, k):
     return weyl.WeylContext(rs).from_word(path + [j] + path[::-1])
 
 
+def inversion_keys_of_word(g, word):
+    """Keys of s_{i_l} ... s_{i_{k+1}} alpha_{i_k} for k = 1..l (word assumed reduced).
+
+    These are the positive roots that s_{i_1} ... s_{i_l} sends negative,
+    in any group object; the oracle for a diagram's ``inversion_mask``,
+    which meets the same roots in reverse order of the word.
+    """
+    keys = []
+    y = g.identity()
+    for i in reversed(word):
+        keys.append(g.simple_image_key(y, i))
+        y = g.mul_simple_right(y, i)
+    return keys[::-1]
+
+
+def word_length(g, word):
+    """Length of the element of a word, counted as its inversions: the
+    oracle for ``check_reduced``'s descent test."""
+    return g.inversion_mask(g.from_word(word)).bit_count()
+
+
 def commutation_class(sys, word):
     """All words reachable from a reduced word by swapping adjacent commuting
     letters, sorted; raises :class:`NotReducedError` on a non-reduced word."""
-    if sys.word_length(word) != len(word):
+    if word_length(sys, word) != len(word):
         raise NotReducedError(word)
     seen = {tuple(word)}
     frontier = list(seen)

@@ -17,7 +17,15 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import commutation_class, labelled_relation, mask_of, one_line, root_keys, translate
+from conftest import (
+    commutation_class,
+    inversion_keys_of_word,
+    labelled_relation,
+    mask_of,
+    one_line,
+    root_keys,
+    translate,
+)
 from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
@@ -289,7 +297,7 @@ def test_c10_bridge_equality():
             c = convex.interval_left(ctx, w)
             assert c.balance_value() == heap.balance()
             fractions = heap.ideal_fractions()
-            for pos, key in enumerate(coxgen.inversion_keys_of_word(sys, word)):
+            for pos, key in enumerate(inversion_keys_of_word(sys, word)):
                 assert c.inversion_fraction(key) == fractions[pos]
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coxbalance import posets
+from coxbalance import posets, rootsys
 from coxbalance.cli import main
 from coxbalance.rootsys import RootSystem, fraction_json
 
@@ -423,6 +423,17 @@ def test_heap_rejects_non_reduced(capsys):
 def test_semiorder_count_guard(capsys):
     code = main(["semiorder", "--type", "E", "--rank", "7", "--count-ideals"])
     assert_error_line(capsys, code, "pass --e8 to run the large scan")
+
+
+def test_semiorder_ideal_cap(capsys, monkeypatch):
+    """A20 has about 2.4 * 10^10 root-poset ideals: the scan stops at the cap
+    with one error line.  The count takes the same walk, shown here under a
+    smaller cap (A3 has 14 ideals)."""
+    code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"])
+    assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
+    monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 13)
+    code = main(["semiorder", "--type", "A", "--rank", "3", "--count-ideals"])
+    assert_error_line(capsys, code, "more than 13 order ideals")
 
 
 def test_semiorder_scan(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_convex_rows, keys_of, mask_of, root_keys, translate
+from conftest import bfs_convex_rows, inversion_keys_of_word, keys_of, mask_of, root_keys, translate
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
@@ -533,7 +533,7 @@ def test_bridge_between_interval_and_heap():
             c = interval_left(ctx, w)
             assert c.balance_value() == heap.balance()
             fr = heap.ideal_fractions()
-            for pos, k in enumerate(coxgen.inversion_keys_of_word(sys, word)):
+            for pos, k in enumerate(inversion_keys_of_word(sys, word)):
                 assert c.inversion_fraction(k) == fr[pos]
             checked += 1
         assert checked > 10

@@ -2,13 +2,21 @@
 
 import json
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import braid_free_class, commutation_class, one_line, reduced_words
+from conftest import (
+    braid_free_class,
+    commutation_class,
+    inversion_keys_of_word,
+    mask_of,
+    one_line,
+    reduced_words,
+    word_length,
+)
 from coxbalance import convex
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
@@ -18,7 +26,6 @@ from coxbalance.coxgen import (
     build_system,
     complete_graph_matrix,
     cycle_matrix,
-    inversion_keys_of_word,
     is_acyclic,
     is_fully_commutative,
     is_irreducible,
@@ -95,7 +102,7 @@ def test_acyclicity():
 
 def test_affine_four_cycle_element():
     sys = build_system(cycle_matrix(4))
-    assert sys.word_length([2, 4, 1, 3]) == 4
+    assert word_length(sys, [2, 4, 1, 3]) == 4
     assert len(commutation_class(sys, [2, 4, 1, 3])) == 4
     assert is_fully_commutative(sys, [2, 4, 1, 3])
 
@@ -152,7 +159,7 @@ def test_lengths_agree_with_weyl_module():
         weyl_group = WeylContext(build_root_system(family, rank))
         for _ in range(150):
             word = [random.randint(1, rank) for _ in range(random.randint(0, 6))]
-            assert generic.word_length(word) == weyl_group.word_length(word)
+            assert word_length(generic, word) == word_length(weyl_group, word)
             assert (generic.reduced_word(generic.from_word(word))
                     == weyl_group.reduced_word(weyl_group.from_word(word)))
     for g in (build_system(path_matrix(2, [3])), WeylContext(build_root_system("A", 2))):
@@ -160,6 +167,53 @@ def test_lengths_agree_with_weyl_module():
         for word in ([1, 1], [1, 2, 1, 2]):
             with pytest.raises(NotReducedError):
                 g.check_reduced(word)
+
+
+SHORT_WORD_DIAGRAMS = [
+    *(matrix_from_edges(3, [(1, 2, a), (1, 3, b), (2, 3, c)])
+      for a, b, c in combinations_with_replacement((3, 4, 6, INF), 3)),
+    path_matrix(3, [3, 3]),
+    path_matrix(3, [3, 4]),
+    path_matrix(2, [6]),
+]
+
+
+def test_descent_routes_match_the_oracles():
+    """Over every word of length <= 6 on A3, B3, G2 (as diagrams and as Weyl
+    types) and the rank-3 diagrams with labels in {3, 4, 6, inf},
+    ``check_reduced`` raises exactly when the oracle length differs from the
+    letter count, and a letter out of range wins over a non-reduced prefix.
+    Over every word of length <= 5 on the diagrams, ``inversion_mask`` on a
+    fresh system gives the keys that ``inversion_keys_of_word`` gives on
+    another, and the same columns in the same order."""
+    groups = [build_system(m) for m in SHORT_WORD_DIAGRAMS] + [
+        WeylContext(build_root_system(f, r)) for f, r in (("A", 3), ("B", 3), ("G", 2))]
+    refused = 0
+    for g in groups:
+        r = g.rank
+        for n in range(7):
+            for word in product(range(1, r + 1), repeat=n):
+                if word_length(g, word) == n:
+                    g.check_reduced(word)
+                else:
+                    with pytest.raises(NotReducedError) as info:
+                        g.check_reduced(word)
+                    assert str(info.value) == f"word {list(word)} is not reduced"
+                    refused += 1
+                for letter, bad in ((r + 1, word + (r + 1,)), (0, (0,) + word)):
+                    with pytest.raises(ValueError) as info:
+                        g.check_reduced(bad)
+                    assert type(info.value) is ValueError
+                    assert str(info.value) == f"simple index {letter} out of range 1..{r}"
+    assert refused > 0
+    for m in SHORT_WORD_DIAGRAMS:
+        for n in range(6):
+            for word in product(range(1, m.rank + 1), repeat=n):
+                fresh, oracle = build_system(m), build_system(m)
+                w = fresh.from_word(word)
+                keys = inversion_keys_of_word(oracle, oracle.inverse_word(w)[::-1])
+                assert fresh.inversion_mask(w) == mask_of(keys)
+                assert fresh._columns == oracle._columns
 
 
 def test_form_entries_exact():

@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import commutation_class, dual, heap_respects_diagram, labelled_relation
+from conftest import (
+    commutation_class,
+    dual,
+    heap_respects_diagram,
+    inversion_keys_of_word,
+    labelled_relation,
+    word_length,
+)
 from coxbalance import verify
 from coxbalance.coxgen import (
     INF,
     NotReducedError,
     build_system,
     cycle_matrix,
-    inversion_keys_of_word,
     is_fully_commutative,
     matrix_from_edges,
     path_matrix,
@@ -247,7 +253,7 @@ def random_reduced_word(sys, rank, length, rng):
     word = []
     for _ in range(length):
         letter = rng.randint(1, rank)
-        if sys.word_length(word + [letter]) == len(word) + 1:
+        if word_length(sys, word + [letter]) == len(word) + 1:
             word.append(letter)
     return word
 
@@ -384,7 +390,7 @@ def test_heap_ideal_fractions_equal_interval_inversion_fractions(labels, letters
     sys = build_system(matrix_from_edges(3, [(1, 2, m12), (1, 3, m13), (2, 3, m23)]))
     word = []
     for i in letters:  # keep each letter that leaves the word reduced and FC
-        if (sys.word_length(word + [i]) == len(word) + 1
+        if (word_length(sys, word + [i]) == len(word) + 1
                 and is_fully_commutative(sys, word + [i])):
             word.append(i)
     interval = convex.interval_left(sys, sys.from_word(word))

@@ -3,11 +3,15 @@
 import dataclasses
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import dot, invert, neg, reflect, simple_roots, vec
+from coxbalance import rootsys
+from coxbalance.posets import IdealCapExceeded
 from coxbalance.rootsys import (
+    ROOT_IDEAL_CAP,
     InvalidTypeError,
     build_root_system,
     count_root_ideals,
@@ -424,6 +428,20 @@ def test_ideal_counts_are_catalan(family, rank):
     assert count_root_ideals(rs) == catalan
     if (family, rank) == ("E", 8):
         assert catalan == 25080
+
+
+def test_ideal_walk_stops_at_the_cap(monkeypatch):
+    """The walk yields ``ROOT_IDEAL_CAP`` ideals and refuses a further one.
+    The cap admits A13 (Catalan(14) ideals) and B12 and C12 (binom(24, 12)),
+    but not A14 or B13."""
+    assert comb(28, 14) // 15 <= ROOT_IDEAL_CAP < comb(30, 15) // 16
+    assert comb(24, 12) <= ROOT_IDEAL_CAP < comb(26, 13)
+    rs = build_root_system("A", 3)
+    monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 14)
+    assert count_root_ideals(rs) == 14
+    monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 13)
+    with pytest.raises(IdealCapExceeded):
+        count_root_ideals(rs)
 
 
 def test_ideal_stream_unique_and_closed():
