@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import alcove, convex, coxgen, posets, semiorder, verify, weyl
+from . import alcove, convex, coxgen, posets, rootsys, semiorder, verify, weyl
 from .linalg import bits
 from .rootsys import (
     RootSystem,
@@ -246,6 +246,8 @@ def cmd_semiorder(args, out) -> int:
             f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
             "pass --e8 to run the large scan"
         )
+    if rootsys.catalan_number(rs) > rootsys.ROOT_IDEAL_CAP:
+        raise posets.IdealCapExceeded(rootsys.ROOT_IDEAL_CAP)
     if args.count_ideals:
         n = count_root_ideals(rs)
         print(f"{rs.root_label()}: {n} root-poset order ideals")

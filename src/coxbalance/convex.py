@@ -12,12 +12,14 @@ hashed and compared directly.
 Single sets, and every set of a diagram, come from :func:`pruned_walk`, a
 walk of the shortlex tree pruned to W^A by its child test (``verify``
 prunes it to the fully commutative elements).  Scans over many sets W^A of
-one finite Weyl group walk the group once: W^A = {w : N(w) inside A}, so
-:func:`ideals_from_uppers` reads each W^A off a table of inversion
-bitmasks.  The distinct convex order ideals are exactly the distinct unions
-of inversion sets, so :func:`enumerate_convex_ideals` closes the same
-table's bitmasks under union.  Both give (element, shortlex word, inversion
-mask) rows in shortlex order.
+one finite Weyl group walk the group once into a table of (element,
+shortlex word, inversion mask) rows in shortlex order.  W^A = {w : N(w)
+inside A}, so :func:`ideals_from_uppers` builds each requested W^A from the
+rows whose mask lies inside A.  :func:`enumerate_convex_ideals` reads the
+same table by columns, one int bitset of rows per root: the distinct convex
+order ideals are the closed sets of those columns, NextClosure lists each
+once, and a set's size and its balance are popcounts of ANDs of columns,
+with no set built.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ class EmptyConvexSetError(ValueError):
     pass
 
 
+def listed_keys(ctx, mask: int) -> Tuple[int, ...]:
+    """The root keys of a mask in the group object's ``key_order``."""
+    return tuple(sorted(bits(mask), key=ctx.key_order))
+
+
 @dataclass(frozen=True)
 class ConvexSet:
     """A finite convex subset with its canonical inversion-constraint pair."""
@@ -58,11 +65,11 @@ class ConvexSet:
 
     @property
     def canonical_upper(self) -> Tuple[int, ...]:
-        return tuple(sorted(bits(self.upper), key=self.ctx.key_order))
+        return listed_keys(self.ctx, self.upper)
 
     @property
     def canonical_lower(self) -> Tuple[int, ...]:
-        return tuple(sorted(bits(self.lower), key=self.ctx.key_order))
+        return listed_keys(self.ctx, self.lower)
 
     # -- statistics --------------------------------------------------------
 
@@ -209,12 +216,6 @@ def _element_table(ctx: WeylContext) -> List[Tuple]:
     return [(w, word, ctx.inversion_mask(w)) for w, word in weyl.all_elements(ctx.root_system)]
 
 
-def _ideals_in(ctx: WeylContext, table, uppers: Iterable[int]) -> Iterator[ConvexSet]:
-    for upper in uppers:
-        outside = ~upper
-        yield _build(ctx, [row for row in table if not row[2] & outside])
-
-
 def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[ConvexSet]:
     """W^A for each root bitmask A of ``uppers``, in the given order.
 
@@ -222,31 +223,97 @@ def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[Conv
     kept as a table of inversion bitmasks, serves every A.  Each set is the
     canonical :class:`ConvexSet` that :func:`ideal_from_upper` builds.
     """
-    yield from _ideals_in(ctx, _element_table(ctx), uppers)
+    table = _element_table(ctx)
+    for upper in uppers:
+        outside = ~upper
+        yield _build(ctx, [row for row in table if not row[2] & outside])
 
 
-def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[ConvexSet]:
-    """All distinct convex order ideals W^A of a finite Weyl group.
+def _root_columns(table, n: int) -> List[int]:
+    """Column j of the table: the int bitset of the rows whose inversion
+    set holds root j."""
+    columns = [0] * n
+    for r, (_, _, mask) in enumerate(table):
+        bit = 1 << r
+        for j in bits(mask):
+            columns[j] |= bit
+    return columns
 
-    The union of the inversion sets over W^A is a set A' inside A with
-    W^{A'} = W^A, so the distinct ideals are exactly the distinct unions of
-    inversion sets.  Closing {0} under OR with the inversion bitmasks of one
-    pass over the group gives every union A, and the same pass yields W^A.
-    Sets stream ordered by (|A|, sorted A); requires at most
-    ``CONVEX_SCAN_MAX_ROOTS`` positive roots.
+
+def _popcount_balance(columns: Sequence[int], members: int, upper: int) -> Fraction:
+    """Balance of the table rows ``members``, whose inversions lie inside
+    ``upper``: root j is an inversion of ``(members & columns[j]).bit_count()``
+    of them, and a root outside ``upper`` of none."""
+    n = members.bit_count()
+    best = 0
+    for j in bits(upper):
+        c = (members & columns[j]).bit_count()
+        if c > best and n - c > best:
+            best = min(c, n - c)
+    return Fraction(best, n)
+
+
+def _closed_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
+    """(A, balance of W^A) for each distinct W^A, in NextClosure order.
+
+    For a set Y of roots, M(Y), the AND over Y of the complemented columns,
+    is the rows that avoid Y, and c(Y) = {j : M(Y) & column j = 0} is a
+    closure operator.  Y is closed iff A, the roots outside Y, is the union
+    of the inversion sets of W^A = M(Y), so each distinct W^A is one closed
+    Y.  NextClosure (Ganter, 1984) steps from a closed Y to the next in
+    lectic order: c(Y below i, plus i) for the largest root i outside Y
+    whose closure adds no root below i.  It keeps M of Y's roots below each
+    k as ``prefix[k]``, so a candidate costs one AND and a test per root.
+    """
+    n = ctx.root_system.num_positive_roots
+    table = _element_table(ctx)
+    columns = _root_columns(table, n)
+    roots = (1 << n) - 1
+    prefix = [(1 << len(table)) - 1] * (n + 1)
+    closed = 0  # c(0) is empty: the longest element inverts every root
+    start = 0  # prefix[k] is stale for k > start
+    while True:
+        for k in range(start, n):
+            m = prefix[k]
+            prefix[k + 1] = m & ~columns[k] if closed >> k & 1 else m
+        upper = roots & ~closed
+        yield upper, _popcount_balance(columns, prefix[n], upper)
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if closed & bit:
+                closed ^= bit
+                continue
+            m = prefix[i] & ~columns[i]
+            if all(m & columns[j] for j in bits(bit - 1 & ~closed)):
+                closed |= bit | sum(1 << j for j in range(i + 1, n) if not m & columns[j])
+                start = i
+                break
+        else:
+            return
+
+
+def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
+    """(A, balance) for every distinct convex order ideal W^A of a finite
+    Weyl group, A being the union of the members' inversion sets.
+
+    One pass over the group gives an int bitset per root column, and the
+    distinct W^A are the closed sets of the columns, which NextClosure
+    lists once each (see :func:`_closed_ideals`).  A set's members are the
+    bits of one int, so its size and each root's inversion count are
+    popcounts.  Sets stream ordered by (|A|, sorted A); requires at most
+    ``CONVEX_SCAN_MAX_ROOTS`` positive roots.  In lectic order the earlier
+    of two closed sets lacks the least root where they differ, so its A
+    holds it: sets of one size already come by sorted A, and a stable sort
+    by |A| gives the scan order.
     """
     n = ctx.root_system.num_positive_roots
     if n > CONVEX_SCAN_MAX_ROOTS:
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    table = _element_table(ctx)
-    unions = {0}
-    for _, _, mask in table:
-        unions |= {u | mask for u in unions}
-    yield from _ideals_in(ctx, table, sorted(unions, key=lambda a: (a.bit_count(), list(bits(a)))))
+    yield from sorted(_closed_ideals(ctx), key=lambda s: s[0].bit_count())
 
 
-def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, ConvexSet]]:
-    """Every non-singleton convex order ideal with its balance, in scan order."""
-    return [(c.balance_value(), c) for c in enumerate_convex_ideals(ctx) if len(c) > 1]
+def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, int]]:
+    """(balance, A) for every convex order ideal W^A but {e} (A = 0), in scan order."""
+    return [(b, upper) for upper, b in enumerate_convex_ideals(ctx) if upper]

@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -54,7 +55,8 @@ from .posets import walk_order_ideals
 Family = str  # one of "A".."G"
 
 # Most root-poset ideals one walk may visit: A13, B12, C12 and D12 have at most
-# 2.71 * 10^6 (about 1 s each), E8 25080, and A20 about 2.4 * 10^10.
+# 2.71 * 10^6 (about 1 s each), E8 25080, and A20 about 2.4 * 10^10;
+# :func:`catalan_number` gives the count before a walk.
 ROOT_IDEAL_CAP = 2 ** 22
 
 # Twice the ambient coordinates of the E8 simple roots: the path s1..s7,
@@ -390,6 +392,21 @@ def iter_ideal_masks(rs: RootSystem, weight: Optional[Sequence[int]] = None) -> 
 
 def count_root_ideals(rs: RootSystem) -> int:
     return sum(1 for _ in iter_ideal_masks(rs))
+
+
+def catalan_number(rs: RootSystem) -> int:
+    """The number of root-poset order ideals, with no walk: the Catalan
+    number prod (h + d_i) / d_i of the Weyl group (Cellini and Papi).
+
+    The exponents m_i = d_i - 1 are the dual partition of the numbers of
+    positive roots at each height (Humphreys 3.20): m_i >= k for exactly as
+    many i as there are roots of height k.  The Coxeter number h is the
+    largest degree.
+    """
+    per_height = [rs.heights.count(k) for k in range(1, rs.heights[-1] + 1)]
+    degrees = [1 + sum(1 for c in per_height if c >= j) for j in range(1, rs.rank + 1)]
+    h = max(degrees)
+    return prod(h + d for d in degrees) // prod(degrees)
 
 
 # -- exports -----------------------------------------------------------------

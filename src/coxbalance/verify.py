@@ -164,9 +164,10 @@ CONJECTURE_TYPES: Tuple[Tuple[str, int], ...] = (
 
 def verify_conjecture(rs: RootSystem) -> VerificationReport:
     def body(report: VerificationReport):
-        scored = convex.scored_ideals(WeylContext(rs))
+        ctx = WeylContext(rs)
+        scored = convex.scored_ideals(ctx)
         best = min(b for b, _ in scored)
-        violations = [c for b, c in scored if b < THIRD]
+        violations = [upper for b, upper in scored if b < THIRD]
         label = rs.root_label()
         if rs.family == "A" and rs.rank == 1:
             report.check(f"{label} min balance", best, Fraction(1, 2))
@@ -177,7 +178,8 @@ def verify_conjecture(rs: RootSystem) -> VerificationReport:
             len(violations),
             0,
             reproducer=[
-                "A=" + ",".join(map(str, c.canonical_upper)) for c in violations
+                "A=" + ",".join(map(str, convex.listed_keys(ctx, upper)))
+                for upper in violations
             ] or None,
         )
         report.check(
@@ -396,12 +398,14 @@ def verify_geometry() -> VerificationReport:
         for family, rank in CONJECTURE_TYPES:
             rs = build_root_system(family, rank)
             threshold = alcove.exponential_bound_threshold(rs)
-            scored = convex.scored_ideals(WeylContext(rs))
+            ctx = WeylContext(rs)
+            scored = convex.scored_ideals(ctx)
+            sets = convex.ideals_from_uppers(ctx, [upper for _, upper in scored])
             no_height = []
             no_split = []
             below = []
             below_short = []
-            for b, c in scored:
+            for (b, _), c in zip(scored, sets):
                 if alcove.small_mean_height_root(c) is None:
                     no_height.append(c)
                 if alcove.centroid_split_root(c) is None:

@@ -5,18 +5,20 @@ tables: type A one-line notation, the simple roots of a type, dot products,
 Gauss-Jordan inversion (the Gram-inverse route to the coweights), the action
 and reflections on ``Fraction`` vectors, the reflection in a root as a
 conjugate of a simple reflection by words, the members and words of a convex
-set by breadth-first search on frozensets of root keys, full commutativity
-by a braid scan over a whole commutation class, the inversion keys of a
-reduced word (for a diagram's ``inversion_mask``), the length of a word
-counted as inversions (for ``check_reduced``), the single-exit simple roots
-of a root-poset ideal, the classical semiorder of a point set and
+set by breadth-first search on frozensets of root keys, the distinct convex
+order ideals as the closure of the inversion masks under union, full
+commutativity by a braid scan over a whole commutation class, the inversion
+keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
+word counted as inversions (for ``check_reduced``), the single-exit simple
+roots of a root-poset ideal, the classical semiorder of a point set and
 brute-force linear extension counts.  The helpers build objects the tests
 compare: commutation classes, the reduced words up to a length, right
-translates of convex sets, dual posets, and the root keys of a finite group
-object with the masks and frozensets of such keys.  Property tests run
-under a derandomized hypothesis profile: the examples are derived from each
-test's source, so every run of the suite draws the same ones, and no
-example database is written.
+translates of convex sets, every convex order ideal as a ``ConvexSet``, dual
+posets, and the root keys of a finite group object with the masks and
+frozensets of such keys.  Property tests run under a derandomized
+hypothesis profile: the examples are derived from each test's source, so
+every run of the suite draws the same ones, and no example database is
+written.
 """
 
 from fractions import Fraction
@@ -243,6 +245,25 @@ def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     rows = [(w, ctx.reduced_word(w), inv)
             for w, inv in ((ctx.invert(v), inv) for v, inv in found) if lower <= inv]
     return sorted(rows, key=lambda row: (len(row[1]), row[1]))
+
+
+def union_closure_uppers(ctx):
+    """Oracle for the convex-ideal scan: the distinct W^A are the distinct
+    unions A of inversion sets, so closing {0} under OR with the inversion
+    mask of every group element gives each A once.  Sorted by (|A|, sorted A).
+    """
+    unions = {0}
+    for w, _ in weyl.all_elements(ctx.root_system):
+        mask = ctx.inversion_mask(w)
+        unions |= {u | mask for u in unions}
+    return sorted(unions, key=lambda a: (a.bit_count(), list(bits(a))))
+
+
+def convex_ideals(ctx):
+    """Every distinct convex order ideal W^A of a finite Weyl type as a
+    ``ConvexSet``, in the order of the scan that lists their A."""
+    uppers = [upper for upper, _ in convex.enumerate_convex_ideals(ctx)]
+    return list(convex.ideals_from_uppers(ctx, uppers))
 
 
 def keys_of(mask):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from conftest import (
     commutation_class,
+    convex_ideals,
     inversion_keys_of_word,
     labelled_relation,
     mask_of,
@@ -210,7 +211,7 @@ def test_c07_conjecture_scans():
     for family, rank in SCAN_TYPES:
         ctx = WeylContext(build_root_system(family, rank))
         best = None
-        for c in convex.enumerate_convex_ideals(ctx):
+        for c in convex_ideals(ctx):
             if len(c) <= 1:
                 continue
             sets += 1
@@ -264,7 +265,7 @@ def test_c09_geometry_bounds():
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
         threshold = alcove.exponential_bound_threshold(rs)
-        for c in convex.enumerate_convex_ideals(ctx):
+        for c in convex_ideals(ctx):
             if len(c) <= 1:
                 continue
             sets += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import add, apply, dot, neg, scale, zero
+from conftest import add, apply, convex_ideals, dot, neg, scale, zero
 from coxbalance.alcove import (
     _root_tables,
     alcove_data,
@@ -24,7 +24,7 @@ from coxbalance.alcove import (
     order_polytope_halfspaces,
     small_mean_height_root,
 )
-from coxbalance.convex import enumerate_convex_ideals, ideal_from_upper, interval_left
+from coxbalance.convex import ideal_from_upper, interval_left
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
 from coxbalance.weyl import WeylContext
@@ -140,7 +140,7 @@ def test_halfspaces_exclude_neighbour_alcoves(family, rank):
     def centroid_of(v):
         return [tables.pairing[v[k]] for k in rs.simple_indices]
 
-    for c in enumerate_convex_ideals(ctx):
+    for c in convex_ideals(ctx):
         hs = [(a, b * tables.den) for a, b in order_polytope_halfspaces(c)]
         inside = set(c.members)
         for m in c.members:
@@ -175,7 +175,7 @@ def test_halfspaces_and_vertices_match_fraction_oracle(family, rank):
     ctx = WeylContext(rs)
     roots = rs.positive_roots
     corners = fraction_vertices(rs)
-    for c in enumerate_convex_ideals(ctx):
+    for c in convex_ideals(ctx):
         got = [
             (roots[a - 1] if a > 0 else neg(roots[-a - 1]), b)
             for a, b in order_polytope_halfspaces(c)
@@ -234,7 +234,7 @@ def test_mean_height_bounded_by_type_height():
     rs = build_root_system("B", 2)
     ctx = WeylContext(rs)
     top = alcove_params(rs).height
-    for c in enumerate_convex_ideals(ctx):
+    for c in convex_ideals(ctx):
         for k in range(rs.num_positive_roots):
             assert abs(mean_height(c, k)) <= top
 
@@ -256,7 +256,7 @@ def test_mean_height_additive_on_roots():
 def test_witnesses_on_all_ideals(family, rank):
     rs = build_root_system(family, rank)
     ctx = WeylContext(rs)
-    for c in enumerate_convex_ideals(ctx):
+    for c in convex_ideals(ctx):
         if len(c) <= 1:
             continue
         k = small_mean_height_root(c)
@@ -324,7 +324,7 @@ def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
     """The integer tables give the oracle's first witness and its centroid."""
     rs = build_root_system(family, rank)
     oracle = FractionOracle(rs)
-    sets = [c for c in enumerate_convex_ideals(WeylContext(rs)) if len(c) > 1]
+    sets = [c for c in convex_ideals(WeylContext(rs)) if len(c) > 1]
     for c in sets:
         upper = c.canonical_upper
         assert centroid(c) == oracle.centroid(c), upper
@@ -394,7 +394,7 @@ def test_exponential_bounds_hold_on_scans():
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
         threshold = exponential_bound_threshold(rs)
-        for c in enumerate_convex_ideals(ctx):
+        for c in convex_ideals(ctx):
             if len(c) <= 1:
                 continue
             assert c.balance_value() >= threshold
@@ -402,7 +402,7 @@ def test_exponential_bounds_hold_on_scans():
 
 def test_short_root_bound_type_b_only():
     b2 = WeylContext(build_root_system("B", 2))
-    for c in enumerate_convex_ideals(b2):
+    for c in convex_ideals(b2):
         if len(c) > 1:
             assert check_short_root_bound(c, c.balance_value())
     a2 = WeylContext(build_root_system("A", 2))

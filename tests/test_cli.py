@@ -426,11 +426,19 @@ def test_semiorder_count_guard(capsys):
 
 
 def test_semiorder_ideal_cap(capsys, monkeypatch):
-    """A20 has about 2.4 * 10^10 root-poset ideals: the scan stops at the cap
-    with one error line.  The count takes the same walk, shown here under a
-    smaller cap (A3 has 14 ideals)."""
-    code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"])
-    assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
+    """A20 has about 2.4 * 10^10 root-poset ideals: the command compares
+    the closed-form count with the cap and stops with one error line
+    before it walks any ideal, with or without --count-ideals.  So does the
+    count under a smaller cap (A3 has 14 ideals)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command walked the root poset")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rootsys, "walk_order_ideals", refuse)
+        for extra in ([], ["--count-ideals"]):
+            code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"] + extra)
+            assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
     monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 13)
     code = main(["semiorder", "--type", "A", "--rank", "3", "--count-ideals"])
     assert_error_line(capsys, code, "more than 13 order ideals")

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bfs_convex_rows, inversion_keys_of_word, keys_of, mask_of, root_keys, translate
+from conftest import (
+    bfs_convex_rows,
+    convex_ideals,
+    inversion_keys_of_word,
+    keys_of,
+    mask_of,
+    root_keys,
+    translate,
+    union_closure_uppers,
+)
 from coxbalance import convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
@@ -18,6 +27,7 @@ from coxbalance.convex import (
     ideal_from_upper,
     ideals_from_uppers,
     interval_left,
+    listed_keys,
     scored_ideals,
 )
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
@@ -116,7 +126,7 @@ def test_canonicality():
     """Rebuilding each enumerated set from its own (D, A) reproduces it exactly."""
     for family, rank in [("A", 2), ("B", 2), ("A", 3)]:
         ctx = weyl_ctx(family, rank)
-        for c in enumerate_convex_ideals(ctx):
+        for c in convex_ideals(ctx):
             again = convex_set(ctx, c.lower, c.upper)
             assert again.words == c.words
 
@@ -272,13 +282,61 @@ def test_min_balance_b3_includes_figure_interval():
     target = tuple(bits(ctx.inversion_mask(w)))
     scored = scored_ideals(ctx)
     best = min(b for b, _ in scored)
-    assert any(b == best and c.canonical_upper == target for b, c in scored)
+    assert any(b == best and listed_keys(ctx, upper) == target for b, upper in scored)
 
 
 def test_scan_guard():
     ctx = weyl_ctx("A", 5)
     with pytest.raises(ValueError, match="12"):
         list(enumerate_convex_ideals(ctx))
+
+
+SCAN_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+    ("C", 2), ("C", 3), ("G", 2), ("D", 4),
+]
+
+
+@pytest.mark.parametrize("family,rank", SCAN_TYPES)
+def test_scan_matches_union_closure_oracle(family, rank):
+    """On every type with at most 12 positive roots, the closed-set scan
+    lists the unions of inversion sets in the oracle's order, and each
+    popcount balance is the balance of the set built by its own walk."""
+    ctx = weyl_ctx(family, rank)
+    scanned = list(enumerate_convex_ideals(ctx))
+    assert [upper for upper, _ in scanned] == union_closure_uppers(ctx)
+    for upper, b in scanned:
+        assert b == ideal_from_upper(ctx, upper).balance_value(), upper
+
+
+@pytest.mark.parametrize("family,rank,count", [("A", 5, 4824), ("B", 4, 3691), ("C", 4, 3691)])
+def test_closed_sets_past_the_scan_bound(family, rank, count):
+    """Past the 12-root bound the closed-set stream still lists each W^A
+    once: A5 gives the number of naturally labelled posets on 6 points
+    (OEIS A006455), and B4 and C4, with dual root systems, agree."""
+    uppers = [upper for upper, _ in convex._closed_ideals(weyl_ctx(family, rank))]
+    assert len(uppers) == len(set(uppers)) == count
+
+
+POPCOUNT_GROUPS = {"A3": weyl_ctx("A", 3), "B3": weyl_ctx("B", 3), "G2": weyl_ctx("G", 2)}
+
+
+@given(name=st.sampled_from(sorted(POPCOUNT_GROUPS)), data=st.data())
+def test_popcount_balance_matches_convex_set(name, data):
+    """For any root mask A, a union of inversion sets or not, the popcount
+    balance over the columns of W^A's rows is ``ConvexSet.balance``'s."""
+    ctx = POPCOUNT_GROUPS[name]
+    n = ctx.root_system.num_positive_roots
+    upper = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="A")
+    table = convex._element_table(ctx)
+    columns = convex._root_columns(table, n)
+    members = (1 << len(table)) - 1
+    for j in range(n):
+        if not upper >> j & 1:
+            members &= ~columns[j]
+    c = ideal_from_upper(ctx, upper)
+    assert members.bit_count() == len(c)
+    assert convex._popcount_balance(columns, members, upper) == c.balance_value()
 
 
 def subset_scan_oracle(ctx):
@@ -305,10 +363,10 @@ def scan_view(sets):
     ("B", 2, 11), ("G", 2, 22), ("B", 3, 139),
 ])
 def test_scan_matches_subset_oracle(family, rank, count):
-    """The union scan yields the same sets, members and words, in the same
-    order, as a BFS build for every subset of the positive roots."""
+    """The scan lists the same sets, with the same members and words, in the
+    same order, as a BFS build for every subset of the positive roots."""
     ctx = weyl_ctx(family, rank)
-    got = scan_view(enumerate_convex_ideals(ctx))
+    got = scan_view(convex_ideals(ctx))
     assert len(got) == count
     assert got == scan_view(subset_scan_oracle(ctx))
 
@@ -371,7 +429,7 @@ def test_campaign_scans_build_no_set_by_bfs(monkeypatch):
 
 
 def test_scan_count_a4():
-    uppers = [c.canonical_upper for c in enumerate_convex_ideals(weyl_ctx("A", 4))]
+    uppers = [c.canonical_upper for c in convex_ideals(weyl_ctx("A", 4))]
     assert len(uppers) == len(set(uppers)) == 357
 
 
@@ -541,7 +599,7 @@ def test_bridge_between_interval_and_heap():
 
 def test_cayley_graph_connected():
     b2 = weyl_ctx("B", 2)
-    for c in enumerate_convex_ideals(b2):
+    for c in convex_ideals(b2):
         edges = c.cayley_edges()
         reach = {0}
         frontier = [0]
@@ -603,7 +661,7 @@ def test_type_a_scan_against_permutation_model():
         }
 
     all_perms = list(permutations(range(1, 5)))
-    for c in enumerate_convex_ideals(ctx):
+    for c in convex_ideals(ctx):
         allowed_pairs = {pair_of_root[k] for k in bits(c.upper)}
         members = [p for p in all_perms if perm_inversions(p) <= allowed_pairs]
         assert len(members) == len(c)

@@ -14,6 +14,7 @@ from coxbalance.rootsys import (
     ROOT_IDEAL_CAP,
     InvalidTypeError,
     build_root_system,
+    catalan_number,
     count_root_ideals,
     hasse_edges,
     ideal_from_members,
@@ -417,7 +418,8 @@ def degrees(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_ideal_counts_are_catalan(family, rank):
     # Cellini-Papi: the root-poset ideals number prod (h + d_i) / d_i,
-    # h the Coxeter number (the largest degree).
+    # h the Coxeter number (the largest degree).  ``catalan_number`` reads
+    # the degrees off the root heights instead of this table.
     ds = degrees(family, rank)
     h = max(ds)
     catalan = Fraction(1)
@@ -426,6 +428,7 @@ def test_ideal_counts_are_catalan(family, rank):
     rs = build_root_system(family, rank)
     assert 2 * rs.num_positive_roots == rank * h
     assert count_root_ideals(rs) == catalan
+    assert catalan_number(rs) == catalan
     if (family, rank) == ("E", 8):
         assert catalan == 25080
 
