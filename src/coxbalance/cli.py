@@ -22,7 +22,6 @@ from .linalg import bits
 from .rootsys import (
     RootSystem,
     build_root_system,
-    count_root_ideals,
     fraction_json,
     poset_dot,
     root_graph_dot,
@@ -246,10 +245,10 @@ def cmd_semiorder(args, out) -> int:
             f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
             "pass --e8 to run the large scan"
         )
-    if rootsys.catalan_number(rs) > rootsys.ROOT_IDEAL_CAP:
+    n = rootsys.catalan_number(rs)
+    if n > rootsys.ROOT_IDEAL_CAP:
         raise posets.IdealCapExceeded(rootsys.ROOT_IDEAL_CAP)
     if args.count_ideals:
-        n = count_root_ideals(rs)
         print(f"{rs.root_label()}: {n} root-poset order ideals")
         _write_out(out, {"type": rs.root_label(), "ideal_count": n})
         return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import coxgen, weyl
 from .linalg import bits
@@ -77,10 +77,8 @@ class ConvexSet:
         bit = 1 << key
         return len([m for m in self.masks if m & bit])
 
-    def inversion_fraction(self, key=None, word: Optional[Sequence[int]] = None) -> Fraction:
-        """Fraction of members having the reflection as a right inversion."""
-        if word is not None:
-            key = coxgen.reflection_key_of_word(self.ctx, word)
+    def inversion_fraction(self, key) -> Fraction:
+        """Fraction of members having the reflection ``key`` as a right inversion."""
         return Fraction(self.inversion_count(key), len(self.members))
 
     def balance(self) -> Tuple[Fraction, List]:

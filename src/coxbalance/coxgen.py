@@ -24,8 +24,8 @@ right descent ``descent`` and the greedy least reduced words
 ``inverse_word`` and ``reduced_word``.  This module also holds the one
 walk of the shortlex tree, :func:`shortlex_levels`, and the word
 combinatorics shared by both: the reflection key of a word, and full
-commutativity, decided on the heap of one reduced word
-(``posets.heap_from_word``).
+commutativity, decided on the heap rows of one reduced word
+(``posets.heap_rows``), with no poset built.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import bits
-from .posets import heap_from_word
+from .posets import heap_rows
 
 INF = None  # infinite edge label
 
@@ -454,7 +454,7 @@ def is_fully_commutative(sys, word: Sequence[int]) -> bool:
     interval of two equal letters would make the word not reduced, and a
     word that is not reduced raises :class:`NotReducedError`.
     """
-    rows = heap_from_word(sys, word).rows
+    rows = heap_rows(sys, word)
     letters = sorted(set(word))
     for x, a in enumerate(letters):
         for b in letters[x + 1:]:

@@ -8,13 +8,15 @@ these posets and the root posets (:func:`rootsys.iter_ideal_masks`).  It
 yields each ideal as a sum of per-element weights, each equal to the
 element's bit modulo 2^n, so the low n bits of a sum are the ideal's mask
 and the high bits can carry counters (``semiorder.scan_exit_witnesses``);
-unit weights give the bare masks.
+unit weights give the bare masks.  Every walk stops at a cap: a poset's at
+:data:`IDEAL_CAP`, read when the walk starts, with no per-call override.
 
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
-built from reduced words of a Coxeter system in one pass over the word and
-carry the word positions 0..l-1 as element ids, labelled by their
-generator indices; ``coxgen.is_fully_commutative`` reads their rows.
+built from reduced words of a Coxeter system in one pass over the word
+(:func:`heap_rows`) and carry the word positions 0..l-1 as element ids,
+labelled by their generator indices; ``coxgen.is_fully_commutative`` reads
+the rows with no poset built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import bits
@@ -123,22 +124,22 @@ class LabeledPoset:
 
     # -- order ideals ---------------------------------------------------------
 
-    def iter_ideal_masks(self, cap: Optional[int] = IDEAL_CAP) -> Iterator[int]:
+    def iter_ideal_masks(self) -> Iterator[int]:
         """Every order ideal as a bitmask over element ids, each exactly once.
 
         Walks along the linear extension that sorts the elements by the
         number of elements below them, then by id.  Raises
-        :class:`IdealCapExceeded` when a further ideal follows the ``cap``-th
-        one (``None`` for no cap).
+        :class:`IdealCapExceeded` when a further ideal follows the
+        ``IDEAL_CAP``-th one.
         """
         lower, upper = self._cover_masks
         below = _transpose(self.rows)
         order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
         units = [1 << x for x in range(self.n)]
-        return walk_order_ideals(order, lower, upper, units, cap)
+        return walk_order_ideals(order, lower, upper, units, IDEAL_CAP)
 
-    def ideal_count(self, cap: Optional[int] = IDEAL_CAP) -> int:
-        return sum(1 for _ in self.iter_ideal_masks(cap))
+    def ideal_count(self) -> int:
+        return sum(1 for _ in self.iter_ideal_masks())
 
     def ideal_statistics(self) -> Tuple[int, List[Fraction]]:
         """The number of order ideals and, for each element, the exact
@@ -172,7 +173,7 @@ def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
 
 
 def walk_order_ideals(order: Sequence[int], lower: Sequence[int], upper: Sequence[int],
-                      weight: Sequence[int], cap: Optional[int] = None) -> Iterator[int]:
+                      weight: Sequence[int], cap: int) -> Iterator[int]:
     """Every order ideal I of a finite poset, each exactly once, as the sum of
     ``weight[x]`` over the elements x of I.
 
@@ -184,7 +185,7 @@ def walk_order_ideals(order: Sequence[int], lower: Sequence[int], upper: Sequenc
     bitmask of I over the element ids, even for a negative sum, and the rest
     is the sum of the weights' high parts: unit weights ``1 << x`` give the
     bare masks.  Raises :class:`IdealCapExceeded` when a further ideal
-    follows the ``cap``-th one (``None`` for no cap).
+    follows the ``cap``-th one.
 
     Depth first, each ideal extended only by elements after its last one in
     ``order``, on an explicit stack, so no recursion limit applies.  Each
@@ -208,7 +209,7 @@ def walk_order_ideals(order: Sequence[int], lower: Sequence[int], upper: Sequenc
     step = [(weight[x], [(1 << pos[y], lower[y]) for y in bits(upper[x])]) for x in order]
     stack = [(0, sum(1 << p for p, x in enumerate(order) if not lower[x]))]
     # one pass per ideal, at most ``cap`` of them
-    for _ in count() if cap is None else range(cap):
+    for _ in range(cap):
         if not stack:
             return
         total, cand = stack.pop()
@@ -255,17 +256,14 @@ def poset_from_covers(n: int, covers: Sequence[Tuple[int, int]]) -> LabeledPoset
 # -- heaps --------------------------------------------------------------------
 
 
-def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
-    """Heap of a reduced word: position j below position k iff j > k is forced.
+def heap_rows(sys, word: Sequence[int]) -> Tuple[int, ...]:
+    """The order rows of the heap of a reduced word, as in :class:`LabeledPoset`:
+    position j below position k iff j > k is forced; later letters sit lower.
 
-    Element ids are 0-based word positions; later letters sit lower.  The
-    element at position p carries label word[p].  For fully commutative
-    words the result only depends on the element.  A word that is not
-    reduced raises ``coxgen.NotReducedError``.
-
-    Equal letters form a chain, so the row of j is its own bit ORed with the
-    rows of the last earlier position of each letter that equals word[j]
-    or does not commute with it.
+    A word that is not reduced raises ``coxgen.NotReducedError``.  Equal
+    letters form a chain, so the row of j is its own bit ORed with the rows
+    of the last earlier position of each letter that equals word[j] or does
+    not commute with it.
     """
     sys.check_reduced(word)
     rows: List[int] = []
@@ -277,7 +275,14 @@ def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
                 row |= rows[k]
         rows.append(row)
         last[a] = j
-    return LabeledPoset(len(word), tuple(rows), tuple(word))
+    return tuple(rows)
+
+
+def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
+    """Heap of a reduced word on the rows of :func:`heap_rows`, its element
+    ids the 0-based word positions and the element at position p labelled
+    word[p].  For fully commutative words it depends only on the element."""
+    return LabeledPoset(len(word), heap_rows(sys, word), tuple(word))
 
 
 def claw_chain(k: int, length: int) -> LabeledPoset:

@@ -6,7 +6,9 @@ roots, and order-ideal enumeration over the root poset.  A root-poset ideal
 is a bitmask over the positive-root indices throughout; its walk is the
 shared one of :func:`posets.walk_order_ideals`, along the index order, and
 :func:`iter_ideal_masks` can hand it per-root weights whose sums carry
-counters above the N mask bits (the exit scan of :mod:`semiorder`).
+counters above the N mask bits (the exit scan of :mod:`semiorder`).  The
+number of ideals comes from :func:`catalan_number` in closed form, never
+from a walk.
 Inner products are the ambient Euclidean dot product.
 
 The simple roots are defined once, by twice their ambient coordinates (an
@@ -388,10 +390,6 @@ def iter_ideal_masks(rs: RootSystem, weight: Optional[Sequence[int]] = None) -> 
         weight = [1 << j for j in range(n)]
     yield from walk_order_ideals(range(n), rs._lower_covers, rs._upper_covers, weight,
                                  ROOT_IDEAL_CAP)
-
-
-def count_root_ideals(rs: RootSystem) -> int:
-    return sum(1 for _ in iter_ideal_masks(rs))
 
 
 def catalan_number(rs: RootSystem) -> int:

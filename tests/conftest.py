@@ -9,7 +9,8 @@ set by breadth-first search on frozensets of root keys, the distinct convex
 order ideals as the closure of the inversion masks under union, full
 commutativity by a braid scan over a whole commutation class, the inversion
 keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
-word counted as inversions (for ``check_reduced``), the single-exit simple
+word counted as inversions (for ``check_reduced``), the number of
+root-poset ideals by a walk (for ``catalan_number``), the single-exit simple
 roots of a root-poset ideal, the classical semiorder of a point set and
 brute-force linear extension counts.  The helpers build objects the tests
 compare: commutation classes, the reduced words up to a length, right
@@ -30,7 +31,7 @@ from coxbalance import convex, weyl
 from coxbalance.coxgen import NotReducedError
 from coxbalance.linalg import bits
 from coxbalance.posets import LabeledPoset
-from coxbalance.rootsys import _doubled_simple_roots
+from coxbalance.rootsys import _doubled_simple_roots, iter_ideal_masks
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
@@ -307,6 +308,12 @@ def translate(c, w):
 
 
 # -- root-poset ideals and semiorders -----------------------------------------
+
+
+def count_root_ideals(rs):
+    """The number of root-poset order ideals by walking them all, the oracle
+    for the closed form of ``rootsys.catalan_number``."""
+    return sum(1 for _ in iter_ideal_masks(rs))
 
 
 def exit_roots(rs, mask, i):

@@ -428,8 +428,9 @@ def test_semiorder_count_guard(capsys):
 def test_semiorder_ideal_cap(capsys, monkeypatch):
     """A20 has about 2.4 * 10^10 root-poset ideals: the command compares
     the closed-form count with the cap and stops with one error line
-    before it walks any ideal, with or without --count-ideals.  So does the
-    count under a smaller cap (A3 has 14 ideals)."""
+    before it walks any ideal, with or without --count-ideals.  Within the
+    cap, --count-ideals prints the closed form, also with no walk.  Under a
+    smaller cap the count stops with the same error (A3 has 14 ideals)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command walked the root poset")
@@ -439,6 +440,11 @@ def test_semiorder_ideal_cap(capsys, monkeypatch):
         for extra in ([], ["--count-ideals"]):
             code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"] + extra)
             assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
+        for family, rank, count in (("A", 13, 2674440), ("E", 8, 25080)):
+            code, out = run(capsys, "semiorder", "--type", family, "--rank", str(rank),
+                            "--count-ideals", "--e8")
+            assert code == 0
+            assert out == f"{family}{rank}: {count} root-poset order ideals\n"
     monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 13)
     code = main(["semiorder", "--type", "A", "--rank", "3", "--count-ideals"])
     assert_error_line(capsys, code, "more than 13 order ideals")

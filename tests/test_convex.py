@@ -623,7 +623,8 @@ def test_ex63_hull_and_report():
     hull = convex_hull(ctx, [ctx.identity(), u, v])
     assert len(hull) == 10
     assert hull.balance_value() == Fraction(3, 10)
-    assert hull.inversion_fraction(word=[3, 2, 3]) == Fraction(7, 10)
+    key = coxgen.reflection_key_of_word(ctx, [3, 2, 3])
+    assert hull.inversion_fraction(key) == Fraction(7, 10)
     dot = hull.to_dot()
     assert dot.count("->") == len(hull.cayley_edges())
     import json

@@ -35,7 +35,7 @@ from coxbalance.coxgen import (
     reflection_key_of_word,
 )
 from coxbalance.linalg import bits
-from coxbalance.posets import heap_from_word
+from coxbalance.posets import LabeledPoset, heap_from_word
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import WeylContext, all_elements
 
@@ -269,7 +269,7 @@ def test_infinite_label_group_everything_fc():
         assert is_fully_commutative(sys, word)
 
 
-def test_fc_heap_test_matches_class_oracle():
+def check_fc_against_class_oracle():
     """Stembridge's heap test against a braid scan over the commutation
     class, on every reduced word of up to 5 letters of each of the 125
     rank-3 diagrams with labels 2, 3, 4, 6 and inf."""
@@ -281,6 +281,25 @@ def test_fc_heap_test_matches_class_oracle():
                 m12, m13, m23, word)
             checked += 1
     assert checked == 9056
+
+
+def test_fc_heap_test_matches_class_oracle():
+    check_fc_against_class_oracle()
+
+
+def test_fc_test_builds_no_poset(monkeypatch):
+    """The FC test reads the heap rows alone: with every ``LabeledPoset``
+    construction refused, it still agrees with the class oracle and still
+    rejects a word that is not reduced."""
+
+    def refuse(self):
+        raise AssertionError("the FC test built a poset")
+
+    monkeypatch.setattr(LabeledPoset, "__post_init__", refuse)
+    check_fc_against_class_oracle()
+    a2 = build_system(path_matrix(2, [3]))
+    with pytest.raises(NotReducedError):
+        is_fully_commutative(a2, [1, 1])
 
 
 # -- the Cartan backend against the Weyl backend --------------------------------
@@ -327,8 +346,8 @@ def test_cartan_backend_matches_weyl_backend(key, data):
         assert reflection_or_none(g, reflection) is not None
     assert signature(intervals[0]) == signature(intervals[1])
     assert signature(hulls[0]) == signature(hulls[1])
-    assert (hulls[0].inversion_fraction(word=reflection)
-            == hulls[1].inversion_fraction(word=reflection))
+    assert (hulls[0].inversion_fraction(reflection_key_of_word(hulls[0].ctx, reflection))
+            == hulls[1].inversion_fraction(reflection_key_of_word(hulls[1].ctx, reflection)))
     weyl_group, diagram = BACKENDS[key]
     assert (reflection_or_none(weyl_group, w) is None) == (reflection_or_none(diagram, w) is None)
 

@@ -16,7 +16,7 @@ from conftest import (
     labelled_relation,
     word_length,
 )
-from coxbalance import verify
+from coxbalance import posets, verify
 from coxbalance.coxgen import (
     INF,
     NotReducedError,
@@ -114,16 +114,21 @@ def test_ideal_enumeration_against_brute_force(covers, n):
     assert sorted(poset.iter_ideal_masks()) == brute_force_ideals(poset)
 
 
-def test_ideal_cap():
-    """The cap counts the ideals walked, not the elements."""
+def test_ideal_cap(monkeypatch):
+    """The cap counts the ideals walked, not the elements, and is read when
+    the walk starts."""
     big = poset_from_covers(41, [])
-    with pytest.raises(IdealCapExceeded, match="more than 1000 order ideals"):
-        big.ideal_count(cap=1000)
     small = poset_from_covers(12, [])
-    with pytest.raises(IdealCapExceeded):
-        small.ideal_count(cap=2 ** 12 - 1)
-    assert small.ideal_count(cap=2 ** 12) == 2 ** 12
-    assert small.ideal_count(cap=None) == 2 ** 12
+    with monkeypatch.context() as patch:
+        patch.setattr(posets, "IDEAL_CAP", 1000)
+        with pytest.raises(IdealCapExceeded, match="more than 1000 order ideals"):
+            big.ideal_count()
+        patch.setattr(posets, "IDEAL_CAP", 2 ** 12 - 1)
+        with pytest.raises(IdealCapExceeded):
+            small.ideal_count()
+        patch.setattr(posets, "IDEAL_CAP", 2 ** 12)
+        assert small.ideal_count() == 2 ** 12
+    assert small.ideal_count() == 2 ** 12
     chain = poset_from_covers(50, [(i, i + 1) for i in range(49)])
     assert chain.ideal_count() == 51
 
@@ -179,8 +184,11 @@ def test_ideal_walk_yields_each_ideal_once(poset):
     assert sorted(walked) == brute_force_ideals(poset)
     count = poset.ideal_count()
     assert count == len(walked)
-    with pytest.raises(IdealCapExceeded):
-        poset.ideal_count(cap=count - 1)
+    # a function-scoped fixture would not be reset between the examples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(posets, "IDEAL_CAP", count - 1)
+        with pytest.raises(IdealCapExceeded):
+            poset.ideal_count()
 
 
 @given(random_posets(), st.data())
@@ -194,9 +202,9 @@ def test_ideal_walk_yields_weight_sums(poset, data):
     order = sorted(range(n), key=lambda x: (below[x], x))
     highs = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
     weight = [(1 << x) + (data.draw(highs) << n) for x in range(n)]
-    masks = list(walk_order_ideals(order, lower, upper, [1 << x for x in range(n)]))
+    masks = list(walk_order_ideals(order, lower, upper, [1 << x for x in range(n)], 2 ** n))
     assert sorted(masks) == brute_force_ideals(poset)
-    sums = list(walk_order_ideals(order, lower, upper, weight))
+    sums = list(walk_order_ideals(order, lower, upper, weight, 2 ** n))
     assert sums == [sum(weight[x] for x in bits(mask)) for mask in masks]
 
 
@@ -204,12 +212,12 @@ def test_ideal_walk_rejects_weights_with_wrong_low_bits():
     chain = poset_from_covers(3, [(0, 1), (1, 2)])
     lower, upper = chain._cover_masks
     good = [1 << x for x in range(3)]
-    assert list(walk_order_ideals([0, 1, 2], lower, upper, good)) == [0, 1, 3, 7]
+    assert list(walk_order_ideals([0, 1, 2], lower, upper, good, 8)) == [0, 1, 3, 7]
     for weight in ([1, 2, 5], [1, 2, 4 - 1], [0, 2, 4], [1, 2 + 4, 4], [1, 2], [1, 2, 4, 8]):
         with pytest.raises(ValueError, match="must equal 1 << x modulo 2"):
-            next(walk_order_ideals([0, 1, 2], lower, upper, weight))
+            next(walk_order_ideals([0, 1, 2], lower, upper, weight, 8))
     negative = [1 - 8, 2 - 16, 4 - 24]
-    assert list(walk_order_ideals([0, 1, 2], lower, upper, negative)) == [0, -7, -21, -41]
+    assert list(walk_order_ideals([0, 1, 2], lower, upper, negative, 8)) == [0, -7, -21, -41]
 
 
 def test_heap_a2():
@@ -289,11 +297,12 @@ def test_heap_invariant_under_commutation_class():
         assert labelled_relation(heap_from_word(b3, list(word))) == base
 
 
-def test_claw_chain_counts():
+def test_claw_chain_counts(monkeypatch):
     for k in range(1, 9):
         for length in (1, 2, 5, 64):
             poset = claw_chain(k, length)
-            assert poset.ideal_count(cap=2 ** k + length) == 2 ** k + length
+            monkeypatch.setattr(posets, "IDEAL_CAP", 2 ** k + length)
+            assert poset.ideal_count() == 2 ** k + length
     assert claw_chain(1, 1).covers() == [(0, 1)]
     with pytest.raises(ValueError):
         claw_chain(0, 1)

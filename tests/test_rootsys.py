@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import dot, invert, neg, reflect, simple_roots, vec
+from conftest import count_root_ideals, dot, invert, neg, reflect, simple_roots, vec
 from coxbalance import rootsys
 from coxbalance.posets import IdealCapExceeded
 from coxbalance.rootsys import (
@@ -15,7 +15,6 @@ from coxbalance.rootsys import (
     InvalidTypeError,
     build_root_system,
     catalan_number,
-    count_root_ideals,
     hasse_edges,
     ideal_from_members,
     iter_ideal_masks,
