@@ -22,18 +22,24 @@ type.  A member w pairs its alcove centroid w^{-1} o_0 with root k as that
 numerator at ``w[k]``, and mean image heights read ``heights`` the same
 way.  The pairings of the order-polytope centroid are then sums of integers
 over the members, and its coordinates are its simple-root pairings.
+
+A scan over every convex order ideal of a type (:func:`witnessed_ideals`)
+reads no member.  ``convex.enumerate_convex_ideals`` gives each set as the
+int bitset M of its rows in the scan's element table, and per root k the
+bit planes of (entry - least entry) over the rows make a sum over the
+members a plane sum, least * |M| + sum_b 2^b popcount(M & plane_{k,b}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .convex import ConvexSet
+from .convex import ConvexSet, balance_scorer, enumerate_convex_ideals
 from .linalg import Vector, bits
 from .rootsys import RootSystem
 from .weyl import WeylContext
@@ -198,6 +204,45 @@ def _image_sum(table: Tuple[int, ...], c: ConvexSet, root_index: int) -> int:
     return sum(table[m[root_index]] for m in c.members)
 
 
+def _image_rows(rows, n: int) -> List[Dict[int, int]]:
+    """Per root k, the int bitset of the element table rows w with image
+    ``w[k] = a``, keyed by the signed root index a."""
+    images: List[Dict[int, int]] = [{} for _ in range(n)]
+    for r, (w, _, _) in enumerate(rows):
+        bit = 1 << r
+        for by_image, a in zip(images, w):
+            by_image[a] = by_image.get(a, 0) | bit
+    return images
+
+
+Planes = Tuple[int, List[int]]  # (low, planes) of one root; see _bit_planes
+
+
+def _bit_planes(table: Tuple[int, ...], images: Sequence[Dict[int, int]]) -> List[Planes]:
+    """Per root k, (low, planes): low is the least entry ``table[w[k]]``
+    over the rows w, and plane b the int bitset of the rows whose entry
+    minus low has bit b set, so that a sum over the rows M is
+    ``_plane_sum((low, planes), M)`` with no row read."""
+    out = []
+    for by_image in images:
+        low = min(table[a] for a in by_image)
+        planes = [0] * max(table[a] - low for a in by_image).bit_length()
+        for a, rows in by_image.items():
+            for b in bits(table[a] - low):
+                planes[b] |= rows
+        out.append((low, planes))
+    return out
+
+
+def _plane_sum(root_planes: Planes, members: int) -> int:
+    """low |M| + sum_b 2^b |M & plane_b|: the sum of the entries over the rows M."""
+    low, planes = root_planes
+    total = low * members.bit_count()
+    for b, plane in enumerate(planes):
+        total += (members & plane).bit_count() << b
+    return total
+
+
 def centroid(c: ConvexSet) -> Vector:
     """Centroid of the order polytope: the average of the member alcove centroids.
 
@@ -224,17 +269,32 @@ def mean_height(c: ConvexSet, root_index: int) -> Fraction:
     return Fraction(_image_sum(heights, c, root_index), len(c.members))
 
 
+def _height_root(rs: RootSystem, n: int, height_sum: Callable[[int], int]) -> Optional[int]:
+    """First root k, in index order, whose image heights over the n members
+    sum to ``height_sum(k)`` with |height_sum(k)| < n."""
+    return next((k for k in range(rs.num_positive_roots) if abs(height_sum(k)) < n), None)
+
+
+def _split_root(rs: RootSystem, n: int, count: Callable[[int], int],
+                pairing_sum: Callable[[int], int]) -> Optional[int]:
+    """First root k, in index order, with 0 < count(k) < n inverting members
+    and |pairing_sum(k)| (rank + 1) margin.den <= n den margin.num."""
+    tables = _root_tables(rs)
+    lhs = (rs.rank + 1) * tables.margin.denominator
+    rhs = n * tables.den * tables.margin.numerator
+    return next(
+        (k for k in range(rs.num_positive_roots)
+         if 0 < count(k) < n and abs(pairing_sum(k)) * lhs <= rhs),
+        None,
+    )
+
+
 def small_mean_height_root(c: ConvexSet) -> Optional[int]:
     """First positive root whose mean image height is strictly below 1."""
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
     rs = c.ctx.root_system
-    heights = _root_tables(rs).height
-    n = len(c)
-    for k in range(rs.num_positive_roots):
-        if abs(_image_sum(heights, c, k)) < n:
-            return k
-    return None
+    return _height_root(rs, len(c), partial(_image_sum, _root_tables(rs).height, c))
 
 
 def centroid_split_root(c: ConvexSet) -> Optional[int]:
@@ -249,15 +309,42 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
     rs = c.ctx.root_system
+    return _split_root(rs, len(c), c.inversion_count,
+                       partial(_image_sum, _root_tables(rs).pairing, c))
+
+
+def plane_scorer(rs: RootSystem, rows, columns: Sequence[int]):
+    """The scorer of ``convex.enumerate_convex_ideals``, with ``rs`` bound,
+    that gives each set (balance, mean-height root, centroid-split root),
+    the roots being those of :func:`small_mean_height_root` and
+    :func:`centroid_split_root`.
+
+    Each sum over the members M is a :func:`_plane_sum` over bit planes of
+    the scan's table rows, and |C_k| is |M & column_k|, so no member is read.
+    """
     tables = _root_tables(rs)
-    n = len(c)
-    lhs = (rs.rank + 1) * tables.margin.denominator
-    rhs = n * tables.den * tables.margin.numerator
-    for k in range(rs.num_positive_roots):
-        cnt = c.inversion_count(k)
-        if 0 < cnt < n and abs(_image_sum(tables.pairing, c, k)) * lhs <= rhs:
-            return k
-    return None
+    balance = balance_scorer(rows, columns)
+    images = _image_rows(rows, len(columns))
+    heights = _bit_planes(tables.height, images)
+    pairings = _bit_planes(tables.pairing, images)
+
+    def score(members: int, upper: int):
+        n = members.bit_count()
+        return (
+            balance(members, upper),
+            _height_root(rs, n, lambda k: _plane_sum(heights[k], members)),
+            _split_root(rs, n, lambda k: (members & columns[k]).bit_count(),
+                        lambda k: _plane_sum(pairings[k], members)),
+        )
+
+    return score
+
+
+def witnessed_ideals(ctx: WeylContext) -> List[Tuple[Fraction, int, Optional[int], Optional[int]]]:
+    """(balance, A, mean-height root, centroid-split root) for every convex
+    order ideal W^A but {e} (A = 0), in scan order, from one scan."""
+    scan = enumerate_convex_ideals(ctx, partial(plane_scorer, ctx.root_system))
+    return [(b, upper, h, s) for upper, (b, h, s) in scan if upper]
 
 
 # -- rigorous exponential bounds ----------------------------------------------

@@ -18,17 +18,19 @@ inside A}, so :func:`ideals_from_uppers` builds each requested W^A from the
 rows whose mask lies inside A.  :func:`enumerate_convex_ideals` reads the
 same table by columns, one int bitset of rows per root: the distinct convex
 order ideals are the closed sets of those columns, NextClosure lists each
-once, and a set's size and its balance are popcounts of ANDs of columns,
-with no set built.
+once, and each set is the int bitset M of its rows.  A scorer handed the
+table scores each M with no set built: the balance by popcounts of ANDs of
+columns, and in ``alcove`` the geometry witnesses by plane sums, whose
+sums over the members are popcounts of M against bit planes of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from . import coxgen, weyl
 from .linalg import bits
@@ -251,8 +253,14 @@ def _popcount_balance(columns: Sequence[int], members: int, upper: int) -> Fract
     return Fraction(best, n)
 
 
-def _closed_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
-    """(A, balance of W^A) for each distinct W^A, in NextClosure order.
+def balance_scorer(table, columns: Sequence[int]) -> Callable[[int, int], Fraction]:
+    """The scorer of :func:`enumerate_convex_ideals` that gives each set's balance."""
+    return partial(_popcount_balance, columns)
+
+
+def _closed_ideals(columns: Sequence[int], rows: int) -> Iterator[Tuple[int, int]]:
+    """(A, M) for each distinct W^A of a table of ``rows`` rows with these
+    root columns, in NextClosure order; M is the int bitset of W^A's rows.
 
     For a set Y of roots, M(Y), the AND over Y of the complemented columns,
     is the rows that avoid Y, and c(Y) = {j : M(Y) & column j = 0} is a
@@ -263,19 +271,16 @@ def _closed_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
     whose closure adds no root below i.  It keeps M of Y's roots below each
     k as ``prefix[k]``, so a candidate costs one AND and a test per root.
     """
-    n = ctx.root_system.num_positive_roots
-    table = _element_table(ctx)
-    columns = _root_columns(table, n)
+    n = len(columns)
     roots = (1 << n) - 1
-    prefix = [(1 << len(table)) - 1] * (n + 1)
+    prefix = [(1 << rows) - 1] * (n + 1)
     closed = 0  # c(0) is empty: the longest element inverts every root
     start = 0  # prefix[k] is stale for k > start
     while True:
         for k in range(start, n):
             m = prefix[k]
             prefix[k + 1] = m & ~columns[k] if closed >> k & 1 else m
-        upper = roots & ~closed
-        yield upper, _popcount_balance(columns, prefix[n], upper)
+        yield roots & ~closed, prefix[n]
         for i in reversed(range(n)):
             bit = 1 << i
             if closed & bit:
@@ -290,28 +295,37 @@ def _closed_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
             return
 
 
-def enumerate_convex_ideals(ctx: WeylContext) -> Iterator[Tuple[int, Fraction]]:
-    """(A, balance) for every distinct convex order ideal W^A of a finite
+def enumerate_convex_ideals(ctx: WeylContext, scorer) -> Iterator[Tuple[int, object]]:
+    """(A, score) for every distinct convex order ideal W^A of a finite
     Weyl group, A being the union of the members' inversion sets.
 
-    One pass over the group gives an int bitset per root column, and the
-    distinct W^A are the closed sets of the columns, which NextClosure
-    lists once each (see :func:`_closed_ideals`).  A set's members are the
-    bits of one int, so its size and each root's inversion count are
-    popcounts.  Sets stream ordered by (|A|, sorted A); requires at most
-    ``CONVEX_SCAN_MAX_ROOTS`` positive roots.  In lectic order the earlier
-    of two closed sets lacks the least root where they differ, so its A
-    holds it: sets of one size already come by sorted A, and a stable sort
-    by |A| gives the scan order.
+    One pass over the group gives the element table and an int bitset per
+    root column, and the distinct W^A are the closed sets of the columns,
+    which NextClosure lists once each (see :func:`_closed_ideals`).  A
+    set's members are the bits M of one int, so its size and each root's
+    inversion count are popcounts.  ``scorer(table, columns)`` is called
+    once, after the walk, and its result ``score(M, A)`` gives each set's
+    score, with no set built (:func:`balance_scorer`, or the alcove
+    witnesses on bit planes of the same table).  Sets stream ordered by
+    (|A|, sorted A); requires at most ``CONVEX_SCAN_MAX_ROOTS`` positive
+    roots, checked before the walk.  In lectic order the earlier of two
+    closed sets lacks the least root where they differ, so its A holds it:
+    sets of one size already come by sorted A, and a stable sort by |A|
+    gives the scan order.
     """
     n = ctx.root_system.num_positive_roots
     if n > CONVEX_SCAN_MAX_ROOTS:
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    yield from sorted(_closed_ideals(ctx), key=lambda s: s[0].bit_count())
+    table = _element_table(ctx)
+    columns = _root_columns(table, n)
+    score = scorer(table, columns)
+    for upper, members in sorted(_closed_ideals(columns, len(table)),
+                                 key=lambda s: s[0].bit_count()):
+        yield upper, score(members, upper)
 
 
 def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, int]]:
     """(balance, A) for every convex order ideal W^A but {e} (A = 0), in scan order."""
-    return [(b, upper) for upper, b in enumerate_convex_ideals(ctx) if upper]
+    return [(b, upper) for upper, b in enumerate_convex_ideals(ctx, balance_scorer) if upper]

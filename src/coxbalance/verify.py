@@ -395,26 +395,19 @@ def verify_geometry() -> VerificationReport:
             rs = build_root_system(family, rank)
             threshold = alcove.exponential_bound_threshold(rs)
             ctx = WeylContext(rs)
-            scored = convex.scored_ideals(ctx)
-            sets = convex.ideals_from_uppers(ctx, [upper for _, upper in scored])
-            no_height = []
-            no_split = []
-            below = []
-            below_short = []
-            for (b, _), c in zip(scored, sets):
-                if alcove.small_mean_height_root(c) is None:
-                    no_height.append(c)
-                if alcove.centroid_split_root(c) is None:
-                    no_split.append(c)
-                if b < threshold:
-                    below.append(c)
-                if rs.family == "B" and not alcove.check_short_root_bound(c, b):
-                    below_short.append(c)
+            scored = alcove.witnessed_ideals(ctx)
+            no_height = [upper for _, upper, h, _ in scored if h is None]
+            no_split = [upper for _, upper, _, s in scored if s is None]
+            below = [upper for b, upper, _, _ in scored if b < threshold]
+            if rs.family == "B":
+                short = alcove.short_root_bound_threshold()
+                below_short = [upper for b, upper, _, _ in scored if b < short]
             label = rs.root_label()
 
-            def repro(sets):
+            def repro(uppers):
                 return [
-                    "A=" + ",".join(map(str, s.canonical_upper)) for s in sets
+                    "A=" + ",".join(map(str, convex.listed_keys(ctx, upper)))
+                    for upper in uppers
                 ] or None
 
             report.check(
@@ -437,7 +430,7 @@ def verify_geometry() -> VerificationReport:
             if rs.family == "G":
                 report.check(
                     f"{label} balance at least 1/3",
-                    all(b >= THIRD for b, _ in scored), True,
+                    all(b >= THIRD for b, _, _, _ in scored), True,
                 )
 
     return _timed("geometry", body)

@@ -263,7 +263,7 @@ def union_closure_uppers(ctx):
 def convex_ideals(ctx):
     """Every distinct convex order ideal W^A of a finite Weyl type as a
     ``ConvexSet``, in the order of the scan that lists their A."""
-    uppers = [upper for upper, _ in convex.enumerate_convex_ideals(ctx)]
+    uppers = [upper for upper, _ in convex.enumerate_convex_ideals(ctx, convex.balance_scorer)]
     return list(convex.ideals_from_uppers(ctx, uppers))
 
 

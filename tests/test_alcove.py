@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import add, apply, convex_ideals, dot, neg, scale, zero
+from coxbalance import convex
 from coxbalance.alcove import (
+    _bit_planes,
+    _image_rows,
+    _image_sum,
+    _plane_sum,
     _root_tables,
     alcove_data,
     alcove_params,
@@ -22,7 +27,9 @@ from coxbalance.alcove import (
     exponential_bound_threshold,
     mean_height,
     order_polytope_halfspaces,
+    plane_scorer,
     small_mean_height_root,
+    witnessed_ideals,
 )
 from coxbalance.convex import ideal_from_upper, interval_left
 from coxbalance.rootsys import build_root_system
@@ -335,6 +342,70 @@ def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
     assert len(sets) == {
         "A1": 1, "A2": 6, "A3": 39, "B2": 10, "B3": 138, "G2": 21, "A4": 356, "D4": 884,
     }[rs.root_label()]
+
+
+def plane_group(family, rank):
+    """The group object, its scan table and the table's image rows."""
+    ctx = WeylContext(build_root_system(family, rank))
+    table = convex._element_table(ctx)
+    return ctx, table, _image_rows(table, ctx.root_system.num_positive_roots)
+
+
+PLANE_GROUPS = {f"{f}{r}": plane_group(f, r) for f, r in [("A", 3), ("B", 3), ("G", 2)]}
+
+
+@given(name=st.sampled_from(sorted(PLANE_GROUPS)), data=st.data())
+def test_plane_sums_match_image_sums(name, data):
+    """For any set M of table rows, convex or not, the bit-plane sum of the
+    height and of the pairing table at each root is ``_image_sum`` over
+    the members."""
+    ctx, table, images = PLANE_GROUPS[name]
+    members = data.draw(st.integers(min_value=1, max_value=(1 << len(table)) - 1), label="M")
+    c = convex._build(ctx, [row for r, row in enumerate(table) if members >> r & 1])
+    tables = _root_tables(ctx.root_system)
+    for entries in (tables.height, tables.pairing):
+        planes = _bit_planes(entries, images)
+        assert [_plane_sum(root_planes, members) for root_planes in planes] == [
+            _image_sum(entries, c, k) for k in range(ctx.root_system.num_positive_roots)
+        ]
+
+
+def plane_witnesses(ctx):
+    """``witnessed_ideals`` from the scan's private parts, in NextClosure
+    order, so that it also runs past the scan bound."""
+    table = convex._element_table(ctx)
+    columns = convex._root_columns(table, ctx.root_system.num_positive_roots)
+    score = plane_scorer(ctx.root_system, table, columns)
+    return [(*score(members, upper), upper)
+            for upper, members in convex._closed_ideals(columns, len(table)) if upper]
+
+
+def check_plane_witnesses(family, rank):
+    """Set by set, the plane scorer gives the balance and both witnesses
+    of the ``ConvexSet`` routes; returns the number of sets.  F4's 54305
+    sets take about 8 s, so the suite leaves them to a direct call."""
+    ctx = WeylContext(build_root_system(family, rank))
+    scored = plane_witnesses(ctx)
+    sets = convex.ideals_from_uppers(ctx, [upper for *_, upper in scored])
+    for (b, height, split, upper), c in zip(scored, sets):
+        assert c.upper == upper
+        assert (b, height, split) == (
+            c.balance_value(), small_mean_height_root(c), centroid_split_root(c)
+        ), upper
+    if ctx.root_system.num_positive_roots <= convex.CONVEX_SCAN_MAX_ROOTS:
+        in_scan_order = sorted(scored, key=lambda s: s[3].bit_count())
+        assert witnessed_ideals(ctx) == [(b, upper, h, s) for b, h, s, upper in in_scan_order]
+    return len(scored)
+
+
+@pytest.mark.parametrize("family,rank", list(CONJECTURE_TYPES) + [
+    ("C", 3), ("D", 4), ("B", 4), ("C", 4),
+])
+def test_plane_witnesses_match_convex_set_routes(family, rank):
+    assert check_plane_witnesses(family, rank) == {
+        "A1": 1, "A2": 6, "A3": 39, "B2": 10, "B3": 138, "G2": 21, "A4": 356,
+        "C3": 138, "D4": 884, "B4": 3690, "C4": 3690,
+    }[f"{family}{rank}"]
 
 
 PROPERTY_ORACLES = {

@@ -17,9 +17,10 @@ from conftest import (
     translate,
     union_closure_uppers,
 )
-from coxbalance import convex, coxgen, posets, semiorder, weyl
+from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
 from coxbalance.convex import (
     EmptyConvexSetError,
+    balance_scorer,
     convex_hull,
     convex_set,
     enumerate_convex_ideals,
@@ -288,7 +289,23 @@ def test_min_balance_b3_includes_figure_interval():
 def test_scan_guard():
     ctx = weyl_ctx("A", 5)
     with pytest.raises(ValueError, match="12"):
-        list(enumerate_convex_ideals(ctx))
+        list(enumerate_convex_ideals(ctx, balance_scorer))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
+def test_scan_guard_comes_before_the_walk(family, rank, monkeypatch):
+    """Both routes into the scan, the balance scan and the geometry
+    witnesses, refuse a type past the 12-root bound before any group walk."""
+    def refuse(rs):
+        raise AssertionError("the group was walked")
+
+    monkeypatch.setattr(convex.weyl, "all_elements", refuse)
+    ctx = weyl_ctx(family, rank)
+    assert ctx.root_system.num_positive_roots > convex.CONVEX_SCAN_MAX_ROOTS
+    with pytest.raises(ValueError, match="exceed the scan bound"):
+        list(enumerate_convex_ideals(ctx, balance_scorer))
+    with pytest.raises(ValueError, match="exceed the scan bound"):
+        alcove.witnessed_ideals(ctx)
 
 
 SCAN_TYPES = [
@@ -303,7 +320,7 @@ def test_scan_matches_union_closure_oracle(family, rank):
     lists the unions of inversion sets in the oracle's order, and each
     popcount balance is the balance of the set built by its own walk."""
     ctx = weyl_ctx(family, rank)
-    scanned = list(enumerate_convex_ideals(ctx))
+    scanned = list(enumerate_convex_ideals(ctx, balance_scorer))
     assert [upper for upper, _ in scanned] == union_closure_uppers(ctx)
     for upper, b in scanned:
         assert b == ideal_from_upper(ctx, upper).balance_value(), upper
@@ -314,7 +331,10 @@ def test_closed_sets_past_the_scan_bound(family, rank, count):
     """Past the 12-root bound the closed-set stream still lists each W^A
     once: A5 gives the number of naturally labelled posets on 6 points
     (OEIS A006455), and B4 and C4, with dual root systems, agree."""
-    uppers = [upper for upper, _ in convex._closed_ideals(weyl_ctx(family, rank))]
+    ctx = weyl_ctx(family, rank)
+    table = convex._element_table(ctx)
+    columns = convex._root_columns(table, ctx.root_system.num_positive_roots)
+    uppers = [upper for upper, _ in convex._closed_ideals(columns, len(table))]
     assert len(uppers) == len(set(uppers)) == count
 
 
@@ -411,7 +431,7 @@ def test_scans_walk_the_group_once(monkeypatch):
 
     monkeypatch.setattr(convex.weyl, "all_elements", counted)
     ctx = weyl_ctx("B", 3)
-    assert len(list(enumerate_convex_ideals(ctx))) == 139
+    assert len(list(enumerate_convex_ideals(ctx, balance_scorer))) == 139
     assert walks == ["B3"]
     masks = [m for m in iter_ideal_masks(ctx.root_system) if m]
     assert len(list(ideals_from_uppers(ctx, masks))) == len(masks)

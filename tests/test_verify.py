@@ -1,15 +1,18 @@
 """Verification campaign plumbing: reports, determinism, campaign outcomes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coxbalance import verify, weyl
+from conftest import convex_ideals
+from coxbalance import alcove, convex, verify, weyl
 from coxbalance.cli import main
 from coxbalance.coxgen import is_fully_commutative
 from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.verify import (
+    CONJECTURE_TYPES,
     VerificationReport,
     _reference_heaps,
     classify_fc_equality,
@@ -19,6 +22,7 @@ from coxbalance.verify import (
     verify_equality_cases,
     verify_exit_witnesses,
     verify_params_table,
+    fmt,
 )
 from coxbalance.weyl import WeylContext
 
@@ -107,6 +111,57 @@ def test_classify_builds_the_reference_heaps_once(monkeypatch):
     monkeypatch.setattr(verify, "_reference_heaps", counted)
     assert all(rep.all_passed for rep in run_campaign("classify"))
     assert len(calls) == 1
+
+
+def test_geometry_walks_each_group_once_and_builds_no_set(monkeypatch):
+    walks, tables, uppers = [], [], []
+    real_walk, real_table = weyl.all_elements, convex._element_table
+
+    def walk(rs):
+        walks.append(rs.root_label())
+        return real_walk(rs)
+
+    def table(ctx):
+        tables.append(ctx.root_system.root_label())
+        return real_table(ctx)
+
+    def refuse(*args):
+        raise AssertionError("geometry built a ConvexSet")
+
+    monkeypatch.setattr(weyl, "all_elements", walk)
+    monkeypatch.setattr(convex, "_element_table", table)
+    monkeypatch.setattr(convex, "ideals_from_uppers", lambda *args: uppers.append(args))
+    monkeypatch.setattr(convex, "_build", refuse)
+    (report,) = run_campaign("geometry")
+    assert report.all_passed
+    labels = [f"{family}{rank}" for family, rank in CONJECTURE_TYPES]
+    assert walks == tables == labels
+    assert uppers == []
+
+
+def test_geometry_failure_branch_lists_every_set(monkeypatch):
+    """With thresholds that no balance reaches, every non-singleton set fails
+    the bound records, and their reproducers list each set's A in scan
+    order, as the ``ConvexSet`` of each set would print it."""
+    monkeypatch.setattr(alcove, "exponential_bound_threshold", lambda rs: Fraction(1))
+    monkeypatch.setattr(alcove, "short_root_bound_threshold", lambda: Fraction(1))
+    (report,) = run_campaign("geometry")
+    records = {r.instance: r for r in report.records}
+    for family, rank, names in [
+        ("A", 3, ["balance above 1/(2 e^exponent)"]),
+        ("B", 3, ["balance above 1/(2 e^exponent)", "balance above 1/(2e)"]),
+    ]:
+        sets = [c for c in convex_ideals(WeylContext(build_root_system(family, rank)))
+                if len(c) > 1]
+        expected = fmt(["A=" + ",".join(map(str, c.canonical_upper)) for c in sets])
+        for name in names:
+            record = records[f"{family}{rank} {name}"]
+            assert not record.passed
+            assert record.value == str(len(sets))
+            assert record.reproducer == expected
+    failed = [r.instance for r in report.records if not r.passed]
+    assert len(failed) == len(CONJECTURE_TYPES) + 2  # B2 and B3 also fail 1/(2e)
+    assert all(" balance above 1/(2" in name for name in failed)
 
 
 def test_unknown_campaign():
