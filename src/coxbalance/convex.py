@@ -13,13 +13,14 @@ Single sets, and every set of a diagram, come from :func:`pruned_walk`, a
 walk of the shortlex tree pruned to W^A by its child test (``verify``
 prunes it to the fully commutative elements).  Scans over many sets W^A of
 one finite Weyl group walk the group once into a table of (element,
-shortlex word, inversion mask) rows in shortlex order.  W^A = {w : N(w)
-inside A}, so :func:`ideals_from_uppers` builds each requested W^A from the
-rows whose mask lies inside A.  :func:`enumerate_convex_ideals` reads the
-same table by columns, one int bitset of rows per root: the distinct convex
-order ideals are the closed sets of those columns, NextClosure lists each
-once, and each set is the int bitset M of its rows.  A scorer handed the
-table scores each M with no set built: the balance by popcounts of ANDs of
+shortlex word, inversion mask) rows in shortlex order, and read it by
+columns, one int bitset of rows per root.  W^A = {w : N(w) inside A}, so
+its rows are M(A), the AND of the complemented columns of the roots
+outside A: :func:`ideal_rows` gives M(A) for each requested A (the
+generalized semiorders of ``semiorder``).  In
+:func:`enumerate_convex_ideals` the distinct convex order ideals are the
+closed sets of the columns, and NextClosure lists each once with its M.
+Each M is scored with no set built: the balance by popcounts of ANDs of
 columns, and in ``alcove`` the geometry witnesses by plane sums, whose
 sums over the members are popcounts of M against bit planes of the table.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from . import coxgen, weyl
 from .linalg import bits
@@ -216,17 +217,16 @@ def _element_table(ctx: WeylContext) -> List[Tuple]:
     return [(w, word, ctx.inversion_mask(w)) for w, word in weyl.all_elements(ctx.root_system)]
 
 
-def ideals_from_uppers(ctx: WeylContext, uppers: Iterable[int]) -> Iterator[ConvexSet]:
-    """W^A for each root bitmask A of ``uppers``, in the given order.
-
-    W^A is the elements w with N(w) inside A, so one pass over the group,
-    kept as a table of inversion bitmasks, serves every A.  Each set is the
-    canonical :class:`ConvexSet` that :func:`ideal_from_upper` builds.
-    """
+def ideal_rows(ctx: WeylContext, uppers: Sequence[int]) -> Tuple[List[Tuple], List[int], List[int]]:
+    """The element table, its root columns, and for each root bitmask A of
+    ``uppers`` the int bitset M(A) of the rows of W^A = {w : N(w) inside
+    A}: the AND of the complemented columns of the roots outside A."""
     table = _element_table(ctx)
-    for upper in uppers:
-        outside = ~upper
-        yield _build(ctx, [row for row in table if not row[2] & outside])
+    n = ctx.root_system.num_positive_roots
+    columns = _root_columns(table, n)
+    every = (1 << len(table)) - 1
+    return table, columns, [reduce(and_, (~columns[j] for j in bits((1 << n) - 1 & ~upper)), every)
+                            for upper in uppers]
 
 
 def _root_columns(table, n: int) -> List[int]:

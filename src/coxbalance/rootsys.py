@@ -392,19 +392,19 @@ def iter_ideal_masks(rs: RootSystem, weight: Optional[Sequence[int]] = None) -> 
                                  ROOT_IDEAL_CAP)
 
 
+def degrees(rs: RootSystem) -> List[int]:
+    """The degrees d_i of the Weyl group, largest first: d_i - 1 >= k for as
+    many i as there are positive roots of height k (Humphreys 3.20)."""
+    per_height = [rs.heights.count(k) for k in range(1, rs.heights[-1] + 1)]
+    return [1 + sum(1 for c in per_height if c >= j) for j in range(1, rs.rank + 1)]
+
+
 def catalan_number(rs: RootSystem) -> int:
     """The number of root-poset order ideals, with no walk: the Catalan
-    number prod (h + d_i) / d_i of the Weyl group (Cellini and Papi).
-
-    The exponents m_i = d_i - 1 are the dual partition of the numbers of
-    positive roots at each height (Humphreys 3.20): m_i >= k for exactly as
-    many i as there are roots of height k.  The Coxeter number h is the
-    largest degree.
-    """
-    per_height = [rs.heights.count(k) for k in range(1, rs.heights[-1] + 1)]
-    degrees = [1 + sum(1 for c in per_height if c >= j) for j in range(1, rs.rank + 1)]
-    h = max(degrees)
-    return prod(h + d for d in degrees) // prod(degrees)
+    number prod (h + d_i) / d_i of the Weyl group (Cellini and Papi), h
+    being the Coxeter number, the largest degree."""
+    d = degrees(rs)
+    return prod(d[0] + di for di in d) // prod(d)
 
 
 # -- exports -----------------------------------------------------------------

@@ -6,13 +6,18 @@ exhaustive single-exit witness scan over root-poset ideals that underpins
 the 1/3 bound for these sets (including the E8 scan, streamed).  The scan
 has the ideal walk carry one exit counter per simple root above the mask
 bits, so each ideal costs one add and one AND.
+
+Every W^A of one type is the int bitset M(A) of its rows in one element
+table (:func:`convex.ideal_rows`), scored by popcounts and checked for the
+half bound by ANDs of the table's root columns, with no group product.
+:func:`build` makes a single W^A, for the unit-interval semiorders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import convex
 from .convex import ConvexSet
@@ -80,23 +85,31 @@ def reflections(rs: RootSystem) -> Tuple[Element, ...]:
     return tuple(out)
 
 
-def check_half_bound(gs: GeneralizedSemiorder, refl: Sequence[Element]) -> bool:
-    """Every positive root has inversion fraction at most 1/2 on W^A.
+def scored_semiorders(rs: RootSystem) -> Tuple[List[int], List[Tuple[int, int, Fraction]]]:
+    """The root columns of the element table, and (A, M(A), balance) for
+    each nonempty root-poset ideal A, in walk order, from one group walk."""
+    masks = [m for m in iter_ideal_masks(rs) if m]
+    table, columns, rows = convex.ideal_rows(WeylContext(rs), masks)
+    score = convex.balance_scorer(table, columns)
+    return columns, [(mask, m, score(m, mask)) for mask, m in zip(masks, rows)]
 
-    Also verifies the mechanism behind the bound: for alpha in A, right
-    multiplication by s_alpha injects the members having alpha as an
-    inversion into the set.  ``refl`` is :func:`reflections` of the root
-    system.
+
+def check_half_bound(columns: Sequence[int], refl: Sequence[Element], mask: int,
+                     members: int) -> bool:
+    """Every positive root has inversion fraction at most 1/2 on W^A, the
+    rows ``members`` of the root set A = ``mask``, by the bound's mechanism:
+    for alpha_k in A, w -> w s_k sends the members inverting alpha_k into
+    W^A, one-to-one onto members that do not.  With a = refl[k][j], root j
+    is an inversion of w s_k iff a > 0 and root a - 1 is one of w, or a < 0
+    and root -a - 1 is not; so the members sent out of W^A by inverting a
+    root j outside A are ``members & columns[k]`` in column a - 1, or outside
+    column -a - 1.  ``refl`` is :func:`reflections`; no group product.
     """
-    c = gs.convex
-    ctx = c.ctx
-    # Roots outside the union of the members' inversions count 0.
-    if any(2 * c.inversion_count(k) > len(c) for k in bits(c.upper)):
-        return False
-    members = set(c.members)
-    for k in bits(gs.mask):
-        for m, inv in zip(c.members, c.masks):
-            if inv >> k & 1 and ctx.mul(m, refl[k]) not in members:
+    outside = list(bits((1 << len(columns)) - 1 & ~mask))
+    for k in bits(mask):
+        moved = members & columns[k]
+        for a in (refl[k][j] for j in outside):
+            if moved & (columns[a - 1] if a > 0 else ~columns[-a - 1]):
                 return False
     return True
 
@@ -162,17 +175,6 @@ def scan_exit_witnesses(rs: RootSystem) -> Tuple[int, List[int]]:
     return scanned, failures
 
 
-def semiorders(rs: RootSystem, masks: Sequence[int]) -> Iterator[GeneralizedSemiorder]:
-    """W^A for each nonempty root-poset ideal mask, in order, from one pass
-    over the group (see :func:`convex.ideals_from_uppers`)."""
-    for mask, c in zip(masks, convex.ideals_from_uppers(WeylContext(rs), masks)):
-        yield GeneralizedSemiorder(rs, mask, c)
-
-
 def min_semiorder_balance(rs: RootSystem) -> Fraction:
     """Minimum balance over all non-singleton generalized semiorders."""
-    masks = [m for m in iter_ideal_masks(rs) if m]
-    balances = [gs.convex.balance_value() for gs in semiorders(rs, masks) if gs.size > 1]
-    if not balances:
-        raise ValueError("no non-singleton generalized semiorder exists")
-    return min(balances)
+    return min(b for _, m, b in scored_semiorders(rs)[1] if m.bit_count() > 1)

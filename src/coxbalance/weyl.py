@@ -10,19 +10,19 @@ a vector's image under w is read from the same tuple in ``alcove``.  A root
 key is a positive-root index, and a set of roots, such as an inversion set,
 is the int bitmask of its keys.
 :func:`levels` walks the group one length at a time as bare byte codes,
-after comparing its order, known from the type (:func:`group_order`), with
+after comparing its order, the product of the degrees (:func:`group_order`), with
 the element cap; :func:`all_elements` decodes each code and derives its
 word from its parent's.
 """
 
 from __future__ import annotations
 
-from math import factorial, prod
+from math import prod
 from struct import Struct
 from typing import Iterator, List, Optional, Tuple
 
 from .coxgen import EnumerationCapExceeded, GroupWords, root_display, shortlex_levels
-from .rootsys import RootSystem
+from .rootsys import RootSystem, degrees
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -99,11 +99,8 @@ def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
 
 
 def group_order(rs: RootSystem) -> int:
-    """|W| = r! m_1 ... m_r f, where the m_i are the marks of the highest root
-    and f = 1 + #{i : m_i = 1} is the index of connection (Bourbaki, Lie
-    Groups and Lie Algebras, ch. VI, section 2)."""
-    marks = rs.coefficients[rs.highest_root_index]
-    return factorial(rs.rank) * prod(marks) * (1 + marks.count(1))
+    """|W| = d_1 ... d_r, the product of the degrees (Humphreys 3.9)."""
+    return prod(degrees(rs))
 
 
 # A signed root index a = +-1..+-N fits a byte as a % 256 while N <= 127,

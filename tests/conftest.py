@@ -10,11 +10,14 @@ order ideals as the closure of the inversion masks under union, full
 commutativity by a braid scan over a whole commutation class, the inversion
 keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
 word counted as inversions (for ``check_reduced``), the number of
-root-poset ideals by a walk (for ``catalan_number``), the single-exit simple
-roots of a root-poset ideal, the classical semiorder of a point set and
-brute-force linear extension counts.  The helpers build objects the tests
-compare: commutation classes, the reduced words up to a length, right
-translates of convex sets, every convex order ideal as a ``ConvexSet``, dual
+root-poset ideals by a walk (for ``catalan_number``), |W| from the marks of
+the highest root (for ``group_order``), the half bound of a generalized
+semiorder by group products (for ``check_half_bound``), the single-exit
+simple roots of a root-poset ideal, the classical semiorder of a point set
+and brute-force linear extension counts.  The helpers build objects the
+tests compare: commutation classes, the reduced words up to a length, right
+translates of convex sets, W^A as a ``ConvexSet`` from the rows of each
+requested A, and every convex order ideal as one, dual
 posets, and the root keys of a finite group object with the masks and
 frozensets of such keys.  Property tests run under a derandomized
 hypothesis profile: the examples are derived from each test's source, so
@@ -24,6 +27,7 @@ written.
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 from hypothesis import settings
 
@@ -260,11 +264,18 @@ def union_closure_uppers(ctx):
     return sorted(unions, key=lambda a: (a.bit_count(), list(bits(a))))
 
 
+def ideals_from_uppers(ctx, uppers):
+    """W^A as a ``ConvexSet`` for each root bitmask A of ``uppers``, in order:
+    the table rows of M(A) from ``convex.ideal_rows``, in table order."""
+    table, _, rows = convex.ideal_rows(ctx, uppers)
+    return [convex._build(ctx, [table[r] for r in bits(m)]) for m in rows]
+
+
 def convex_ideals(ctx):
     """Every distinct convex order ideal W^A of a finite Weyl type as a
     ``ConvexSet``, in the order of the scan that lists their A."""
     uppers = [upper for upper, _ in convex.enumerate_convex_ideals(ctx, convex.balance_scorer)]
-    return list(convex.ideals_from_uppers(ctx, uppers))
+    return ideals_from_uppers(ctx, uppers)
 
 
 def keys_of(mask):
@@ -308,6 +319,27 @@ def translate(c, w):
 
 
 # -- root-poset ideals and semiorders -----------------------------------------
+
+
+def marks_group_order(rs):
+    """|W| = r! m_1 ... m_r f, where the m_i are the marks of the highest root
+    and f = 1 + #{i : m_i = 1} is the index of connection (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, section 2): the oracle for
+    ``weyl.group_order``, which multiplies the degrees."""
+    marks = rs.coefficients[rs.highest_root_index]
+    return factorial(rs.rank) * prod(marks) * (1 + marks.count(1))
+
+
+def half_bound_by_products(c, mask, refl):
+    """Oracle for ``semiorder.check_half_bound`` on the ``ConvexSet`` c = W^A
+    of the root set A = ``mask``: every root has inversion fraction at most
+    1/2 on c, and for alpha in A, w -> w s_alpha, one group product and a set
+    lookup per (member, root), sends the members inverting alpha into c."""
+    if any(2 * c.inversion_count(k) > len(c) for k in bits(c.upper)):
+        return False
+    members = set(c.members)
+    return all(c.ctx.mul(m, refl[k]) in members
+               for k in bits(mask) for m, inv in zip(c.members, c.masks) if inv >> k & 1)
 
 
 def count_root_ideals(rs):

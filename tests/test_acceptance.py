@@ -243,12 +243,13 @@ def test_c08_semiorder_bounds():
         rs = build_root_system(family, rank)
         assert rs.num_positive_roots <= 12
         refl = semiorder.reflections(rs)
-        for mask in iter_ideal_masks(rs):
-            if mask == 0:
-                continue
+        columns, scored = semiorder.scored_semiorders(rs)
+        assert [mask for mask, _, _ in scored] == [m for m in iter_ideal_masks(rs) if m]
+        for mask, m, b in scored:
             members = [i for i in range(rs.num_positive_roots) if (mask >> i) & 1]
             gs = semiorder.build(rs, members)
-            assert semiorder.check_half_bound(gs, refl), (family, rank, mask)
+            assert (m.bit_count(), b) == (gs.size, gs.convex.balance_value()), (family, rank, mask)
+            assert semiorder.check_half_bound(columns, refl, mask, m), (family, rank, mask)
             if gs.size > 1:
                 assert gs.convex.balance_value() >= THIRD, (family, rank, mask)
             checked += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import add, apply, convex_ideals, dot, neg, scale, zero
+from conftest import add, apply, convex_ideals, dot, ideals_from_uppers, neg, scale, zero
 from coxbalance import convex
 from coxbalance.alcove import (
     _bit_planes,
@@ -386,7 +386,7 @@ def check_plane_witnesses(family, rank):
     sets take about 8 s, so the suite leaves them to a direct call."""
     ctx = WeylContext(build_root_system(family, rank))
     scored = plane_witnesses(ctx)
-    sets = convex.ideals_from_uppers(ctx, [upper for *_, upper in scored])
+    sets = ideals_from_uppers(ctx, [upper for *_, upper in scored])
     for (b, height, split, upper), c in zip(scored, sets):
         assert c.upper == upper
         assert (b, height, split) == (

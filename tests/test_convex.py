@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     bfs_convex_rows,
     convex_ideals,
+    ideals_from_uppers,
     inversion_keys_of_word,
     keys_of,
     mask_of,
@@ -26,7 +29,7 @@ from coxbalance.convex import (
     enumerate_convex_ideals,
     from_members,
     ideal_from_upper,
-    ideals_from_uppers,
+    ideal_rows,
     interval_left,
     listed_keys,
     scored_ideals,
@@ -434,7 +437,7 @@ def test_scans_walk_the_group_once(monkeypatch):
     assert len(list(enumerate_convex_ideals(ctx, balance_scorer))) == 139
     assert walks == ["B3"]
     masks = [m for m in iter_ideal_masks(ctx.root_system) if m]
-    assert len(list(ideals_from_uppers(ctx, masks))) == len(masks)
+    assert len(ideal_rows(ctx, masks)[2]) == len(masks)
     assert walks == ["B3", "B3"]
 
 
@@ -567,6 +570,30 @@ def test_hull_of_hull_members_is_the_hull(key, words):
     ctx = HULL_GROUPS[key]
     hull = convex_hull(ctx, [ctx.from_word(w) for w in words])
     assert set_view(convex_hull(ctx, hull.members)) == set_view(hull)
+
+
+@lru_cache(maxsize=None)
+def rank3_diagram(labels):
+    """The group object of the rank-3 diagram with labels m_12, m_13, m_23."""
+    return build_system(matrix_from_edges(3, [(1, 2, labels[0]), (1, 3, labels[1]),
+                                              (2, 3, labels[2])]))
+
+
+@given(
+    labels=st.tuples(*[st.sampled_from((2, 3, 4, 6, INF))] * 3),
+    words=st.lists(st.lists(st.integers(min_value=1, max_value=3), max_size=8),
+                   min_size=1, max_size=3),
+)
+def test_hulls_in_rank_3_diagrams_match_bfs_oracle(labels, words):
+    """On every rank-3 diagram, the cyclic ones (no label 2) included, the
+    hull of up to three words has the members, words, inversion sets,
+    bounds, balance, witnesses and inversion counts of the breadth-first
+    oracle."""
+    ctx = rank3_diagram(labels)
+    els = [ctx.from_word(w) for w in words]
+    masks = [ctx.inversion_mask(w) for w in els]
+    lower, upper = reduce(and_, masks), reduce(or_, masks)
+    assert set_view(convex_hull(ctx, els)) == oracle_view(ctx, lower, upper)
 
 
 def test_fc_interval_bound_in_acyclic_systems():

@@ -7,15 +7,19 @@ import pytest
 
 from conftest import (
     exit_roots,
+    half_bound_by_products,
     induced_semiorder_poset,
     linear_extension_count,
+    mask_of,
     neg,
     reflect,
     reflection_word_element,
     simple_roots,
     single_exit_simple,
 )
-from coxbalance import semiorder
+from coxbalance import convex, semiorder
+from coxbalance.convex import ideal_from_upper
+from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system, ideal_from_members, iter_ideal_masks
 from coxbalance.semiorder import (
     build,
@@ -25,6 +29,7 @@ from coxbalance.semiorder import (
     scan_exit_witnesses,
 )
 from coxbalance.verify import EXIT_SCAN_TYPES, SEMIORDER_TYPES
+from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -106,15 +111,42 @@ def test_unit_interval_closure_larger_sample():
 def test_half_bound_exhaustive(family, rank):
     rs = build_root_system(family, rank)
     refl = semiorder.reflections(rs)
-    for members in all_nonempty_ideals(rs):
-        assert check_half_bound(build(rs, members), refl)
+    columns, scored = semiorder.scored_semiorders(rs)
+    assert [mask for mask, _, _ in scored] == [mask_of(m) for m in all_nonempty_ideals(rs)]
+    for mask, m, _ in scored:
+        assert m.bit_count() == build(rs, bits(mask)).size
+        assert check_half_bound(columns, refl, mask, m)
 
 
 def test_half_bound_whole_group_hits_half():
     rs = build_root_system("A", 2)
     gs = build(rs, range(3))
     assert max(gs.convex.inversion_fraction(k) for k in range(3)) == Fraction(1, 2)
-    assert check_half_bound(gs, semiorder.reflections(rs))
+    _, columns, (m,) = convex.ideal_rows(WeylContext(rs), [gs.mask])
+    assert m.bit_count() == gs.size == 6
+    assert check_half_bound(columns, semiorder.reflections(rs), gs.mask, m)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("A", 3), ("B", 2), ("G", 2), ("B", 3), ("C", 3),
+])
+def test_half_bound_matches_product_oracle_on_every_subset(family, rank):
+    """The column check gives the verdict of the product-and-membership
+    oracle on W^A for every nonempty root set A, root-poset ideal or not;
+    both verdicts occur."""
+    rs = build_root_system(family, rank)
+    ctx = WeylContext(rs)
+    refl = semiorder.reflections(rs)
+    masks = range(1, 1 << rs.num_positive_roots)
+    _, columns, rows = convex.ideal_rows(ctx, masks)
+    verdicts = []
+    for mask, m in zip(masks, rows):
+        c = ideal_from_upper(ctx, mask)
+        assert m.bit_count() == len(c)
+        verdict = check_half_bound(columns, refl, mask, m)
+        assert verdict == half_bound_by_products(c, mask, refl), hex(mask)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
 
 
 def test_single_exit_simple_a2():

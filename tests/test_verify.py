@@ -13,6 +13,7 @@ from coxbalance.coxgen import is_fully_commutative
 from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.verify import (
     CONJECTURE_TYPES,
+    SEMIORDER_TYPES,
     VerificationReport,
     _reference_heaps,
     classify_fc_equality,
@@ -130,13 +131,34 @@ def test_geometry_walks_each_group_once_and_builds_no_set(monkeypatch):
 
     monkeypatch.setattr(weyl, "all_elements", walk)
     monkeypatch.setattr(convex, "_element_table", table)
-    monkeypatch.setattr(convex, "ideals_from_uppers", lambda *args: uppers.append(args))
+    monkeypatch.setattr(convex, "ideal_rows", lambda *args: uppers.append(args))
     monkeypatch.setattr(convex, "_build", refuse)
     (report,) = run_campaign("geometry")
     assert report.all_passed
     labels = [f"{family}{rank}" for family, rank in CONJECTURE_TYPES]
     assert walks == tables == labels
     assert uppers == []
+
+
+def test_semiorder_walks_each_group_once_and_builds_no_set(monkeypatch):
+    """One element table per type serves the half bound and the minimum
+    balance; a second walk (say, through ``min_semiorder_balance``) or a
+    ``ConvexSet`` would show here."""
+    walks = []
+    real_walk = weyl.all_elements
+
+    def walk(rs):
+        walks.append(rs.root_label())
+        return real_walk(rs)
+
+    def refuse(*args):
+        raise AssertionError("semiorder built a ConvexSet")
+
+    monkeypatch.setattr(weyl, "all_elements", walk)
+    monkeypatch.setattr(convex, "_build", refuse)
+    (report,) = run_campaign("semiorder")
+    assert report.all_passed
+    assert walks == [f"{family}{rank}" for family, rank in SEMIORDER_TYPES]
 
 
 def test_geometry_failure_branch_lists_every_set(monkeypatch):

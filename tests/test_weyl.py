@@ -7,8 +7,8 @@ from math import prod
 
 import pytest
 
-from conftest import apply, one_line
-from coxbalance import weyl
+from conftest import apply, marks_group_order, one_line
+from coxbalance import rootsys, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, path_matrix, shortlex_levels
 from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system
@@ -472,6 +472,21 @@ def test_level_sizes_match_poincare_polynomial(family, rank):
 def test_group_order_is_the_product_of_the_degrees(family, rank):
     """|W| = d_1 ... d_r (Humphreys, section 3.9), read from the type alone."""
     assert group_order(build_root_system(family, rank)) == prod(degrees(family, rank))
+
+
+@pytest.mark.parametrize("family,rank", [
+    *(("A", r) for r in range(1, 21)),
+    *((f, r) for f in "BC" for r in range(2, 15)),
+    *(("D", r) for r in range(4, 15)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+])
+def test_group_order_matches_the_marks_formula(family, rank):
+    """The degrees read off the root heights are the type's degrees, and
+    their product is the |W| of the highest root's marks and the index of
+    connection."""
+    rs = build_root_system(family, rank)
+    assert sorted(rootsys.degrees(rs)) == sorted(degrees(family, rank))
+    assert group_order(rs) == marks_group_order(rs)
 
 
 def test_one_line_notation():
