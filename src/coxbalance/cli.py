@@ -136,8 +136,10 @@ def cmd_group(args, out) -> int:
         cap = weyl.DEFAULT_ELEMENT_CAP
     elif cap < 0:
         raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
-    sizes = [sum(map(len, level)) for level in weyl.levels(rs, cap)]
-    count = sum(sizes)
+    count = weyl.group_order(rs)
+    if count > cap:
+        raise coxgen.EnumerationCapExceeded(cap)
+    sizes = weyl.length_distribution(rs)
     print(f"group of type {rs.root_label()}: {count} elements")
     for ln, size in enumerate(sizes):
         print(f"  length {ln:2d}: {size}")
@@ -368,7 +370,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="with --format dot, emit the labelled reflection graph")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("group", help="enumerate the Weyl group")
+    p = sub.add_parser("group", help="count the Weyl group by length")
     add_type_args(p)
     p.add_argument("--cap", help="element cap (default 10^6)")
     p.set_defaults(func=cmd_group)

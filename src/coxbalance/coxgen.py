@@ -443,7 +443,8 @@ def _letter_blocks(coxeter) -> Tuple[Tuple[int, ...], ...]:
 # -- word combinatorics (shared with finite Weyl groups) ----------------------
 
 
-def is_fully_commutative(sys, word: Sequence[int]) -> bool:
+def is_fully_commutative(sys, word: Sequence[int],
+                         rows: Optional[Tuple[int, ...]] = None) -> bool:
     """True iff the element of a reduced word is fully commutative.
 
     Stembridge (J. Algebraic Combin. 5 (1996), Prop. 3.3): iff no interval
@@ -452,9 +453,10 @@ def is_fully_commutative(sys, word: Sequence[int]) -> bool:
     order, so such an interval is a run of m consecutive ones whose ends
     bound an interval of m positions.  Its letters then alternate: an
     interval of two equal letters would make the word not reduced, and a
-    word that is not reduced raises :class:`NotReducedError`.
+    word that is not reduced raises :class:`NotReducedError`.  ``rows`` are
+    its ``heap_rows``, if known.
     """
-    rows = heap_rows(sys, word)
+    rows = heap_rows(sys, word) if rows is None else rows
     letters = sorted(set(word))
     for x, a in enumerate(letters):
         for b in letters[x + 1:]:

@@ -280,11 +280,18 @@ def _reference_heaps():
 
 
 def fully_commutative_elements(rs: RootSystem):
-    """(element, shortlex word) pairs for every fully commutative element,
-    in shortlex order: the walk of the shortlex tree pruned to them."""
+    """(element, shortlex word, heap) for every fully commutative element,
+    in shortlex order: the shortlex tree pruned by the FC test, whose heap
+    rows the heaps reuse."""
     sys = WeylContext(rs)
-    rows = convex.pruned_walk(sys, lambda key, word: coxgen.is_fully_commutative(sys, word))
-    return [(w, word) for w, word, _ in rows]
+    rows = {(): ()}
+
+    def keep(key, word):
+        rows[word] = posets.heap_rows(sys, word)
+        return coxgen.is_fully_commutative(sys, word, rows[word])
+
+    walk = convex.pruned_walk(sys, keep)
+    return [(w, word, posets.LabeledPoset(len(word), rows[word], word)) for w, word, _ in walk]
 
 
 def classify_fc_equality(rs: RootSystem, refs: dict) -> VerificationReport:
@@ -292,13 +299,11 @@ def classify_fc_equality(rs: RootSystem, refs: dict) -> VerificationReport:
     match the heap components against the :func:`_reference_heaps` ``refs``."""
 
     def body(report: VerificationReport):
-        sys = WeylContext(rs)
         unmatched = []
         hits = 0
-        for w, word in fully_commutative_elements(rs):
+        for w, word, heap in fully_commutative_elements(rs):
             if not word:
                 continue
-            heap = posets.heap_from_word(sys, word)
             if heap.balance() != THIRD:
                 continue
             hits += 1

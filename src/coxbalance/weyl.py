@@ -8,16 +8,16 @@ type, computes its element primitives on these tuples with integer
 arithmetic only and inherits its word routines from ``coxgen.GroupWords``;
 a vector's image under w is read from the same tuple in ``alcove``.  A root
 key is a positive-root index, and a set of roots, such as an inversion set,
-is the int bitmask of its keys.
-:func:`levels` walks the group one length at a time as bare byte codes,
-after comparing its order, the product of the degrees (:func:`group_order`), with
-the element cap; :func:`all_elements` decodes each code and derives its
-word from its parent's.
+is the int bitmask of its keys.  :func:`length_distribution` reads the
+level sizes off the degrees; :func:`all_elements` walks the group one
+length at a time as byte codes, deriving each word from its parent's.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import prod
+from operator import sub
 from struct import Struct
 from typing import Iterator, List, Optional, Tuple
 
@@ -103,6 +103,17 @@ def group_order(rs: RootSystem) -> int:
     return prod(degrees(rs))
 
 
+def length_distribution(rs: RootSystem) -> List[int]:
+    """The number of elements of each length 0..N: the coefficients of the
+    Poincare polynomial prod_i (1 + q + ... + q^(d_i - 1)) (Humphreys 3.15),
+    each factor a running sum over d_i coefficients."""
+    coeffs = [1]
+    for d in degrees(rs):
+        padded = coeffs + [0] * (d - 1)
+        coeffs = list(accumulate(map(sub, padded, [0] * d + padded)))
+    return coeffs
+
+
 # A signed root index a = +-1..+-N fits a byte as a % 256 while N <= 127,
 # which holds up to E8 (N = 120); bytes 0 and 128 are never used.
 MAX_BYTE_ROOTS = 127
@@ -114,13 +125,13 @@ _NEGATE = bytes(-a % 256 for a in range(256))
 def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
     """Every group element with its shortlex-minimal reduced word.
 
-    The codes of :func:`levels`, block by block, each decoded to its
+    The codes of :func:`_walk`, block by block, each decoded to its
     signed tuple.  A code c in block k has the tree parent s_(k+1) c,
     ``c.translate(table)`` with letter k+1's table and no delete string
     (s_i is an involution on codes), and its word is k+1 followed by the
-    parent's word, read from the previous level's words.  Raises
-    :class:`EnumerationCapExceeded` before any element when the group has
-    more than ``DEFAULT_ELEMENT_CAP`` elements.
+    parent's word, read from the previous level's words.  Raises what
+    :func:`_letter_steps` raises at ``DEFAULT_ELEMENT_CAP``, before any
+    element.
     """
     steps = _letter_steps(rs, DEFAULT_ELEMENT_CAP)
     tables = [table for table, _ in steps]
@@ -138,29 +149,13 @@ def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
             yield decode(c), ()
 
 
-def levels(rs: RootSystem, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[List[List[bytes]]]:
-    """The group one length at a time: the levels of ``coxgen.shortlex_levels``.
-
-    An entry is the element as ``bytes``, its entry a stored as a % 256;
-    words are left to :func:`all_elements`.  At the first ``next()``,
-    before any level, it raises :class:`EnumerationCapExceeded` when
-    :func:`group_order` exceeds ``cap``, and ``ValueError`` for a type with
-    more than ``MAX_BYTE_ROOTS`` positive roots, whose codes would not fit
-    a byte; such a group has at least 9.8 * 10^11 elements.
-
-    k is a left descent of u iff u^-1 alpha_k < 0, that is iff -alpha_k is
-    an entry of u, and k is one of s_i u iff -s_i alpha_k is an entry of u.
-    With letter i's table and delete string from :func:`_letter_steps`,
-    ``u.translate(table, delete)`` is s_i u if s_i u is a child, and
-    shorter than N if it is not: one C-level call per (letter, element)
-    makes the child test and the product.
-    """
-    yield from _walk(rs, _letter_steps(rs, cap), cap)
-
-
 def _walk(rs: RootSystem, steps: List[Tuple[bytes, bytes]],
           cap: int) -> Iterator[List[List[bytes]]]:
-    """The levels of :func:`levels`, walked with the given letter steps."""
+    """The levels of ``coxgen.shortlex_levels`` as ``bytes`` codes, entry a
+    stored as a % 256.  k is a left descent of u iff -alpha_k is an entry
+    of u, and of s_i u iff -s_i alpha_k is, so with letter i's step
+    ``u.translate(table, delete)`` is s_i u if that is a child, and shorter
+    than N if not: one C-level call makes the child test and the product."""
     n = rs.num_positive_roots
 
     def extend(i, block):
@@ -173,7 +168,9 @@ def _walk(rs: RootSystem, steps: List[Tuple[bytes, bytes]],
 def _letter_steps(rs: RootSystem, cap: int) -> List[Tuple[bytes, bytes]]:
     """Per letter i, (table, delete): the 256-byte table that maps each code
     to that of its image under s_i, and the codes of -alpha_i and of
-    -s_i alpha_k for k < i.  Raises the errors that :func:`levels` names."""
+    -s_i alpha_k for k < i.  Raises :class:`EnumerationCapExceeded` when
+    |W| > ``cap``, and ``ValueError`` past ``MAX_BYTE_ROOTS`` positive roots,
+    whose codes would not fit a byte (|W| >= 9.8 * 10^11)."""
     if group_order(rs) > cap:
         raise EnumerationCapExceeded(cap)
     n = rs.num_positive_roots

@@ -10,11 +10,12 @@ order ideals as the closure of the inversion masks under union, full
 commutativity by a braid scan over a whole commutation class, the inversion
 keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
 word counted as inversions (for ``check_reduced``), the number of
-root-poset ideals by a walk (for ``catalan_number``), |W| from the marks of
-the highest root (for ``group_order``), the half bound of a generalized
-semiorder by group products (for ``check_half_bound``), the single-exit
-simple roots of a root-poset ideal, the classical semiorder of a point set
-and brute-force linear extension counts.  The helpers build objects the
+root-poset ideals by a walk (for ``catalan_number``), the elements of each
+length by the shortlex byte walk (for ``length_distribution``), |W| from
+the marks of the highest root (for ``group_order``), the half bound of a
+generalized semiorder by group products (for ``check_half_bound``), the
+single-exit simple roots of a root-poset ideal, the classical semiorder of
+a point set and brute-force linear extension counts.  The helpers build objects the
 tests compare: commutation classes, the reduced words up to a length, right
 translates of convex sets, W^A as a ``ConvexSet`` from the rows of each
 requested A, and every convex order ideal as one, dual
@@ -346,6 +347,15 @@ def count_root_ideals(rs):
     """The number of root-poset order ideals by walking them all, the oracle
     for the closed form of ``rootsys.catalan_number``."""
     return sum(1 for _ in iter_ideal_masks(rs))
+
+
+def levels(rs, cap=weyl.DEFAULT_ELEMENT_CAP):
+    """The group one length at a time as the byte codes that
+    ``weyl.all_elements`` walks, in its blocks, with no word derived: the
+    walk oracle for ``weyl.length_distribution``.  At the first ``next()``
+    it raises what ``all_elements`` raises, with ``cap`` in place of
+    ``weyl.DEFAULT_ELEMENT_CAP``."""
+    yield from weyl._walk(rs, weyl._letter_steps(rs, cap), cap)
 
 
 def exit_roots(rs, mask, i):

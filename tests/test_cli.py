@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,18 @@ def test_group_past_the_cap_is_refused_before_the_walk(capsys):
     """A20 has 21! elements and 210 roots: |W| is compared with the cap first."""
     code = main(["group", "--type", "A", "--rank", "20"])
     assert_error_line(capsys, code, "exceeded the element cap of 1000000")
+
+
+def test_group_at_a_cap_of_21_factorial_reports_a20(capsys):
+    """A cap of at least |W| lets ``group`` print A20's 21! elements and its
+    211 lengths from the degrees, where no walk could go (210 roots)."""
+    code, out = run(capsys, "group", "--type", "A", "--rank", "20", "--cap", str(factorial(21)))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"group of type A20: {factorial(21)} elements"
+    assert len(lines) == 1 + 211
+    assert lines[1:3] == ["  length  0: 1", "  length  1: 20"]
+    assert lines[-1] == "  length 210: 1"
 
 
 def test_group_negative_cap_is_reported(capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import convex_ideals
-from coxbalance import alcove, convex, verify, weyl
+from coxbalance import alcove, convex, coxgen, posets, verify, weyl
 from coxbalance.cli import main
 from coxbalance.coxgen import is_fully_commutative
 from coxbalance.rootsys import RootSystem, build_root_system
@@ -233,7 +233,33 @@ def test_fc_walk_matches_the_filtered_group(family, rank):
     rs = build_root_system(family, rank)
     ctx = WeylContext(rs)
     expected = [(w, word) for w, word in weyl.all_elements(rs) if is_fully_commutative(ctx, word)]
-    assert verify.fully_commutative_elements(rs) == expected
+    walked = verify.fully_commutative_elements(rs)
+    assert [(w, word) for w, word, _ in walked] == expected
+    assert all(heap == posets.heap_from_word(ctx, word) for _, word, heap in walked)
+
+
+def test_classify_builds_each_tested_word_heap_once(monkeypatch):
+    """``verify classify`` computes the heap rows of each word that the FC
+    walk tests once, and of each reference heap once: the classifier
+    reuses the rows of the walk's test."""
+    tested, built = [], []
+    fc_test, rows_of = coxgen.is_fully_commutative, posets.heap_rows
+
+    def counted_test(sys, word, rows=None):
+        tested.append(tuple(word))
+        return fc_test(sys, word, rows)
+
+    def counted_rows(sys, word):
+        built.append(tuple(word))
+        return rows_of(sys, word)
+
+    monkeypatch.setattr(coxgen, "is_fully_commutative", counted_test)
+    monkeypatch.setattr(coxgen, "heap_rows", counted_rows)
+    monkeypatch.setattr(posets, "heap_rows", counted_rows)
+    assert all(report.all_passed for report in verify.run_campaign("classify"))
+    references = [(1, 2), (4, 2, 3, 1), (6, 3, 2, 4, 1, 3, 5)]
+    assert len(tested) > 0
+    assert built == references + tested
 
 
 @pytest.mark.parametrize("family,rank,count", [

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from conftest import apply, marks_group_order, one_line
+from conftest import apply, levels, marks_group_order, one_line
 from coxbalance import rootsys, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, path_matrix, shortlex_levels
 from coxbalance.linalg import bits
@@ -18,7 +18,7 @@ from coxbalance.weyl import (
     WeylContext,
     all_elements,
     group_order,
-    levels,
+    length_distribution,
     reduced_word,
 )
 
@@ -453,14 +453,45 @@ def test_length_counts_match_poincare_polynomial(family, rank):
 
 @pytest.mark.parametrize("family,rank", [*POINCARE_TYPES, ("E", 7)])
 def test_level_sizes_match_poincare_polynomial(family, rank):
-    """The level sizes that ``coxbalance group`` prints, with no code
-    decoded, so E7's 2903040 elements (past ``DEFAULT_ELEMENT_CAP``) are
-    walked too."""
+    """The level sizes that ``coxbalance group`` prints, from the degrees
+    read off the root heights, are the coefficients of the Poincare
+    polynomial of the type's table of degrees."""
     rs = build_root_system(family, rank)
-    expected = poincare_coefficients(degrees(family, rank))
-    sizes = [sum(map(len, level)) for level in levels(rs, group_order(rs))]
-    assert sizes == expected
+    sizes = length_distribution(rs)
+    assert sizes == poincare_coefficients(degrees(family, rank))
     assert group_order(rs) == sum(sizes)
+
+
+# Every type with |W| <= 60000, the largest being E6 (51840).
+WALKED_TYPES = [
+    *(("A", r) for r in range(1, 8)),
+    *((f, r) for f in "BC" for r in range(2, 7)),
+    *(("D", r) for r in range(4, 7)),
+    ("E", 6), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("family,rank", WALKED_TYPES)
+def test_length_distribution_matches_the_walk(family, rank):
+    """The closed form gives the size of each level of the shortlex walk."""
+    rs = build_root_system(family, rank)
+    sizes = [sum(map(len, level)) for level in levels(rs, group_order(rs))]
+    assert length_distribution(rs) == sizes
+
+
+@pytest.mark.parametrize("family,rank,order,top", [
+    ("E", 7, 2903040, 63), ("E", 8, 696729600, 120),
+])
+def test_length_distribution_past_the_walk(family, rank, order, top):
+    """On E7 and E8, which no test walks: the coefficients sum to |W|, run
+    from length 0 to the length N of the longest element, are palindromic
+    (w -> w w_0 reverses lengths), and give the rank at length 1."""
+    rs = build_root_system(family, rank)
+    sizes = length_distribution(rs)
+    assert sum(sizes) == group_order(rs) == order
+    assert len(sizes) - 1 == rs.num_positive_roots == top
+    assert sizes == sizes[::-1]
+    assert sizes[:2] == [1, rank]
 
 
 @pytest.mark.parametrize("family,rank", [
