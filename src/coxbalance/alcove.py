@@ -25,9 +25,11 @@ over the members, and its coordinates are its simple-root pairings.
 
 A scan over every convex order ideal of a type (:func:`witnessed_ideals`)
 reads no member.  ``convex.enumerate_convex_ideals`` gives each set as the
-int bitset M of its rows in the scan's element table, and per root k the
+int bitset M of its rows in the scan's joined byte codes, and per root k the
 bit planes of (entry - least entry) over the rows make a sum over the
 members a plane sum, least * |M| + sum_b 2^b popcount(M & plane_{k,b}).
+A plane is read off the codes as a column is, through a table that maps
+each byte to that bit of its root's entry.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .convex import ConvexSet, balance_scorer, enumerate_convex_ideals
+from .convex import ConvexSet, balance_scorer, code_rows, enumerate_convex_ideals
 from .linalg import Vector, bits
 from .rootsys import RootSystem
-from .weyl import WeylContext
+from .weyl import WeylContext, code_entry
 
 
 @dataclass(frozen=True)
@@ -204,32 +206,25 @@ def _image_sum(table: Tuple[int, ...], c: ConvexSet, root_index: int) -> int:
     return sum(table[m[root_index]] for m in c.members)
 
 
-def _image_rows(rows, n: int) -> List[Dict[int, int]]:
-    """Per root k, the int bitset of the element table rows w with image
-    ``w[k] = a``, keyed by the signed root index a."""
-    images: List[Dict[int, int]] = [{} for _ in range(n)]
-    for r, (w, _, _) in enumerate(rows):
-        bit = 1 << r
-        for by_image, a in zip(images, w):
-            by_image[a] = by_image.get(a, 0) | bit
-    return images
-
-
 Planes = Tuple[int, List[int]]  # (low, planes) of one root; see _bit_planes
 
 
-def _bit_planes(table: Tuple[int, ...], images: Sequence[Dict[int, int]]) -> List[Planes]:
+def _bit_planes(codes: bytes, n: int, table: Tuple[int, ...]) -> List[Planes]:
     """Per root k, (low, planes): low is the least entry ``table[w[k]]``
-    over the rows w, and plane b the int bitset of the rows whose entry
-    minus low has bit b set, so that a sum over the rows M is
-    ``_plane_sum((low, planes), M)`` with no row read."""
+    over the rows w of the joined codes, N = ``n`` bytes each, and plane b
+    the int bitset of the rows whose entry minus low has bit b set, so
+    that a sum over the rows M is ``_plane_sum((low, planes), M)`` with no
+    row read.  Plane b maps each byte c that occurs at k to that bit of
+    ``table[code_entry(c)]`` minus low."""
     out = []
-    for by_image in images:
-        low = min(table[a] for a in by_image)
-        planes = [0] * max(table[a] - low for a in by_image).bit_length()
-        for a, rows in by_image.items():
-            for b in bits(table[a] - low):
-                planes[b] |= rows
+    for k in range(n):
+        present = bytes(set(codes[k::n]))
+        entries = [table[code_entry(c)] for c in present]
+        low = min(entries)
+        planes = []
+        for b in range((max(entries) - low).bit_length()):
+            digits = bytes.maketrans(present, bytes(48 + (e - low >> b & 1) for e in entries))
+            planes.append(code_rows(codes, n, k, digits))
         out.append((low, planes))
     return out
 
@@ -313,20 +308,19 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
                        partial(_image_sum, _root_tables(rs).pairing, c))
 
 
-def plane_scorer(rs: RootSystem, rows, columns: Sequence[int]):
+def plane_scorer(rs: RootSystem, codes: bytes, columns: Sequence[int]):
     """The scorer of ``convex.enumerate_convex_ideals``, with ``rs`` bound,
     that gives each set (balance, mean-height root, centroid-split root),
     the roots being those of :func:`small_mean_height_root` and
     :func:`centroid_split_root`.
 
     Each sum over the members M is a :func:`_plane_sum` over bit planes of
-    the scan's table rows, and |C_k| is |M & column_k|, so no member is read.
+    the scan's codes, and |C_k| is |M & column_k|, so no member is read.
     """
     tables = _root_tables(rs)
-    balance = balance_scorer(rows, columns)
-    images = _image_rows(rows, len(columns))
-    heights = _bit_planes(tables.height, images)
-    pairings = _bit_planes(tables.pairing, images)
+    balance = balance_scorer(codes, columns)
+    heights = _bit_planes(codes, len(columns), tables.height)
+    pairings = _bit_planes(codes, len(columns), tables.pairing)
 
     def score(members: int, upper: int):
         n = members.bit_count()

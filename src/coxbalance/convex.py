@@ -12,17 +12,19 @@ hashed and compared directly.
 Single sets, and every set of a diagram, come from :func:`pruned_walk`, a
 walk of the shortlex tree pruned to W^A by its child test (``verify``
 prunes it to the fully commutative elements).  Scans over many sets W^A of
-one finite Weyl group walk the group once into a table of (element,
-shortlex word, inversion mask) rows in shortlex order, and read it by
-columns, one int bitset of rows per root.  W^A = {w : N(w) inside A}, so
-its rows are M(A), the AND of the complemented columns of the roots
-outside A: :func:`ideal_rows` gives M(A) for each requested A (the
-generalized semiorders of ``semiorder``).  In
+one finite Weyl group join the byte codes of ``weyl.all_elements`` into
+one ``bytes`` string, a row of N bytes per element in shortlex order, and
+read it by columns with no element decoded: :func:`code_rows` gives the
+int bitset of the rows whose byte k a table maps to ``"1"``, and column j,
+the rows inverting root j, is that of the bytes of negative roots.  W^A =
+{w : N(w) inside A}, so its rows are M(A), the AND of the complemented
+columns of the roots outside A: :func:`ideal_rows` gives M(A) for each
+requested A (the generalized semiorders of ``semiorder``).  In
 :func:`enumerate_convex_ideals` the distinct convex order ideals are the
 closed sets of the columns, and NextClosure lists each once with its M.
 Each M is scored with no set built: the balance by popcounts of ANDs of
 columns, and in ``alcove`` the geometry witnesses by plane sums, whose
-sums over the members are popcounts of M against bit planes of the table.
+sums over the members are popcounts of M against bit planes of the codes.
 """
 
 from __future__ import annotations
@@ -212,32 +214,35 @@ def from_members(ctx, elements: Sequence) -> ConvexSet:
     return hull
 
 
-def _element_table(ctx: WeylContext) -> List[Tuple]:
-    """(element, shortlex word, inversion mask) per element, in shortlex order."""
-    return [(w, word, ctx.inversion_mask(w)) for w, word in weyl.all_elements(ctx.root_system)]
+# Per byte of a code, "1" iff it stands for a negative root: an inversion.
+_INVERTED = bytes(49 if weyl.code_entry(c) < 0 else 48 for c in range(256))
 
 
-def ideal_rows(ctx: WeylContext, uppers: Sequence[int]) -> Tuple[List[Tuple], List[int], List[int]]:
-    """The element table, its root columns, and for each root bitmask A of
+def code_rows(codes: bytes, n: int, k: int, digits: bytes) -> int:
+    """The int bitset of the rows of ``codes``, N = ``n`` bytes each, whose
+    byte k the translation table ``digits`` maps to ``"1"``; it must map
+    every other byte that occurs there to ``"0"``.  Row r is bit r, so the
+    digits are read in reverse."""
+    return int(codes[k::n].translate(digits)[::-1], 2)
+
+
+def _scan_columns(ctx: WeylContext) -> Tuple[bytes, List[int]]:
+    """The group's codes joined in shortlex order, and its root columns:
+    column j is the int bitset of the rows whose inversion set holds root j."""
+    n = ctx.root_system.num_positive_roots
+    codes = b"".join(weyl.all_elements(ctx.root_system))
+    return codes, [code_rows(codes, n, j, _INVERTED) for j in range(n)]
+
+
+def ideal_rows(ctx: WeylContext, uppers: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The root columns of the scan's rows, and for each root bitmask A of
     ``uppers`` the int bitset M(A) of the rows of W^A = {w : N(w) inside
     A}: the AND of the complemented columns of the roots outside A."""
-    table = _element_table(ctx)
-    n = ctx.root_system.num_positive_roots
-    columns = _root_columns(table, n)
-    every = (1 << len(table)) - 1
-    return table, columns, [reduce(and_, (~columns[j] for j in bits((1 << n) - 1 & ~upper)), every)
-                            for upper in uppers]
-
-
-def _root_columns(table, n: int) -> List[int]:
-    """Column j of the table: the int bitset of the rows whose inversion
-    set holds root j."""
-    columns = [0] * n
-    for r, (_, _, mask) in enumerate(table):
-        bit = 1 << r
-        for j in bits(mask):
-            columns[j] |= bit
-    return columns
+    codes, columns = _scan_columns(ctx)
+    n = len(columns)
+    every = (1 << len(codes) // n) - 1
+    return columns, [reduce(and_, (~columns[j] for j in bits((1 << n) - 1 & ~upper)), every)
+                     for upper in uppers]
 
 
 def _popcount_balance(columns: Sequence[int], members: int, upper: int) -> Fraction:
@@ -253,13 +258,14 @@ def _popcount_balance(columns: Sequence[int], members: int, upper: int) -> Fract
     return Fraction(best, n)
 
 
-def balance_scorer(table, columns: Sequence[int]) -> Callable[[int, int], Fraction]:
-    """The scorer of :func:`enumerate_convex_ideals` that gives each set's balance."""
+def balance_scorer(codes: bytes, columns: Sequence[int]) -> Callable[[int, int], Fraction]:
+    """The scorer of :func:`enumerate_convex_ideals` that gives each set's
+    balance; it reads the columns only."""
     return partial(_popcount_balance, columns)
 
 
 def _closed_ideals(columns: Sequence[int], rows: int) -> Iterator[Tuple[int, int]]:
-    """(A, M) for each distinct W^A of a table of ``rows`` rows with these
+    """(A, M) for each distinct W^A of a scan of ``rows`` rows with these
     root columns, in NextClosure order; M is the int bitset of W^A's rows.
 
     For a set Y of roots, M(Y), the AND over Y of the complemented columns,
@@ -299,14 +305,14 @@ def enumerate_convex_ideals(ctx: WeylContext, scorer) -> Iterator[Tuple[int, obj
     """(A, score) for every distinct convex order ideal W^A of a finite
     Weyl group, A being the union of the members' inversion sets.
 
-    One pass over the group gives the element table and an int bitset per
+    One pass over the group gives its joined codes and an int bitset per
     root column, and the distinct W^A are the closed sets of the columns,
     which NextClosure lists once each (see :func:`_closed_ideals`).  A
     set's members are the bits M of one int, so its size and each root's
-    inversion count are popcounts.  ``scorer(table, columns)`` is called
+    inversion count are popcounts.  ``scorer(codes, columns)`` is called
     once, after the walk, and its result ``score(M, A)`` gives each set's
     score, with no set built (:func:`balance_scorer`, or the alcove
-    witnesses on bit planes of the same table).  Sets stream ordered by
+    witnesses on bit planes of the same codes).  Sets stream ordered by
     (|A|, sorted A); requires at most ``CONVEX_SCAN_MAX_ROOTS`` positive
     roots, checked before the walk.  In lectic order the earlier of two
     closed sets lacks the least root where they differ, so its A holds it:
@@ -318,10 +324,9 @@ def enumerate_convex_ideals(ctx: WeylContext, scorer) -> Iterator[Tuple[int, obj
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    table = _element_table(ctx)
-    columns = _root_columns(table, n)
-    score = scorer(table, columns)
-    for upper, members in sorted(_closed_ideals(columns, len(table)),
+    codes, columns = _scan_columns(ctx)
+    score = scorer(codes, columns)
+    for upper, members in sorted(_closed_ideals(columns, len(codes) // n),
                                  key=lambda s: s[0].bit_count()):
         yield upper, score(members, upper)
 

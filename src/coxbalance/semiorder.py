@@ -7,9 +7,10 @@ the 1/3 bound for these sets (including the E8 scan, streamed).  The scan
 has the ideal walk carry one exit counter per simple root above the mask
 bits, so each ideal costs one add and one AND.
 
-Every W^A of one type is the int bitset M(A) of its rows in one element
-table (:func:`convex.ideal_rows`), scored by popcounts and checked for the
-half bound by ANDs of the table's root columns, with no group product.
+Every W^A of one type is the int bitset M(A) of its rows in one scan of
+the group's byte codes (:func:`convex.ideal_rows`), scored by popcounts and
+checked for the half bound by ANDs of the scan's root columns, with no
+group product and no element decoded.
 :func:`build` makes a single W^A, for the unit-interval semiorders.
 """
 
@@ -86,11 +87,11 @@ def reflections(rs: RootSystem) -> Tuple[Element, ...]:
 
 
 def scored_semiorders(rs: RootSystem) -> Tuple[List[int], List[Tuple[int, int, Fraction]]]:
-    """The root columns of the element table, and (A, M(A), balance) for
-    each nonempty root-poset ideal A, in walk order, from one group walk."""
+    """The root columns of the group scan, and (A, M(A), balance) for each
+    nonempty root-poset ideal A, in walk order, from one group walk."""
     masks = [m for m in iter_ideal_masks(rs) if m]
-    table, columns, rows = convex.ideal_rows(WeylContext(rs), masks)
-    score = convex.balance_scorer(table, columns)
+    columns, rows = convex.ideal_rows(WeylContext(rs), masks)
+    score = convex.balance_scorer(None, columns)
     return columns, [(mask, m, score(m, mask)) for mask, m in zip(masks, rows)]
 
 

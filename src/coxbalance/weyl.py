@@ -10,7 +10,8 @@ a vector's image under w is read from the same tuple in ``alcove``.  A root
 key is a positive-root index, and a set of roots, such as an inversion set,
 is the int bitmask of its keys.  :func:`length_distribution` reads the
 level sizes off the degrees; :func:`all_elements` walks the group one
-length at a time as byte codes, deriving each word from its parent's.
+length at a time and yields each element's byte code, its tuple with each
+entry stored as one byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from itertools import accumulate
 from math import prod
 from operator import sub
-from struct import Struct
 from typing import Iterator, List, Optional, Tuple
 
 from .coxgen import EnumerationCapExceeded, GroupWords, root_display, shortlex_levels
@@ -122,31 +122,22 @@ MAX_BYTE_ROOTS = 127
 _NEGATE = bytes(-a % 256 for a in range(256))
 
 
-def all_elements(rs: RootSystem) -> Iterator[Tuple[Element, Tuple[int, ...]]]:
-    """Every group element with its shortlex-minimal reduced word.
+def code_entry(byte: int) -> int:
+    """The signed root index a that a code stores as the byte a % 256."""
+    return byte - 256 if byte > MAX_BYTE_ROOTS else byte
 
-    The codes of :func:`_walk`, block by block, each decoded to its
-    signed tuple.  A code c in block k has the tree parent s_(k+1) c,
-    ``c.translate(table)`` with letter k+1's table and no delete string
-    (s_i is an involution on codes), and its word is k+1 followed by the
-    parent's word, read from the previous level's words.  Raises what
-    :func:`_letter_steps` raises at ``DEFAULT_ELEMENT_CAP``, before any
-    element.
+
+def all_elements(rs: RootSystem) -> Iterator[bytes]:
+    """The byte code of every group element, in shortlex order of the
+    elements' least reduced words: the codes of :func:`_walk`, block by
+    block.  Entry a of an element's tuple is byte a % 256, which
+    :func:`code_entry` reads back.  Raises what :func:`_letter_steps`
+    raises at ``DEFAULT_ELEMENT_CAP``, before any element.
     """
     steps = _letter_steps(rs, DEFAULT_ELEMENT_CAP)
-    tables = [table for table, _ in steps]
-    decode = Struct(f"{rs.num_positive_roots}b").unpack
-    words = {}
     for level in _walk(rs, steps, DEFAULT_ELEMENT_CAP):
-        parents, words = words, {}
-        for letter, (table, block) in enumerate(zip(tables, level), 1):
-            first = (letter,)
-            for c in block:
-                word = words[c] = first + parents[c.translate(table)]
-                yield decode(c), word
-        for c in level[-1]:  # e, alone at length 0
-            words[c] = ()
-            yield decode(c), ()
+        for block in level:
+            yield from block
 
 
 def _walk(rs: RootSystem, steps: List[Tuple[bytes, bytes]],

@@ -12,7 +12,11 @@ keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
 word counted as inversions (for ``check_reduced``), the number of
 root-poset ideals by a walk (for ``catalan_number``), the elements of each
 length by the shortlex byte walk (for ``length_distribution``), |W| from
-the marks of the highest root (for ``group_order``), the half bound of a
+the marks of the highest root (for ``group_order``), the group's elements
+with their shortlex words decoded from the byte walk (for the codes of
+``all_elements``) and the decoded table of the scans with its root
+columns and bit planes row by row (for the columns and planes read off the
+codes), the half bound of a
 generalized semiorder by group products (for ``check_half_bound``), the
 single-exit simple roots of a root-poset ideal, the classical semiorder of
 a point set and brute-force linear extension counts.  The helpers build objects the
@@ -29,6 +33,7 @@ written.
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
+from struct import Struct
 
 from hypothesis import settings
 
@@ -253,13 +258,84 @@ def bfs_convex_rows(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     return sorted(rows, key=lambda row: (len(row[1]), row[1]))
 
 
+def elements(rs):
+    """Every group element with its shortlex-minimal reduced word, in the
+    order of ``weyl.all_elements``.
+
+    The codes of ``weyl._walk``, block by block, each decoded to its
+    signed tuple.  A code c in block k has the tree parent s_(k+1) c,
+    ``c.translate(table)`` with letter k+1's table and no delete string
+    (s_i is an involution on codes), and its word is k+1 followed by the
+    parent's word, read from the previous level's words.  Raises what
+    ``all_elements`` raises, before any element.
+    """
+    steps = weyl._letter_steps(rs, weyl.DEFAULT_ELEMENT_CAP)
+    tables = [table for table, _ in steps]
+    decode = Struct(f"{rs.num_positive_roots}b").unpack
+    words = {}
+    for level in weyl._walk(rs, steps, weyl.DEFAULT_ELEMENT_CAP):
+        parents, words = words, {}
+        for letter, (table, block) in enumerate(zip(tables, level), 1):
+            first = (letter,)
+            for c in block:
+                word = words[c] = first + parents[c.translate(table)]
+                yield decode(c), word
+        for c in level[-1]:  # e, alone at length 0
+            words[c] = ()
+            yield decode(c), ()
+
+
+def element_table(ctx):
+    """The decoded table of the scans: an (element, shortlex word,
+    inversion mask) row per element, in the order of ``weyl.all_elements``,
+    so that row r is row r of the joined codes."""
+    return [(w, word, ctx.inversion_mask(w)) for w, word in elements(ctx.root_system)]
+
+
+def table_columns(table, n):
+    """Column j of the decoded table, row by row: the int bitset of the rows
+    whose inversion set holds root j."""
+    columns = [0] * n
+    for r, (_, _, mask) in enumerate(table):
+        bit = 1 << r
+        for j in bits(mask):
+            columns[j] |= bit
+    return columns
+
+
+def image_rows(table, n):
+    """Per root k, the int bitset of the decoded table's rows w with image
+    ``w[k] = a``, keyed by the signed root index a."""
+    images = [{} for _ in range(n)]
+    for r, (w, _, _) in enumerate(table):
+        bit = 1 << r
+        for by_image, a in zip(images, w):
+            by_image[a] = by_image.get(a, 0) | bit
+    return images
+
+
+def table_bit_planes(entries, images):
+    """Per root k, (low, planes) from the image rows of the decoded table:
+    low is the least ``entries[a]`` over the images a of root k, and plane b
+    the rows whose entry minus low has bit b set."""
+    out = []
+    for by_image in images:
+        low = min(entries[a] for a in by_image)
+        planes = [0] * max(entries[a] - low for a in by_image).bit_length()
+        for a, rows in by_image.items():
+            for b in bits(entries[a] - low):
+                planes[b] |= rows
+        out.append((low, planes))
+    return out
+
+
 def union_closure_uppers(ctx):
     """Oracle for the convex-ideal scan: the distinct W^A are the distinct
     unions A of inversion sets, so closing {0} under OR with the inversion
     mask of every group element gives each A once.  Sorted by (|A|, sorted A).
     """
     unions = {0}
-    for w, _ in weyl.all_elements(ctx.root_system):
+    for w, _ in elements(ctx.root_system):
         mask = ctx.inversion_mask(w)
         unions |= {u | mask for u in unions}
     return sorted(unions, key=lambda a: (a.bit_count(), list(bits(a))))
@@ -267,8 +343,10 @@ def union_closure_uppers(ctx):
 
 def ideals_from_uppers(ctx, uppers):
     """W^A as a ``ConvexSet`` for each root bitmask A of ``uppers``, in order:
-    the table rows of M(A) from ``convex.ideal_rows``, in table order."""
-    table, _, rows = convex.ideal_rows(ctx, uppers)
+    the rows of ``element_table`` at the bits of M(A) from
+    ``convex.ideal_rows``, in table order."""
+    table = element_table(ctx)
+    _, rows = convex.ideal_rows(ctx, uppers)
     return [convex._build(ctx, [table[r] for r in bits(m)]) for m in rows]
 
 

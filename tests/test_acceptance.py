@@ -20,6 +20,7 @@ from fractions import Fraction
 from conftest import (
     commutation_class,
     convex_ideals,
+    elements,
     inversion_keys_of_word,
     labelled_relation,
     mask_of,
@@ -27,7 +28,7 @@ from conftest import (
     root_keys,
     translate,
 )
-from coxbalance import alcove, convex, coxgen, posets, semiorder, weyl
+from coxbalance import alcove, convex, coxgen, posets, semiorder
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
 from coxbalance.weyl import WeylContext
@@ -295,7 +296,7 @@ def test_c10_bridge_equality():
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
         sys = ctx
-        for w, word in weyl.all_elements(rs):
+        for w, word in elements(rs):
             if not coxgen.is_fully_commutative(sys, list(word)):
                 continue
             heap = posets.heap_from_word(sys, word)
@@ -314,7 +315,7 @@ def test_c10_fc_versus_321():
     for rank in (3, 4):
         rs = build_root_system("A", rank)
         sys = WeylContext(rs)
-        for w, word in weyl.all_elements(rs):
+        for w, word in elements(rs):
             perm = one_line(rs, w)
             has_321 = any(
                 perm[i] > perm[j] > perm[k]
@@ -333,7 +334,7 @@ def test_c10_translation_invariance():
     pairs = 0
     for family, rank, count in (("A", 3, 120), ("B", 2, 80)):
         ctx = WeylContext(build_root_system(family, rank))
-        els = [w for w, _ in weyl.all_elements(ctx.root_system)]
+        els = [w for w, _ in elements(ctx.root_system)]
         n = ctx.root_system.num_positive_roots
         for _ in range(count):
             mask = random.randrange(1, 1 << n)

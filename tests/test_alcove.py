@@ -7,11 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import add, apply, convex_ideals, dot, ideals_from_uppers, neg, scale, zero
+from conftest import (
+    add,
+    apply,
+    convex_ideals,
+    dot,
+    element_table,
+    ideals_from_uppers,
+    image_rows,
+    neg,
+    scale,
+    table_bit_planes,
+    table_columns,
+    zero,
+)
 from coxbalance import convex
 from coxbalance.alcove import (
     _bit_planes,
-    _image_rows,
     _image_sum,
     _plane_sum,
     _root_tables,
@@ -345,10 +357,10 @@ def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
 
 
 def plane_group(family, rank):
-    """The group object, its scan table and the table's image rows."""
+    """The group object, the decoded table of its scan and the scan's codes."""
     ctx = WeylContext(build_root_system(family, rank))
-    table = convex._element_table(ctx)
-    return ctx, table, _image_rows(table, ctx.root_system.num_positive_roots)
+    codes, _ = convex._scan_columns(ctx)
+    return ctx, element_table(ctx), codes
 
 
 PLANE_GROUPS = {f"{f}{r}": plane_group(f, r) for f, r in [("A", 3), ("B", 3), ("G", 2)]}
@@ -356,28 +368,53 @@ PLANE_GROUPS = {f"{f}{r}": plane_group(f, r) for f, r in [("A", 3), ("B", 3), ("
 
 @given(name=st.sampled_from(sorted(PLANE_GROUPS)), data=st.data())
 def test_plane_sums_match_image_sums(name, data):
-    """For any set M of table rows, convex or not, the bit-plane sum of the
-    height and of the pairing table at each root is ``_image_sum`` over
-    the members."""
-    ctx, table, images = PLANE_GROUPS[name]
+    """For any set M of rows, convex or not, the bit-plane sum over the
+    codes of the height and of the pairing table at each root is
+    ``_image_sum`` over the members, the decoded table's rows M."""
+    ctx, table, codes = PLANE_GROUPS[name]
+    n = ctx.root_system.num_positive_roots
     members = data.draw(st.integers(min_value=1, max_value=(1 << len(table)) - 1), label="M")
     c = convex._build(ctx, [row for r, row in enumerate(table) if members >> r & 1])
     tables = _root_tables(ctx.root_system)
     for entries in (tables.height, tables.pairing):
-        planes = _bit_planes(entries, images)
+        planes = _bit_planes(codes, n, entries)
         assert [_plane_sum(root_planes, members) for root_planes in planes] == [
-            _image_sum(entries, c, k) for k in range(ctx.root_system.num_positive_roots)
+            _image_sum(entries, c, k) for k in range(n)
         ]
+
+
+# Every type with |W| <= 5040, the largest being A6.
+SMALL_GROUPS = [
+    *(("A", r) for r in range(1, 7)),
+    *((f, r) for f in "BC" for r in range(2, 6)),
+    ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+]
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUPS)
+def test_code_columns_and_planes_match_the_decoded_table(family, rank):
+    """The root columns and both plane sets read off the joined codes equal
+    those built row by row from the decoded table, in the same row order."""
+    ctx = WeylContext(build_root_system(family, rank))
+    n = ctx.root_system.num_positive_roots
+    codes, columns = convex._scan_columns(ctx)
+    table = element_table(ctx)
+    assert len(codes) == n * len(table)
+    assert columns == table_columns(table, n)
+    images = image_rows(table, n)
+    tables = _root_tables(ctx.root_system)
+    for entries in (tables.height, tables.pairing):
+        assert _bit_planes(codes, n, entries) == table_bit_planes(entries, images)
 
 
 def plane_witnesses(ctx):
     """``witnessed_ideals`` from the scan's private parts, in NextClosure
     order, so that it also runs past the scan bound."""
-    table = convex._element_table(ctx)
-    columns = convex._root_columns(table, ctx.root_system.num_positive_roots)
-    score = plane_scorer(ctx.root_system, table, columns)
+    codes, columns = convex._scan_columns(ctx)
+    score = plane_scorer(ctx.root_system, codes, columns)
     return [(*score(members, upper), upper)
-            for upper, members in convex._closed_ideals(columns, len(table)) if upper]
+            for upper, members in convex._closed_ideals(columns, len(codes) // len(columns))
+            if upper]
 
 
 def check_plane_witnesses(family, rank):

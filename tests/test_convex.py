@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     bfs_convex_rows,
     convex_ideals,
+    elements,
     ideals_from_uppers,
     inversion_keys_of_word,
     keys_of,
@@ -55,7 +56,7 @@ def all_roots(ctx):
 def brute_force_ideal(ctx, allowed):
     """Oracle: filter the whole group by inversion containment."""
     return {
-        w for w, _ in weyl.all_elements(ctx.root_system)
+        w for w, _ in elements(ctx.root_system)
         if keys_of(ctx.inversion_mask(w)) <= keys_of(allowed)
     }
 
@@ -83,7 +84,7 @@ def test_ideal_matches_brute_force_filter(family, rank):
 
 def test_ideals_downward_closed_in_left_order():
     ctx = weyl_ctx("B", 2)
-    els = [w for w, _ in weyl.all_elements(ctx.root_system)]
+    els = [w for w, _ in elements(ctx.root_system)]
     n = ctx.root_system.num_positive_roots
     for mask in range(1 << n):
         c = ideal_from_upper(ctx, mask)
@@ -108,7 +109,7 @@ def test_convex_set_with_lower_constraint():
     c = convex_set(a2, 1 << a1_key, all_roots(a2))
     # brute force: elements of S3 with a1 as inversion
     expect = {
-        w for w, _ in weyl.all_elements(a2.root_system)
+        w for w, _ in elements(a2.root_system)
         if a1_key in keys_of(a2.inversion_mask(w))
     }
     assert set(c.members) == expect
@@ -210,7 +211,7 @@ def test_translation_invariance_of_balance():
     random.seed(2024)
     for family, rank, pairs in [("A", 3, 120), ("B", 2, 80)]:
         ctx = weyl_ctx(family, rank)
-        els = [w for w, _ in weyl.all_elements(ctx.root_system)]
+        els = [w for w, _ in elements(ctx.root_system)]
         n = ctx.root_system.num_positive_roots
         for _ in range(pairs):
             mask = random.randrange(1, 1 << n)
@@ -335,10 +336,20 @@ def test_closed_sets_past_the_scan_bound(family, rank, count):
     once: A5 gives the number of naturally labelled posets on 6 points
     (OEIS A006455), and B4 and C4, with dual root systems, agree."""
     ctx = weyl_ctx(family, rank)
-    table = convex._element_table(ctx)
-    columns = convex._root_columns(table, ctx.root_system.num_positive_roots)
-    uppers = [upper for upper, _ in convex._closed_ideals(columns, len(table))]
+    codes, columns = convex._scan_columns(ctx)
+    uppers = [upper for upper, _ in convex._closed_ideals(columns, len(codes) // len(columns))]
     assert len(uppers) == len(set(uppers)) == count
+
+
+def test_every_code_column_of_e6_holds_half_the_group():
+    """w -> w s_beta is a bijection of W, and w s_beta(beta) = -w(beta)
+    toggles whether beta is in N(w), so every root column of the codes
+    holds exactly |W|/2 rows."""
+    ctx = weyl_ctx("E", 6)
+    order = weyl.group_order(ctx.root_system)
+    codes, columns = convex._scan_columns(ctx)
+    assert len(codes) == len(columns) * order == 36 * 51840
+    assert [column.bit_count() for column in columns] == [order // 2] * 36
 
 
 POPCOUNT_GROUPS = {"A3": weyl_ctx("A", 3), "B3": weyl_ctx("B", 3), "G2": weyl_ctx("G", 2)}
@@ -351,9 +362,8 @@ def test_popcount_balance_matches_convex_set(name, data):
     ctx = POPCOUNT_GROUPS[name]
     n = ctx.root_system.num_positive_roots
     upper = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="A")
-    table = convex._element_table(ctx)
-    columns = convex._root_columns(table, n)
-    members = (1 << len(table)) - 1
+    codes, columns = convex._scan_columns(ctx)
+    members = (1 << len(codes) // n) - 1
     for j in range(n):
         if not upper >> j & 1:
             members &= ~columns[j]
@@ -437,7 +447,7 @@ def test_scans_walk_the_group_once(monkeypatch):
     assert len(list(enumerate_convex_ideals(ctx, balance_scorer))) == 139
     assert walks == ["B3"]
     masks = [m for m in iter_ideal_masks(ctx.root_system) if m]
-    assert len(ideal_rows(ctx, masks)[2]) == len(masks)
+    assert len(ideal_rows(ctx, masks)[1]) == len(masks)
     assert walks == ["B3", "B3"]
 
 
@@ -602,7 +612,7 @@ def test_fc_interval_bound_in_acyclic_systems():
         rs = build_root_system(family, rank)
         ctx = WeylContext(rs)
         sys = ctx
-        for w, word in weyl.all_elements(rs):
+        for w, word in elements(rs):
             if not word or not coxgen.is_fully_commutative(sys, list(word)):
                 continue
             assert interval_left(ctx, w).balance_value() >= THIRD
@@ -631,7 +641,7 @@ def test_bridge_between_interval_and_heap():
         ctx = WeylContext(rs)
         sys = ctx
         checked = 0
-        for w, word in weyl.all_elements(rs):
+        for w, word in elements(rs):
             if not coxgen.is_fully_commutative(sys, list(word)):
                 continue
             heap = posets.heap_from_word(sys, word)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     braid_free_class,
     commutation_class,
+    elements,
     inversion_keys_of_word,
     mask_of,
     one_line,
@@ -37,7 +38,7 @@ from coxbalance.coxgen import (
 from coxbalance.linalg import bits
 from coxbalance.posets import LabeledPoset, heap_from_word
 from coxbalance.rootsys import build_root_system
-from coxbalance.weyl import WeylContext, all_elements
+from coxbalance.weyl import WeylContext
 
 
 def avoids_321(perm):
@@ -253,7 +254,7 @@ def test_fc_agrees_with_321_avoidance(rank):
     """Full commutativity equals 321-avoidance across the whole group."""
     rs = build_root_system("A", rank)
     sys = WeylContext(rs)
-    for w, word in all_elements(rs):
+    for w, word in elements(rs):
         assert is_fully_commutative(sys, list(word)) == avoids_321(one_line(rs, w))
 
 
@@ -356,7 +357,7 @@ def test_cartan_backend_matches_weyl_backend(key, data):
 def test_fc_and_heap_balance_agree_across_backends(key):
     weyl_group, diagram = BACKENDS[key]
     checked = 0
-    for _, word in all_elements(weyl_group.root_system):
+    for _, word in elements(weyl_group.root_system):
         fc = is_fully_commutative(weyl_group, word)
         assert fc == is_fully_commutative(diagram, word)
         if fc and word:
@@ -372,7 +373,7 @@ def test_reflection_key_is_the_negated_root(key):
     """In a Weyl group, the key of a reflection t is the one root t negates."""
     weyl_group, _ = BACKENDS[key]
     reflections = 0
-    for t, word in all_elements(weyl_group.root_system):
+    for t, word in elements(weyl_group.root_system):
         negated = [j for j, a in enumerate(t) if a == -(j + 1)]
         if word and len(negated) == 1 and weyl_group.mul(t, t) == weyl_group.identity():
             assert reflection_key_of_word(weyl_group, word) == negated[0]

@@ -122,7 +122,7 @@ def test_half_bound_whole_group_hits_half():
     rs = build_root_system("A", 2)
     gs = build(rs, range(3))
     assert max(gs.convex.inversion_fraction(k) for k in range(3)) == Fraction(1, 2)
-    _, columns, (m,) = convex.ideal_rows(WeylContext(rs), [gs.mask])
+    columns, (m,) = convex.ideal_rows(WeylContext(rs), [gs.mask])
     assert m.bit_count() == gs.size == 6
     assert check_half_bound(columns, semiorder.reflections(rs), gs.mask, m)
 
@@ -138,7 +138,7 @@ def test_half_bound_matches_product_oracle_on_every_subset(family, rank):
     ctx = WeylContext(rs)
     refl = semiorder.reflections(rs)
     masks = range(1, 1 << rs.num_positive_roots)
-    _, columns, rows = convex.ideal_rows(ctx, masks)
+    columns, rows = convex.ideal_rows(ctx, masks)
     verdicts = []
     for mask, m in zip(masks, rows):
         c = ideal_from_upper(ctx, mask)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import convex_ideals
+from conftest import convex_ideals, elements
 from coxbalance import alcove, convex, coxgen, posets, verify, weyl
 from coxbalance.cli import main
 from coxbalance.coxgen import is_fully_commutative
@@ -115,33 +115,38 @@ def test_classify_builds_the_reference_heaps_once(monkeypatch):
 
 
 def test_geometry_walks_each_group_once_and_builds_no_set(monkeypatch):
-    walks, tables, uppers = [], [], []
-    real_walk, real_table = weyl.all_elements, convex._element_table
+    walks, uppers = [], []
+    real_walk = weyl.all_elements
 
     def walk(rs):
         walks.append(rs.root_label())
         return real_walk(rs)
 
-    def table(ctx):
-        tables.append(ctx.root_system.root_label())
-        return real_table(ctx)
-
     def refuse(*args):
         raise AssertionError("geometry built a ConvexSet")
 
     monkeypatch.setattr(weyl, "all_elements", walk)
-    monkeypatch.setattr(convex, "_element_table", table)
     monkeypatch.setattr(convex, "ideal_rows", lambda *args: uppers.append(args))
     monkeypatch.setattr(convex, "_build", refuse)
     (report,) = run_campaign("geometry")
     assert report.all_passed
-    labels = [f"{family}{rank}" for family, rank in CONJECTURE_TYPES]
-    assert walks == tables == labels
+    assert walks == [f"{family}{rank}" for family, rank in CONJECTURE_TYPES]
     assert uppers == []
 
 
+@pytest.mark.parametrize("name", ["conjecture", "geometry", "semiorder"])
+def test_scan_campaigns_decode_no_element(name, monkeypatch):
+    """The three campaigns on the scan read its columns and planes off the
+    walk's byte codes: no element's inversion set is computed."""
+    def refuse(self, w):
+        raise AssertionError(f"{name} decoded an element")
+
+    monkeypatch.setattr(WeylContext, "inversion_mask", refuse)
+    assert all(report.all_passed for report in run_campaign(name))
+
+
 def test_semiorder_walks_each_group_once_and_builds_no_set(monkeypatch):
-    """One element table per type serves the half bound and the minimum
+    """One group walk per type serves the half bound and the minimum
     balance; a second walk (say, through ``min_semiorder_balance``) or a
     ``ConvexSet`` would show here."""
     walks = []
@@ -232,7 +237,7 @@ def test_fc_walk_matches_the_filtered_group(family, rank):
     the whole group gives, in the same order."""
     rs = build_root_system(family, rank)
     ctx = WeylContext(rs)
-    expected = [(w, word) for w, word in weyl.all_elements(rs) if is_fully_commutative(ctx, word)]
+    expected = [(w, word) for w, word in elements(rs) if is_fully_commutative(ctx, word)]
     walked = verify.fully_commutative_elements(rs)
     assert [(w, word) for w, word, _ in walked] == expected
     assert all(heap == posets.heap_from_word(ctx, word) for _, word, heap in walked)

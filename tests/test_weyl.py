@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from conftest import apply, levels, marks_group_order, one_line
+from conftest import apply, elements, levels, marks_group_order, one_line
 from coxbalance import rootsys, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, path_matrix, shortlex_levels
 from coxbalance.linalg import bits
@@ -17,6 +17,7 @@ from coxbalance.weyl import (
     EnumerationCapExceeded,
     WeylContext,
     all_elements,
+    code_entry,
     group_order,
     length_distribution,
     reduced_word,
@@ -57,7 +58,7 @@ def test_group_orders_match_closure_oracle(family, rank, order):
 
 def test_group_axioms_a2():
     ctx = WeylContext(build_root_system("A", 2))
-    els = [w for w, _ in all_elements(ctx.root_system)]
+    els = [w for w, _ in elements(ctx.root_system)]
     e = ctx.identity()
     for u in els:
         assert ctx.mul(e, u) == u
@@ -91,7 +92,7 @@ def test_braid_relation_and_words():
 def test_reduced_word_round_trip(family, rank):
     rs = build_root_system(family, rank)
     ctx = WeylContext(rs)
-    for w, word in all_elements(rs):
+    for w, word in elements(rs):
         rw = reduced_word(rs, w)
         assert rw == word  # both are the shortlex normal form
         assert len(rw) == length(w)
@@ -101,7 +102,7 @@ def test_reduced_word_round_trip(family, rank):
 
 def test_longest_element_b3():
     rs = build_root_system("B", 3)
-    *_, (w0, _) = all_elements(rs)
+    *_, (w0, _) = elements(rs)
     assert length(w0) == rs.num_positive_roots == 9
     assert len(reduced_word(rs, w0)) == 9
     assert WeylContext(rs).inversion_mask(w0) == (1 << 9) - 1
@@ -116,7 +117,7 @@ def test_inversion_counts():
 def test_length_changes_by_one():
     rs = build_root_system("B", 2)
     ctx = WeylContext(rs)
-    for w, _ in all_elements(rs):
+    for w, _ in elements(rs):
         for i in range(1, 3):
             assert abs(length(ctx.mul_simple_left(w, i)) - length(w)) == 1
             assert ctx.mul_simple_left(w, i) == ctx.mul(ctx.from_word([i]), w)
@@ -127,7 +128,7 @@ def test_inversion_set_recursion():
     rs = build_root_system("B", 3)
     ctx = WeylContext(rs)
     random.seed(3)
-    els = [w for w, _ in all_elements(rs)]
+    els = [w for w, _ in elements(rs)]
     for w in random.sample(els, 20):
         for i in range(1, 4):
             ws = ctx.mul_simple_right(w, i)
@@ -142,7 +143,7 @@ def test_inversion_set_recursion():
 def test_weak_order_properties():
     """Left weak order is inversion-set containment; right, that of inverses."""
     ctx = WeylContext(build_root_system("A", 2))
-    els = [w for w, _ in all_elements(ctx.root_system)]
+    els = [w for w, _ in elements(ctx.root_system)]
 
     def left_leq(u, v):
         return ctx.inversion_mask(u) & ~ctx.inversion_mask(v) == 0
@@ -179,7 +180,7 @@ def test_descents():
 
 def test_enumeration_is_shortlex_sorted():
     rs = build_root_system("B", 2)
-    words = [word for _, word in all_elements(rs)]
+    words = [word for _, word in elements(rs)]
     assert words == sorted(words, key=lambda w: (len(w), w))
 
 
@@ -211,12 +212,6 @@ def decode(code):
     return tuple(a - 256 if a > 127 else a for a in code)
 
 
-def decoded_levels(rs):
-    """``levels`` with each code decoded, one list of blocks per level."""
-    for level in levels(rs, group_order(rs)):
-        yield [[decode(code) for code in block] for block in level]
-
-
 FULL_TYPES = [
     *(("A", r) for r in range(1, 7)),
     *(("B", r) for r in range(2, 6)),
@@ -237,25 +232,32 @@ def test_enumeration_matches_bfs_oracle(family, rank, monkeypatch):
     Level k of ``levels``, decoded, is the oracle's sphere of radius k in
     shortlex order, and its block j holds exactly the elements whose oracle
     word starts with j + 1 (e's block is the last).  ``all_elements`` gives
-    the oracle's (element, word) pairs in the same order."""
+    the level codes in the same order, ``code_entry`` reads each code's
+    tuple back, and the ``elements`` oracle gives the oracle's (element,
+    word) pairs."""
     rs = build_root_system(family, rank)
-    walk, oracle = decoded_levels(rs), bfs_levels(rs)
+    walk, oracle = levels(rs, group_order(rs)), bfs_levels(rs)
     near = (family, rank) in NEAR_BYTE_BOUND
     if near:
         assert rs.num_positive_roots == NEAR_BYTE_BOUND[family, rank] <= MAX_BYTE_ROOTS
         walk, oracle = islice(walk, 6), islice(oracle, 6)
     walked, expected = list(walk), list(oracle)
     assert len(walked) == len(expected)
-    for blocks, sphere in zip(walked, expected):
+    for level, sphere in zip(walked, expected):
+        blocks = [[decode(code) for code in block] for block in level]
         assert [w for block in blocks for w in block] == [w for w, _ in sphere]
         for j, block in enumerate(blocks):
             assert block == [w for w, word in sphere if (word[0] - 1 if word else rank) == j]
+    codes = [code for level in walked for block in level for code in block]
     flat = [entry for sphere in expected for entry in sphere]
+    assert [tuple(map(code_entry, code)) for code in codes] == [w for w, _ in flat]
     if near:
         monkeypatch.setattr(weyl, "DEFAULT_ELEMENT_CAP", group_order(rs))
-        assert list(islice(all_elements(rs), len(flat))) == flat
+        assert list(islice(all_elements(rs), len(codes))) == codes
+        assert list(islice(elements(rs), len(flat))) == flat
     else:
-        assert list(all_elements(rs)) == flat
+        assert list(all_elements(rs)) == codes
+        assert list(elements(rs)) == flat
 
 
 TREE_GROUPS = {
@@ -438,12 +440,12 @@ POINCARE_TYPES = [
 
 @pytest.mark.parametrize("family,rank", POINCARE_TYPES)
 def test_length_counts_match_poincare_polynomial(family, rank):
-    """The length distribution of ``all_elements`` is the Poincare polynomial
+    """The length distribution of the walk's elements is the Poincare polynomial
     of W, whose coefficients come from the degrees alone, not from any
     group element."""
     rs = build_root_system(family, rank)
     counts = Counter()
-    for w, word in all_elements(rs):
+    for w, word in elements(rs):
         assert len(word) == length(w)
         counts[len(word)] += 1
     expected = poincare_coefficients(degrees(family, rank))
@@ -539,7 +541,7 @@ def test_one_line_matches_ambient_action(rank):
     """Oracle: w(e_1 - e_j) = e_{pi(1)} - e_{pi(j)} through ``apply``."""
     rs = build_root_system("A", rank)
     n = rank + 1
-    for w, _ in all_elements(rs):
+    for w, _ in elements(rs):
         perm = [0] * n
         for j in range(1, n):
             img = apply(rs, w, tuple((t == 0) - (t == j) for t in range(n)))
