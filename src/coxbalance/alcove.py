@@ -34,20 +34,18 @@ each byte to that bit of its root's entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .convex import ConvexSet, balance_scorer, code_rows, enumerate_convex_ideals
+from .convex import ConvexSet, balance_scorer, enumerate_convex_ideals
 from .linalg import Vector, bits
 from .rootsys import RootSystem
 from .weyl import WeylContext, code_entry
 
 
-@dataclass(frozen=True)
 class AlcoveParams:
     """Per-type constants controlling the exponential balance bound.
 
@@ -57,11 +55,13 @@ class AlcoveParams:
     max_mark the exponent in the 1/(2 e^exponent) lower bound.
     """
 
-    min_mark: int
-    max_mark: int
-    height: int
-    margin: Fraction
-    exponent: Fraction
+    def __init__(self, min_mark: int, max_mark: int, height: int, margin: Fraction,
+                 exponent: Fraction):
+        self.min_mark = min_mark
+        self.max_mark = max_mark
+        self.height = height
+        self.margin = margin
+        self.exponent = exponent
 
 
 def alcove_params(rs: RootSystem) -> AlcoveParams:
@@ -70,13 +70,7 @@ def alcove_params(rs: RootSystem) -> AlcoveParams:
     m1 = max(marks)
     ht = sum(marks)
     margin = Fraction(rs.rank, m0) + Fraction(1, m1) - Fraction(ht, m0 * m1)
-    return AlcoveParams(
-        min_mark=m0,
-        max_mark=m1,
-        height=ht,
-        margin=margin,
-        exponent=margin * m1,
-    )
+    return AlcoveParams(m0, m1, ht, margin, margin * m1)
 
 
 def ambient(rs: RootSystem, y: Sequence) -> Vector:
@@ -84,12 +78,13 @@ def ambient(rs: RootSystem, y: Sequence) -> Vector:
     return tuple(sum(map(mul, y, column), Fraction(0)) for column in zip(*rs.coweights))
 
 
-@dataclass(frozen=True)
 class AlcoveData:
     """Vertices of the fundamental alcove (plus short-root data)."""
 
-    vertices: Tuple[Vector, ...]  # origin plus coweight/mark vertices
-    short_vertices: Optional[Tuple[Vector, ...]]  # non-simply-laced only
+    def __init__(self, vertices: Tuple[Vector, ...],
+                 short_vertices: Optional[Tuple[Vector, ...]]):
+        self.vertices = vertices  # origin plus coweight/mark vertices
+        self.short_vertices = short_vertices  # non-simply-laced only
 
 
 def _corners(rs: RootSystem, scales: Sequence[int]) -> Tuple[Vector, ...]:
@@ -154,7 +149,6 @@ def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Tuple[Fraction, 
     ]
 
 
-@dataclass(frozen=True)
 class _RootTables:
     """Integer tables of one type, indexed by a signed 1-based root index.
 
@@ -166,10 +160,12 @@ class _RootTables:
     type's ``alcove_params`` margin, for :func:`centroid_split_root`.
     """
 
-    pairing: Tuple[int, ...]
-    den: int
-    height: Tuple[int, ...]
-    margin: Fraction
+    def __init__(self, pairing: Tuple[int, ...], den: int, height: Tuple[int, ...],
+                 margin: Fraction):
+        self.pairing = pairing
+        self.den = den
+        self.height = height
+        self.margin = margin
 
 
 def _signed(values: Sequence[int]) -> Tuple[int, ...]:
@@ -218,13 +214,14 @@ def _bit_planes(codes: bytes, n: int, table: Tuple[int, ...]) -> List[Planes]:
     ``table[code_entry(c)]`` minus low."""
     out = []
     for k in range(n):
-        present = bytes(set(codes[k::n]))
+        column = codes[k::n][::-1]  # row r is bit r, as in convex.code_rows
+        present = bytes(set(column))
         entries = [table[code_entry(c)] for c in present]
         low = min(entries)
         planes = []
         for b in range((max(entries) - low).bit_length()):
             digits = bytes.maketrans(present, bytes(48 + (e - low >> b & 1) for e in entries))
-            planes.append(code_rows(codes, n, k, digits))
+            planes.append(int(column.translate(digits), 2))
         out.append((low, planes))
     return out
 

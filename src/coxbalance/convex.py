@@ -29,7 +29,6 @@ sums over the members are popcounts of M against bit planes of the codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from operator import and_, or_
@@ -51,16 +50,17 @@ def listed_keys(ctx, mask: int) -> Tuple[int, ...]:
     return tuple(sorted(bits(mask), key=ctx.key_order))
 
 
-@dataclass(frozen=True)
 class ConvexSet:
     """A finite convex subset with its canonical inversion-constraint pair."""
 
-    ctx: object = field(compare=False)
-    members: Tuple = field(compare=False)
-    words: Tuple[Tuple[int, ...], ...]
-    masks: Tuple[int, ...] = field(compare=False)  # inversion set of each member
-    lower: int = field(compare=False)  # D: AND of the masks
-    upper: int = field(compare=False)  # A: OR of the masks
+    def __init__(self, ctx, members: Tuple, words: Tuple[Tuple[int, ...], ...],
+                 masks: Tuple[int, ...], lower: int, upper: int):
+        self.ctx = ctx
+        self.members = members
+        self.words = words
+        self.masks = masks  # inversion set of each member
+        self.lower = lower  # D: AND of the masks
+        self.upper = upper  # A: OR of the masks
 
     def __len__(self) -> int:
         return len(self.members)

@@ -31,7 +31,6 @@ commutativity, decided on the heap rows of one reduced word
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -48,21 +47,18 @@ DIAGRAM_MAX_RANK = 64
 _CARTAN_PAIR = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3), INF: (-2, -2)}
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric Coxeter matrix with off-diagonal entries in {2, 3, 4, 6, inf}."""
 
-    rank: int
-    entries: Tuple[Tuple[Optional[int], ...], ...]
-
-    def __post_init__(self):
-        m = self.entries
-        if len(m) != self.rank or any(len(row) != self.rank for row in m):
+    def __init__(self, rank: int, entries: Tuple[Tuple[Optional[int], ...], ...]):
+        self.rank = rank
+        self.entries = m = entries
+        if len(m) != rank or any(len(row) != rank for row in m):
             raise ValueError("entries must be a rank x rank table")
-        for i in range(self.rank):
+        for i in range(rank):
             if m[i][i] != 1:
                 raise ValueError("diagonal entries must equal 1")
-            for j in range(self.rank):
+            for j in range(rank):
                 if m[i][j] != m[j][i]:
                     raise ValueError("matrix must be symmetric")
                 if i != j and m[i][j] not in _CARTAN_PAIR:
@@ -248,7 +244,6 @@ class GroupWords:
         return self.inverse_word(self.invert(w))
 
 
-@dataclass(frozen=True)
 class CoxSystem(GroupWords):
     """The Coxeter group of a diagram, acting on its integer root lattice.
 
@@ -258,11 +253,12 @@ class CoxSystem(GroupWords):
     order of their columns.  The keys of two systems are unrelated.
     """
 
-    matrix: CoxeterMatrix
-    cartan: Tuple[Tuple[int, ...], ...] = field(compare=False)
-    # the column of each key, and the key of each column met so far
-    _columns: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, matrix: CoxeterMatrix, cartan: Tuple[Tuple[int, ...], ...]):
+        self.matrix = matrix
+        self.cartan = cartan
+        # the column of each key, and the key of each column met so far
+        self._columns: list = []
+        self._keys: dict = {}
 
     @property
     def rank(self) -> int:

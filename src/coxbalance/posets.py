@@ -21,7 +21,6 @@ the rows with no poset built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -48,7 +47,6 @@ class PosetSizeError(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class LabeledPoset:
     """Finite poset on ids 0..n-1 with an optional generator label per element.
 
@@ -56,15 +54,14 @@ class LabeledPoset:
     of rows[i] is set iff i <= j.
     """
 
-    n: int
-    rows: Tuple[int, ...]
-    labels: Optional[Tuple[int, ...]] = None
-
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        if len(self.rows) != self.n or any(row & ~full for row in self.rows):
+    def __init__(self, n: int, rows: Tuple[int, ...],
+                 labels: Optional[Tuple[int, ...]] = None):
+        self.n = n
+        self.rows = rows
+        self.labels = labels
+        full = (1 << n) - 1
+        if len(rows) != n or any(row & ~full for row in rows):
             raise ValueError("rows must be n bitmasks over the n elements")
-        rows = self.rows
         for i, row in enumerate(rows):
             if not (row >> i) & 1:
                 raise ValueError("relation must be reflexive")
@@ -73,8 +70,15 @@ class LabeledPoset:
                     raise ValueError("relation must be antisymmetric")
                 if rows[j] & ~row:
                     raise ValueError("relation must be transitive")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("labels length must equal n")
+
+    def __eq__(self, other):
+        return (isinstance(other, LabeledPoset)
+                and (self.n, self.rows, self.labels) == (other.n, other.rows, other.labels))
+
+    def __hash__(self):
+        return hash((self.n, self.rows, self.labels))
 
     # -- structure ----------------------------------------------------------
 

@@ -43,7 +43,6 @@ s_1 .. s_{r-1} form the long path and s_r hangs off s_3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -120,7 +119,6 @@ _RANK_OK = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """An irreducible crystallographic root system.
 
@@ -128,26 +126,30 @@ class RootSystem:
     derived from them is deterministic.
     """
 
-    family: Family
-    rank: int
-    ambient_dim: int
-    simple_indices: Tuple[int, ...]
-    coefficients: Tuple[Tuple[int, ...], ...]  # simple-root coordinates per positive root
-    heights: Tuple[int, ...]
-    highest_root_index: int
-    highest_short_root_index: Optional[int]
-    # bitmasks of the roots each root covers, and of those covering it
-    _lower_covers: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
-    _upper_covers: Tuple[int, ...] = field(repr=False, hash=False, compare=False, default=())
-    _simple_action: Tuple[Tuple[int, ...], ...] = field(
-        repr=False, hash=False, compare=False, default=()
-    )
-    # twice the ambient coordinates of each positive root
-    _doubled: Tuple[Tuple[int, ...], ...] = field(
-        repr=False, hash=False, compare=False, default=()
-    )
-    # Coxeter matrix m_ij, 0-based
-    _coxeter: Tuple[Tuple[int, ...], ...] = field(repr=False, hash=False, compare=False, default=())
+    def __init__(self, family: Family, rank: int, ambient_dim: int,
+                 simple_indices: Tuple[int, ...], coefficients: Tuple[Tuple[int, ...], ...],
+                 heights: Tuple[int, ...], highest_root_index: int,
+                 highest_short_root_index: Optional[int],
+                 _lower_covers: Tuple[int, ...] = (), _upper_covers: Tuple[int, ...] = (),
+                 _simple_action: Tuple[Tuple[int, ...], ...] = (),
+                 _doubled: Tuple[Tuple[int, ...], ...] = (),
+                 _coxeter: Tuple[Tuple[int, ...], ...] = ()):
+        self.family = family
+        self.rank = rank
+        self.ambient_dim = ambient_dim
+        self.simple_indices = simple_indices
+        self.coefficients = coefficients  # simple-root coordinates per positive root
+        self.heights = heights
+        self.highest_root_index = highest_root_index
+        self.highest_short_root_index = highest_short_root_index
+        # bitmasks of the roots each root covers, and of those covering it
+        self._lower_covers = _lower_covers
+        self._upper_covers = _upper_covers
+        self._simple_action = _simple_action
+        # twice the ambient coordinates of each positive root
+        self._doubled = _doubled
+        # Coxeter matrix m_ij, 0-based
+        self._coxeter = _coxeter
 
     # -- basic accessors ---------------------------------------------------
 

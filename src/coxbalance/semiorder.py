@@ -16,7 +16,6 @@ group product and no element decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -27,11 +26,11 @@ from .rootsys import RootSystem, build_root_system, ideal_from_members, iter_ide
 from .weyl import Element, WeylContext
 
 
-@dataclass(frozen=True)
 class GeneralizedSemiorder:
-    root_system: RootSystem
-    mask: int  # the root-poset ideal A, as a bitmask over positive roots
-    convex: ConvexSet
+    def __init__(self, root_system: RootSystem, mask: int, convex: ConvexSet):
+        self.root_system = root_system
+        self.mask = mask  # the root-poset ideal A, as a bitmask over positive roots
+        self.convex = convex
 
     @property
     def size(self) -> int:

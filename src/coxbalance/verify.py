@@ -10,7 +10,6 @@ body.  A failing theorem-level record carries a reproducer payload.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,20 +32,22 @@ def fmt(value) -> str:
     return str(value)
 
 
-@dataclass
 class Record:
-    instance: str
-    value: str
-    expected: str
-    passed: bool
-    reproducer: Optional[str] = None
+    def __init__(self, instance: str, value: str, expected: str, passed: bool,
+                 reproducer: Optional[str] = None):
+        self.instance = instance
+        self.value = value
+        self.expected = expected
+        self.passed = passed
+        self.reproducer = reproducer
 
 
-@dataclass
 class VerificationReport:
-    campaign: str
-    records: List[Record] = field(default_factory=list)
-    duration: float = 0.0
+    def __init__(self, campaign: str, records: Optional[List[Record]] = None,
+                 duration: float = 0.0):
+        self.campaign = campaign
+        self.records = [] if records is None else records
+        self.duration = duration
 
     def check(self, instance: str, value, expected, passed: Optional[bool] = None,
               reproducer=None) -> bool:

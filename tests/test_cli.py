@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import coxbalance
 from coxbalance import posets, rootsys
 from coxbalance.cli import main
 from coxbalance.rootsys import RootSystem, fraction_json
@@ -700,3 +703,23 @@ def test_invalid_type_is_reported(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Start-up cost: a fresh interpreter that imports ``coxbalance.cli``
+    adds neither ``dataclasses`` nor ``inspect`` to ``sys.modules``.  Only
+    the modules the import adds count, so what the interpreter preloads
+    (a ``.pth`` file, say) cannot fail the test."""
+    src = str(Path(coxbalance.__file__).resolve().parent.parent)
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import coxbalance.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    added = set(out.split())
+    assert "coxbalance.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
