@@ -82,8 +82,7 @@ def _out_file(path: str):
 def _write_out(out, payload: dict) -> None:
     """Write ``payload`` as the --out JSON to ``out``, the file of :func:`_out_file`."""
     if out:
-        json.dump({"schema": 1, **payload}, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n")
 
 
 def _root_system(args) -> RootSystem:
@@ -345,81 +344,99 @@ def cmd_verify(args, out) -> int:
     return 0 if all_ok else 1
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxbalance",
-        description="Exact computations with convex sets in Coxeter groups: "
-                    "root systems, heaps, balance constants, and verification "
-                    "campaigns.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _type_args(p, diagram=False, formats=()):
+    p.add_argument("--type", choices=list("ABCDEFG"), help="family letter")
+    p.add_argument("--rank", help="rank of the type")
+    if diagram:
+        p.add_argument("--diagram", help="JSON diagram file "
+                       '({"rank": r, "edges": [{"i","j","m"}]}, m = 3, 4, 6 or "inf")')
+    if formats:
+        p.add_argument("--format", choices=["table", *formats], default="table")
+    p.add_argument("--out", help="write machine-readable JSON here")
 
-    def add_type_args(p, diagram=False, formats=()):
-        p.add_argument("--type", choices=list("ABCDEFG"), help="family letter")
-        p.add_argument("--rank", help="rank of the type")
-        if diagram:
-            p.add_argument("--diagram", help="JSON diagram file "
-                           '({"rank": r, "edges": [{"i","j","m"}]}, m = 3, 4, 6 or "inf")')
-        if formats:
-            p.add_argument("--format", choices=["table", *formats], default="table")
-        p.add_argument("--out", help="write machine-readable JSON here")
 
-    p = sub.add_parser("roots", help="dump a root system and its root poset")
-    add_type_args(p, formats=("json", "dot"))
+def _roots_args(p):
+    _type_args(p, formats=("json", "dot"))
     p.add_argument("--graph", action="store_true",
                    help="with --format dot, emit the labelled reflection graph")
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("group", help="count the Weyl group by length")
-    add_type_args(p)
+
+def _group_args(p):
+    _type_args(p)
     p.add_argument("--cap", help="element cap (default 10^6)")
-    p.set_defaults(func=cmd_group)
 
-    p = sub.add_parser("balance", help="inversion fractions and balance of a convex set")
-    add_type_args(p, diagram=True, formats=("dot",))
+
+def _balance_args(p):
+    _type_args(p, diagram=True, formats=("dot",))
     p.add_argument("--interval", help='weak-order interval below a word, e.g. "1 2"')
     p.add_argument("--hull", help='convex hull of words separated by ";" '
                    "(empty segment = identity)")
     p.add_argument("--set", help='explicit element list of words separated by ";"')
     p.add_argument("--ideal-roots", help="comma-separated positive-root indices for W^A")
-    p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("heap", help="heap of a reduced word with ideal statistics")
-    add_type_args(p, diagram=True, formats=("dot",))
+
+def _heap_args(p):
+    _type_args(p, diagram=True, formats=("dot",))
     p.add_argument("--word", required=True, help='reduced word, e.g. "3 2 3 1"')
-    p.set_defaults(func=cmd_heap)
 
-    p = sub.add_parser("semiorder", help="generalized semiorder scans")
-    add_type_args(p)
+
+def _semiorder_args(p):
+    _type_args(p)
     p.add_argument("--count-ideals", action="store_true",
                    help="count root-poset order ideals only")
     p.add_argument("--unit-interval",
                    help='space-separated sorted rationals, e.g. "0 1/2 7/5"')
     p.add_argument("--e8", action="store_true",
                    help="allow scans over large exceptional types")
-    p.set_defaults(func=cmd_semiorder)
 
-    p = sub.add_parser("alcove", help="alcove parameters, centroids, witnesses")
-    add_type_args(p)
+
+def _alcove_args(p):
+    _type_args(p)
     p.add_argument("--interval", help="analyze the interval below this word")
-    p.set_defaults(func=cmd_alcove)
 
-    p = sub.add_parser("verify", help="run a verification campaign")
+
+def _verify_args(p):
     p.add_argument("campaign", choices=list(verify.CAMPAIGN_NAMES))
     p.add_argument("--e8", action="store_true",
                    help="include the E6/E7/E8 ideal scans")
     p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, command, function adding the subcommand's arguments), in usage order
+COMMANDS = {
+    "roots": ("dump a root system and its root poset", cmd_roots, _roots_args),
+    "group": ("count the Weyl group by length", cmd_group, _group_args),
+    "balance": ("inversion fractions and balance of a convex set", cmd_balance, _balance_args),
+    "heap": ("heap of a reduced word with ideal statistics", cmd_heap, _heap_args),
+    "semiorder": ("generalized semiorder scans", cmd_semiorder, _semiorder_args),
+    "alcove": ("alcove parameters, centroids, witnesses", cmd_alcove, _alcove_args),
+    "verify": ("run a verification campaign", cmd_verify, _verify_args),
+}
+
+
+def make_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone under the same usage line."""
+    parser = argparse.ArgumentParser(
+        prog="coxbalance",
+        description="Exact computations with convex sets in Coxeter groups: "
+                    "root systems, heaps, balance constants, and verification "
+                    "campaigns.",
+    )
+    # argparse's own metavar keeps the full parser's errors naming the argument "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        text, _, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         with _out_file(args.out) if args.out else contextlib.nullcontext() as out:
-            return args.func(args, out)
+            return COMMANDS[args.command][1](args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

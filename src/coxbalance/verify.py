@@ -43,11 +43,10 @@ class Record:
 
 
 class VerificationReport:
-    def __init__(self, campaign: str, records: Optional[List[Record]] = None,
-                 duration: float = 0.0):
+    def __init__(self, campaign: str):
         self.campaign = campaign
-        self.records = [] if records is None else records
-        self.duration = duration
+        self.records: List[Record] = []
+        self.duration = 0.0
 
     def check(self, instance: str, value, expected, passed: Optional[bool] = None,
               reproducer=None) -> bool:

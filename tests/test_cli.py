@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, JSON round trips, exit codes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import coxbalance
 from coxbalance import posets, rootsys
-from coxbalance.cli import main
+from coxbalance.cli import COMMANDS, main, make_parser
 from coxbalance.rootsys import RootSystem, fraction_json
 
 
@@ -691,6 +692,49 @@ def test_out_replaces_the_file_and_leaves_no_temporary(tmp_path, capsys):
     assert code == 0
     assert list(tmp_path.iterdir()) == [out_file]
     assert json.loads(out_file.read_text())["order"] == 2
+
+
+# argv that argparse answers itself: help, usage errors and unknown commands
+PARSER_EXITS = [[], ["-h"], ["bogus"], ["bogus", "-h"], ["--", "group"],
+                ["heap", "--type", "A", "--rank", "2"], ["verify"], ["verify", "nope"],
+                ["verify", "table1", "extra"], ["roots", "--type", "A", "--format", "xml"]]
+for name in COMMANDS:
+    PARSER_EXITS += [[name, "-h"], [name, "--bogus"]]
+    if name != "verify":
+        PARSER_EXITS += [[name, "--type", "Z"], [name, "--type", "A", "--rank", "2", "extra"]]
+
+
+def parser_exit(capsys, call):
+    """The exit code, standard output and standard error of an argparse exit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, columns, argv):
+    """main builds one subcommand's parser when argv names one, with the same
+    help, usage and errors, byte for byte, as the parser of every subcommand."""
+    monkeypatch.setenv("COLUMNS", columns)
+    assert parser_exit(capsys, lambda: main(argv)) == \
+        parser_exit(capsys, lambda: make_parser().parse_args(argv))
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["group", "--type", "A", "--rank", "2"]) == 0
+    assert built == ["group"]
+    assert "group of type A2: 6 elements" in capsys.readouterr().out
+    make_parser()
+    assert built[1:] == list(COMMANDS)
 
 
 def test_verify_unknown_campaign():

@@ -113,7 +113,7 @@ def unreached(kept=frozenset()):
 
 def unset_defaults():
     """``module.function.parameter`` for each defaulted parameter of a public
-    function or method that no call in ``src/`` passes."""
+    function, method or class constructor that no call in ``src/`` passes."""
     trees = parsed_src()
     calls = []  # (called name, module, call node)
     for module, tree in trees:
@@ -127,8 +127,13 @@ def unset_defaults():
     unset = set()
     for module, tree in trees:
         for qualified, node, owner in public_definitions(module, tree.body):
-            if isinstance(node, ast.ClassDef):
-                continue
+            name = node.name
+            if isinstance(node, ast.ClassDef):  # its __init__, against calls by the class name
+                node = next((d for d in node.body if isinstance(d, ast.FunctionDef)
+                             and d.name == "__init__"), None)
+                if node is None:
+                    continue
+                qualified, owner = f"{qualified}.__init__", name
             args = node.args
             positional = args.posonlyargs + args.args
             if owner:  # a method's self is bound at the call
@@ -138,8 +143,8 @@ def unset_defaults():
             defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
             outside = [
-                call for name, where, call in calls
-                if name == node.name
+                call for called, where, call in calls
+                if called == name
                 and not (where == module and node.lineno <= call.lineno <= node.end_lineno)
             ]
             for arg, position in defaulted:
