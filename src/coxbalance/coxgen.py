@@ -34,7 +34,6 @@ import json
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import bits
 from .posets import heap_rows
 
 INF = None  # infinite edge label
@@ -445,23 +444,38 @@ def is_fully_commutative(sys, word: Sequence[int],
 
     Stembridge (J. Algebraic Combin. 5 (1996), Prop. 3.3): iff no interval
     of the word's heap is a chain whose labels alternate i, j over
-    m(i, j) >= 3 elements.  The positions of i and j form a chain in word
-    order, so such an interval is a run of m consecutive ones whose ends
-    bound an interval of m positions.  Its letters then alternate: an
-    interval of two equal letters would make the word not reduced, and a
-    word that is not reduced raises :class:`NotReducedError`.  ``rows`` are
-    its ``heap_rows``, if known.
+    m(i, j) >= 3 elements.  Its top is the first letter of a suffix, whose
+    heap is a restriction of the word's, so each suffix is tested at its
+    top.  A word that is not reduced raises :class:`NotReducedError`.
+    ``rows``, if given, are the word's ``heap_rows``, and the caller vouches
+    that the word is reduced and word[1:] fully commutative, as the FC walk
+    knows of each child: then only position 0 is tested as a top.
     """
-    rows = heap_rows(sys, word) if rows is None else rows
-    letters = sorted(set(word))
-    for x, a in enumerate(letters):
-        for b in letters[x + 1:]:
-            m = sys.coxeter_m(a, b)
-            if m is INF or m == 2:
-                continue
-            chain = [p for p, c in enumerate(word) if c == a or c == b]
-            for top, bottom in zip(chain, chain[m - 1:]):
-                # the size of the interval: positions above bottom, below top
-                if sum(rows[top + z] >> top & 1 for z in bits(rows[bottom] >> top)) == m:
-                    return False
-    return True
+    if rows is not None:
+        return not _braid_below(sys, word, rows, 0)
+    rows = heap_rows(sys, word)
+    return not any(_braid_below(sys, word, rows, top) for top in range(len(word)))
+
+
+def _braid_below(sys, word: Sequence[int], rows: Tuple[int, ...], top: int) -> bool:
+    """True iff a heap interval topped by position ``top`` is such a chain.
+
+    With i = word[top], the positions from ``top`` on that hold i or a j
+    with m(i, j) >= 3 form a chain below ``top``, so the interval is the one
+    down to the m-th of them, a braid iff it holds just those m: their
+    letters then alternate, as a reduced word's heap puts some other letter
+    between two equal ones.
+    """
+    i = word[top]
+    down = 0  # the positions at or below top
+    for q in range(top, len(word)):
+        if rows[q] >> top & 1:
+            down |= 1 << q
+    for j in range(1, sys.rank + 1):
+        m = sys.coxeter_m(i, j)
+        if m is INF or m < 3:
+            continue
+        chain = [q for q in range(top, len(word)) if word[q] == i or word[q] == j]
+        if len(chain) >= m and (rows[chain[m - 1]] & down).bit_count() == m:
+            return True
+    return False

@@ -13,8 +13,8 @@ unit weights give the bare masks.  Every walk stops at a cap: a poset's at
 
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
-built from reduced words of a Coxeter system in one pass over the word
-(:func:`heap_rows`) and carry the word positions 0..l-1 as element ids,
+built from reduced words of a Coxeter system one letter at a time
+(:func:`grow_heap_rows`) and carry the word positions 0..l-1 as element ids,
 labelled by their generator indices; ``coxgen.is_fully_commutative`` reads
 the rows with no poset built.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import bits
 
@@ -128,26 +128,30 @@ class LabeledPoset:
 
     # -- order ideals ---------------------------------------------------------
 
+    @cached_property
+    def _extension(self) -> Tuple[List[int], List[int]]:
+        """The linear extension that sorts the elements by the number of
+        elements below them, then by id, and the unit weights of a walk."""
+        below = _transpose(self.rows)
+        order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
+        return order, [1 << x for x in range(self.n)]
+
     def iter_ideal_masks(self) -> Iterator[int]:
         """Every order ideal as a bitmask over element ids, each exactly once.
 
-        Walks along the linear extension that sorts the elements by the
-        number of elements below them, then by id.  Raises
+        Walks along the linear extension of ``_extension``.  Raises
         :class:`IdealCapExceeded` when a further ideal follows the
         ``IDEAL_CAP``-th one.
         """
         lower, upper = self._cover_masks
-        below = _transpose(self.rows)
-        order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
-        units = [1 << x for x in range(self.n)]
+        order, units = self._extension
         return walk_order_ideals(order, lower, upper, units, IDEAL_CAP)
 
     def ideal_count(self) -> int:
         return sum(1 for _ in self.iter_ideal_masks())
 
-    def ideal_statistics(self) -> Tuple[int, List[Fraction]]:
-        """The number of order ideals and, for each element, the exact
-        fraction of them that contain it, from one walk."""
+    def _ideal_counts(self) -> Tuple[int, List[int]]:
+        """The number of order ideals and, per element, the number holding it."""
         counts = [0] * self.n
         total = 0
         for mask in self.iter_ideal_masks():
@@ -156,15 +160,18 @@ class LabeledPoset:
                 low = mask & -mask
                 counts[low.bit_length() - 1] += 1
                 mask ^= low
-        return total, [Fraction(c, total) for c in counts]
+        return total, counts
 
-    def ideal_fractions(self) -> List[Fraction]:
-        """For each element, the exact fraction of order ideals containing it."""
-        return self.ideal_statistics()[1]
+    def ideal_statistics(self) -> Tuple[int, List[Fraction]]:
+        """The number of order ideals and, for each element, the exact
+        fraction of them that contain it, from one walk."""
+        total, counts = self._ideal_counts()
+        return total, [Fraction(c, total) for c in counts]
 
     def balance(self) -> Fraction:
         """max over elements of min(fraction, 1 - fraction); 0 for the empty poset."""
-        return fraction_balance(self.ideal_fractions())
+        total, counts = self._ideal_counts()
+        return Fraction(max((min(c, total - c) for c in counts), default=0), total)
 
 
 def _transpose(rows: Sequence[int]) -> Tuple[int, ...]:
@@ -264,22 +271,30 @@ def heap_rows(sys, word: Sequence[int]) -> Tuple[int, ...]:
     """The order rows of the heap of a reduced word, as in :class:`LabeledPoset`:
     position j below position k iff j > k is forced; later letters sit lower.
 
-    A word that is not reduced raises ``coxgen.NotReducedError``.  Equal
-    letters form a chain, so the row of j is its own bit ORed with the rows
-    of the last earlier position of each letter that equals word[j] or does
-    not commute with it.
+    A word that is not reduced raises ``coxgen.NotReducedError``.  The rows
+    are grown one letter at a time by :func:`grow_heap_rows`, from the last.
     """
     sys.check_reduced(word)
-    rows: List[int] = []
-    last: Dict[int, int] = {}  # letter -> its last position so far
-    for j, a in enumerate(word):
-        row = 1 << j
-        for b, k in last.items():
-            if sys.coxeter_m(a, b) != 2:
-                row |= rows[k]
-        rows.append(row)
-        last[a] = j
-    return tuple(rows)
+    rows: Tuple[int, ...] = ()
+    for k in range(len(word) - 1, -1, -1):
+        rows = grow_heap_rows(sys, word[k:], rows)
+    return rows
+
+
+def grow_heap_rows(sys, word: Sequence[int], below: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The heap rows of a reduced word from ``below``, the rows of word[1:].
+
+    The new letter i = word[0] sits at the top, as position 0, and every
+    other position moves down by one.  Position 0 lies above position q + 1
+    iff some position at or above q in the heap of word[1:] holds i or a
+    letter that does not commute with i: those positions are ``touch``.
+    """
+    m = sys.coxeter[word[0] - 1]
+    touch = 0
+    for q, a in enumerate(word[1:]):
+        if m[a - 1] != 2:
+            touch |= 1 << q
+    return (1,) + tuple(r << 1 | (1 if r & touch else 0) for r in below)
 
 
 def heap_from_word(sys, word: Sequence[int]) -> LabeledPoset:
@@ -325,31 +340,26 @@ def is_isomorphic(p1: LabeledPoset, p2: LabeledPoset) -> bool:
     if sorted(prof1) != sorted(prof2):
         return False
 
-    assign: Dict[int, int] = {}
-    used = set()
-
-    def extend(x: int) -> bool:
-        if x == p1.n:
-            return True
-        for y in range(p2.n):
-            if y in used or prof2[y] != prof1[x]:
-                continue
-            ok = True
-            for x0, y0 in assign.items():
-                if ((rows1[x] >> x0) & 1 != (rows2[y] >> y0) & 1
-                        or (rows1[x0] >> x) & 1 != (rows2[y0] >> y) & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = y
-                used.add(y)
-                if extend(x + 1):
-                    return True
-                del assign[x]
-                used.remove(y)
-        return False
-
-    return extend(0)
+    # depth first over the images of 0, 1, ..., on an explicit stack, so a
+    # call leaves no reference cycle for the collector
+    n = p1.n
+    assign: List[int] = []  # assign[x] is the image of x
+    y = 0  # the next candidate image of x = len(assign)
+    while len(assign) < n:
+        x = len(assign)
+        while y < n and (y in assign or prof2[y] != prof1[x] or any(
+                (rows1[x] >> x0) & 1 != (rows2[y] >> y0) & 1
+                or (rows1[x0] >> x) & 1 != (rows2[y0] >> y) & 1
+                for x0, y0 in enumerate(assign))):
+            y += 1
+        if y < n:
+            assign.append(y)
+            y = 0
+        elif assign:
+            y = assign.pop() + 1
+        else:
+            return False
+    return True
 
 
 # -- exports --------------------------------------------------------------------

@@ -282,12 +282,13 @@ def _reference_heaps():
 def fully_commutative_elements(rs: RootSystem):
     """(element, shortlex word, heap) for every fully commutative element,
     in shortlex order: the shortlex tree pruned by the FC test, whose heap
-    rows the heaps reuse."""
+    rows the heaps reuse.  A child's rows grow from its kept parent's, and
+    the walk's children are reduced, as ``is_fully_commutative`` asks."""
     sys = WeylContext(rs)
     rows = {(): ()}
 
     def keep(key, word):
-        rows[word] = posets.heap_rows(sys, word)
+        rows[word] = posets.grow_heap_rows(sys, word, rows[word[1:]])
         return coxgen.is_fully_commutative(sys, word, rows[word])
 
     walk = convex.pruned_walk(sys, keep)

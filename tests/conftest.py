@@ -7,7 +7,10 @@ and reflections on ``Fraction`` vectors, the reflection in a root as a
 conjugate of a simple reflection by words, the members and words of a convex
 set by breadth-first search on frozensets of root keys, the distinct convex
 order ideals as the closure of the inversion masks under union, full
-commutativity by a braid scan over a whole commutation class, the inversion
+commutativity by a braid scan over a whole commutation class and by
+Stembridge's heap test over every window (for the test of the FC walk's
+children), the heap rows of a word in one forward pass (for the rows grown
+one letter at a time), the inversion
 keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
 word counted as inversions (for ``check_reduced``), the number of
 root-poset ideals by a walk (for ``catalan_number``), the elements of each
@@ -209,6 +212,43 @@ def braid_free_class(sys, word):
             m = sys.coxeter_m(a, b)
             if m is not None and m > 2 and w[p:p + m] == ((a, b) * m)[:m]:
                 return False
+    return True
+
+
+def forward_heap_rows(sys, word):
+    """Oracle for ``heap_rows`` on a reduced word, in one forward pass: equal
+    letters form a chain, so the row of j is its own bit ORed with the rows
+    of the last earlier position of each letter that equals word[j] or does
+    not commute with it."""
+    rows = []
+    last = {}  # letter -> its last position so far
+    for j, a in enumerate(word):
+        row = 1 << j
+        for b, k in last.items():
+            if sys.coxeter_m(a, b) != 2:
+                row |= rows[k]
+        rows.append(row)
+        last[a] = j
+    return tuple(rows)
+
+
+def fc_by_all_windows(sys, word):
+    """Oracle for full commutativity on a reduced word, by Stembridge's heap
+    test over every window: for each pair i, j with 3 <= m(i, j) < inf, each
+    run of m consecutive positions of i and j bounds a heap interval of m
+    elements iff it is a braid."""
+    rows = forward_heap_rows(sys, word)
+    letters = sorted(set(word))
+    for x, a in enumerate(letters):
+        for b in letters[x + 1:]:
+            m = sys.coxeter_m(a, b)
+            if m is None or m == 2:
+                continue
+            chain = [p for p, c in enumerate(word) if c == a or c == b]
+            for top, bottom in zip(chain, chain[m - 1:]):
+                # the size of the interval: positions above bottom, below top
+                if sum(rows[top + z] >> top & 1 for z in bits(rows[bottom] >> top)) == m:
+                    return False
     return True
 
 

@@ -647,7 +647,7 @@ def test_bridge_between_interval_and_heap():
             heap = posets.heap_from_word(sys, word)
             c = interval_left(ctx, w)
             assert c.balance_value() == heap.balance()
-            fr = heap.ideal_fractions()
+            fr = heap.ideal_statistics()[1]
             for pos, k in enumerate(inversion_keys_of_word(sys, word)):
                 assert c.inversion_fraction(k) == fr[pos]
             checked += 1

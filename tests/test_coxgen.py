@@ -12,6 +12,8 @@ from conftest import (
     braid_free_class,
     commutation_class,
     elements,
+    fc_by_all_windows,
+    forward_heap_rows,
     inversion_keys_of_word,
     mask_of,
     one_line,
@@ -36,7 +38,7 @@ from coxbalance.coxgen import (
     reflection_key_of_word,
 )
 from coxbalance.linalg import bits
-from coxbalance.posets import LabeledPoset, heap_from_word
+from coxbalance.posets import LabeledPoset, grow_heap_rows, heap_from_word, heap_rows
 from coxbalance.rootsys import build_root_system
 from coxbalance.weyl import WeylContext
 
@@ -301,6 +303,46 @@ def test_fc_test_builds_no_poset(monkeypatch):
     a2 = build_system(path_matrix(2, [3]))
     with pytest.raises(NotReducedError):
         is_fully_commutative(a2, [1, 1])
+
+
+def check_fc_routes(sys, words):
+    """On reduced words, each after its suffix word[1:]: the rows of
+    ``heap_rows`` and those grown from the suffix's rows equal the forward
+    pass, and the FC test on the whole word, and on a child's rows where the
+    suffix is fully commutative, equals the test over every window.  Returns
+    the words found fully commutative."""
+    rows, fc = {(): ()}, {(): True}
+    for word in words:
+        rows[word] = heap_rows(sys, word)
+        assert rows[word] == forward_heap_rows(sys, word), word
+        if word:
+            assert grow_heap_rows(sys, word, rows[word[1:]]) == rows[word], word
+        fc[word] = fc_by_all_windows(sys, word)
+        assert is_fully_commutative(sys, word) == fc[word], word
+        if word and fc[word[1:]]:
+            assert is_fully_commutative(sys, word, rows[word]) == fc[word], word
+    return [word for word in words if fc[word]]
+
+
+def test_fc_routes_match_the_oracles_on_rank3_diagrams():
+    """Every reduced word of up to 6 letters of the 64 rank-3 diagrams with
+    labels 3, 4, 6 and inf."""
+    checked = fully_commutative = 0
+    for m12, m13, m23 in product((3, 4, 6, INF), repeat=3):
+        sys = build_system(matrix_from_edges(3, [(1, 2, m12), (1, 3, m13), (2, 3, m23)]))
+        words = reduced_words(sys, 6)
+        fully_commutative += len(check_fc_routes(sys, words))
+        checked += len(words)
+    assert (checked, fully_commutative) == (10600, 8032)
+
+
+@pytest.mark.parametrize("family,rank,count", [("B", 4, 83), ("D", 5, 167), ("F", 4, 106)])
+def test_fc_routes_match_the_oracles_on_weyl_groups(family, rank, count):
+    """The shortlex word of every element of B4, D5 and F4, the fully
+    commutative ones among them (Stembridge's counts) included."""
+    rs = build_root_system(family, rank)
+    words = [word for _, word in elements(rs)]
+    assert len(check_fc_routes(WeylContext(rs), words)) == count
 
 
 # -- the Cartan backend against the Weyl backend --------------------------------

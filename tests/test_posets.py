@@ -1,8 +1,10 @@
 """Posets, heaps, ideal statistics, and the heap-side checks."""
 
+import gc
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from coxbalance.posets import (
     IdealCapExceeded,
     LabeledPoset,
     claw_chain,
+    fraction_balance,
     heap_from_word,
     is_isomorphic,
     poset_dot,
@@ -100,7 +103,7 @@ def test_small_ideal_counts():
     assert antichain.ideal_count() == 4
     chain = poset_from_covers(2, [(0, 1)])
     assert chain.ideal_count() == 3
-    assert chain.ideal_fractions() == [Fraction(2, 3), Fraction(1, 3)]
+    assert chain.ideal_statistics()[1] == [Fraction(2, 3), Fraction(1, 3)]
 
 
 @pytest.mark.parametrize("covers,n", [
@@ -313,11 +316,25 @@ def test_claw_chain_balance_family():
         assert claw_chain(k, 2 ** (k - 1)).balance() == THIRD
 
 
+def test_balance_counts_equal_the_fraction_balance():
+    """``balance`` compares ideal counts; it equals the balance of the
+    fractions of ``ideal_statistics`` on 300 seeded random posets of up to
+    11 elements and on the claw-chain family."""
+    rng = random.Random(38)
+    cases = [claw_chain(k, 2 ** (k - 1)) for k in range(1, 8)]
+    for _ in range(300):
+        n = rng.randint(0, 11)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+        cases.append(poset_from_covers(n, pairs))
+    for poset in cases:
+        assert poset.balance() == fraction_balance(poset.ideal_statistics()[1])
+
+
 def test_dual_and_fraction_complement():
     poset = claw_chain(2, 2)
     flipped = dual(poset)
-    fr = poset.ideal_fractions()
-    fr_dual = flipped.ideal_fractions()
+    fr = poset.ideal_statistics()[1]
+    fr_dual = flipped.ideal_statistics()[1]
     for x in range(poset.n):
         assert fr[x] + fr_dual[x] == 1
     assert poset.balance() == flipped.balance()
@@ -341,6 +358,38 @@ def test_isomorphism():
     p2 = LabeledPoset(2, poset_from_covers(2, [(0, 1)]).rows, (2, 1))
     assert is_isomorphic(p1, p2)
     assert labelled_relation(p1) != labelled_relation(p2)
+
+
+def brute_force_isomorphic(p1, p2):
+    """Oracle: some bijection carries the order of p1 onto that of p2."""
+    return p1.n == p2.n and any(
+        all((p1.rows[x] >> y & 1) == (p2.rows[f[x]] >> f[y] & 1)
+            for x in range(p1.n) for y in range(p1.n))
+        for f in permutations(range(p1.n)))
+
+
+@given(random_posets(), random_posets(), st.randoms(use_true_random=False))
+def test_isomorphism_matches_brute_force(p1, p2, rng):
+    """On pairs of random posets of up to 7 elements, and on each poset
+    against a random relabelling of itself."""
+    if p1.n <= 7:
+        perm = list(range(p1.n))
+        rng.shuffle(perm)
+        moved = poset_from_covers(p1.n, [(perm[i], perm[j]) for i, j in p1.covers()])
+        assert is_isomorphic(p1, moved)
+        if p2.n == p1.n:
+            assert is_isomorphic(p1, p2) == brute_force_isomorphic(p1, p2)
+
+
+def test_isomorphism_leaves_no_cyclic_garbage():
+    """A call frees everything it made by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_isomorphic(claw_chain(2, 2), claw_chain(2, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_figure_heaps_match_claw():
@@ -404,7 +453,7 @@ def test_heap_ideal_fractions_equal_interval_inversion_fractions(labels, letters
             word.append(i)
     interval = convex.interval_left(sys, sys.from_word(word))
     fractions = [interval.inversion_fraction(k) for k in inversion_keys_of_word(sys, word)]
-    assert fractions == heap_from_word(sys, word).ideal_fractions()
+    assert fractions == heap_from_word(sys, word).ideal_statistics()[1]
 
 
 def test_heap_inversion_map_identity_empty():

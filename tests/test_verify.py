@@ -244,11 +244,14 @@ def test_fc_walk_matches_the_filtered_group(family, rank):
 
 
 def test_classify_builds_each_tested_word_heap_once(monkeypatch):
-    """``verify classify`` computes the heap rows of each word that the FC
-    walk tests once, and of each reference heap once: the classifier
+    """``verify classify`` runs the whole-word ``heap_rows`` only for the
+    three reference heaps, and grows the rows of each word that the FC walk
+    tests once, from the rows it kept for the word's parent; the classifier
     reuses the rows of the walk's test."""
-    tested, built = [], []
-    fc_test, rows_of = coxgen.is_fully_commutative, posets.heap_rows
+    tested, built, grown = [], [], []
+    kept = {(): ()}  # rows grown outside heap_rows, by word
+    fc_test, rows_of, grow = coxgen.is_fully_commutative, posets.heap_rows, posets.grow_heap_rows
+    depth = []  # nonempty while heap_rows runs
 
     def counted_test(sys, word, rows=None):
         tested.append(tuple(word))
@@ -256,22 +259,50 @@ def test_classify_builds_each_tested_word_heap_once(monkeypatch):
 
     def counted_rows(sys, word):
         built.append(tuple(word))
-        return rows_of(sys, word)
+        depth.append(word)
+        try:
+            return rows_of(sys, word)
+        finally:
+            depth.pop()
+
+    def counted_grow(sys, word, below):
+        rows = grow(sys, word, below)
+        if not depth:
+            assert below is kept[word[1:]], word
+            grown.append(word)
+            kept[word] = rows
+        return rows
 
     monkeypatch.setattr(coxgen, "is_fully_commutative", counted_test)
     monkeypatch.setattr(coxgen, "heap_rows", counted_rows)
     monkeypatch.setattr(posets, "heap_rows", counted_rows)
+    monkeypatch.setattr(posets, "grow_heap_rows", counted_grow)
     assert all(report.all_passed for report in verify.run_campaign("classify"))
-    references = [(1, 2), (4, 2, 3, 1), (6, 3, 2, 4, 1, 3, 5)]
     assert len(tested) > 0
-    assert built == references + tested
+    assert built == [(1, 2), (4, 2, 3, 1), (6, 3, 2, 4, 1, 3, 5)]
+    assert grown == tested
+
+
+def test_fc_walk_child_test_equals_the_whole_word_test(monkeypatch):
+    """For every child that the E6 FC walk tests, the test on the rows the
+    walk hands over gives the answer of the test on the whole word."""
+    fc_test = coxgen.is_fully_commutative
+    answers = []
+
+    def both(sys, word, rows=None):
+        answers.append((fc_test(sys, word, rows), fc_test(sys, word)))
+        return answers[-1][0]
+
+    monkeypatch.setattr(coxgen, "is_fully_commutative", both)
+    assert len(verify.fully_commutative_elements(build_root_system("E", 6))) == 662
+    assert all(fast == whole for fast, whole in answers)
+    assert {fast for fast, _ in answers} == {True, False}
 
 
 @pytest.mark.parametrize("family,rank,count", [
-    ("A", 5, 132), ("A", 7, 1430), ("E", 6, 662), ("E", 7, 2670),
+    ("A", 5, 132), ("A", 7, 1430), ("E", 6, 662), ("E", 7, 2670), ("E", 8, 10846),
 ])
 def test_fc_counts(family, rank, count):
-    """Catalan numbers in type A and Stembridge's counts for E6 and E7
-    (J. Algebraic Combin. 7, 1998).  E8 (10846) is left out: its walk
-    takes 4-5 s."""
+    """Catalan numbers in type A and Stembridge's counts for E6, E7 and E8
+    (J. Algebraic Combin. 7, 1998)."""
     assert len(verify.fully_commutative_elements(build_root_system(family, rank))) == count
