@@ -449,10 +449,12 @@ def is_fully_commutative(sys, word: Sequence[int],
     top.  A word that is not reduced raises :class:`NotReducedError`.
     ``rows``, if given, are the word's ``heap_rows``, and the caller vouches
     that the word is reduced and word[1:] fully commutative, as the FC walk
-    knows of each child: then only position 0 is tested as a top.
+    knows of each child: then only position 0 is tested as a top, and a
+    word[1:] that is not fully commutative gives wrong answers (the A3 word
+    3 1 2 1 with its rows reads True).
     """
     if rows is not None:
-        return not _braid_below(sys, word, rows, 0)
+        return not word or not _braid_below(sys, word, rows, 0)
     rows = heap_rows(sys, word)
     return not any(_braid_below(sys, word, rows, top) for top in range(len(word)))
 

@@ -13,8 +13,9 @@ unit weights give the bare masks.  Every walk stops at a cap: a poset's at
 
 The central statistics are the fraction of order ideals containing a given
 element and the derived balance number, both exact rationals.  Heaps are
-built from reduced words of a Coxeter system one letter at a time
-(:func:`grow_heap_rows`) and carry the word positions 0..l-1 as element ids,
+built from reduced words of a Coxeter system in one pass over the word
+(:func:`heap_rows`), or from the heap of word[1:] by putting word[0] on top
+(:func:`grow_heap_rows`), and carry the word positions 0..l-1 as element ids,
 labelled by their generator indices; ``coxgen.is_fully_commutative`` reads
 the rows with no poset built.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import bits
 
@@ -128,23 +129,18 @@ class LabeledPoset:
 
     # -- order ideals ---------------------------------------------------------
 
-    @cached_property
-    def _extension(self) -> Tuple[List[int], List[int]]:
-        """The linear extension that sorts the elements by the number of
-        elements below them, then by id, and the unit weights of a walk."""
-        below = _transpose(self.rows)
-        order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
-        return order, [1 << x for x in range(self.n)]
-
     def iter_ideal_masks(self) -> Iterator[int]:
         """Every order ideal as a bitmask over element ids, each exactly once.
 
-        Walks along the linear extension of ``_extension``.  Raises
+        Walks along the linear extension that sorts the elements by the
+        number of elements below them, then by id.  Raises
         :class:`IdealCapExceeded` when a further ideal follows the
         ``IDEAL_CAP``-th one.
         """
         lower, upper = self._cover_masks
-        order, units = self._extension
+        below = _transpose(self.rows)
+        order = sorted(range(self.n), key=lambda i: (below[i].bit_count(), i))
+        units = [1 << x for x in range(self.n)]
         return walk_order_ideals(order, lower, upper, units, IDEAL_CAP)
 
     def ideal_count(self) -> int:
@@ -271,14 +267,22 @@ def heap_rows(sys, word: Sequence[int]) -> Tuple[int, ...]:
     """The order rows of the heap of a reduced word, as in :class:`LabeledPoset`:
     position j below position k iff j > k is forced; later letters sit lower.
 
-    A word that is not reduced raises ``coxgen.NotReducedError``.  The rows
-    are grown one letter at a time by :func:`grow_heap_rows`, from the last.
+    A word that is not reduced raises ``coxgen.NotReducedError``.  Equal
+    letters form a chain, so the row of j is its own bit ORed with the rows
+    of the last earlier position of each letter that equals word[j] or does
+    not commute with it.
     """
     sys.check_reduced(word)
-    rows: Tuple[int, ...] = ()
-    for k in range(len(word) - 1, -1, -1):
-        rows = grow_heap_rows(sys, word[k:], rows)
-    return rows
+    rows: List[int] = []
+    last: Dict[int, int] = {}  # letter -> its last position so far
+    for j, a in enumerate(word):
+        row = 1 << j
+        for b, k in last.items():
+            if sys.coxeter_m(a, b) != 2:
+                row |= rows[k]
+        rows.append(row)
+        last[a] = j
+    return tuple(rows)
 
 
 def grow_heap_rows(sys, word: Sequence[int], below: Tuple[int, ...]) -> Tuple[int, ...]:

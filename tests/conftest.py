@@ -9,8 +9,8 @@ set by breadth-first search on frozensets of root keys, the distinct convex
 order ideals as the closure of the inversion masks under union, full
 commutativity by a braid scan over a whole commutation class and by
 Stembridge's heap test over every window (for the test of the FC walk's
-children), the heap rows of a word in one forward pass (for the rows grown
-one letter at a time), the inversion
+children), the heap rows of a word as the closure of its pairs of
+noncommuting positions (for both routes to the rows), the inversion
 keys of a reduced word (for a diagram's ``inversion_mask``), the length of a
 word counted as inversions (for ``check_reduced``), the number of
 root-poset ideals by a walk (for ``catalan_number``), the elements of each
@@ -215,20 +215,18 @@ def braid_free_class(sys, word):
     return True
 
 
-def forward_heap_rows(sys, word):
-    """Oracle for ``heap_rows`` on a reduced word, in one forward pass: equal
-    letters form a chain, so the row of j is its own bit ORed with the rows
-    of the last earlier position of each letter that equals word[j] or does
-    not commute with it."""
+def heap_rows_by_pairs(sys, word):
+    """Oracle for ``heap_rows`` on a reduced word, from the definition of the
+    heap: the order is generated by the pairs k < j whose letters are equal
+    or do not commute, so the row of j is its own bit ORed with the rows of
+    every such earlier k."""
     rows = []
-    last = {}  # letter -> its last position so far
     for j, a in enumerate(word):
         row = 1 << j
-        for b, k in last.items():
-            if sys.coxeter_m(a, b) != 2:
+        for k in range(j):
+            if sys.coxeter_m(word[k], a) != 2:
                 row |= rows[k]
         rows.append(row)
-        last[a] = j
     return tuple(rows)
 
 
@@ -237,7 +235,7 @@ def fc_by_all_windows(sys, word):
     test over every window: for each pair i, j with 3 <= m(i, j) < inf, each
     run of m consecutive positions of i and j bounds a heap interval of m
     elements iff it is a braid."""
-    rows = forward_heap_rows(sys, word)
+    rows = heap_rows_by_pairs(sys, word)
     letters = sorted(set(word))
     for x, a in enumerate(letters):
         for b in letters[x + 1:]:

@@ -13,7 +13,7 @@ from conftest import (
     commutation_class,
     elements,
     fc_by_all_windows,
-    forward_heap_rows,
+    heap_rows_by_pairs,
     inversion_keys_of_word,
     mask_of,
     one_line,
@@ -305,16 +305,28 @@ def test_fc_test_builds_no_poset(monkeypatch):
         is_fully_commutative(a2, [1, 1])
 
 
+def test_fc_test_on_rows_tests_the_top_letter_only():
+    """With ``rows`` the empty word is fully commutative, and only braids
+    through position 0 count: 3 1 2 1 of A3 holds the braid 1 2 1 below its
+    top, so it reads True with its rows and False without them."""
+    a3 = WeylContext(build_root_system("A", 3))
+    assert is_fully_commutative(a3, (), ())
+    word = (3, 1, 2, 1)
+    assert is_fully_commutative(a3, word, heap_rows(a3, word))
+    assert not is_fully_commutative(a3, word)
+    assert not is_fully_commutative(a3, word[1:], heap_rows(a3, word[1:]))
+
+
 def check_fc_routes(sys, words):
     """On reduced words, each after its suffix word[1:]: the rows of
-    ``heap_rows`` and those grown from the suffix's rows equal the forward
-    pass, and the FC test on the whole word, and on a child's rows where the
-    suffix is fully commutative, equals the test over every window.  Returns
-    the words found fully commutative."""
+    ``heap_rows`` and those grown from the suffix's rows equal the closure
+    of the noncommuting pairs, and the FC test on the whole word, and on a
+    child's rows where the suffix is fully commutative, equals the test over
+    every window.  Returns the words found fully commutative."""
     rows, fc = {(): ()}, {(): True}
     for word in words:
         rows[word] = heap_rows(sys, word)
-        assert rows[word] == forward_heap_rows(sys, word), word
+        assert rows[word] == heap_rows_by_pairs(sys, word), word
         if word:
             assert grow_heap_rows(sys, word, rows[word[1:]]) == rows[word], word
         fc[word] = fc_by_all_windows(sys, word)

@@ -249,9 +249,8 @@ def test_classify_builds_each_tested_word_heap_once(monkeypatch):
     tests once, from the rows it kept for the word's parent; the classifier
     reuses the rows of the walk's test."""
     tested, built, grown = [], [], []
-    kept = {(): ()}  # rows grown outside heap_rows, by word
+    kept = {(): ()}  # the grown rows, by word
     fc_test, rows_of, grow = coxgen.is_fully_commutative, posets.heap_rows, posets.grow_heap_rows
-    depth = []  # nonempty while heap_rows runs
 
     def counted_test(sys, word, rows=None):
         tested.append(tuple(word))
@@ -259,19 +258,13 @@ def test_classify_builds_each_tested_word_heap_once(monkeypatch):
 
     def counted_rows(sys, word):
         built.append(tuple(word))
-        depth.append(word)
-        try:
-            return rows_of(sys, word)
-        finally:
-            depth.pop()
+        return rows_of(sys, word)
 
     def counted_grow(sys, word, below):
-        rows = grow(sys, word, below)
-        if not depth:
-            assert below is kept[word[1:]], word
-            grown.append(word)
-            kept[word] = rows
-        return rows
+        assert below is kept[word[1:]], word
+        grown.append(word)
+        kept[word] = grow(sys, word, below)
+        return kept[word]
 
     monkeypatch.setattr(coxgen, "is_fully_commutative", counted_test)
     monkeypatch.setattr(coxgen, "heap_rows", counted_rows)
