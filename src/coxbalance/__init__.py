@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``rootsys``   crystallographic root systems, root posets, order ideals
+* ``rootsys``   crystallographic root systems, root posets, order ideals, and
+                the group object of each finite Weyl type
 * ``weyl``      finite Weyl groups: elements as signed root permutations
 * ``coxgen``    Coxeter systems of diagrams (labels 2, 3, 4, 6, inf) on integer
                 roots, the word routines of both group objects, and word
@@ -14,8 +15,9 @@ Submodules:
 * ``verify``    verification campaigns with exact reports
 * ``cli``       the ``coxbalance`` command-line entry point
 
-A finite Weyl type is the group object ``WeylContext`` and a diagram the group
-object ``CoxSystem``; the convex-set, heap and word routines take either one.
+A finite Weyl type is the group object ``RootSystem``, the one that
+``build_root_system`` returns, and a diagram the group object ``CoxSystem``;
+the convex-set, heap and word routines take either one.
 Each keeps only its element primitives and inherits the word routines
 (``from_word``, ``reduced_word``, ``check_reduced`` and the rest) from
 ``coxgen.GroupWords``.  An element of either is a bare tuple that is its own
@@ -26,7 +28,6 @@ root columns for a diagram.
 from .rootsys import RootSystem, build_root_system
 from .convex import ConvexSet
 from .coxgen import CoxSystem
-from .weyl import WeylContext
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,5 @@ __all__ = [
     "build_root_system",
     "ConvexSet",
     "CoxSystem",
-    "WeylContext",
     "__version__",
 ]

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .convex import ConvexSet, balance_scorer, enumerate_convex_ideals
 from .linalg import Vector, bits
 from .rootsys import RootSystem
-from .weyl import WeylContext, code_entry
+from .weyl import code_entry
 
 
 class AlcoveParams:
@@ -112,13 +112,12 @@ def order_polytope_halfspaces(c: ConvexSet) -> List[HalfSpace]:
     outside the upper set A, and the caps <x, w^{-1} xi> <= 1 over members,
     where w^{-1} xi is the signed root at the highest root's entry of w^{-1}.
     """
-    ctx = c.ctx
-    if not isinstance(ctx, WeylContext):
-        raise TypeError("order polytopes need a finite Weyl context")
-    rs = ctx.root_system
+    rs = c.ctx
+    if not isinstance(rs, RootSystem):
+        raise TypeError("order polytopes need a finite Weyl type")
     hs = [(k + 1, 0) for k in bits(c.lower)]
     hs += [(-k - 1, 0) for k in range(rs.num_positive_roots) if not c.upper >> k & 1]
-    hs += [(ctx.invert(m)[rs.highest_root_index], 1) for m in c.members]
+    hs += [(rs.invert(m)[rs.highest_root_index], 1) for m in c.members]
     return hs
 
 
@@ -137,7 +136,7 @@ def alcove_vertices_of(c: ConvexSet, member_index: int) -> List[Tuple[Fraction, 
     Coordinate i of w^{-1} omega_j^vee / m_j is <omega_j^vee, w alpha_i> / m_j:
     coefficient j of the signed root at w's entry for alpha_i, over m_j.
     """
-    rs = c.ctx.root_system
+    rs = c.ctx
     w = c.members[member_index]
     rows = [
         (rs.coefficients[abs(w[k]) - 1], 1 if w[k] > 0 else -1) for k in rs.simple_indices
@@ -241,10 +240,9 @@ def centroid(c: ConvexSet) -> Vector:
     Its coweight coordinates are its pairings with the simple roots, read
     from the integer pairing table.
     """
-    ctx = c.ctx
-    if not isinstance(ctx, WeylContext):
-        raise TypeError("order polytopes need a finite Weyl context")
-    rs = ctx.root_system
+    rs = c.ctx
+    if not isinstance(rs, RootSystem):
+        raise TypeError("order polytopes need a finite Weyl type")
     tables = _root_tables(rs)
     den = len(c.members) * tables.den
     return ambient(
@@ -257,7 +255,7 @@ def centroid(c: ConvexSet) -> Vector:
 
 def mean_height(c: ConvexSet, root_index: int) -> Fraction:
     """Average height of the images w(beta) over the members."""
-    heights = _root_tables(c.ctx.root_system).height
+    heights = _root_tables(c.ctx).height
     return Fraction(_image_sum(heights, c, root_index), len(c.members))
 
 
@@ -285,7 +283,7 @@ def small_mean_height_root(c: ConvexSet) -> Optional[int]:
     """First positive root whose mean image height is strictly below 1."""
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
-    rs = c.ctx.root_system
+    rs = c.ctx
     return _height_root(rs, len(c), partial(_image_sum, _root_tables(rs).height, c))
 
 
@@ -300,7 +298,7 @@ def centroid_split_root(c: ConvexSet) -> Optional[int]:
     """
     if len(c) < 2:
         raise ValueError("needs a non-singleton set")
-    rs = c.ctx.root_system
+    rs = c.ctx
     return _split_root(rs, len(c), c.inversion_count,
                        partial(_image_sum, _root_tables(rs).pairing, c))
 
@@ -331,10 +329,10 @@ def plane_scorer(rs: RootSystem, codes: bytes, columns: Sequence[int]):
     return score
 
 
-def witnessed_ideals(ctx: WeylContext) -> List[Tuple[Fraction, int, Optional[int], Optional[int]]]:
+def witnessed_ideals(rs: RootSystem) -> List[Tuple[Fraction, int, Optional[int], Optional[int]]]:
     """(balance, A, mean-height root, centroid-split root) for every convex
     order ideal W^A but {e} (A = 0), in scan order, from one scan."""
-    scan = enumerate_convex_ideals(ctx, partial(plane_scorer, ctx.root_system))
+    scan = enumerate_convex_ideals(rs, partial(plane_scorer, rs))
     return [(b, upper, h, s) for upper, (b, h, s) in scan if upper]
 
 
@@ -375,7 +373,7 @@ def short_root_bound_threshold() -> Fraction:
 def check_short_root_bound(c: ConvexSet, balance: Fraction) -> bool:
     """Certify the improved type B bound balance >= 1/(2e), given the
     balance of ``c`` that the caller already holds."""
-    rs = c.ctx.root_system
+    rs = c.ctx
     if rs.family != "B":
         raise ValueError("the short-root bound is asserted for type B only")
     if len(c) < 2:

@@ -27,7 +27,6 @@ from .rootsys import (
     root_graph_dot,
     roots_json,
 )
-from .weyl import WeylContext
 
 # An ASCII decimal integer; int() alone also reads "1_0" as 10 and non-ASCII digits.
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -98,7 +97,7 @@ def _group(args):
             raise ValueError("give either --diagram or --type/--rank, not both")
         with open(args.diagram) as fh:
             return coxgen.build_system(coxgen.matrix_from_json(fh.read()))
-    return WeylContext(_root_system(args))
+    return _root_system(args)
 
 
 def cmd_roots(args, out) -> int:
@@ -130,14 +129,7 @@ def cmd_roots(args, out) -> int:
 
 def cmd_group(args, out) -> int:
     rs = _root_system(args)
-    cap = _int_option(args, "cap")
-    if cap is None:
-        cap = weyl.DEFAULT_ELEMENT_CAP
-    elif cap < 0:
-        raise ValueError(f"--cap must be a nonnegative element count, not {cap}")
     count = weyl.group_order(rs)
-    if count > cap:
-        raise coxgen.EnumerationCapExceeded(cap)
     sizes = weyl.length_distribution(rs)
     print(f"group of type {rs.root_label()}: {count} elements")
     for ln, size in enumerate(sizes):
@@ -162,9 +154,9 @@ def _build_set(args, ctx):
     if args.set is not None:
         words = [_parse_word(part) for part in args.set.split(";")]
         return convex.from_members(ctx, [ctx.from_word(w) for w in words])
-    if not isinstance(ctx, WeylContext):
+    if not isinstance(ctx, RootSystem):
         raise ValueError("--ideal-roots needs a Weyl type, not a diagram")
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     mask = 0
     for k in _parse_ints(args.ideal_roots.replace(",", " "), "root indices"):
         if not 0 <= k < n:
@@ -241,18 +233,18 @@ def cmd_semiorder(args, out) -> int:
         })
         return 0
     rs = _root_system(args)
+    if args.count_ideals:
+        n = rootsys.catalan_number(rs)
+        print(f"{rs.root_label()}: {n} root-poset order ideals")
+        _write_out(out, {"type": rs.root_label(), "ideal_count": n})
+        return 0
     if rs.num_positive_roots > 24 and not args.e8:
         raise ValueError(
             f"{rs.root_label()} has {rs.num_positive_roots} positive roots; "
             "pass --e8 to run the large scan"
         )
-    n = rootsys.catalan_number(rs)
-    if n > rootsys.ROOT_IDEAL_CAP:
+    if rootsys.catalan_number(rs) > rootsys.ROOT_IDEAL_CAP:
         raise posets.IdealCapExceeded(rootsys.ROOT_IDEAL_CAP)
-    if args.count_ideals:
-        print(f"{rs.root_label()}: {n} root-poset order ideals")
-        _write_out(out, {"type": rs.root_label(), "ideal_count": n})
-        return 0
     scanned, failures = semiorder.scan_exit_witnesses(rs)
     ok = not failures
     line = {"type": rs.root_label(), "ideals_scanned": scanned, "lemma46_ok": ok}
@@ -269,8 +261,7 @@ def cmd_semiorder(args, out) -> int:
 def cmd_alcove(args, out) -> int:
     rs = _root_system(args)
     if args.interval is not None:
-        ctx = WeylContext(rs)
-        c = convex.interval_left(ctx, ctx.from_word(_parse_word(args.interval)))
+        c = convex.interval_left(rs, rs.from_word(_parse_word(args.interval)))
     p = alcove.alcove_params(rs)
     print(f"type {rs.root_label()}: min_mark {p.min_mark}, max_mark {p.max_mark}, "
           f"height {p.height}, margin {p.margin}, exponent {p.exponent}")
@@ -361,11 +352,6 @@ def _roots_args(p):
                    help="with --format dot, emit the labelled reflection graph")
 
 
-def _group_args(p):
-    _type_args(p)
-    p.add_argument("--cap", help="element cap (default 10^6)")
-
-
 def _balance_args(p):
     _type_args(p, diagram=True, formats=("dot",))
     p.add_argument("--interval", help='weak-order interval below a word, e.g. "1 2"')
@@ -405,7 +391,7 @@ def _verify_args(p):
 # name -> (help, command, function adding the subcommand's arguments), in usage order
 COMMANDS = {
     "roots": ("dump a root system and its root poset", cmd_roots, _roots_args),
-    "group": ("count the Weyl group by length", cmd_group, _group_args),
+    "group": ("count the Weyl group by length", cmd_group, _type_args),
     "balance": ("inversion fractions and balance of a convex set", cmd_balance, _balance_args),
     "heap": ("heap of a reduced word with ideal statistics", cmd_heap, _heap_args),
     "semiorder": ("generalized semiorder scans", cmd_semiorder, _semiorder_args),

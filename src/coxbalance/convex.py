@@ -4,7 +4,7 @@ A convex set is stored canonically as the element list of
 ``{w : D subseteq T_R(w) subseteq A}`` together with the canonical pair
 D = intersection and A = union of the member inversion sets.  A set of
 roots is an int bitmask of the root keys of a group object, a
-``weyl.WeylContext`` (finite Weyl type) or ``coxgen.CoxSystem`` (diagram),
+``rootsys.RootSystem`` (finite Weyl type) or ``coxgen.CoxSystem`` (diagram),
 so D and A are the AND and OR of the members' masks; keys are listed in
 ``key_order``.  An element is a tuple that is its own key, so members are
 hashed and compared directly.
@@ -36,7 +36,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 from . import coxgen, weyl
 from .linalg import bits
-from .weyl import WeylContext
+from .rootsys import RootSystem
 
 CONVEX_SCAN_MAX_ROOTS = 12
 
@@ -226,19 +226,19 @@ def code_rows(codes: bytes, n: int, k: int, digits: bytes) -> int:
     return int(codes[k::n].translate(digits)[::-1], 2)
 
 
-def _scan_columns(ctx: WeylContext) -> Tuple[bytes, List[int]]:
+def _scan_columns(rs: RootSystem) -> Tuple[bytes, List[int]]:
     """The group's codes joined in shortlex order, and its root columns:
     column j is the int bitset of the rows whose inversion set holds root j."""
-    n = ctx.root_system.num_positive_roots
-    codes = b"".join(weyl.all_elements(ctx.root_system))
+    n = rs.num_positive_roots
+    codes = b"".join(weyl.all_elements(rs))
     return codes, [code_rows(codes, n, j, _INVERTED) for j in range(n)]
 
 
-def ideal_rows(ctx: WeylContext, uppers: Sequence[int]) -> Tuple[List[int], List[int]]:
+def ideal_rows(rs: RootSystem, uppers: Sequence[int]) -> Tuple[List[int], List[int]]:
     """The root columns of the scan's rows, and for each root bitmask A of
     ``uppers`` the int bitset M(A) of the rows of W^A = {w : N(w) inside
     A}: the AND of the complemented columns of the roots outside A."""
-    codes, columns = _scan_columns(ctx)
+    codes, columns = _scan_columns(rs)
     n = len(columns)
     every = (1 << len(codes) // n) - 1
     return columns, [reduce(and_, (~columns[j] for j in bits((1 << n) - 1 & ~upper)), every)
@@ -301,7 +301,7 @@ def _closed_ideals(columns: Sequence[int], rows: int) -> Iterator[Tuple[int, int
             return
 
 
-def enumerate_convex_ideals(ctx: WeylContext, scorer) -> Iterator[Tuple[int, object]]:
+def enumerate_convex_ideals(rs: RootSystem, scorer) -> Iterator[Tuple[int, object]]:
     """(A, score) for every distinct convex order ideal W^A of a finite
     Weyl group, A being the union of the members' inversion sets.
 
@@ -319,18 +319,18 @@ def enumerate_convex_ideals(ctx: WeylContext, scorer) -> Iterator[Tuple[int, obj
     sets of one size already come by sorted A, and a stable sort by |A|
     gives the scan order.
     """
-    n = ctx.root_system.num_positive_roots
+    n = rs.num_positive_roots
     if n > CONVEX_SCAN_MAX_ROOTS:
         raise ValueError(
             f"{n} positive roots exceed the scan bound of {CONVEX_SCAN_MAX_ROOTS}"
         )
-    codes, columns = _scan_columns(ctx)
+    codes, columns = _scan_columns(rs)
     score = scorer(codes, columns)
     for upper, members in sorted(_closed_ideals(columns, len(codes) // n),
                                  key=lambda s: s[0].bit_count()):
         yield upper, score(members, upper)
 
 
-def scored_ideals(ctx: WeylContext) -> List[Tuple[Fraction, int]]:
+def scored_ideals(rs: RootSystem) -> List[Tuple[Fraction, int]]:
     """(balance, A) for every convex order ideal W^A but {e} (A = 0), in scan order."""
-    return [(b, upper) for upper, b in enumerate_convex_ideals(ctx, balance_scorer) if upper]
+    return [(b, upper) for upper, b in enumerate_convex_ideals(rs, balance_scorer) if upper]

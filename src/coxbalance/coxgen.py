@@ -10,7 +10,7 @@ algebras*, 3.13).  Other labels, such as 5, would need irrational entries.
 
 :class:`CoxSystem` is the group object of a diagram; a diagram element is
 its tuple of columns, column j = w(alpha_j), and is its own key.  Like
-``weyl.WeylContext``, the group object of a finite Weyl type, it keeps only
+``rootsys.RootSystem``, the group object of a finite Weyl type, it keeps only
 the element primitives ``rank``, ``identity()``, ``mul_simple_right`` and
 ``mul_simple_left(w, i)``, ``is_descent(w, i)`` (True when w(alpha_i) is
 negative), ``simple_image_key(w, i)`` (None when it is), ``invert(w)``,

@@ -18,15 +18,24 @@ coordinates.  Each (root, simple reflection) pair costs one pairing p = <c,
 alpha_i^vee> with the integer Cartan matrix, and s_i(c) = c - p e_i.  A root
 first met as s_i(c) takes its doubled ambient coordinates from c, and the
 walk records each image, so the signed simple action is the walk's table
-renumbered to the index order.  The root poset is stored as its covers, the
-steps along the alpha_i-strings that the raises span.  Every stored field is
+renumbered to the index order.  The root poset is stored as its covers:
+gamma covers beta iff gamma - beta is a simple root.  Every stored field is
 an integer table: ``coefficients`` (simple-root coordinates of each positive
 root), the cover bitmasks ``_lower_covers``/``_upper_covers``, the signed
-simple action ``_simple_action``, and ``_doubled``, twice the ambient
-coordinates of each positive root.  The ``Fraction`` views
-``positive_roots`` (ambient coordinates) and ``coweights`` are computed from
-those tables on first access, the coweights from the W-invariant form with
-no linear solve; ``linalg`` gives only :func:`bits` and the ``Vector`` type.
+simple action ``_simple_action``, ``_doubled``, twice the ambient
+coordinates of each positive root, and the Coxeter matrix ``coxeter``.
+
+The ``Fraction`` views ``positive_roots`` (ambient coordinates) and
+``coweights`` are computed from those tables on first access, the
+coweights from the W-invariant form with no linear solve; ``linalg`` gives
+only :func:`bits` and the ``Vector`` type.
+
+A :class:`RootSystem` is also the group object of its Weyl group, with the
+element primitives of ``coxgen.CoxSystem``, the group object of a diagram,
+and the word routines of ``coxgen.GroupWords``, so every routine in
+``convex``, ``coxgen`` and ``posets`` takes either one.  An element is its
+signed action on the positive roots (see ``weyl``), a root key is a
+positive-root index, and the primitives read the integer tables only.
 
 Coordinate conventions for the classical families:
 
@@ -49,11 +58,14 @@ from math import prod
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .coxgen import root_display
+from .coxgen import GroupWords, root_display
 from .linalg import Vector, bits
 from .posets import walk_order_ideals
 
 Family = str  # one of "A".."G"
+
+# A Weyl group element: w[j] = +-(k+1) when w sends positive root j to +-root k.
+Element = Tuple[int, ...]
 
 # Most root-poset ideals one walk may visit: A13, B12, C12 and D12 have at most
 # 2.71 * 10^6 (about 1 s each), E8 25080, and A20 about 2.4 * 10^10;
@@ -119,8 +131,9 @@ _RANK_OK = {
 }
 
 
-class RootSystem:
-    """An irreducible crystallographic root system.
+class RootSystem(GroupWords):
+    """An irreducible crystallographic root system, and the group object of
+    its Weyl group; root keys are positive-root indices.
 
     The positive roots are sorted by (height, coordinates) so every stream
     derived from them is deterministic.
@@ -133,7 +146,7 @@ class RootSystem:
                  _lower_covers: Tuple[int, ...] = (), _upper_covers: Tuple[int, ...] = (),
                  _simple_action: Tuple[Tuple[int, ...], ...] = (),
                  _doubled: Tuple[Tuple[int, ...], ...] = (),
-                 _coxeter: Tuple[Tuple[int, ...], ...] = ()):
+                 coxeter: Tuple[Tuple[int, ...], ...] = ()):
         self.family = family
         self.rank = rank
         self.ambient_dim = ambient_dim
@@ -149,7 +162,7 @@ class RootSystem:
         # twice the ambient coordinates of each positive root
         self._doubled = _doubled
         # Coxeter matrix m_ij, 0-based
-        self._coxeter = _coxeter
+        self.coxeter = coxeter
 
     # -- basic accessors ---------------------------------------------------
 
@@ -188,7 +201,7 @@ class RootSystem:
 
     def coxeter_m(self, i: int, j: int) -> int:
         """Coxeter matrix entry m_ij for simple reflections (1-based)."""
-        return self._coxeter[i - 1][j - 1]
+        return self.coxeter[i - 1][j - 1]
 
     def simple_image(self, i: int, j: int) -> int:
         """Signed index of s_i applied to positive root j (1-based simple i).
@@ -197,6 +210,51 @@ class RootSystem:
         negative of positive root k.
         """
         return self._simple_action[i - 1][j]
+
+    # -- the group object ------------------------------------------------------
+
+    def identity(self) -> Element:
+        return tuple(range(1, self.num_positive_roots + 1))
+
+    def mul(self, u: Element, v: Element) -> Element:
+        """Product u v, acting as u after v."""
+        return tuple([u[a - 1] if a > 0 else -u[-a - 1] for a in v])
+
+    def mul_simple_right(self, w: Element, i: int) -> Element:
+        return self.mul(w, self._simple_action[i - 1])
+
+    def mul_simple_left(self, w: Element, i: int) -> Element:
+        return self.mul(self._simple_action[i - 1], w)
+
+    def invert(self, w: Element) -> Element:
+        out = [0] * len(w)
+        for j, a in enumerate(w, start=1):
+            out[abs(a) - 1] = j if a > 0 else -j
+        return tuple(out)
+
+    def inversion_mask(self, w: Element) -> int:
+        """Bitmask of the positive roots that w sends negative."""
+        return sum(1 << j for j, a in enumerate(w) if a < 0)
+
+    def is_descent(self, v: Element, i: int) -> bool:
+        """True iff v(alpha_i) is negative."""
+        return v[self.simple_indices[i - 1]] < 0
+
+    def simple_image_key(self, v: Element, i: int) -> Optional[int]:
+        """Key of v(alpha_i) if that root is positive, else None."""
+        a = v[self.simple_indices[i - 1]]
+        return a - 1 if a > 0 else None
+
+    def reduced_word(self, w: Element) -> Tuple[int, ...]:
+        # ``weyl`` imports this module, so its traced ``reduced_word`` is imported here.
+        from .weyl import reduced_word
+        return reduced_word(self, w)
+
+    def key_order(self, key: int) -> int:
+        return key
+
+    def key_display(self, key: int) -> str:
+        return root_display(self.coefficients[key])
 
 
 def build_root_system(family: Family, rank: int) -> RootSystem:
@@ -218,23 +276,21 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     # is raised from a lower root and is found before its height is walked.
     # With p = <c, alpha_i^vee>, s_i(c) = c - p e_i and d(s_i c) = d(c) -
     # p d(alpha_i) for the doubled ambient coordinates d.  images[k][i] is the
-    # id of s_i(root k), or ~i = -i - 1 for s_i(alpha_i) = -alpha_i.
+    # id of s_i(root k), or ~i = -i - 1 for s_i(alpha_i) = -alpha_i.  A root
+    # is found by its code, which holds coefficient i (0 to 6) in byte i, so
+    # adding alpha_i adds step[i] and s_i(c) has code code(c) - p step[i].
+    step = [1 << 8 * i for i in range(rank)]
     coords = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    codes = list(step)
     doubled = list(doubled_simples)
     heights = [1] * rank
     images: List[Optional[Tuple[int, ...]]] = [None] * rank
-    found = {c: k for k, c in enumerate(coords)}
+    found = {x: k for k, x in enumerate(codes)}
     levels = {1: list(range(rank))}
-    # gamma covers beta iff gamma - beta is a simple root, so every cover
-    # lies on an alpha_i-string.  A raise (p < 0) spans the part of the
-    # string from c up to s_i(c) = c - p alpha_i; it is cut into its -p
-    # covers after the walk, once every root on it is found.
-    covers: List[Tuple[int, int]] = []
-    strings = []
     h = 1
     while h in levels:
         for k in levels[h]:
-            c = coords[k]
+            c, code = coords[k], codes[k]
             row: List[int] = []
             for i, col in enumerate(coroot_cols):
                 p = sum(map(mul, c, col))
@@ -244,28 +300,19 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
                 if k == i:
                     row.append(~k)
                     continue
-                img = c[:i] + (c[i] - p,) + c[i + 1:]
+                img = code - p * step[i]
                 j = found.get(img)
                 if j is None:  # raised to a root not found yet
                     j = found[img] = len(coords)
-                    coords.append(img)
+                    coords.append(c[:i] + (c[i] - p,) + c[i + 1:])
+                    codes.append(img)
                     doubled.append(tuple(x - p * y for x, y in zip(doubled[k], doubled_simples[i])))
                     heights.append(h - p)
                     images.append(None)
                     levels.setdefault(h - p, []).append(j)
-                if p < 0:
-                    strings.append((k, i, j))
                 row.append(j)
             images[k] = tuple(row)
         h += 1
-    for k, i, j in strings:
-        c = coords[k]
-        lo = k
-        for v in range(c[i] + 1, coords[j][i]):
-            hi = found[c[:i] + (v,) + c[i + 1:]]
-            covers.append((lo, hi))
-            lo = hi
-        covers.append((lo, j))
 
     # Index order: by (height, doubled coordinates); pos maps ids to indices.
     n = len(coords)
@@ -278,11 +325,14 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
     doubled_roots = tuple(doubled[k] for k in order)
     simple_idx = tuple(pos[:rank])
 
-    # A cover may come twice (a G2 string of length 4 raises twice); OR absorbs it.
+    # gamma covers beta iff gamma - beta is a simple root.
     lower, upper = [0] * n, [0] * n
-    for lo, hi in covers:
-        lower[pos[hi]] |= 1 << pos[lo]
-        upper[pos[lo]] |= 1 << pos[hi]
+    for s in step:
+        for code, k in found.items():
+            j = found.get(code + s)
+            if j is not None:
+                lower[pos[j]] |= 1 << pos[k]
+                upper[pos[k]] |= 1 << pos[j]
 
     highest = n - 1  # maximal height sorts last; uniqueness checked below
     if heights.count(heights[highest]) != 1:
@@ -322,8 +372,8 @@ def build_root_system(family: Family, rank: int) -> RootSystem:
         _simple_action=action,
         _doubled=doubled_roots,
         # a_ij a_ji = 4 cos^2(pi / m_ij): 0, 1, 2 or 3 off the diagonal, 4 on it
-        _coxeter=tuple(tuple((2, 3, 4, 6, 1)[cartan[i][j] * cartan[j][i]] for j in range(rank))
-                       for i in range(rank)),
+        coxeter=tuple(tuple((2, 3, 4, 6, 1)[cartan[i][j] * cartan[j][i]] for j in range(rank))
+                      for i in range(rank)),
     )
 
 

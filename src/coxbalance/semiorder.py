@@ -22,8 +22,7 @@ from typing import List, Sequence, Tuple
 from . import convex
 from .convex import ConvexSet
 from .linalg import bits
-from .rootsys import RootSystem, build_root_system, ideal_from_members, iter_ideal_masks
-from .weyl import Element, WeylContext
+from .rootsys import Element, RootSystem, build_root_system, ideal_from_members, iter_ideal_masks
 
 
 class GeneralizedSemiorder:
@@ -40,7 +39,7 @@ class GeneralizedSemiorder:
 def build(rs: RootSystem, members) -> GeneralizedSemiorder:
     """Construct W^A for a root-poset ideal given by positive-root indices."""
     mask = ideal_from_members(rs, members)
-    c = convex.ideal_from_upper(WeylContext(rs), mask)
+    c = convex.ideal_from_upper(rs, mask)
     return GeneralizedSemiorder(rs, mask, c)
 
 
@@ -72,7 +71,6 @@ def reflections(rs: RootSystem) -> Tuple[Element, ...]:
 
     Built in index order: alpha_i gives the simple action of s_i, and any
     other root k is s_i(j) for a lower root j, so s_k = s_i s_j s_i."""
-    ctx = WeylContext(rs)
     out: List[Element] = []
     for k in range(rs.num_positive_roots):
         for s in rs._simple_action:
@@ -80,7 +78,7 @@ def reflections(rs: RootSystem) -> Tuple[Element, ...]:
                 out.append(s)
                 break
             if s[k] <= k:  # s lowers root k to root s[k] - 1
-                out.append(ctx.mul(ctx.mul(s, out[s[k] - 1]), s))
+                out.append(rs.mul(rs.mul(s, out[s[k] - 1]), s))
                 break
     return tuple(out)
 
@@ -89,7 +87,7 @@ def scored_semiorders(rs: RootSystem) -> Tuple[List[int], List[Tuple[int, int, F
     """The root columns of the group scan, and (A, M(A), balance) for each
     nonempty root-poset ideal A, in walk order, from one group walk."""
     masks = [m for m in iter_ideal_masks(rs) if m]
-    columns, rows = convex.ideal_rows(WeylContext(rs), masks)
+    columns, rows = convex.ideal_rows(rs, masks)
     score = convex.balance_scorer(None, columns)
     return columns, [(mask, m, score(m, mask)) for mask, m in zip(masks, rows)]
 

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import alcove, convex, coxgen, posets, semiorder
 # ``iter_ideal_masks`` stays bound here for ``bench/spans.py``, which wraps each binding.
 from .rootsys import RootSystem, build_root_system, iter_ideal_masks
-from .weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -165,8 +164,7 @@ CONJECTURE_TYPES: Tuple[Tuple[str, int], ...] = (
 
 def verify_conjecture(rs: RootSystem) -> VerificationReport:
     def body(report: VerificationReport):
-        ctx = WeylContext(rs)
-        scored = convex.scored_ideals(ctx)
+        scored = convex.scored_ideals(rs)
         best = min(b for b, _ in scored)
         violations = [upper for b, upper in scored if b < THIRD]
         label = rs.root_label()
@@ -179,7 +177,7 @@ def verify_conjecture(rs: RootSystem) -> VerificationReport:
             len(violations),
             0,
             reproducer=[
-                "A=" + ",".join(map(str, convex.listed_keys(ctx, upper)))
+                "A=" + ",".join(map(str, convex.listed_keys(rs, upper)))
                 for upper in violations
             ] or None,
         )
@@ -205,12 +203,11 @@ def verify_equality_cases() -> VerificationReport:
     def body(report: VerificationReport):
         for family, rank, word, group_route in EQUALITY_CASES:
             rs = build_root_system(family, rank)
-            ctx = WeylContext(rs)
             label = f"{family}{rank} w={''.join(map(str, word))}"
-            heap = posets.heap_from_word(ctx, word)
+            heap = posets.heap_from_word(rs, word)
             report.check(f"{label} heap balance", heap.balance(), THIRD)
             if group_route:
-                c = convex.interval_left(ctx, ctx.from_word(word))
+                c = convex.interval_left(rs, rs.from_word(word))
                 report.check(f"{label} interval balance", c.balance_value(), THIRD)
         for k in range(1, 7):
             length = 2 ** (k - 1)
@@ -269,9 +266,9 @@ def verify_counterexamples() -> VerificationReport:
 
 
 def _reference_heaps():
-    a2 = WeylContext(build_root_system("A", 2))
-    d4 = WeylContext(build_root_system("D", 4))
-    e6 = WeylContext(build_root_system("E", 6))
+    a2 = build_root_system("A", 2)
+    d4 = build_root_system("D", 4)
+    e6 = build_root_system("E", 6)
     return {
         "chain2": posets.heap_from_word(a2, (1, 2)),
         "claw22": posets.heap_from_word(d4, (4, 2, 3, 1)),
@@ -282,16 +279,19 @@ def _reference_heaps():
 def fully_commutative_elements(rs: RootSystem):
     """(element, shortlex word, heap) for every fully commutative element,
     in shortlex order: the shortlex tree pruned by the FC test, whose heap
-    rows the heaps reuse.  A child's rows grow from its kept parent's, and
-    the walk's children are reduced, as ``is_fully_commutative`` asks."""
-    sys = WeylContext(rs)
+    rows the heaps reuse.  A child's rows grow from its kept parent's and
+    are stored only if the child is kept, and the walk's children are
+    reduced, as ``is_fully_commutative`` asks."""
     rows = {(): ()}
 
     def keep(key, word):
-        rows[word] = posets.grow_heap_rows(sys, word, rows[word[1:]])
-        return coxgen.is_fully_commutative(sys, word, rows[word])
+        grown = posets.grow_heap_rows(rs, word, rows[word[1:]])
+        if not coxgen.is_fully_commutative(rs, word, grown):
+            return False
+        rows[word] = grown
+        return True
 
-    walk = convex.pruned_walk(sys, keep)
+    walk = convex.pruned_walk(rs, keep)
     return [(w, word, posets.LabeledPoset(len(word), rows[word], word)) for w, word, _ in walk]
 
 
@@ -401,8 +401,7 @@ def verify_geometry() -> VerificationReport:
         for family, rank in CONJECTURE_TYPES:
             rs = build_root_system(family, rank)
             threshold = alcove.exponential_bound_threshold(rs)
-            ctx = WeylContext(rs)
-            scored = alcove.witnessed_ideals(ctx)
+            scored = alcove.witnessed_ideals(rs)
             no_height = [upper for _, upper, h, _ in scored if h is None]
             no_split = [upper for _, upper, _, s in scored if s is None]
             below = [upper for b, upper, _, _ in scored if b < threshold]
@@ -413,7 +412,7 @@ def verify_geometry() -> VerificationReport:
 
             def repro(uppers):
                 return [
-                    "A=" + ",".join(map(str, convex.listed_keys(ctx, upper)))
+                    "A=" + ",".join(map(str, convex.listed_keys(rs, upper)))
                     for upper in uppers
                 ] or None
 

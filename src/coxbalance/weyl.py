@@ -3,15 +3,14 @@
 An element is the tuple ``w`` with ``w[j] = +-(k+1)`` when it sends positive
 root ``j`` to ``+-`` positive root ``k``.  The tuple is its own key: equality
 and hashing are O(#roots) and independent of any choice of word, and reduced
-words are derived data.  :class:`WeylContext`, the group object of one
-type, computes its element primitives on these tuples with integer
-arithmetic only and inherits its word routines from ``coxgen.GroupWords``;
-a vector's image under w is read from the same tuple in ``alcove``.  A root
-key is a positive-root index, and a set of roots, such as an inversion set,
-is the int bitmask of its keys.  :func:`length_distribution` reads the
-level sizes off the degrees; :func:`all_elements` walks the group one
-length at a time and yields each element's byte code, its tuple with each
-entry stored as one byte.
+words are derived data.  The group object of a type is its
+``rootsys.RootSystem``, whose element primitives compute on these tuples
+with integer arithmetic only; a vector's image under w is read from the
+same tuple in ``alcove``.  A root key is a positive-root index, and a set
+of roots, such as an inversion set, is the int bitmask of its keys.
+:func:`length_distribution` reads the level sizes off the degrees;
+:func:`all_elements` walks the group one length at a time and yields each
+element's byte code, its tuple with each entry stored as one byte.
 """
 
 from __future__ import annotations
@@ -19,83 +18,20 @@ from __future__ import annotations
 from itertools import accumulate
 from math import prod
 from operator import sub
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
-from .coxgen import EnumerationCapExceeded, GroupWords, root_display, shortlex_levels
-from .rootsys import RootSystem, degrees
+from .coxgen import EnumerationCapExceeded, shortlex_levels
+from .rootsys import Element, RootSystem, degrees
 
 DEFAULT_ELEMENT_CAP = 10**6
-
-Element = Tuple[int, ...]
-
-
-class WeylContext(GroupWords):
-    """The group object of a finite Weyl type; root keys are positive-root indices.
-
-    Its element primitives match those of ``coxgen.CoxSystem``, the group
-    object of a diagram, and both inherit the word routines of
-    ``coxgen.GroupWords``, so every routine in ``convex``, ``coxgen`` and
-    ``posets`` takes either one.  Every method works on the signed action
-    tuples; the ``Fraction`` views of the root system are never read.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.root_system = rs
-        self.rank = rs.rank
-        self.coxeter = rs._coxeter
-
-    def identity(self) -> Element:
-        return tuple(range(1, self.root_system.num_positive_roots + 1))
-
-    def mul(self, u: Element, v: Element) -> Element:
-        """Product u v, acting as u after v."""
-        return tuple([u[a - 1] if a > 0 else -u[-a - 1] for a in v])
-
-    def mul_simple_right(self, w: Element, i: int) -> Element:
-        return self.mul(w, self.root_system._simple_action[i - 1])
-
-    def mul_simple_left(self, w: Element, i: int) -> Element:
-        return self.mul(self.root_system._simple_action[i - 1], w)
-
-    def invert(self, w: Element) -> Element:
-        out = [0] * len(w)
-        for j, a in enumerate(w, start=1):
-            out[abs(a) - 1] = j if a > 0 else -j
-        return tuple(out)
-
-    def inversion_mask(self, w: Element) -> int:
-        """Bitmask of the positive roots that w sends negative."""
-        return sum(1 << j for j, a in enumerate(w) if a < 0)
-
-    def is_descent(self, v: Element, i: int) -> bool:
-        """True iff v(alpha_i) is negative."""
-        return v[self.root_system.simple_indices[i - 1]] < 0
-
-    def simple_image_key(self, v: Element, i: int) -> Optional[int]:
-        """Key of v(alpha_i) if that root is positive, else None."""
-        a = v[self.root_system.simple_indices[i - 1]]
-        return a - 1 if a > 0 else None
-
-    def reduced_word(self, w: Element) -> Tuple[int, ...]:
-        return reduced_word(self.root_system, w)
-
-    def coxeter_m(self, i: int, j: int) -> int:
-        return self.root_system.coxeter_m(i, j)
-
-    def key_order(self, key: int) -> int:
-        return key
-
-    def key_display(self, key: int) -> str:
-        return root_display(self.root_system.coefficients[key])
 
 
 def reduced_word(rs: RootSystem, w: Element) -> Tuple[int, ...]:
     """Lexicographically least reduced word of w: the greedy word that
     ``coxgen.GroupWords.inverse_word`` builds from w^-1.
-    ``WeylContext.reduced_word`` calls this function, so ``bench/spans.py``
+    ``RootSystem.reduced_word`` calls this function, so ``bench/spans.py``
     can trace it."""
-    g = WeylContext(rs)
-    return g.inverse_word(g.invert(w))
+    return rs.inverse_word(rs.invert(w))
 
 
 def group_order(rs: RootSystem) -> int:
@@ -153,7 +89,7 @@ def _walk(rs: RootSystem, steps: List[Tuple[bytes, bytes]],
         table, delete = steps[i - 1]
         return [c for u in block if len(c := u.translate(table, delete)) == n]
 
-    return shortlex_levels(rs._coxeter, bytes(range(1, n + 1)), extend, cap)
+    return shortlex_levels(rs.coxeter, bytes(range(1, n + 1)), extend, cap)
 
 
 def _letter_steps(rs: RootSystem, cap: int) -> List[Tuple[bytes, bytes]]:

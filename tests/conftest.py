@@ -161,7 +161,7 @@ def reflection_word_element(rs, k):
         path.append(i)
         k = rs.simple_image(i, k) - 1
     j = rs.simple_indices.index(k) + 1
-    return weyl.WeylContext(rs).from_word(path + [j] + path[::-1])
+    return rs.from_word(path + [j] + path[::-1])
 
 
 def inversion_keys_of_word(g, word):
@@ -327,7 +327,7 @@ def element_table(ctx):
     """The decoded table of the scans: an (element, shortlex word,
     inversion mask) row per element, in the order of ``weyl.all_elements``,
     so that row r is row r of the joined codes."""
-    return [(w, word, ctx.inversion_mask(w)) for w, word in elements(ctx.root_system)]
+    return [(w, word, ctx.inversion_mask(w)) for w, word in elements(ctx)]
 
 
 def table_columns(table, n):
@@ -373,7 +373,7 @@ def union_closure_uppers(ctx):
     mask of every group element gives each A once.  Sorted by (|A|, sorted A).
     """
     unions = {0}
-    for w, _ in elements(ctx.root_system):
+    for w, _ in elements(ctx):
         mask = ctx.inversion_mask(w)
         unions |= {u | mask for u in unions}
     return sorted(unions, key=lambda a: (a.bit_count(), list(bits(a))))

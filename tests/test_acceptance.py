@@ -31,7 +31,6 @@ from conftest import (
 from coxbalance import alcove, convex, coxgen, posets, semiorder
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, cycle_matrix, matrix_from_edges, path_matrix
 from coxbalance.rootsys import build_root_system, iter_ideal_masks
-from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -157,11 +156,11 @@ def test_c05_equality_cases(monkeypatch):
     ]
     for family, rank, word, group_route in cases:
         rs = build_root_system(family, rank)
-        sys = WeylContext(rs)
+        sys = rs
         heap = posets.heap_from_word(sys, word)
         assert heap.balance() == THIRD, (family, rank)
         if group_route:
-            ctx = WeylContext(rs)
+            ctx = rs
             c = convex.interval_left(ctx, ctx.from_word(word))
             assert c.balance_value() == THIRD, (family, rank)
     for k in range(1, 7):
@@ -213,7 +212,7 @@ def test_c07_conjecture_scans():
     t0 = time.perf_counter()
     sets = 0
     for family, rank in SCAN_TYPES:
-        ctx = WeylContext(build_root_system(family, rank))
+        ctx = build_root_system(family, rank)
         best = None
         for c in convex_ideals(ctx):
             if len(c) <= 1:
@@ -268,7 +267,7 @@ def test_c09_geometry_bounds():
     sets = 0
     for family, rank in SCAN_TYPES:
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         threshold = alcove.exponential_bound_threshold(rs)
         for c in convex_ideals(ctx):
             if len(c) <= 1:
@@ -294,7 +293,7 @@ def test_c10_bridge_equality():
     checked = 0
     for family, rank in (("A", 3), ("B", 3), ("D", 4)):
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         sys = ctx
         for w, word in elements(rs):
             if not coxgen.is_fully_commutative(sys, list(word)):
@@ -314,7 +313,7 @@ def test_c10_fc_versus_321():
     t0 = time.perf_counter()
     for rank in (3, 4):
         rs = build_root_system("A", rank)
-        sys = WeylContext(rs)
+        sys = rs
         for w, word in elements(rs):
             perm = one_line(rs, w)
             has_321 = any(
@@ -333,9 +332,9 @@ def test_c10_translation_invariance():
     random.seed(20240817)
     pairs = 0
     for family, rank, count in (("A", 3, 120), ("B", 2, 80)):
-        ctx = WeylContext(build_root_system(family, rank))
-        els = [w for w, _ in elements(ctx.root_system)]
-        n = ctx.root_system.num_positive_roots
+        ctx = build_root_system(family, rank)
+        els = [w for w, _ in elements(ctx)]
+        n = ctx.num_positive_roots
         for _ in range(count):
             mask = random.randrange(1, 1 << n)
             c = convex.ideal_from_upper(ctx, mask)
@@ -408,10 +407,10 @@ def test_c10_product_decomposition_min_rule():
 def test_c10_heap_invariance_over_commutation_classes():
     t0 = time.perf_counter()
     cases = [
-        (WeylContext(build_root_system("B", 3)), (3, 2, 3, 1)),
-        (WeylContext(build_root_system("D", 4)), (4, 2, 3, 1)),
-        (WeylContext(build_root_system("A", 4)), (1, 2, 3, 4)),
-        (WeylContext(build_root_system("E", 6)), (6, 3, 2, 4, 1, 3, 5)),
+        (build_root_system("B", 3), (3, 2, 3, 1)),
+        (build_root_system("D", 4), (4, 2, 3, 1)),
+        (build_root_system("A", 4), (1, 2, 3, 4)),
+        (build_root_system("E", 6), (6, 3, 2, 4, 1, 3, 5)),
         (build_system(cycle_matrix(4)), (2, 4, 1, 3)),
     ]
     words = 0

@@ -46,7 +46,6 @@ from coxbalance.alcove import (
 from coxbalance.convex import ideal_from_upper, interval_left
 from coxbalance.rootsys import build_root_system
 from coxbalance.verify import CONJECTURE_TYPES
-from coxbalance.weyl import WeylContext
 
 TABLE_ROWS = {
     ("A", 1): (1, 1, 1, Fraction(1), Fraction(1)),
@@ -90,7 +89,7 @@ def fraction_vertices(rs):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)])
 def test_alcove_vertices(family, rank):
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     data = alcove_data(rs)
     corners = fraction_vertices(rs)
     assert data.vertices == tuple(corners)
@@ -119,7 +118,7 @@ def test_type_b_short_vertices_are_coweights():
 
 def test_halfspaces_identity_alcove():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     single = interval_left(ctx, ctx.identity())
     hs = order_polytope_halfspaces(single)
     assert hs == [(-1, 0), (-2, 0), (-3, 0), (3, 1)]
@@ -133,7 +132,7 @@ def test_halfspaces_identity_alcove():
 
 def test_halfspaces_interval_alcove_vertices():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     c = interval_left(ctx, ctx.from_word([1, 2]))
     hs = order_polytope_halfspaces(c)
     count = 0
@@ -153,7 +152,7 @@ def test_halfspaces_exclude_neighbour_alcoves(family, rank):
     by the table's denominator.
     """
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     tables = _root_tables(rs)
 
     def centroid_of(v):
@@ -176,7 +175,7 @@ def fraction_halfspaces(c):
     <x, beta> >= 0 is written <x, -beta> <= 0, and each cap normal is
     w^{-1} xi through the oracle action.
     """
-    rs = c.ctx.root_system
+    rs = c.ctx
     roots = rs.positive_roots
     hs = [(roots[k], 0) for k in c.canonical_lower]
     hs += [(neg(roots[k]), 0) for k in range(rs.num_positive_roots) if k not in c.canonical_upper]
@@ -191,7 +190,7 @@ def test_halfspaces_and_vertices_match_fraction_oracle(family, rank):
     ``Fraction`` route, on every convex ideal: the same half-spaces in the
     same order, and the same member alcove vertices."""
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     roots = rs.positive_roots
     corners = fraction_vertices(rs)
     for c in convex_ideals(ctx):
@@ -207,7 +206,7 @@ def test_halfspaces_and_vertices_match_fraction_oracle(family, rank):
 
 def test_centroid_of_identity_alcove():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     single = interval_left(ctx, ctx.identity())
     marks = rs.coefficients[rs.highest_root_index]
     expected = zero(rs.ambient_dim)
@@ -220,7 +219,7 @@ def test_centroid_of_identity_alcove():
 def test_centroid_of_whole_group_vanishes():
     for family, rank in [("A", 2), ("B", 2)]:
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
         assert centroid(whole) == zero(rs.ambient_dim)
 
@@ -228,7 +227,7 @@ def test_centroid_of_whole_group_vanishes():
 def test_centroid_matches_vertex_average_oracle():
     """Average of per-alcove vertex centroids equals the closed formula."""
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     c = interval_left(ctx, ctx.from_word([1]))
     total = zero(rs.ambient_dim)
     for m in range(len(c)):
@@ -243,7 +242,7 @@ def test_centroid_matches_vertex_average_oracle():
 
 def test_mean_height_whole_group_vanishes():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
     for k in range(rs.num_positive_roots):
         assert mean_height(whole, k) == 0
@@ -251,7 +250,7 @@ def test_mean_height_whole_group_vanishes():
 
 def test_mean_height_bounded_by_type_height():
     rs = build_root_system("B", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     top = alcove_params(rs).height
     for c in convex_ideals(ctx):
         for k in range(rs.num_positive_roots):
@@ -260,7 +259,7 @@ def test_mean_height_bounded_by_type_height():
 
 def test_mean_height_additive_on_roots():
     rs = build_root_system("B", 3)
-    ctx = WeylContext(rs)
+    ctx = rs
     c = interval_left(ctx, ctx.from_word([3, 2, 3, 1]))
     roots = rs.positive_roots
     for i, beta in enumerate(roots):
@@ -274,7 +273,7 @@ def test_mean_height_additive_on_roots():
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
 def test_witnesses_on_all_ideals(family, rank):
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     for c in convex_ideals(ctx):
         if len(c) <= 1:
             continue
@@ -299,7 +298,7 @@ class FractionOracle:
 
     def __init__(self, rs):
         self.rs = rs
-        self.ctx = WeylContext(rs)
+        self.ctx = rs
         self.o0 = scale(Fraction(1, rs.rank + 1), reduce(add, fraction_vertices(rs)))
         self.rho = zero(rs.ambient_dim)
         for w in rs.coweights:
@@ -343,7 +342,7 @@ def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
     """The integer tables give the oracle's first witness and its centroid."""
     rs = build_root_system(family, rank)
     oracle = FractionOracle(rs)
-    sets = [c for c in convex_ideals(WeylContext(rs)) if len(c) > 1]
+    sets = [c for c in convex_ideals(rs) if len(c) > 1]
     for c in sets:
         upper = c.canonical_upper
         assert centroid(c) == oracle.centroid(c), upper
@@ -358,7 +357,7 @@ def test_witnesses_and_centroid_match_fraction_oracle(family, rank):
 
 def plane_group(family, rank):
     """The group object, the decoded table of its scan and the scan's codes."""
-    ctx = WeylContext(build_root_system(family, rank))
+    ctx = build_root_system(family, rank)
     codes, _ = convex._scan_columns(ctx)
     return ctx, element_table(ctx), codes
 
@@ -372,10 +371,10 @@ def test_plane_sums_match_image_sums(name, data):
     codes of the height and of the pairing table at each root is
     ``_image_sum`` over the members, the decoded table's rows M."""
     ctx, table, codes = PLANE_GROUPS[name]
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     members = data.draw(st.integers(min_value=1, max_value=(1 << len(table)) - 1), label="M")
     c = convex._build(ctx, [row for r, row in enumerate(table) if members >> r & 1])
-    tables = _root_tables(ctx.root_system)
+    tables = _root_tables(ctx)
     for entries in (tables.height, tables.pairing):
         planes = _bit_planes(codes, n, entries)
         assert [_plane_sum(root_planes, members) for root_planes in planes] == [
@@ -395,14 +394,14 @@ SMALL_GROUPS = [
 def test_code_columns_and_planes_match_the_decoded_table(family, rank):
     """The root columns and both plane sets read off the joined codes equal
     those built row by row from the decoded table, in the same row order."""
-    ctx = WeylContext(build_root_system(family, rank))
-    n = ctx.root_system.num_positive_roots
+    ctx = build_root_system(family, rank)
+    n = ctx.num_positive_roots
     codes, columns = convex._scan_columns(ctx)
     table = element_table(ctx)
     assert len(codes) == n * len(table)
     assert columns == table_columns(table, n)
     images = image_rows(table, n)
-    tables = _root_tables(ctx.root_system)
+    tables = _root_tables(ctx)
     for entries in (tables.height, tables.pairing):
         assert _bit_planes(codes, n, entries) == table_bit_planes(entries, images)
 
@@ -411,7 +410,7 @@ def plane_witnesses(ctx):
     """``witnessed_ideals`` from the scan's private parts, in NextClosure
     order, so that it also runs past the scan bound."""
     codes, columns = convex._scan_columns(ctx)
-    score = plane_scorer(ctx.root_system, codes, columns)
+    score = plane_scorer(ctx, codes, columns)
     return [(*score(members, upper), upper)
             for upper, members in convex._closed_ideals(columns, len(codes) // len(columns))
             if upper]
@@ -421,7 +420,7 @@ def check_plane_witnesses(family, rank):
     """Set by set, the plane scorer gives the balance and both witnesses
     of the ``ConvexSet`` routes; returns the number of sets.  F4's 54305
     sets take about 8 s, so the suite leaves them to a direct call."""
-    ctx = WeylContext(build_root_system(family, rank))
+    ctx = build_root_system(family, rank)
     scored = plane_witnesses(ctx)
     sets = ideals_from_uppers(ctx, [upper for *_, upper in scored])
     for (b, height, split, upper), c in zip(scored, sets):
@@ -429,7 +428,7 @@ def check_plane_witnesses(family, rank):
         assert (b, height, split) == (
             c.balance_value(), small_mean_height_root(c), centroid_split_root(c)
         ), upper
-    if ctx.root_system.num_positive_roots <= convex.CONVEX_SCAN_MAX_ROOTS:
+    if ctx.num_positive_roots <= convex.CONVEX_SCAN_MAX_ROOTS:
         in_scan_order = sorted(scored, key=lambda s: s[3].bit_count())
         assert witnessed_ideals(ctx) == [(b, upper, h, s) for b, h, s, upper in in_scan_order]
     return len(scored)
@@ -456,14 +455,14 @@ PROPERTY_ORACLES = {
 )
 def test_interval_centroid_matches_fraction_oracle(key, word):
     oracle = PROPERTY_ORACLES[key]
-    ctx = WeylContext(oracle.rs)
+    ctx = oracle.rs
     c = interval_left(ctx, ctx.from_word(word))
     assert centroid(c) == oracle.centroid(c)
 
 
 def test_witnesses_need_non_singleton():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     single = interval_left(ctx, ctx.identity())
     with pytest.raises(ValueError):
         small_mean_height_root(single)
@@ -473,7 +472,7 @@ def test_witnesses_need_non_singleton():
 
 def test_whole_group_split_root_at_zero():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     whole = ideal_from_upper(ctx, (1 << rs.num_positive_roots) - 1)
     k = centroid_split_root(whole)
     assert dot(centroid(whole), rs.positive_roots[k]) == 0
@@ -500,7 +499,7 @@ def test_exp_lower_bound_is_strict_lower_bound():
 def test_exponential_bounds_hold_on_scans():
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         threshold = exponential_bound_threshold(rs)
         for c in convex_ideals(ctx):
             if len(c) <= 1:
@@ -509,11 +508,11 @@ def test_exponential_bounds_hold_on_scans():
 
 
 def test_short_root_bound_type_b_only():
-    b2 = WeylContext(build_root_system("B", 2))
+    b2 = build_root_system("B", 2)
     for c in convex_ideals(b2):
         if len(c) > 1:
             assert check_short_root_bound(c, c.balance_value())
-    a2 = WeylContext(build_root_system("A", 2))
-    whole = ideal_from_upper(a2, (1 << a2.root_system.num_positive_roots) - 1)
+    a2 = build_root_system("A", 2)
+    whole = ideal_from_upper(a2, (1 << a2.num_positive_roots) - 1)
     with pytest.raises(ValueError, match="type B"):
         check_short_root_bound(whole, whole.balance_value())

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coxbalance
-from coxbalance import posets, rootsys
+from coxbalance import posets, rootsys, weyl
 from coxbalance.cli import COMMANDS, main, make_parser
 from coxbalance.rootsys import RootSystem, fraction_json
 
@@ -107,39 +107,60 @@ def test_group_out_exact_bytes(tmp_path, capsys, family, rank, expected):
     assert out_file.read_bytes() == expected.encode()
 
 
+def assert_cap_unrecognised(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --cap {value}" in captured.err
+
+
 def test_group_cap_reported_cleanly(capsys):
-    code = main(["group", "--type", "A", "--rank", "3", "--cap", "5"])
-    assert code == 2
-    assert "cap of 5" in capsys.readouterr().err
+    """``group`` reads |W| and its level sizes off the degrees and walks
+    nothing, so it takes no element cap: ``--cap`` is an unrecognised
+    argument, whatever its value."""
+    for value in ("5", "1_0"):
+        assert_cap_unrecognised(capsys, ["group", "--type", "A", "--rank", "3"], value)
 
 
 def test_group_cap_zero_is_a_cap(capsys):
-    code = main(["group", "--type", "A", "--rank", "1", "--cap", "0"])
-    assert code == 2
-    assert "cap of 0" in capsys.readouterr().err
+    """``--cap 0`` is refused as an unrecognised argument, like any cap."""
+    assert_cap_unrecognised(capsys, ["group", "--type", "A", "--rank", "1"], "0")
 
 
-def test_group_past_the_cap_is_refused_before_the_walk(capsys):
-    """A20 has 21! elements and 210 roots: |W| is compared with the cap first."""
-    code = main(["group", "--type", "A", "--rank", "20"])
-    assert_error_line(capsys, code, "exceeded the element cap of 1000000")
+def test_group_past_the_cap_is_refused_before_the_walk(capsys, monkeypatch):
+    """A20 has 21! elements, past ``weyl.DEFAULT_ELEMENT_CAP``, and 210
+    roots: ``group`` answers from the degrees, so nothing is refused and
+    no walk starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command walked the group")
+
+    monkeypatch.setattr(weyl, "_walk", refuse)
+    assert factorial(21) > weyl.DEFAULT_ELEMENT_CAP
+    code, out = run(capsys, "group", "--type", "A", "--rank", "20")
+    assert code == 0
+    assert out.splitlines()[0] == f"group of type A20: {factorial(21)} elements"
 
 
 def test_group_at_a_cap_of_21_factorial_reports_a20(capsys):
-    """A cap of at least |W| lets ``group`` print A20's 21! elements and its
-    211 lengths from the degrees, where no walk could go (210 roots)."""
-    code, out = run(capsys, "group", "--type", "A", "--rank", "20", "--cap", str(factorial(21)))
+    """``group`` prints A20's 21! elements and its 211 lengths from the
+    degrees, where no walk could go (210 roots), with no flag; a cap of
+    21! is no longer needed, nor taken."""
+    code, out = run(capsys, "group", "--type", "A", "--rank", "20")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == f"group of type A20: {factorial(21)} elements"
     assert len(lines) == 1 + 211
     assert lines[1:3] == ["  length  0: 1", "  length  1: 20"]
     assert lines[-1] == "  length 210: 1"
+    assert_cap_unrecognised(capsys, ["group", "--type", "A", "--rank", "20"],
+                            str(factorial(21)))
 
 
 def test_group_negative_cap_is_reported(capsys):
-    code = main(["group", "--type", "A", "--rank", "1", "--cap", "-1"])
-    assert_error_line(capsys, code, "--cap must be a nonnegative element count")
+    assert_cap_unrecognised(capsys, ["group", "--type", "A", "--rank", "1"], "-1")
 
 
 @pytest.mark.parametrize("command", ["group", "roots"])
@@ -215,8 +236,8 @@ def test_balance_requires_one_selector(capsys):
     # argparse's int() read these, and a bad one gave its two-line usage error
     (["roots", "--type", "A", "--rank", "\uff11"], "--rank must be a decimal integer"),
     (["roots", "--type", "A", "--rank", "x"], "--rank must be a decimal integer, not 'x'"),
-    (["group", "--type", "A", "--rank", "3", "--cap", "1_0"],
-     "--cap must be a decimal integer, not '1_0'"),
+    (["group", "--type", "A", "--rank", "1_0"],
+     "--rank must be a decimal integer, not '1_0'"),
     (["semiorder", "--rank", "x", "--unit-interval", "0 1"],
      "--rank must be a decimal integer, not 'x'"),
     # Fraction() also reads "1_0" as 10 and non-ASCII digits as their values
@@ -438,33 +459,38 @@ def test_heap_rejects_non_reduced(capsys):
 
 
 def test_semiorder_count_guard(capsys):
-    code = main(["semiorder", "--type", "E", "--rank", "7", "--count-ideals"])
-    assert_error_line(capsys, code, "pass --e8 to run the large scan")
+    """--count-ideals reads the closed form, so it needs no --e8 for any
+    type; the E7 scan still does (see test_usage_errors_are_reported)."""
+    code, out = run(capsys, "semiorder", "--type", "E", "--rank", "7", "--count-ideals")
+    assert code == 0
+    assert out == "E7: 4160 root-poset order ideals\n"
 
 
 def test_semiorder_ideal_cap(capsys, monkeypatch):
-    """A20 has about 2.4 * 10^10 root-poset ideals: the command compares
-    the closed-form count with the cap and stops with one error line
-    before it walks any ideal, with or without --count-ideals.  Within the
-    cap, --count-ideals prints the closed form, also with no walk.  Under a
-    smaller cap the count stops with the same error (A3 has 14 ideals)."""
+    """A20 has 24466267020 root-poset ideals: the scan compares the
+    closed-form count with the cap and stops with one error line before it
+    walks any ideal, while --count-ideals prints the closed form, also with
+    no walk.  Under a smaller cap the scan stops with the same error and
+    the count is still printed (A3 has 14 ideals)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command walked the root poset")
 
     with monkeypatch.context() as patch:
         patch.setattr(rootsys, "walk_order_ideals", refuse)
-        for extra in ([], ["--count-ideals"]):
-            code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"] + extra)
-            assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
-        for family, rank, count in (("A", 13, 2674440), ("E", 8, 25080)):
+        code = main(["semiorder", "--type", "A", "--rank", "20", "--e8"])
+        assert_error_line(capsys, code, f"more than {rootsys.ROOT_IDEAL_CAP} order ideals")
+        for family, rank, count in (("A", 20, 24466267020), ("A", 13, 2674440), ("E", 8, 25080)):
             code, out = run(capsys, "semiorder", "--type", family, "--rank", str(rank),
-                            "--count-ideals", "--e8")
+                            "--count-ideals")
             assert code == 0
             assert out == f"{family}{rank}: {count} root-poset order ideals\n"
     monkeypatch.setattr(rootsys, "ROOT_IDEAL_CAP", 13)
-    code = main(["semiorder", "--type", "A", "--rank", "3", "--count-ideals"])
+    code = main(["semiorder", "--type", "A", "--rank", "3"])
     assert_error_line(capsys, code, "more than 13 order ideals")
+    code, out = run(capsys, "semiorder", "--type", "A", "--rank", "3", "--count-ideals")
+    assert code == 0
+    assert out == "A3: 14 root-poset order ideals\n"
 
 
 def test_semiorder_scan(tmp_path, capsys):
@@ -676,8 +702,9 @@ def test_failing_command_keeps_the_out_file(tmp_path, capsys, existing):
     out_file = tmp_path / "prev.json"
     if existing is not None:
         out_file.write_bytes(existing)
-    code = main(["group", "--type", "A", "--rank", "3", "--cap", "5", "--out", str(out_file)])
-    assert_error_line(capsys, code, "cap of 5")
+    code = main(["balance", "--type", "A", "--rank", "3", "--interval", "5",
+                 "--out", str(out_file)])
+    assert_error_line(capsys, code, "simple index 5 out of range 1..3")
     if existing is None:
         assert list(tmp_path.iterdir()) == []
     else:

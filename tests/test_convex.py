@@ -37,26 +37,25 @@ from coxbalance.convex import (
 )
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, matrix_from_edges, path_matrix
 from coxbalance.linalg import bits
-from coxbalance.rootsys import build_root_system, iter_ideal_masks
+from coxbalance.rootsys import RootSystem, build_root_system, iter_ideal_masks
 from coxbalance.verify import SEMIORDER_TYPES, run_campaign
-from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
 
 def weyl_ctx(family, rank):
-    return WeylContext(build_root_system(family, rank))
+    return build_root_system(family, rank)
 
 
 def all_roots(ctx):
     """The mask of every positive root."""
-    return (1 << ctx.root_system.num_positive_roots) - 1
+    return (1 << ctx.num_positive_roots) - 1
 
 
 def brute_force_ideal(ctx, allowed):
     """Oracle: filter the whole group by inversion containment."""
     return {
-        w for w, _ in elements(ctx.root_system)
+        w for w, _ in elements(ctx)
         if keys_of(ctx.inversion_mask(w)) <= keys_of(allowed)
     }
 
@@ -76,7 +75,7 @@ def test_ideal_from_upper_examples():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
 def test_ideal_matches_brute_force_filter(family, rank):
     ctx = weyl_ctx(family, rank)
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     for mask in range(1 << n):
         c = ideal_from_upper(ctx, mask)
         assert set(c.members) == brute_force_ideal(ctx, mask)
@@ -84,8 +83,8 @@ def test_ideal_matches_brute_force_filter(family, rank):
 
 def test_ideals_downward_closed_in_left_order():
     ctx = weyl_ctx("B", 2)
-    els = [w for w, _ in elements(ctx.root_system)]
-    n = ctx.root_system.num_positive_roots
+    els = [w for w, _ in elements(ctx)]
+    n = ctx.num_positive_roots
     for mask in range(1 << n):
         c = ideal_from_upper(ctx, mask)
         members = set(c.members)
@@ -105,11 +104,11 @@ def test_interval_left():
 
 def test_convex_set_with_lower_constraint():
     a2 = weyl_ctx("A", 2)
-    a1_key = a2.root_system.simple_indices[0]
+    a1_key = a2.simple_indices[0]
     c = convex_set(a2, 1 << a1_key, all_roots(a2))
     # brute force: elements of S3 with a1 as inversion
     expect = {
-        w for w, _ in elements(a2.root_system)
+        w for w, _ in elements(a2)
         if a1_key in keys_of(a2.inversion_mask(w))
     }
     assert set(c.members) == expect
@@ -118,7 +117,7 @@ def test_convex_set_with_lower_constraint():
 
 def test_empty_convex_set_errors():
     a2 = weyl_ctx("A", 2)
-    high = a2.root_system.highest_root_index
+    high = a2.highest_root_index
     with pytest.raises(EmptyConvexSetError):
         convex_set(a2, 1 << high, 1 << high)
     with pytest.raises(EmptyConvexSetError):
@@ -189,7 +188,7 @@ def test_whole_group_balance_is_half():
 def test_fraction_constant_outside_bounds():
     a2 = weyl_ctx("A", 2)
     c = interval_left(a2, a2.from_word([1, 2]))
-    outside = next(k for k in range(a2.root_system.num_positive_roots) if k not in keys_of(c.upper))
+    outside = next(k for k in range(a2.num_positive_roots) if k not in keys_of(c.upper))
     assert c.inversion_fraction(outside) == 0
     w = a2.from_word([1, 2, 1])
     single = convex_hull(a2, [w])
@@ -211,8 +210,8 @@ def test_translation_invariance_of_balance():
     random.seed(2024)
     for family, rank, pairs in [("A", 3, 120), ("B", 2, 80)]:
         ctx = weyl_ctx(family, rank)
-        els = [w for w, _ in elements(ctx.root_system)]
-        n = ctx.root_system.num_positive_roots
+        els = [w for w, _ in elements(ctx)]
+        n = ctx.num_positive_roots
         for _ in range(pairs):
             mask = random.randrange(1, 1 << n)
             c = ideal_from_upper(ctx, mask)
@@ -305,7 +304,7 @@ def test_scan_guard_comes_before_the_walk(family, rank, monkeypatch):
 
     monkeypatch.setattr(convex.weyl, "all_elements", refuse)
     ctx = weyl_ctx(family, rank)
-    assert ctx.root_system.num_positive_roots > convex.CONVEX_SCAN_MAX_ROOTS
+    assert ctx.num_positive_roots > convex.CONVEX_SCAN_MAX_ROOTS
     with pytest.raises(ValueError, match="exceed the scan bound"):
         list(enumerate_convex_ideals(ctx, balance_scorer))
     with pytest.raises(ValueError, match="exceed the scan bound"):
@@ -346,7 +345,7 @@ def test_every_code_column_of_e6_holds_half_the_group():
     toggles whether beta is in N(w), so every root column of the codes
     holds exactly |W|/2 rows."""
     ctx = weyl_ctx("E", 6)
-    order = weyl.group_order(ctx.root_system)
+    order = weyl.group_order(ctx)
     codes, columns = convex._scan_columns(ctx)
     assert len(codes) == len(columns) * order == 36 * 51840
     assert [column.bit_count() for column in columns] == [order // 2] * 36
@@ -360,7 +359,7 @@ def test_popcount_balance_matches_convex_set(name, data):
     """For any root mask A, a union of inversion sets or not, the popcount
     balance over the columns of W^A's rows is ``ConvexSet.balance``'s."""
     ctx = POPCOUNT_GROUPS[name]
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     upper = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="A")
     codes, columns = convex._scan_columns(ctx)
     members = (1 << len(codes) // n) - 1
@@ -375,7 +374,7 @@ def test_popcount_balance_matches_convex_set(name, data):
 def subset_scan_oracle(ctx):
     """Every W^A built by breadth-first search, one per subset of the positive
     roots, deduplicated by its union of inversions and sorted by (|A|, A)."""
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     seen = {}
     for mask in range(1 << n):
         c = ideal_from_upper(ctx, mask)
@@ -409,7 +408,7 @@ def test_ideals_from_uppers_matches_bfs(family, rank):
     """The one-pass table gives, for every root-poset ideal A, the same W^A
     (words, members, inversion sets, lower and upper sets) as a BFS build."""
     ctx = weyl_ctx(family, rank)
-    masks = list(iter_ideal_masks(ctx.root_system))
+    masks = list(iter_ideal_masks(ctx))
     oracle = [ideal_from_upper(ctx, m) for m in masks]
     assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
 
@@ -419,7 +418,7 @@ def test_ideals_from_uppers_on_every_subset(family, rank):
     """Also for a root set A that is no union of inversion sets, where the
     upper set of W^A is smaller than A."""
     ctx = weyl_ctx(family, rank)
-    n = ctx.root_system.num_positive_roots
+    n = ctx.num_positive_roots
     masks = range(1 << n)
     oracle = [ideal_from_upper(ctx, m) for m in masks]
     assert scan_view(ideals_from_uppers(ctx, masks)) == scan_view(oracle)
@@ -446,7 +445,7 @@ def test_scans_walk_the_group_once(monkeypatch):
     ctx = weyl_ctx("B", 3)
     assert len(list(enumerate_convex_ideals(ctx, balance_scorer))) == 139
     assert walks == ["B3"]
-    masks = [m for m in iter_ideal_masks(ctx.root_system) if m]
+    masks = [m for m in iter_ideal_masks(ctx) if m]
     assert len(ideal_rows(ctx, masks)[1]) == len(masks)
     assert walks == ["B3", "B3"]
 
@@ -522,7 +521,7 @@ def oracle_view(ctx, lower, upper, cap=weyl.DEFAULT_ELEMENT_CAP):
     counts = {k: sum(k in inv for inv in invs) for k in union}
     best = max((min(c, n - c) for c in counts.values()), default=0)
     column = {}
-    if not isinstance(ctx, WeylContext):
+    if not isinstance(ctx, RootSystem):
         for word in words:
             y = ctx.identity()
             for i in reversed(word):
@@ -610,7 +609,7 @@ def test_fc_interval_bound_in_acyclic_systems():
     """Intervals below fully commutative elements stay at or above 1/3."""
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3)]:
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         sys = ctx
         for w, word in elements(rs):
             if not word or not coxgen.is_fully_commutative(sys, list(word)):
@@ -638,7 +637,7 @@ def test_bridge_between_interval_and_heap():
     """Interval statistics equal heap statistics for fully commutative elements."""
     for family, rank in [("A", 3), ("B", 3), ("D", 4)]:
         rs = build_root_system(family, rank)
-        ctx = WeylContext(rs)
+        ctx = rs
         sys = ctx
         checked = 0
         for w, word in elements(rs):
@@ -703,7 +702,7 @@ def test_type_a_scan_against_permutation_model():
     from itertools import combinations, permutations
 
     rs = build_root_system("A", 3)
-    ctx = WeylContext(rs)
+    ctx = rs
     # pair (i, j), i < j, for each positive root e_i - e_j
     pair_of_root = {}
     for idx, root in enumerate(rs.positive_roots):

@@ -20,11 +20,14 @@ from conftest import (
     reduced_words,
     word_length,
 )
-from coxbalance import convex
+import coxbalance
+from coxbalance import convex, coxgen, weyl
 from coxbalance.coxgen import (
     DIAGRAM_MAX_RANK,
     INF,
     CoxeterMatrix,
+    CoxSystem,
+    GroupWords,
     NotReducedError,
     build_system,
     complete_graph_matrix,
@@ -39,8 +42,7 @@ from coxbalance.coxgen import (
 )
 from coxbalance.linalg import bits
 from coxbalance.posets import LabeledPoset, grow_heap_rows, heap_from_word, heap_rows
-from coxbalance.rootsys import build_root_system
-from coxbalance.weyl import WeylContext
+from coxbalance.rootsys import RootSystem, build_root_system
 
 
 def avoids_321(perm):
@@ -153,19 +155,59 @@ def test_descent_gives_no_key():
             for x in elements] == [0, 3, 3, 2, 1]
 
 
+# The element primitives that coxgen's module docstring lists.
+PRIMITIVES = ("rank", "identity", "mul_simple_right", "mul_simple_left", "is_descent",
+              "simple_image_key", "invert", "inversion_mask", "coxeter_m", "coxeter",
+              "key_order", "key_display")
+
+
+def test_both_group_objects_provide_the_protocol():
+    """The group objects are ``RootSystem`` and ``CoxSystem``: each has every
+    element primitive and every word routine of ``GroupWords`` that the
+    ``coxgen`` docstring lists, A2 and its diagram agree on them, and the
+    package exports no other group object."""
+    routines = [name for name in vars(GroupWords) if not name.startswith("_")]
+    assert routines == ["from_word", "check_reduced", "descent", "inverse_word",
+                        "reduced_word"]
+    for name in PRIMITIVES + tuple(routines):
+        assert f"``{name}" in coxgen.__doc__, name
+    groups = (build_root_system("A", 2), build_system(path_matrix(2, [3])))
+    assert (type(groups[0]), type(groups[1])) == (RootSystem, CoxSystem)
+    for g in groups:
+        assert isinstance(g, GroupWords)
+        for name in PRIMITIVES + tuple(routines):
+            assert hasattr(g, name), (type(g).__name__, name)
+        assert g.rank == 2
+        assert g.coxeter == ((1, 3), (3, 1))
+        assert g.coxeter_m(1, 2) == 3
+        w = g.from_word((2, 1, 2))
+        assert g.reduced_word(w) == (1, 2, 1)
+        assert g.inverse_word(w) == (1, 2, 1)
+        assert g.inversion_mask(w).bit_count() == 3
+        assert g.mul_simple_left(g.mul_simple_right(g.identity(), 1), 2) == g.from_word((2, 1))
+        assert g.invert(g.from_word((1, 2))) == g.from_word((2, 1))
+        assert [g.is_descent(w, i) for i in (1, 2)] == [True, True]
+        assert g.descent(g.from_word((1, 2))) == 2
+        assert g.simple_image_key(w, 1) is None
+        keys = convex.listed_keys(g, g.inversion_mask(w))
+        assert sorted(map(g.key_display, keys)) == ["a1", "a1+a2", "a2"]
+    assert not hasattr(coxbalance, "WeylContext") and not hasattr(weyl, "WeylContext")
+    assert "WeylContext" not in coxbalance.__all__
+
+
 def test_lengths_agree_with_weyl_module():
     """Integer root columns match the root-action lengths and least reduced
     words on A3, B3 and G2, and both backends refuse the same words."""
     random.seed(11)
     for family, rank, labels in (("A", 3, [3, 3]), ("B", 3, [3, 4]), ("G", 2, [6])):
         generic = build_system(path_matrix(rank, labels))
-        weyl_group = WeylContext(build_root_system(family, rank))
+        weyl_group = build_root_system(family, rank)
         for _ in range(150):
             word = [random.randint(1, rank) for _ in range(random.randint(0, 6))]
             assert word_length(generic, word) == word_length(weyl_group, word)
             assert (generic.reduced_word(generic.from_word(word))
                     == weyl_group.reduced_word(weyl_group.from_word(word)))
-    for g in (build_system(path_matrix(2, [3])), WeylContext(build_root_system("A", 2))):
+    for g in (build_system(path_matrix(2, [3])), build_root_system("A", 2)):
         g.check_reduced([1, 2, 1])
         for word in ([1, 1], [1, 2, 1, 2]):
             with pytest.raises(NotReducedError):
@@ -190,7 +232,7 @@ def test_descent_routes_match_the_oracles():
     fresh system gives the keys that ``inversion_keys_of_word`` gives on
     another, and the same columns in the same order."""
     groups = [build_system(m) for m in SHORT_WORD_DIAGRAMS] + [
-        WeylContext(build_root_system(f, r)) for f, r in (("A", 3), ("B", 3), ("G", 2))]
+        build_root_system(f, r) for f, r in (("A", 3), ("B", 3), ("G", 2))]
     refused = 0
     for g in groups:
         r = g.rank
@@ -255,13 +297,13 @@ def test_fc_basics():
 def test_fc_agrees_with_321_avoidance(rank):
     """Full commutativity equals 321-avoidance across the whole group."""
     rs = build_root_system("A", rank)
-    sys = WeylContext(rs)
+    sys = rs
     for w, word in elements(rs):
         assert is_fully_commutative(sys, list(word)) == avoids_321(one_line(rs, w))
 
 
 def test_fc_in_weyl_b3():
-    b3 = WeylContext(build_root_system("B", 3))
+    b3 = build_root_system("B", 3)
     assert is_fully_commutative(b3, [3, 2, 3, 1])
     assert not is_fully_commutative(b3, [3, 2, 3, 2])
 
@@ -309,7 +351,7 @@ def test_fc_test_on_rows_tests_the_top_letter_only():
     """With ``rows`` the empty word is fully commutative, and only braids
     through position 0 count: 3 1 2 1 of A3 holds the braid 1 2 1 below its
     top, so it reads True with its rows and False without them."""
-    a3 = WeylContext(build_root_system("A", 3))
+    a3 = build_root_system("A", 3)
     assert is_fully_commutative(a3, (), ())
     word = (3, 1, 2, 1)
     assert is_fully_commutative(a3, word, heap_rows(a3, word))
@@ -354,7 +396,7 @@ def test_fc_routes_match_the_oracles_on_weyl_groups(family, rank, count):
     commutative ones among them (Stembridge's counts) included."""
     rs = build_root_system(family, rank)
     words = [word for _, word in elements(rs)]
-    assert len(check_fc_routes(WeylContext(rs), words)) == count
+    assert len(check_fc_routes(rs, words)) == count
 
 
 # -- the Cartan backend against the Weyl backend --------------------------------
@@ -369,7 +411,7 @@ def both_groups(family, rank):
     diagram = matrix_from_edges(
         rank, [(i, j, rs.coxeter_m(i, j)) for i, j in pairs if rs.coxeter_m(i, j) != 2]
     )
-    return WeylContext(rs), build_system(diagram)
+    return rs, build_system(diagram)
 
 
 BACKENDS = {key: both_groups(*key) for key in CROSS_TYPES}
@@ -411,7 +453,7 @@ def test_cartan_backend_matches_weyl_backend(key, data):
 def test_fc_and_heap_balance_agree_across_backends(key):
     weyl_group, diagram = BACKENDS[key]
     checked = 0
-    for _, word in elements(weyl_group.root_system):
+    for _, word in elements(weyl_group):
         fc = is_fully_commutative(weyl_group, word)
         assert fc == is_fully_commutative(diagram, word)
         if fc and word:
@@ -427,7 +469,7 @@ def test_reflection_key_is_the_negated_root(key):
     """In a Weyl group, the key of a reflection t is the one root t negates."""
     weyl_group, _ = BACKENDS[key]
     reflections = 0
-    for t, word in elements(weyl_group.root_system):
+    for t, word in elements(weyl_group):
         negated = [j for j, a in enumerate(t) if a == -(j + 1)]
         if word and len(negated) == 1 and weyl_group.mul(t, t) == weyl_group.identity():
             assert reflection_key_of_word(weyl_group, word) == negated[0]
@@ -435,4 +477,4 @@ def test_reflection_key_is_the_negated_root(key):
         else:
             with pytest.raises(ValueError, match="does not describe a reflection"):
                 reflection_key_of_word(weyl_group, word)
-    assert reflections == weyl_group.root_system.num_positive_roots
+    assert reflections == weyl_group.num_positive_roots

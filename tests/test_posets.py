@@ -42,7 +42,6 @@ from coxbalance.posets import (
 )
 from coxbalance.linalg import bits
 from coxbalance.rootsys import build_root_system
-from coxbalance.weyl import WeylContext
 from coxbalance import convex
 
 THIRD = Fraction(1, 3)
@@ -224,7 +223,7 @@ def test_ideal_walk_rejects_weights_with_wrong_low_bits():
 
 
 def test_heap_a2():
-    sys = WeylContext(build_root_system("A", 2))
+    sys = build_root_system("A", 2)
     heap = heap_from_word(sys, [1, 2])
     # the later letter s2 sits at the bottom, s1 on top
     assert heap.covers() == [(1, 0)]
@@ -233,7 +232,7 @@ def test_heap_a2():
 
 
 def test_heap_b3_shape():
-    sys = WeylContext(build_root_system("B", 3))
+    sys = build_root_system("B", 3)
     heap = heap_from_word(sys, [3, 2, 3, 1])
     # s1 and the lower s3 sit below s2, which sits below the upper s3
     assert sorted(heap.covers()) == [(1, 0), (2, 1), (3, 1)]
@@ -270,7 +269,7 @@ def random_reduced_word(sys, rank, length, rng):
 
 
 HEAP_GROUPS = {
-    **{f"{f}{r}": (WeylContext(build_root_system(f, r)), r)
+    **{f"{f}{r}": (build_root_system(f, r), r)
        for f, r in [("A", 4), ("B", 3), ("D", 4), ("G", 2), ("F", 4)]},
     "path-4-6": (build_system(path_matrix(3, [4, 6])), 3),
     "path-inf-3-4": (build_system(path_matrix(4, [INF, 3, 4])), 4),
@@ -288,13 +287,13 @@ def test_heap_matches_all_pairs_rule(name):
 
 
 def test_heap_rejects_non_reduced():
-    sys = WeylContext(build_root_system("A", 2))
+    sys = build_root_system("A", 2)
     with pytest.raises(NotReducedError):
         heap_from_word(sys, [1, 1])
 
 
 def test_heap_invariant_under_commutation_class():
-    b3 = WeylContext(build_root_system("B", 3))
+    b3 = build_root_system("B", 3)
     base = labelled_relation(heap_from_word(b3, [3, 2, 3, 1]))
     for word in commutation_class(b3, [3, 2, 3, 1]):
         assert labelled_relation(heap_from_word(b3, list(word))) == base
@@ -393,7 +392,7 @@ def test_isomorphism_leaves_no_cyclic_garbage():
 
 
 def test_figure_heaps_match_claw():
-    d4 = WeylContext(build_root_system("D", 4))
+    d4 = build_root_system("D", 4)
     heap = heap_from_word(d4, [4, 2, 3, 1])
     assert is_isomorphic(heap, claw_chain(2, 2))
     assert heap.balance() == THIRD
@@ -401,9 +400,9 @@ def test_figure_heaps_match_claw():
 
 def test_heap_respects_diagram_everywhere():
     cases = [
-        (WeylContext(build_root_system("A", 3)), [1, 2, 3]),
-        (WeylContext(build_root_system("B", 3)), [3, 2, 3, 1]),
-        (WeylContext(build_root_system("D", 4)), [4, 2, 3, 1]),
+        (build_root_system("A", 3), [1, 2, 3]),
+        (build_root_system("B", 3), [3, 2, 3, 1]),
+        (build_root_system("D", 4), [4, 2, 3, 1]),
         (build_system(cycle_matrix(4)), [2, 4, 1, 3]),
         (build_system(path_matrix(4, [INF, INF, INF])), [2, 3, 2, 3]),
     ]
@@ -411,7 +410,7 @@ def test_heap_respects_diagram_everywhere():
         assert heap_respects_diagram(heap_from_word(sys, word), sys)
     # a poset violating the adjacency property fails
     bad = LabeledPoset(2, poset_from_covers(2, [(0, 1)]).rows, (1, 3))
-    a3 = WeylContext(build_root_system("A", 3))
+    a3 = build_root_system("A", 3)
     assert not heap_respects_diagram(bad, a3)
 
 
@@ -419,7 +418,7 @@ def test_heap_inversion_map_bijection():
     """On an FC word, the k-th inversion key of the word belongs to heap
     position k, and this pairing sends intervals to order ideals."""
     rs = build_root_system("D", 4)
-    ctx = WeylContext(rs)
+    ctx = rs
     word = (4, 2, 3, 1)
     assert is_fully_commutative(ctx, word)
     heap = heap_from_word(ctx, word)
@@ -457,7 +456,7 @@ def test_heap_ideal_fractions_equal_interval_inversion_fractions(labels, letters
 
 
 def test_heap_inversion_map_identity_empty():
-    sys = WeylContext(build_root_system("A", 2))
+    sys = build_root_system("A", 2)
     assert inversion_keys_of_word(sys, ()) == []
     assert heap_from_word(sys, ()).n == 0
 
@@ -486,7 +485,7 @@ def brute_force_covers(poset):
 
 
 def test_covers_match_definition():
-    b3 = WeylContext(build_root_system("B", 3))
+    b3 = build_root_system("B", 3)
     posets_ = [claw_chain(3, 4), heap_from_word(b3, [3, 2, 3, 1, 2, 3]),
                poset_from_covers(6, [(0, 2), (1, 2), (2, 3), (2, 4), (0, 5)])]
     for p in posets_:

@@ -142,7 +142,7 @@ def fraction_route_fields(family, rank):
         "_upper_covers": upper,
         "_simple_action": action,
         "_doubled": doubled,
-        "_coxeter": coxeter,
+        "coxeter": coxeter,
         "positive_roots": pos_roots,
         "coweights": coweights,
     }

@@ -29,7 +29,6 @@ from coxbalance.semiorder import (
     scan_exit_witnesses,
 )
 from coxbalance.verify import EXIT_SCAN_TYPES, SEMIORDER_TYPES
-from coxbalance.weyl import WeylContext
 
 THIRD = Fraction(1, 3)
 
@@ -122,7 +121,7 @@ def test_half_bound_whole_group_hits_half():
     rs = build_root_system("A", 2)
     gs = build(rs, range(3))
     assert max(gs.convex.inversion_fraction(k) for k in range(3)) == Fraction(1, 2)
-    columns, (m,) = convex.ideal_rows(WeylContext(rs), [gs.mask])
+    columns, (m,) = convex.ideal_rows(rs, [gs.mask])
     assert m.bit_count() == gs.size == 6
     assert check_half_bound(columns, semiorder.reflections(rs), gs.mask, m)
 
@@ -135,7 +134,7 @@ def test_half_bound_matches_product_oracle_on_every_subset(family, rank):
     oracle on W^A for every nonempty root set A, root-poset ideal or not;
     both verdicts occur."""
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     refl = semiorder.reflections(rs)
     masks = range(1, 1 << rs.num_positive_roots)
     columns, rows = convex.ideal_rows(ctx, masks)

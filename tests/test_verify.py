@@ -25,7 +25,6 @@ from coxbalance.verify import (
     verify_params_table,
     fmt,
 )
-from coxbalance.weyl import WeylContext
 
 
 def test_report_json_shape():
@@ -141,7 +140,7 @@ def test_scan_campaigns_decode_no_element(name, monkeypatch):
     def refuse(self, w):
         raise AssertionError(f"{name} decoded an element")
 
-    monkeypatch.setattr(WeylContext, "inversion_mask", refuse)
+    monkeypatch.setattr(RootSystem, "inversion_mask", refuse)
     assert all(report.all_passed for report in run_campaign(name))
 
 
@@ -178,7 +177,7 @@ def test_geometry_failure_branch_lists_every_set(monkeypatch):
         ("A", 3, ["balance above 1/(2 e^exponent)"]),
         ("B", 3, ["balance above 1/(2 e^exponent)", "balance above 1/(2e)"]),
     ]:
-        sets = [c for c in convex_ideals(WeylContext(build_root_system(family, rank)))
+        sets = [c for c in convex_ideals(build_root_system(family, rank))
                 if len(c) > 1]
         expected = fmt(["A=" + ",".join(map(str, c.canonical_upper)) for c in sets])
         for name in names:
@@ -236,7 +235,7 @@ def test_fc_walk_matches_the_filtered_group(family, rank):
     """The walk pruned to fully commutative elements gives what filtering
     the whole group gives, in the same order."""
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     expected = [(w, word) for w, word in elements(rs) if is_fully_commutative(ctx, word)]
     walked = verify.fully_commutative_elements(rs)
     assert [(w, word) for w, word, _ in walked] == expected

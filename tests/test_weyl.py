@@ -11,11 +11,10 @@ from conftest import apply, elements, levels, marks_group_order, one_line
 from coxbalance import rootsys, weyl
 from coxbalance.coxgen import INF, build_system, complete_graph_matrix, path_matrix, shortlex_levels
 from coxbalance.linalg import bits
-from coxbalance.rootsys import build_root_system
+from coxbalance.rootsys import RootSystem, build_root_system
 from coxbalance.weyl import (
     MAX_BYTE_ROOTS,
     EnumerationCapExceeded,
-    WeylContext,
     all_elements,
     code_entry,
     group_order,
@@ -30,7 +29,7 @@ def length(w):
 
 def closure_order(rs):
     """Oracle: close the simple reflections under pairwise multiplication."""
-    ctx = WeylContext(rs)
+    ctx = rs
     gens = [ctx.from_word([i]) for i in range(1, rs.rank + 1)]
     elements = {ctx.identity(), *gens}
     frontier = list(gens)
@@ -57,8 +56,8 @@ def test_group_orders_match_closure_oracle(family, rank, order):
 
 
 def test_group_axioms_a2():
-    ctx = WeylContext(build_root_system("A", 2))
-    els = [w for w, _ in elements(ctx.root_system)]
+    ctx = build_root_system("A", 2)
+    els = [w for w, _ in elements(ctx)]
     e = ctx.identity()
     for u in els:
         assert ctx.mul(e, u) == u
@@ -69,7 +68,7 @@ def test_group_axioms_a2():
 
 def test_reflections_are_involutions():
     rs = build_root_system("B", 3)
-    ctx = WeylContext(rs)
+    ctx = rs
     for i in range(1, 4):
         s = ctx.from_word([i])
         assert ctx.invert(s) == s
@@ -79,7 +78,7 @@ def test_reflections_are_involutions():
 
 def test_braid_relation_and_words():
     rs = build_root_system("A", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     assert ctx.from_word([1, 2, 1]) == ctx.from_word([2, 1, 2])
     assert reduced_word(rs, ctx.identity()) == ()
     with pytest.raises(ValueError):
@@ -91,7 +90,7 @@ def test_braid_relation_and_words():
 ])
 def test_reduced_word_round_trip(family, rank):
     rs = build_root_system(family, rank)
-    ctx = WeylContext(rs)
+    ctx = rs
     for w, word in elements(rs):
         rw = reduced_word(rs, w)
         assert rw == word  # both are the shortlex normal form
@@ -105,18 +104,18 @@ def test_longest_element_b3():
     *_, (w0, _) = elements(rs)
     assert length(w0) == rs.num_positive_roots == 9
     assert len(reduced_word(rs, w0)) == 9
-    assert WeylContext(rs).inversion_mask(w0) == (1 << 9) - 1
+    assert rs.inversion_mask(w0) == (1 << 9) - 1
 
 
 def test_inversion_counts():
-    ctx = WeylContext(build_root_system("A", 2))
+    ctx = build_root_system("A", 2)
     assert ctx.inversion_mask(ctx.identity()) == 0
     assert ctx.inversion_mask(ctx.from_word([1, 2])).bit_count() == 2
 
 
 def test_length_changes_by_one():
     rs = build_root_system("B", 2)
-    ctx = WeylContext(rs)
+    ctx = rs
     for w, _ in elements(rs):
         for i in range(1, 3):
             assert abs(length(ctx.mul_simple_left(w, i)) - length(w)) == 1
@@ -126,7 +125,7 @@ def test_length_changes_by_one():
 def test_inversion_set_recursion():
     """T_R(w s_i) equals the folded s_i image of T_R(w) symmetric-diff {alpha_i}."""
     rs = build_root_system("B", 3)
-    ctx = WeylContext(rs)
+    ctx = rs
     random.seed(3)
     els = [w for w, _ in elements(rs)]
     for w in random.sample(els, 20):
@@ -142,8 +141,8 @@ def test_inversion_set_recursion():
 
 def test_weak_order_properties():
     """Left weak order is inversion-set containment; right, that of inverses."""
-    ctx = WeylContext(build_root_system("A", 2))
-    els = [w for w, _ in elements(ctx.root_system)]
+    ctx = build_root_system("A", 2)
+    els = [w for w, _ in elements(ctx)]
 
     def left_leq(u, v):
         return ctx.inversion_mask(u) & ~ctx.inversion_mask(v) == 0
@@ -167,7 +166,7 @@ def test_weak_order_properties():
 
 def test_descents():
     """i is a right descent of w iff w alpha_i < 0, a left one iff w^-1 alpha_i < 0."""
-    ctx = WeylContext(build_root_system("A", 3))
+    ctx = build_root_system("A", 3)
 
     def descents(w):
         return {i for i in range(1, 4) if ctx.simple_image_key(w, i) is None}
@@ -188,7 +187,7 @@ def bfs_levels(rs):
     """Oracle: breadth-first search with a set of seen elements, one length
     at a time, each level as (element, word) pairs sorted by the word that
     first reached each element."""
-    ctx = WeylContext(rs)
+    ctx = rs
     start = ctx.identity()
     seen = {start}
     level = [((), start)]
@@ -261,7 +260,7 @@ def test_enumeration_matches_bfs_oracle(family, rank, monkeypatch):
 
 
 TREE_GROUPS = {
-    **{f"{family}-{rank}": WeylContext(build_root_system(family, rank))
+    **{f"{family}-{rank}": build_root_system(family, rank)
        for family, rank in [("A", 4), ("B", 4), ("D", 4), ("F", 4), ("G", 2)]},
     "path-6-inf": build_system(path_matrix(3, [6, INF])),
     "path-inf-3-4": build_system(path_matrix(4, [INF, 3, 4])),
@@ -298,7 +297,7 @@ def test_skipped_blocks_hold_no_tree_child(name):
     block holds no child of letter i."""
     g = TREE_GROUPS[name]
     r = g.rank
-    depth = 30 if isinstance(g, WeylContext) else 8  # past the longest Weyl element
+    depth = 30 if isinstance(g, RootSystem) else 8  # past the longest Weyl element
     dist = ball(g, depth + 1)
 
     def left_descents(u):
@@ -524,7 +523,7 @@ def test_group_order_matches_the_marks_formula(family, rank):
 
 def test_one_line_notation():
     rs = build_root_system("A", 3)
-    ctx = WeylContext(rs)
+    ctx = rs
     assert one_line(rs, ctx.identity()) == (1, 2, 3, 4)
     assert one_line(rs, ctx.from_word([1])) == (2, 1, 3, 4)
     # composition convention: (s1 s2) e1 = s1(e1) = e2, (s1 s2) e3 = s1(e2) = e1
@@ -533,7 +532,7 @@ def test_one_line_notation():
     assert sorted(one_line(rs, w)) == [1, 2, 3, 4]
     b2 = build_root_system("B", 2)
     with pytest.raises(ValueError):
-        one_line(b2, WeylContext(b2).identity())
+        one_line(b2, b2.identity())
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -547,3 +546,20 @@ def test_one_line_matches_ambient_action(rank):
             img = apply(rs, w, tuple((t == 0) - (t == j) for t in range(n)))
             perm[0], perm[j] = img.index(1) + 1, img.index(-1) + 1
         assert one_line(rs, w) == tuple(perm)
+
+
+def test_root_system_reduced_word_calls_the_module_function(monkeypatch):
+    """``RootSystem.reduced_word`` looks ``weyl.reduced_word`` up at each
+    call, so a wrapper bound there, as ``bench/spans.py`` binds its tracer,
+    sees every call."""
+    rs = build_root_system("A", 2)
+    calls = []
+
+    def wrapped(r, w):
+        calls.append((r, w))
+        return reduced_word(r, w)
+
+    monkeypatch.setattr(weyl, "reduced_word", wrapped)
+    w = rs.from_word((2, 1))
+    assert rs.reduced_word(w) == (2, 1)
+    assert calls == [(rs, w)]
